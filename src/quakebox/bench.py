@@ -219,9 +219,7 @@ def sweep(
     for ratio in spec.ratios:
         ds = build_ratio_dataset(positives, noise_pool, ratio, spec.seed)
         labels = [v.label for v in ds.items]
-        for name, artifact in models.items():
-            preds = [artifact.predict_label(v) for v in ds.items]
-            reports[(name, ratio)] = report(labels, preds)
+        preds = {name: artifact.predict_labels(ds.items) for name, artifact in models.items()}
         for name, pred_map in external_preds.items():
             missing = [v.trace_id for v in ds.items if v.trace_id not in pred_map]
             if missing:
@@ -229,8 +227,9 @@ def sweep(
                     f"prediction source {name!r} missing {len(missing)} trace id(s): "
                     + ", ".join(sorted(missing)[:10])
                 )
-            preds = [pred_map[v.trace_id] for v in ds.items]
-            reports[(name, ratio)] = report(labels, preds)
+            preds[name] = [pred_map[v.trace_id] for v in ds.items]
+        for name in sources:
+            reports[(name, ratio)] = report(labels, preds[name])
     return SweepTable(sources=sources, ratios=tuple(spec.ratios), reports=reports)
 
 
@@ -451,13 +450,23 @@ def generate_planted_features(
 # external prediction ingestion
 
 
+def _unit_interval(cell: str, column: str, lineno: int) -> float:
+    try:
+        value = float(cell)
+    except ValueError as exc:
+        raise FormatError(f"{column}: {exc}", line=lineno) from exc
+    if not 0.0 <= value <= 1.0:
+        raise FormatError(f"{column} {value} outside [0, 1]", line=lineno)
+    return value
+
+
 def ingest_predictions(
     path: str | Path, expected_trace_ids: Iterable[str]
 ) -> Dict[str, str]:
     """Read a predictions file and return a complete trace_id -> label map.
 
     The TSV needs a ``trace_id`` column and either ``label`` or
-    ``probability`` (optionally with a per-row ``threshold``, default 0.5).
+    ``probability`` (optionally with a per-row ``threshold``, default 0.5), both in [0, 1].
     Duplicate or missing ids fail loudly with the ids listed; ids beyond the
     expected set are tolerated and dropped.
     """
@@ -491,15 +500,10 @@ def ingest_predictions(
                 if label not in ("event", "noise"):
                     raise FormatError(f"bad label {label!r}", line=lineno)
             else:
-                try:
-                    prob = float(parts[idx["probability"]])
-                except ValueError as exc:
-                    raise FormatError(str(exc), line=lineno) from exc
-                if not 0.0 <= prob <= 1.0:
-                    raise FormatError(f"probability {prob} outside [0, 1]", line=lineno)
+                prob = _unit_interval(parts[idx["probability"]], "probability", lineno)
                 threshold = 0.5
                 if "threshold" in idx:
-                    threshold = float(parts[idx["threshold"]])
+                    threshold = _unit_interval(parts[idx["threshold"]], "threshold", lineno)
                 label = "event" if prob >= threshold else "noise"
             out[tid] = label
     if duplicates:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -37,7 +38,6 @@ from .features import (
 )
 from .metrics import mcnemar_test, report
 from .model import (
-    LinearModel,
     ModelArtifact,
     PenaltyConfig,
     TrainOptions,
@@ -81,11 +81,28 @@ def _get(cfg: Mapping[str, Any], field: str, kind, required: bool = True, defaul
                 raise ConfigError(field, "missing required field")
             return default
         node = node[part]
+    return _typed(field, node, kind)
+
+
+def _typed(field: str, node, kind):
+    # JSON true/false are Python ints; they never stand in for a number
+    if isinstance(node, bool) and kind in (int, float):
+        raise ConfigError(field, f"expected {kind.__name__}, got bool")
     if kind is float and isinstance(node, int):
         node = float(node)
     if kind is not None and not isinstance(node, kind):
         raise ConfigError(field, f"expected {getattr(kind, '__name__', kind)}, got {type(node).__name__}")
     return node
+
+
+def _numbers(cfg: Mapping[str, Any], field: str, kind, default, length: int | None = None):
+    """A list field whose entries are all ``kind``, optionally of a fixed length."""
+    values = _get(cfg, field, list, required=False, default=default)
+    if values is None:
+        return None
+    if length is not None and len(values) != length:
+        raise ConfigError(field, f"expected {length} values, got {len(values)}")
+    return tuple(_typed(f"{field}[{i}]", v, kind) for i, v in enumerate(values))
 
 
 def _positive(field: str, value, strict: bool = True):
@@ -159,16 +176,14 @@ def _pair_list(cfg: Mapping[str, Any], field: str) -> dict[str, str]:
 def cmd_synth(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     master = _master_seed(cfg, seed)
     section = _get(cfg, "synthetic", dict, required=False, default={})
-    tpe = _get(section, "traces_per_event", list, False, [30, 68])
-    snr = _get(section, "snr_range", list, False, [1.5, 12.0])
     try:
         spec = bench.SyntheticSpec(
             n_events=_get(section, "n_events", int, False, 47),
-            traces_per_event=(int(tpe[0]), int(tpe[1])),
+            traces_per_event=_numbers(cfg, "synthetic.traces_per_event", int, [30, 68], length=2),
             n_noise=_get(section, "n_noise", int, False, 4000),
             fs=_get(section, "fs", float, False, 200.0),
             window_len=_get(section, "window_len", int, False, 600),
-            snr_range=(float(snr[0]), float(snr[1])),
+            snr_range=_numbers(cfg, "synthetic.snr_range", float, [1.5, 12.0], length=2),
             seed=derive_seed(master, "synth"),
         )
     except ValueError as exc:
@@ -182,12 +197,10 @@ def cmd_synth(cfg: dict, seed: int | None, out_dir: str | None) -> None:
 def cmd_split(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     master = _master_seed(cfg, seed)
     records, _role = read_waveforms(_get(cfg, "input", str))
-    fractions = _get(cfg, "fractions", list, required=False, default=[0.6, 0.2, 0.2])
-    if len(fractions) != 3:
-        raise ConfigError("fractions", f"expected three fractions, got {fractions}")
+    fractions = _numbers(cfg, "fractions", float, [0.6, 0.2, 0.2], length=3)
     try:
         spec = bench.SplitSpec(
-            fractions=tuple(float(f) for f in fractions),
+            fractions=fractions,
             seed=derive_seed(master, "split"),
         )
     except ValueError as exc:
@@ -237,17 +250,14 @@ def cmd_train(cfg: dict, seed: int | None, out_dir: str | None) -> None:
         )
     except ValueError as exc:
         raise ConfigError("model", str(exc)) from exc
+    threshold = _get(cfg, "threshold", float, required=False, default=None)
+    if threshold is not None and not 0.0 < threshold < 1.0:
+        raise ConfigError("threshold", f"must lie in (0, 1), got {threshold}")
     params = standardize_fit(vectors)
     standardized = standardize_apply(vectors, params)
     model = train(standardized, pen, opt)
-    threshold = _get(cfg, "threshold", float, required=False, default=None)
     if threshold is not None:
-        model = LinearModel(
-            bias=model.bias,
-            weights=model.weights,
-            threshold=threshold,
-            training_meta=model.training_meta,
-        )
+        model = replace(model, threshold=threshold)
     out = _resolve(out_dir, _get(cfg, "output", str))
     save_model(out, ModelArtifact(model=model, standardization=params))
     nonzero = sum(1 for w in model.weights.values() if w != 0)
@@ -265,7 +275,7 @@ def cmd_select(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     _forbid_test_role("validation_input", val_role)
     ens = _get(cfg, "ensemble", dict, required=False, default={})
     vary = _get(ens, "vary", dict, required=False, default={})
-    grid = _get(ens, "lambda_grid", list, required=False, default=None)
+    grid = _numbers(cfg, "ensemble.lambda_grid", float, None)
     try:
         ecfg = selection.EnsembleConfig(
             n_runs=_get(ens, "n_runs", int, False, 200),
@@ -275,7 +285,7 @@ def cmd_select(cfg: dict, seed: int | None, out_dir: str | None) -> None:
                 lambda_grid=_get(vary, "lambda_grid", bool, False, True),
                 subsample=_get(vary, "subsample", bool, False, True),
             ),
-            lambda_grid=tuple(float(v) for v in grid) if grid else None,
+            lambda_grid=grid or None,
             tie_tolerance=_get(ens, "tie_tolerance", float, False, 0.0),
             subsample_fraction=_get(ens, "subsample_fraction", float, False, 0.8),
             seed=derive_seed(master, "select"),
@@ -330,9 +340,7 @@ def cmd_eval(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     labels = [v.label for v in vectors]
     models, predictions = _load_sources(cfg, trace_ids)
     level = _get(cfg, "significance_level", float, required=False, default=0.05)
-    per_source_preds: dict[str, list[str]] = {}
-    for name, artifact in models.items():
-        per_source_preds[name] = [artifact.predict_label(v) for v in vectors]
+    per_source_preds = {name: art.predict_labels(vectors) for name, art in models.items()}
     for name, pred_map in predictions.items():
         per_source_preds[name] = [pred_map[tid] for tid in trace_ids]
     results = {name: report(labels, preds).to_dict() for name, preds in per_source_preds.items()}
@@ -360,10 +368,10 @@ def cmd_sweep(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     pool, _nrole = read_matrix(_get(cfg, "noise_pool_input", str))
     positives = [v for v in positives if v.label == "event"]
     pool = [v for v in pool if v.label == "noise"]
-    ratios = _get(cfg, "ratios", list, required=False, default=[1.73, 5.0, 10.0, 25.0, 50.0])
+    ratios = _numbers(cfg, "ratios", float, [1.73, 5.0, 10.0, 25.0, 50.0])
     try:
         spec = bench.RatioSpec(
-            ratios=tuple(float(r) for r in ratios),
+            ratios=ratios,
             seed=derive_seed(master, "sweep"),
         )
     except ValueError as exc:

@@ -20,10 +20,11 @@ from ..errors import (
     DegenerateInput,
     DegenerateSeries,
     FormatError,
+    MissingFeature,
     MissingParams,
     ZeroVariance,
 )
-from ..waveform import WaveformRecord
+from ..waveform import LABELS, WaveformRecord
 from .registry import FeatureRegistry
 
 
@@ -120,10 +121,7 @@ def standardize_fit(vectors: Sequence[FeatureVector]) -> StandardizationParams:
     collection are reported together by code in a :class:`ZeroVariance`
     error, since a zero scale cannot standardize anything.
     """
-    if not vectors:
-        raise DegenerateInput("cannot fit standardization on an empty collection")
-    codes = vectors[0].codes()
-    matrix = _to_matrix(vectors, codes)
+    matrix, _, codes = to_arrays(vectors)
     means = matrix.mean(axis=0)
     stds = matrix.std(axis=0, ddof=1) if matrix.shape[0] > 1 else np.zeros(len(codes))
     constant = [c for c, s in zip(codes, stds) if not s > 0]
@@ -135,45 +133,48 @@ def standardize_fit(vectors: Sequence[FeatureVector]) -> StandardizationParams:
     )
 
 
+def zscore(X: np.ndarray, params: StandardizationParams, codes: Sequence[str]) -> np.ndarray:
+    """Z-score the columns of ``X``, which hold ``codes`` in order."""
+    missing = [c for c in codes if c not in params.means]
+    if missing:
+        raise MissingParams(f"no standardization params for {', '.join(missing)}")
+    means = np.array([params.means[c] for c in codes])
+    stds = np.array([params.stds[c] for c in codes])
+    return (X - means) / stds
+
+
 def standardize_apply(
     vectors: Sequence[FeatureVector], params: StandardizationParams
 ) -> List[FeatureVector]:
-    """Z-score every vector with previously fitted parameters."""
-    out = []
+    """Z-score every vector (all with one code set) with previously fitted parameters."""
+    if not vectors:
+        return []
+    codes = vectors[0].codes()
     for vec in vectors:
-        missing = [c for c in vec.codes() if c not in params.means]
-        if missing:
-            raise MissingParams(
-                f"trace {vec.trace_id}: no standardization params for {', '.join(missing)}"
-            )
-        values = {
-            c: (v - params.means[c]) / params.stds[c] for c, v in vec.values.items()
-        }
-        out.append(FeatureVector(trace_id=vec.trace_id, values=values, label=vec.label))
-    return out
-
-
-def _to_matrix(vectors: Sequence[FeatureVector], codes: Sequence[str]) -> np.ndarray:
-    rows = []
-    for vec in vectors:
-        try:
-            rows.append([vec.values[c] for c in codes])
-        except KeyError as exc:
-            raise MissingParams(f"trace {vec.trace_id}: missing feature {exc}") from exc
-    return np.asarray(rows, dtype=float)
+        if vec.codes() != codes:
+            raise FormatError(f"trace {vec.trace_id}: inconsistent feature codes in collection")
+    X, _, _ = to_arrays(vectors, codes)
+    return [
+        FeatureVector(trace_id=vec.trace_id, values=dict(zip(codes, row)), label=vec.label)
+        for vec, row in zip(vectors, zscore(X, params, codes).tolist())
+    ]
 
 
 def to_arrays(
     vectors: Sequence[FeatureVector], codes: Sequence[str] | None = None
 ) -> Tuple[np.ndarray, np.ndarray, Tuple[str, ...]]:
-    """(X, y01, codes) arrays for model fitting; y is 1 for events."""
+    """(X, y01, codes) arrays for model fitting; y is 1 for events.  A vector
+    lacking one of ``codes`` (default: the first vector's) raises MissingFeature."""
     if not vectors:
         raise DegenerateInput("empty feature collection")
-    if codes is None:
-        codes = vectors[0].codes()
-    X = _to_matrix(vectors, codes)
+    codes = vectors[0].codes() if codes is None else tuple(codes)
+    try:
+        X = np.array([[vec.values[c] for c in codes] for vec in vectors], dtype=float)
+    except KeyError as exc:
+        bad = next(vec for vec in vectors if any(c not in vec.values for c in codes))
+        raise MissingFeature(f"trace {bad.trace_id}: vector lacks feature {exc}") from exc
     y = np.array([1.0 if v.label == "event" else 0.0 for v in vectors])
-    return X, y, tuple(codes)
+    return X, y, codes
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +217,9 @@ def read_matrix(path: str | Path) -> Tuple[List[FeatureVector], str]:
         if header[:2] != ["trace_id", "label"]:
             raise FormatError("header must start with trace_id<TAB>label", line=2)
         codes = tuple(header[2:])
+        repeated = sorted({c for c in codes if codes.count(c) > 1})
+        if repeated:
+            raise FormatError(f"feature code(s) repeated in header: {', '.join(repeated)}", line=2)
         vectors: List[FeatureVector] = []
         for lineno, line in enumerate(fh, start=3):
             if not line.strip():
@@ -225,6 +229,8 @@ def read_matrix(path: str | Path) -> Tuple[List[FeatureVector], str]:
                 raise FormatError(
                     f"expected {len(header)} columns, found {len(parts)}", line=lineno
                 )
+            if parts[1] not in LABELS:
+                raise FormatError(f"label must be one of {LABELS}, got {parts[1]!r}", line=lineno)
             try:
                 values = {c: float(v) for c, v in zip(codes, parts[2:])}
                 vectors.append(

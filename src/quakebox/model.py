@@ -23,8 +23,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInput, DegenerateLabels, FormatError, MissingFeature
-from .features.vectors import FeatureVector, StandardizationParams, to_arrays
+from .errors import DegenerateLabels, FormatError
+from .features.vectors import FeatureVector, StandardizationParams, to_arrays, zscore
 
 
 @dataclass(frozen=True)
@@ -97,20 +97,30 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict_proba(model: LinearModel, x: FeatureVector) -> float:
-    """Event probability for one standardized vector."""
-    z = model.bias
-    for code, w in model.weights.items():
-        if code not in x.values:
-            raise MissingFeature(f"trace {x.trace_id}: vector lacks feature {code}")
-        z += w * x.values[code]
-    return float(_sigmoid(np.array([z]))[0])
+def _proba(model: LinearModel, X: np.ndarray) -> np.ndarray:
+    """Event probabilities for a standardized matrix with columns in ``model.codes()`` order."""
+    # summed column by column, each row's score is exactly the scalar
+    # bias + w_1 x_1 + ... + w_p x_p; bias + X @ w may differ in the last bits
+    z = np.full(X.shape[0], model.bias, dtype=float)
+    for j, w in enumerate(model.weights.values()):
+        z += w * X[:, j]
+    return _sigmoid(z)
 
 
-def classify(model: LinearModel, x: FeatureVector, threshold: Optional[float] = None) -> str:
-    """Label one vector; probability exactly at threshold counts as event."""
-    thr = model.threshold if threshold is None else threshold
-    return "event" if predict_proba(model, x) >= thr else "noise"
+def _labels(probs: np.ndarray, threshold: float) -> list[str]:
+    return ["event" if hit else "noise" for hit in (probs >= threshold).tolist()]
+
+
+def predict_proba(model: LinearModel, rows: Sequence[FeatureVector]) -> np.ndarray:
+    """Event probability for each standardized row, in row order."""
+    return _proba(model, to_arrays(rows, model.codes())[0])
+
+
+def classify(
+    model: LinearModel, rows: Sequence[FeatureVector], threshold: Optional[float] = None
+) -> list[str]:
+    """Label each standardized row; a probability exactly at threshold counts as event."""
+    return _labels(predict_proba(model, rows), model.threshold if threshold is None else threshold)
 
 
 _CLAMP = 1e-12
@@ -125,22 +135,14 @@ def loss(
     model: LinearModel, data: Sequence[FeatureVector], cfg: PenaltyConfig
 ) -> float:
     """Mean negative log-likelihood plus the elastic net penalty."""
-    if not data:
-        raise DegenerateInput("loss over an empty collection is undefined")
     X, y, codes = to_arrays(data, model.codes())
-    w = np.array([model.weights[c] for c in codes])
-    p = _sigmoid(model.bias + X @ w)
-    value = _nll(y, p) + penalty(w, cfg)
-    if cfg.penalize_bias:
-        value += cfg.lam * (cfg.alpha * abs(model.bias) + (1 - cfg.alpha) * model.bias**2)
-    return value
+    return _objective(X, y, np.array([model.weights[c] for c in codes]), model.bias, cfg)
 
 
 def _objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, cfg: PenaltyConfig) -> float:
-    p = _sigmoid(b + X @ w)
-    value = _nll(y, p) + cfg.lam * (cfg.alpha * np.abs(w).sum() + (1 - cfg.alpha) * (w**2).sum())
+    value = _nll(y, _sigmoid(b + X @ w)) + penalty(w, cfg)
     if cfg.penalize_bias:
-        value += cfg.lam * (cfg.alpha * abs(b) + (1 - cfg.alpha) * b * b)
+        value += penalty([b], cfg)
     return value
 
 
@@ -159,8 +161,6 @@ def train(
     ``sweep_callback(objective)`` is invoked once per sweep (used by the
     monotonicity property suite).
     """
-    if not data:
-        raise DegenerateInput("cannot train on an empty collection")
     X, y, codes = to_arrays(data, codes)
     if len(set(y.tolist())) < 2:
         raise DegenerateLabels("training data contains a single class")
@@ -251,15 +251,16 @@ class ModelArtifact:
     model: LinearModel
     standardization: StandardizationParams
 
+    def predict_labels(self, raws: Sequence[FeatureVector]) -> list[str]:
+        """Standardize raw rows with the training-time params and classify them."""
+        codes = self.model.codes()
+        X, _, _ = to_arrays(raws, codes)
+        probs = _proba(self.model, zscore(X, self.standardization, codes))
+        return _labels(probs, self.model.threshold)
+
     def predict_label(self, raw: FeatureVector) -> str:
-        """Standardize one raw vector with the training-time params and classify."""
-        values = {
-            c: (raw.values[c] - self.standardization.means[c]) / self.standardization.stds[c]
-            for c in self.model.codes()
-            if c in raw.values
-        }
-        vec = FeatureVector(trace_id=raw.trace_id, values=values, label=raw.label)
-        return classify(self.model, vec)
+        """Label one raw vector: ``predict_labels`` on a batch of one."""
+        return self.predict_labels([raw])[0]
 
 
 MODEL_FORMAT = "quakebox-model-v1"

@@ -60,6 +60,11 @@ class EnsembleConfig:
             raise ValueError("tie_tolerance must be nonnegative")
         if not 0 < self.subsample_fraction <= 1:
             raise ValueError("subsample_fraction must lie in (0, 1]")
+        # every run's own penalty and stopping checks, made before the first run
+        PenaltyConfig(alpha=self.alpha)
+        for lam in self.lambda_grid or ():
+            PenaltyConfig(alpha=self.alpha, lam=lam)
+        TrainOptions(max_iters=self.max_iters, tol=self.tol)
 
 
 @dataclass(frozen=True)
@@ -152,10 +157,9 @@ def run_ensemble(
     """
     if not train_vectors or not val_vectors:
         raise DegenerateInput("ensemble needs non-empty train and validation sets")
-    if cfg.vary.lambda_grid:
-        grid = cfg.lambda_grid or default_lambda_grid(train_vectors, cfg.alpha)
-    else:
-        grid = (cfg.lambda_grid or default_lambda_grid(train_vectors, cfg.alpha))[:1]
+    grid = cfg.lambda_grid or default_lambda_grid(train_vectors, cfg.alpha)
+    if not cfg.vary.lambda_grid:
+        grid = grid[:1]
 
     val_labels = [v.label for v in val_vectors]
     results: List[EnsembleRunResult] = []
@@ -176,7 +180,7 @@ def run_ensemble(
                 PenaltyConfig(alpha=cfg.alpha, lam=grid[lam_idx]),
                 TrainOptions(max_iters=cfg.max_iters, tol=cfg.tol, seed=run_seed),
             )
-            preds = [classify(model, v) for v in sval]
+            preds = classify(model, sval)
             val_score = mcc(confusion(val_labels, preds))
         except QuakeboxError as exc:
             raise type(exc)(f"ensemble run {run_id}: {exc}") from exc

@@ -205,8 +205,7 @@ def _sweep_trend_one_corpus(seed: int):
     # operating threshold with a small nonzero false-alarm rate, set on
     # validation noise only: establishes the stated precondition (FP > 0)
     val_noise = [v for v in val_vecs if v.label == "noise"]
-    probs = np.array([predict_proba(model, v)
-                      for v in standardize_apply(val_noise, params)])
+    probs = predict_proba(model, standardize_apply(val_noise, params))
     threshold = float(np.clip(np.quantile(probs, 0.94), 1e-9, 1 - 1e-9))
     model = LinearModel(bias=model.bias, weights=model.weights, threshold=threshold,
                         training_meta=model.training_meta)

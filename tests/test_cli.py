@@ -298,3 +298,77 @@ class TestErrors:
         )
         assert run(["extract", "-c", cfg]) == 2
         assert "features" in capsys.readouterr().err
+
+
+MATRIX = (
+    "# quakebox-features-v1 role=train\n"
+    "trace_id\tlabel\tf\tg\n"
+    "e1\tevent\t1.0\t0.5\n"
+    "e2\tevent\t2.0\t0.1\n"
+    "n1\tnoise\t-1.0\t0.3\n"
+    "n2\tnoise\t-2.0\t0.9\n"
+)
+
+
+def _case(id, command, build, files, named):
+    return pytest.param(command, build, files, named, id=id)
+
+
+def _malformed_cases():
+    """(subcommand, config builder, files to write, text the error must name)."""
+    m = "m.tsv"
+    preds = "trace_id\tprobability\tthreshold\n"
+    return [
+        _case("synth-bool-int", "synth",
+              lambda d: {"synthetic": {"n_events": True}, "output": d("w.jsonl")}, {}, "n_events"),
+        _case("synth-short-traces-per-event", "synth",
+              lambda d: {"synthetic": {"traces_per_event": [5]}, "output": d("w.jsonl")}, {},
+              "synthetic.traces_per_event"),
+        _case("synth-short-snr-range", "synth",
+              lambda d: {"synthetic": {"snr_range": [3.0]}, "output": d("w.jsonl")}, {},
+              "synthetic.snr_range"),
+        _case("split-null-fraction", "split",
+              lambda d: {"input": d("w.jsonl"), "output_dir": d("s"),
+                         "fractions": [None, 0.2, 0.2]},
+              {"w.jsonl": '{"format": "quakebox-waveforms-v1", "role": "all"}\n'}, "fractions[0]"),
+        _case("train-bool-float", "train",
+              lambda d: {"input": d(m), "output": d("o.json"), "model": {"lambda": True}},
+              {m: MATRIX}, "lambda"),
+        _case("train-threshold-above-1", "train",
+              lambda d: {"input": d(m), "output": d("o.json"), "threshold": 1.5},
+              {m: MATRIX}, "threshold"),
+        _case("matrix-bad-label", "train",
+              lambda d: {"input": d(m), "output": d("o.json")},
+              {m: MATRIX.replace("n1\tnoise", "n1\tquake")}, "line 5"),
+        _case("matrix-repeated-code", "train",
+              lambda d: {"input": d(m), "output": d("o.json")},
+              {m: MATRIX.replace("\tf\tg\n", "\tf\tf\n")}, "line 2"),
+        _case("select-alpha-above-1", "select",
+              lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
+                         "ensemble": {"alpha": 2.0}}, {m: MATRIX}, "alpha"),
+        _case("select-null-lambda", "select",
+              lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
+                         "ensemble": {"lambda_grid": [None]}}, {m: MATRIX},
+              "ensemble.lambda_grid[0]"),
+        _case("sweep-null-ratio", "sweep",
+              lambda d: {"positives_input": d(m), "noise_pool_input": d(m), "ratios": [None],
+                         "predictions": {"x": d("p.tsv")}, "output": d("o.json")},
+              {m: MATRIX}, "ratios[0]"),
+        _case("predictions-text-threshold", "eval",
+              lambda d: {"input": d(m), "predictions": {"x": d("p.tsv")}, "output": d("o.json")},
+              {m: MATRIX, "p.tsv": preds + "e1\t0.4\thigh\n"}, "line 2"),
+        _case("predictions-threshold-7", "eval",
+              lambda d: {"input": d(m), "predictions": {"x": d("p.tsv")}, "output": d("o.json")},
+              {m: MATRIX, "p.tsv": preds + "e1\t0.4\t0.5\ne2\t0.4\t7\n"}, "line 3"),
+    ]
+
+
+@pytest.mark.parametrize("command,build,files,named", _malformed_cases())
+def test_malformed_input_exits_2_naming_field(workdir, capsys, command, build, files, named):
+    for name, text in files.items():
+        (workdir / name).write_text(text)
+    cfg = write_config(workdir, "cfg.json", build(lambda name: str(workdir / name)))
+    assert run([command, "-c", cfg]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err

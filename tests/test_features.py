@@ -9,6 +9,7 @@ import pytest
 
 from quakebox.errors import (
     DegenerateSeries,
+    FormatError,
     MissingParams,
     UnknownFeature,
     ZeroVariance,
@@ -233,6 +234,14 @@ class TestStandardization:
         params = StandardizationParams(means={"f": 0.0}, stds={"f": 1.0})
         with pytest.raises(MissingParams):
             standardize_apply([make_vector("c", "noise", g=1.0)], params)
+
+    def test_mixed_code_sets_rejected(self):
+        from quakebox.features import StandardizationParams
+
+        params = StandardizationParams(means={"f": 0.0, "g": 0.0}, stds={"f": 1.0, "g": 1.0})
+        mixed = [make_vector("a", "noise", f=1.0, g=1.0), make_vector("b", "noise", f=1.0)]
+        with pytest.raises(FormatError, match="trace b"):
+            standardize_apply(mixed, params)
 
 
 class TestMatrixFile:

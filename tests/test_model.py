@@ -13,6 +13,7 @@ from quakebox.model import (
     ModelArtifact,
     PenaltyConfig,
     TrainOptions,
+    _sigmoid,
     classify,
     lambda_max,
     load_model,
@@ -70,38 +71,76 @@ class TestSoftThreshold:
 class TestPredict:
     def test_zero_model_gives_half(self):
         model = LinearModel(bias=0.0, weights={"a": 0.0})
-        assert predict_proba(model, make_vector("t", "noise", a=123.0)) == 0.5
+        assert predict_proba(model, [make_vector("t", "noise", a=123.0)])[0] == 0.5
 
     def test_sigmoid_ln3(self):
         model = LinearModel(bias=0.0, weights={"a": 1.0})
-        p = predict_proba(model, make_vector("t", "noise", a=math.log(3.0)))
+        p = predict_proba(model, [make_vector("t", "noise", a=math.log(3.0))])[0]
         assert p == pytest.approx(0.75, abs=1e-12)
 
     def test_missing_feature(self):
         model = LinearModel(bias=0.0, weights={"a": 1.0})
         with pytest.raises(MissingFeature):
-            predict_proba(model, make_vector("t", "noise", b=1.0))
+            predict_proba(model, [make_vector("t", "noise", b=1.0)])
 
     def test_classify_tie_is_event(self):
         model = LinearModel(bias=0.0, weights={"a": 0.0})
-        assert classify(model, make_vector("t", "noise", a=0.0)) == "event"
-        assert classify(model, make_vector("t", "noise", a=0.0), threshold=0.51) == "noise"
+        assert classify(model, [make_vector("t", "noise", a=0.0)]) == ["event"]
+        assert classify(model, [make_vector("t", "noise", a=0.0)], threshold=0.51) == ["noise"]
 
     def test_threshold_above_probability(self):
         model = LinearModel(bias=2.0, weights={})  # p ~ 0.88
-        assert classify(model, make_vector("t", "noise"), threshold=0.95) == "noise"
+        assert classify(model, [make_vector("t", "noise")], threshold=0.95) == ["noise"]
 
     def test_scaling_never_flips_at_half(self, rng):
         model = LinearModel(bias=0.3, weights={"a": 1.2, "b": -0.7})
         for _ in range(200):
             vec = make_vector("t", "noise", a=float(rng.standard_normal()), b=float(rng.standard_normal()))
-            base = classify(model, vec)
+            base = classify(model, [vec])
             for c in (1.5, 3.0, 10.0):
                 scaled = LinearModel(
                     bias=c * model.bias,
                     weights={k: c * v for k, v in model.weights.items()},
                 )
-                assert classify(scaled, vec) == base
+                assert classify(scaled, [vec]) == base
+
+
+class TestBatchScoring:
+    def test_batch_equals_scalar_sum_in_code_order(self, rng):
+        codes = [f"c{j}" for j in range(8)]
+        model = LinearModel(
+            bias=float(rng.normal()),
+            weights={c: float(w) for c, w in zip(codes, 3.0 * rng.standard_normal(8))},
+        )
+        rows = []
+        for i in range(1200):
+            x = 2.0 * rng.standard_normal(9)
+            # reversed column order plus one column the model does not use
+            values = {"extra": float(x[8])}
+            values.update((codes[j], float(x[j])) for j in reversed(range(8)))
+            rows.append(make_vector(f"t{i}", "noise", **values))
+        expected = []
+        for row in rows:
+            z = model.bias
+            for code in model.codes():
+                z += model.weights[code] * row.values[code]
+            expected.append(float(_sigmoid(np.array([z]))[0]))
+        assert predict_proba(model, rows).tolist() == expected
+
+    def test_missing_feature_names_the_trace(self):
+        model = LinearModel(bias=0.0, weights={"a": 1.0})
+        rows = [make_vector("ok", "noise", a=1.0), make_vector("lacks", "noise", b=1.0)]
+        with pytest.raises(MissingFeature, match="trace lacks"):
+            predict_proba(model, rows)
+
+    def test_artifact_single_and_batch_labels_agree(self):
+        vecs, _ = generate_planted_features(400, seed=12, strength=1.0, label_noise=0.1)
+        params = standardize_fit(vecs)
+        model = train(standardize_apply(vecs, params), PenaltyConfig(alpha=0.5, lam=0.01))
+        artifact = ModelArtifact(model=model, standardization=params)
+        batch = artifact.predict_labels(vecs)
+        assert batch == [artifact.predict_label(v) for v in vecs]
+        assert set(batch) == {"event", "noise"}
 
 
 class TestLoss:
@@ -127,8 +166,7 @@ class TestTrain:
     def test_separable_two_points_perfect_accuracy(self):
         data = [make_vector("a", "event", f=1.0), make_vector("b", "noise", f=-1.0)]
         model = train(data, PenaltyConfig(alpha=0.5, lam=0.0), TrainOptions(max_iters=200, tol=1e-10))
-        assert classify(model, data[0]) == "event"
-        assert classify(model, data[1]) == "noise"
+        assert classify(model, data) == ["event", "noise"]
         assert model.weights["f"] > 0
         assert model.training_meta["converged"] is False  # weights keep growing
 
