@@ -73,10 +73,14 @@ def _load_config(path: str) -> dict:
 
 
 def _get(cfg: Mapping[str, Any], field: str, kind, required: bool = True, default=None):
+    """The value at the dotted path ``field``; every error names the whole path."""
     parts = field.split(".")
     node: Any = cfg
-    for part in parts:
-        if not isinstance(node, Mapping) or part not in node:
+    for depth, part in enumerate(parts):
+        if not isinstance(node, Mapping):
+            parent = ".".join(parts[:depth])
+            raise ConfigError(parent, f"expected dict, got {type(node).__name__}")
+        if part not in node:
             if required:
                 raise ConfigError(field, "missing required field")
             return default
@@ -125,18 +129,16 @@ def _master_seed(cfg: Mapping[str, Any], override: int | None) -> int:
 
 
 def _preprocess_config(cfg: Mapping[str, Any]) -> PreprocessConfig:
-    section = _get(cfg, "preprocess", dict, required=False, default={})
+    fields = dict(
+        band_low_hz=_positive("preprocess.band_low_hz", _get(cfg, "preprocess.band_low_hz", float, False, 5.0)),
+        band_high_hz=_positive("preprocess.band_high_hz", _get(cfg, "preprocess.band_high_hz", float, False, 25.0)),
+        downsample_factor=_get(cfg, "preprocess.downsample_factor", int, False, 2),
+        filter_order=_get(cfg, "preprocess.filter_order", int, False, 4),
+        window_len=_get(cfg, "preprocess.window_len", int, False, None),
+    )
     try:
-        return PreprocessConfig(
-            band_low_hz=_positive("preprocess.band_low_hz", _get(section, "band_low_hz", float, False, 5.0)),
-            band_high_hz=_positive("preprocess.band_high_hz", _get(section, "band_high_hz", float, False, 25.0)),
-            downsample_factor=_get(section, "downsample_factor", int, False, 2),
-            filter_order=_get(section, "filter_order", int, False, 4),
-            window_len=_get(section, "window_len", int, False, None),
-        )
-    except QuakeboxError as exc:
-        raise ConfigError("preprocess", str(exc)) from exc
-    except ValueError as exc:
+        return PreprocessConfig(**fields)
+    except (QuakeboxError, ValueError) as exc:
         raise ConfigError("preprocess", str(exc)) from exc
 
 
@@ -175,14 +177,13 @@ def _pair_list(cfg: Mapping[str, Any], field: str) -> dict[str, str]:
 
 def cmd_synth(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     master = _master_seed(cfg, seed)
-    section = _get(cfg, "synthetic", dict, required=False, default={})
     try:
         spec = bench.SyntheticSpec(
-            n_events=_get(section, "n_events", int, False, 47),
+            n_events=_get(cfg, "synthetic.n_events", int, False, 47),
             traces_per_event=_numbers(cfg, "synthetic.traces_per_event", int, [30, 68], length=2),
-            n_noise=_get(section, "n_noise", int, False, 4000),
-            fs=_get(section, "fs", float, False, 200.0),
-            window_len=_get(section, "window_len", int, False, 600),
+            n_noise=_get(cfg, "synthetic.n_noise", int, False, 4000),
+            fs=_get(cfg, "synthetic.fs", float, False, 200.0),
+            window_len=_get(cfg, "synthetic.window_len", int, False, 600),
             snr_range=_numbers(cfg, "synthetic.snr_range", float, [1.5, 12.0], length=2),
             seed=derive_seed(master, "synth"),
         )
@@ -235,17 +236,15 @@ def cmd_train(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     master = _master_seed(cfg, seed)
     vectors, role = read_matrix(_get(cfg, "input", str))
     _forbid_test_role("input", role)
-    model_cfg = _get(cfg, "model", dict, required=False, default={})
-    opt_cfg = _get(cfg, "optimizer", dict, required=False, default={})
     try:
         pen = PenaltyConfig(
-            alpha=_get(model_cfg, "alpha", float, False, 0.9),
-            lam=_get(model_cfg, "lambda", float, False, 0.01),
-            penalize_bias=_get(model_cfg, "penalize_bias", bool, False, False),
+            alpha=_get(cfg, "model.alpha", float, False, 0.9),
+            lam=_get(cfg, "model.lambda", float, False, 0.01),
+            penalize_bias=_get(cfg, "model.penalize_bias", bool, False, False),
         )
         opt = TrainOptions(
-            max_iters=_positive("optimizer.max_iters", _get(opt_cfg, "max_iters", int, False, 10_000)),
-            tol=_positive("optimizer.tol", _get(opt_cfg, "tol", float, False, 1e-8)),
+            max_iters=_positive("optimizer.max_iters", _get(cfg, "optimizer.max_iters", int, False, 10_000)),
+            tol=_positive("optimizer.tol", _get(cfg, "optimizer.tol", float, False, 1e-8)),
             seed=derive_seed(master, "train"),
         )
     except ValueError as exc:
@@ -273,29 +272,26 @@ def cmd_select(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     val_vecs, val_role = read_matrix(_get(cfg, "validation_input", str))
     _forbid_test_role("train_input", train_role)
     _forbid_test_role("validation_input", val_role)
-    ens = _get(cfg, "ensemble", dict, required=False, default={})
-    vary = _get(ens, "vary", dict, required=False, default={})
     grid = _numbers(cfg, "ensemble.lambda_grid", float, None)
     try:
         ecfg = selection.EnsembleConfig(
-            n_runs=_get(ens, "n_runs", int, False, 200),
-            alpha=_get(ens, "alpha", float, False, 0.9),
+            n_runs=_get(cfg, "ensemble.n_runs", int, False, 200),
+            alpha=_get(cfg, "ensemble.alpha", float, False, 0.9),
             vary=selection.VariationFlags(
-                seed=_get(vary, "seed", bool, False, True),
-                lambda_grid=_get(vary, "lambda_grid", bool, False, True),
-                subsample=_get(vary, "subsample", bool, False, True),
+                seed=_get(cfg, "ensemble.vary.seed", bool, False, True),
+                lambda_grid=_get(cfg, "ensemble.vary.lambda_grid", bool, False, True),
+                subsample=_get(cfg, "ensemble.vary.subsample", bool, False, True),
             ),
             lambda_grid=grid or None,
-            tie_tolerance=_get(ens, "tie_tolerance", float, False, 0.0),
-            subsample_fraction=_get(ens, "subsample_fraction", float, False, 0.8),
+            tie_tolerance=_get(cfg, "ensemble.tie_tolerance", float, False, 0.0),
+            subsample_fraction=_get(cfg, "ensemble.subsample_fraction", float, False, 0.8),
             seed=derive_seed(master, "select"),
-            max_iters=_get(ens, "max_iters", int, False, 500),
-            tol=_get(ens, "tol", float, False, 1e-6),
+            max_iters=_get(cfg, "ensemble.max_iters", int, False, 500),
+            tol=_get(cfg, "ensemble.tol", float, False, 1e-6),
         )
-        rule_cfg = _get(cfg, "rule", dict, required=False, default={})
         rule = selection.SelectionRule(
-            min_fraction_nonzero=_get(rule_cfg, "min_fraction_nonzero", float, False, 0.9),
-            min_median_abs=_get(rule_cfg, "min_median_abs", float, False, 0.05),
+            min_fraction_nonzero=_get(cfg, "rule.min_fraction_nonzero", float, False, 0.9),
+            min_median_abs=_get(cfg, "rule.min_median_abs", float, False, 0.05),
         )
     except ValueError as exc:
         raise ConfigError("ensemble", str(exc)) from exc

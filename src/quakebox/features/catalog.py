@@ -13,7 +13,7 @@ equal-width histograms, Hazen quantiles) sits at the top.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 
 import numpy as np
 
@@ -91,15 +91,6 @@ def _longest_run(mask: np.ndarray) -> int:
     starts = change[0::2]
     ends = change[1::2]
     return int((ends - starts).max())
-
-
-def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope and intercept."""
-    xm = x.mean()
-    ym = y.mean()
-    dx = x - xm
-    slope = float(dx @ (y - ym) / (dx @ dx))
-    return slope, float(ym - slope * xm)
 
 
 # ---------------------------------------------------------------------------
@@ -283,25 +274,19 @@ def periodicity_wang(y: np.ndarray) -> float:
     n = y.size
     sub = _spline_detrend(y)
     acmax = int(np.ceil(n / 3))
-    acf = np.array([np.mean(sub[: n - t] * sub[t:]) for t in range(1, acmax + 1)])
+    lags = np.arange(1, acmax + 1)
+    acf = np.correlate(sub, sub, "full")[n : n + acmax] / (n - lags)
 
     slopes = np.diff(acf)
-    troughs: list[int] = []
-    peaks: list[int] = []
-    for i in range(1, acmax - 1):
-        if slopes[i - 1] < 0 and slopes[i] > 0:
-            troughs.append(i)
-        elif slopes[i - 1] > 0 and slopes[i] < 0:
-            peaks.append(i)
-    for ip in peaks:
-        preceding = [it for it in troughs if it < ip]
-        if not preceding:
-            continue
-        it = preceding[-1]
-        if acf[ip] - acf[it] < 0.01 or acf[ip] < 0:
-            continue
-        return float(ip + 1)
-    return 1.0
+    rise_in, rise_out = slopes[:-1], slopes[1:]
+    troughs = np.flatnonzero((rise_in < 0) & (rise_out > 0)) + 1
+    peaks = np.flatnonzero((rise_in > 0) & (rise_out < 0)) + 1
+    # each peak's nearest preceding trough (peaks before the first have none)
+    before = np.searchsorted(troughs, peaks) - 1
+    peaks, it = peaks[before >= 0], troughs[before[before >= 0]]
+    qualifies = ~((acf[peaks] - acf[it] < 0.01) | (acf[peaks] < 0))
+    hits = peaks[qualifies]
+    return float(hits[0] + 1) if hits.size else 1.0
 
 
 def embedding_distance_expfit_diff(y: np.ndarray) -> float:
@@ -345,14 +330,23 @@ def ami_gaussian_first_minimum(y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float)
     n = y.size
     max_lag = min(40, int(np.ceil(n / 2)))
-    ami = np.empty(max_lag)
-    for k in range(1, max_lag + 1):
-        rho = np.corrcoef(y[: n - k], y[k:])[0, 1]
-        ami[k - 1] = -0.5 * np.log(1.0 - rho * rho)
-    for i in range(1, max_lag - 1):
-        if ami[i] < ami[i - 1] and ami[i] < ami[i + 1]:
-            return float(i + 1)
-    return float(max_lag)
+    # row k-1 holds the pairs (y[i], y[i+k]) for i < n-k; masked entries are 0
+    lags = np.arange(1, max_lag + 1)[:, None]
+    i = np.arange(n)
+    keep = i < n - lags
+    head = np.where(keep, y, 0.0)
+    tail = np.where(keep, y[np.minimum(i + lags, n - 1)], 0.0)
+    count = n - lags
+    head = np.where(keep, head - head.sum(axis=1, keepdims=True) / count, 0.0)
+    tail = np.where(keep, tail - tail.sum(axis=1, keepdims=True) / count, 0.0)
+    cov = (head * tail).sum(axis=1)
+    rho = cov / np.sqrt((head * head).sum(axis=1) * (tail * tail).sum(axis=1))
+    rho = np.clip(rho, -1.0, 1.0)
+    ami = -0.5 * np.log(1.0 - rho * rho)
+    # first strict interior minimum; ami[j] belongs to lag j + 1
+    mid = ami[1:-1]
+    hits = np.flatnonzero((mid < ami[:-2]) & (mid < ami[2:]))
+    return float(hits[0] + 2) if hits.size else float(max_lag)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +397,9 @@ def _outlier_timing(y: np.ndarray, sign: float) -> float:
     median over kept thresholds of median(position)/(n/2) - 1.
 
     The exceedance sets are nested as the threshold rises, so the medians
-    for every threshold come from one pass of prefix running medians over
-    the positions ordered by descending value.
+    for every kept threshold come from one pass of prefix medians over the
+    positions ordered by descending value, run only as far as the largest
+    kept exceedance count.
     """
     inc = 0.01
     w = sign * y
@@ -418,30 +413,23 @@ def _outlier_timing(y: np.ndarray, sign: float) -> float:
         n_thresh = int(np.flatnonzero(~nonempty)[0])
         counts = counts[:n_thresh]
 
-    # running median over prefixes of positions sorted by descending value
-    order = np.argsort(-w, kind="stable") + 1
-    low: list[int] = []  # max-heap (negated) of the smaller half
-    high: list[int] = []  # min-heap of the larger half
-    prefix_median = np.empty(n)
-    for k, pos in enumerate(order.tolist()):
-        if low and pos > -low[0]:
-            heapq.heappush(high, pos)
-        else:
-            heapq.heappush(low, -pos)
-        if len(low) > len(high) + 1:
-            heapq.heappush(high, -heapq.heappop(low))
-        elif len(high) > len(low):
-            heapq.heappush(low, -heapq.heappop(high))
-        prefix_median[k] = -low[0] if len(low) > len(high) else 0.5 * (high[0] - low[0])
-
-    rel_pos = prefix_median[counts - 1] / (n / 2) - 1
     pct_kept = (counts - 1) * 100.0 / n
     above = np.flatnonzero(pct_kept > 2.0)
     mj = int(above[-1]) if above.size else 0
     undefined = np.flatnonzero(counts < 2)
     fbi = int(undefined[0]) if undefined.size else n_thresh - 1
-    trim = min(mj, fbi)
-    return float(np.median(rel_pos[: trim + 1]))
+    kept = counts[: min(mj, fbi) + 1]
+
+    # counts fall as the threshold rises, so kept[0] is the longest prefix
+    order = np.argsort(-w, kind="stable")[: kept[0]] + 1
+    prefix: list[int] = []
+    prefix_median = np.empty(kept[0])
+    for k, pos in enumerate(order.tolist()):
+        bisect.insort(prefix, pos)
+        prefix_median[k] = 0.5 * (prefix[k // 2] + prefix[(k + 1) // 2])
+
+    rel_pos = prefix_median[kept - 1] / (n / 2) - 1
+    return float(np.median(rel_pos))
 
 
 # ---------------------------------------------------------------------------
@@ -518,18 +506,24 @@ def _fluctuation_split_fraction(y: np.ndarray, lag: int, mode: str) -> float:
     log_f = np.log(fluct)
     ntt = sizes.size
     min_points = 6
-    best_err = np.inf
-    best_split = min_points
-    for split in range(min_points, ntt - min_points + 1):
-        m1, b1 = _ols_line(log_t[:split], log_f[:split])
-        m2, b2 = _ols_line(log_t[split - 1 :], log_f[split - 1 :])
-        err = np.linalg.norm(m1 * log_t[:split] + b1 - log_f[:split]) + np.linalg.norm(
-            m2 * log_t[split - 1 :] + b2 - log_f[split - 1 :]
-        )
-        if err < best_err:
-            best_err = err
-            best_split = split
-    return best_split / ntt
+    splits = np.arange(min_points, ntt - min_points + 1)[:, None]
+    i = np.arange(ntt)
+    err = _masked_line_residual_norm(log_t, log_f, i < splits) + _masked_line_residual_norm(
+        log_t, log_f, i >= splits - 1
+    )
+    return int(splits[np.argmin(err), 0]) / ntt
+
+
+def _masked_line_residual_norm(x: np.ndarray, y: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per row of ``mask``: residual norm of the least-squares line through
+    the points (x, y) that the row selects."""
+    count = mask.sum(axis=1, keepdims=True)
+    xm = np.where(mask, x, 0.0).sum(axis=1, keepdims=True) / count
+    ym = np.where(mask, y, 0.0).sum(axis=1, keepdims=True) / count
+    dx = np.where(mask, x - xm, 0.0)
+    slope = (dx * (y - ym)).sum(axis=1, keepdims=True) / (dx * dx).sum(axis=1, keepdims=True)
+    resid = np.where(mask, slope * x + (ym - slope * xm) - y, 0.0)
+    return np.sqrt((resid * resid).sum(axis=1))
 
 
 def dfa_scaling_split(y: np.ndarray) -> float:

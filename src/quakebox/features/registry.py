@@ -70,27 +70,38 @@ class FeatureRegistry:
         return FeatureRegistry(list(self) + list(extra))
 
     def extract(self, code: str, samples: np.ndarray) -> float:
-        """Compute one feature on one series.
+        """Compute one feature on one series (see :meth:`extract_values`)."""
+        return self.extract_values((code,), samples)[code]
 
-        Rejects series shorter than the feature's documented minimum or with
+    def extract_values(self, codes: Sequence[str], samples: np.ndarray) -> dict[str, float]:
+        """Compute several features on one series, in the order given.
+
+        Rejects series shorter than a feature's documented minimum or with
         zero variance (standardization would be undefined), and refuses to
-        return non-finite values.
+        return non-finite values.  The variance check and the z-score are
+        done once for all codes; the z-scored series is read-only because
+        every standardized feature shares it.
         """
-        d = self.get(code)
+        defs = [self.get(code) for code in codes]
         x = np.asarray(samples, dtype=float)
-        if x.ndim != 1 or x.size < d.min_length:
-            raise DegenerateSeries(
-                f"{code} needs a 1-D series of at least {d.min_length} samples, got {x.shape}"
-            )
-        sd = x.std(ddof=1)
-        if not sd > 0:
-            raise DegenerateSeries(f"{code} is undefined on a constant series")
-        if d.standardize_input:
-            x = (x - x.mean()) / sd
-        value = float(d.func(x))
-        if not np.isfinite(value):
-            raise DegenerateSeries(f"{code} produced a non-finite value")
-        return value
+        z = None
+        values: dict[str, float] = {}
+        for d in defs:
+            if x.ndim != 1 or x.size < d.min_length:
+                raise DegenerateSeries(
+                    f"{d.code} needs a 1-D series of at least {d.min_length} samples, got {x.shape}"
+                )
+            if z is None:
+                sd = x.std(ddof=1)
+                if not sd > 0:
+                    raise DegenerateSeries(f"{d.code} is undefined on a constant series")
+                z = (x - x.mean()) / sd
+                z.flags.writeable = False
+            value = float(d.func(z if d.standardize_input else x))
+            if not np.isfinite(value):
+                raise DegenerateSeries(f"{d.code} produced a non-finite value")
+            values[d.code] = value
+        return values
 
 
 def list_features(registry: FeatureRegistry) -> tuple[str, ...]:

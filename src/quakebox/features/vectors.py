@@ -66,12 +66,10 @@ def extract_vector(
         for code in wanted:
             registry.get(code)  # UnknownFeature for unregistered codes
         codes = tuple(c for c in registry.codes() if c in wanted)
-    values = {}
-    for code in codes:
-        try:
-            values[code] = registry.extract(code, record.samples)
-        except DegenerateSeries as exc:
-            raise DegenerateSeries(f"trace {record.trace_id}: {exc}") from exc
+    try:
+        values = registry.extract_values(codes, record.samples)
+    except DegenerateSeries as exc:
+        raise DegenerateSeries(f"trace {record.trace_id}: {exc}") from exc
     return FeatureVector(trace_id=record.trace_id, values=values, label=record.label)
 
 

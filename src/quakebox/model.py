@@ -282,21 +282,56 @@ def save_model(path: str | Path, artifact: ModelArtifact) -> None:
 
 
 def load_model(path: str | Path) -> ModelArtifact:
+    """Read a model file.  A missing or malformed field raises
+    :class:`FormatError` naming the file and the field's dotted path."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid model JSON ({exc})") from exc
-    if payload.get("format") != MODEL_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise FormatError(f"{path}: not a {MODEL_FORMAT} file")
-    model = LinearModel(
-        bias=float(payload["bias"]),
-        weights={k: float(v) for k, v in payload["weights"].items()},
-        threshold=float(payload["threshold"]),
-        training_meta=payload.get("training_meta", {}),
+
+    def fail(field: str, why: str) -> FormatError:
+        return FormatError(f"{path}: {field}: {why}")
+
+    def get(field: str, kind: type):
+        node = payload  # every parent of ``field`` was already checked to be a dict
+        for key in field.split("."):
+            if key not in node:
+                raise fail(field, "missing required field")
+            node = node[key]
+        if not isinstance(node, kind):
+            raise fail(field, f"expected {kind.__name__}, got {type(node).__name__}")
+        return node
+
+    def number(field: str, value) -> float:
+        # JSON true/false are Python ints; they never stand in for a number
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise fail(field, f"expected a number, got {type(value).__name__}")
+        if not math.isfinite(value):
+            raise fail(field, f"must be finite, got {value}")
+        return float(value)
+
+    def table(field: str) -> dict[str, float]:
+        return {code: number(f"{field}.{code}", v) for code, v in get(field, dict).items()}
+
+    threshold = number("threshold", get("threshold", object))
+    if not 0.0 < threshold < 1.0:
+        raise fail("threshold", f"must lie in (0, 1), got {threshold}")
+    meta = payload.get("training_meta", {})
+    if not isinstance(meta, dict):
+        raise fail("training_meta", f"expected dict, got {type(meta).__name__}")
+    get("standardization", dict)
+    stds = table("standardization.stds")
+    for code, value in stds.items():
+        if not value > 0:
+            raise fail(f"standardization.stds.{code}", f"must be positive, got {value}")
+    return ModelArtifact(
+        model=LinearModel(
+            bias=number("bias", get("bias", object)),
+            weights=table("weights"),
+            threshold=threshold,
+            training_meta=meta,
+        ),
+        standardization=StandardizationParams(means=table("standardization.means"), stds=stds),
     )
-    std = payload["standardization"]
-    params = StandardizationParams(
-        means={k: float(v) for k, v in std["means"].items()},
-        stds={k: float(v) for k, v in std["stds"].items()},
-    )
-    return ModelArtifact(model=model, standardization=params)

@@ -3,12 +3,16 @@
 A trace enters as a :class:`WaveformRecord` and is detrended, demeaned,
 band-pass filtered (zero phase), and decimated, in that order.  All
 operations are pure functions: they never mutate their inputs and are safe
-to run concurrently.
+to run concurrently.  The only module state is a cache of Butterworth
+designs keyed by (order, corners, btype, fs); a design depends on nothing
+else, the cached arrays are read-only, and each filter call gets its own
+copy, so the functions stay pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -119,6 +123,18 @@ def detrend_linear(samples: np.ndarray) -> np.ndarray:
     return x - (slope * t + intercept)
 
 
+@lru_cache(maxsize=64)
+def _butter_sos(order: int, corners, btype: str, fs: Optional[float] = None) -> np.ndarray:
+    """Butterworth second-order sections, designed once per argument set.
+
+    The cached array is read-only so that no caller can change it; scipy's
+    ``sosfilt`` refuses read-only coefficients, so filter with a ``.copy()``.
+    """
+    sos = signal.butter(order, corners, btype=btype, fs=fs, output="sos")
+    sos.flags.writeable = False
+    return sos
+
+
 def bandpass(samples: np.ndarray, fs: float, cfg: PreprocessConfig) -> np.ndarray:
     """Zero-phase Butterworth band-pass.
 
@@ -131,13 +147,7 @@ def bandpass(samples: np.ndarray, fs: float, cfg: PreprocessConfig) -> np.ndarra
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise DegenerateInput("bandpass needs at least 2 samples")
-    sos = signal.butter(
-        cfg.filter_order,
-        [cfg.band_low_hz, cfg.band_high_hz],
-        btype="bandpass",
-        fs=fs,
-        output="sos",
-    )
+    sos = _butter_sos(cfg.filter_order, (cfg.band_low_hz, cfg.band_high_hz), "bandpass", fs).copy()
     settle = int(round(3 * fs / cfg.band_low_hz))
     padlen = min(x.size - 1, settle)
     return signal.sosfiltfilt(sos, x, padtype="even", padlen=padlen)
@@ -161,7 +171,7 @@ def downsample(
     if factor == 1:
         return x.copy()
     if not assume_bandlimited:
-        sos = signal.butter(8, 0.8 / factor, btype="lowpass", output="sos")
+        sos = _butter_sos(8, 0.8 / factor, "lowpass").copy()
         padlen = min(x.size - 1, 30 * factor)
         x = signal.sosfiltfilt(sos, x, padtype="even", padlen=padlen)
     return x[::factor].copy()

@@ -300,6 +300,21 @@ class TestErrors:
         assert "features" in capsys.readouterr().err
 
 
+MODEL = {
+    "format": "quakebox-model-v1",
+    "bias": 0.1,
+    "weights": {"f": 1.0, "g": -0.5},
+    "threshold": 0.5,
+    "standardization": {"means": {"f": 0.0, "g": 0.45}, "stds": {"f": 1.8, "g": 0.35}},
+}
+
+
+def _model_file(**changes):
+    """MODEL as JSON text, with top-level fields replaced (None removes one)."""
+    model = {**MODEL, **changes}
+    return json.dumps({k: v for k, v in model.items() if v is not None})
+
+
 MATRIX = (
     "# quakebox-features-v1 role=train\n"
     "trace_id\tlabel\tf\tg\n"
@@ -318,9 +333,14 @@ def _malformed_cases():
     """(subcommand, config builder, files to write, text the error must name)."""
     m = "m.tsv"
     preds = "trace_id\tprobability\tthreshold\n"
+
+    def inputs(d):
+        return {"input": d(m), "train_input": d(m), "validation_input": d(m), "output": d("o")}
+
     return [
         _case("synth-bool-int", "synth",
-              lambda d: {"synthetic": {"n_events": True}, "output": d("w.jsonl")}, {}, "n_events"),
+              lambda d: {"synthetic": {"n_events": True}, "output": d("w.jsonl")}, {},
+              "synthetic.n_events"),
         _case("synth-short-traces-per-event", "synth",
               lambda d: {"synthetic": {"traces_per_event": [5]}, "output": d("w.jsonl")}, {},
               "synthetic.traces_per_event"),
@@ -333,7 +353,7 @@ def _malformed_cases():
               {"w.jsonl": '{"format": "quakebox-waveforms-v1", "role": "all"}\n'}, "fractions[0]"),
         _case("train-bool-float", "train",
               lambda d: {"input": d(m), "output": d("o.json"), "model": {"lambda": True}},
-              {m: MATRIX}, "lambda"),
+              {m: MATRIX}, "model.lambda"),
         _case("train-threshold-above-1", "train",
               lambda d: {"input": d(m), "output": d("o.json"), "threshold": 1.5},
               {m: MATRIX}, "threshold"),
@@ -360,6 +380,51 @@ def _malformed_cases():
         _case("predictions-threshold-7", "eval",
               lambda d: {"input": d(m), "predictions": {"x": d("p.tsv")}, "output": d("o.json")},
               {m: MATRIX, "p.tsv": preds + "e1\t0.4\t0.5\ne2\t0.4\t7\n"}, "line 3"),
+        *(
+            # the whole error line, so a doubled prefix ("preprocess: preprocess.…") fails
+            _case(f"dotted-{id}", command, lambda d, c=config: {**inputs(d), **c}, {m: MATRIX},
+                  f"error: {message}\n")
+            for id, command, config, message in (
+                ("model-alpha", "train", {"model": {"alpha": "high"}},
+                 "model.alpha: expected float, got str"),
+                ("ensemble-alpha", "select", {"ensemble": {"alpha": "high"}},
+                 "ensemble.alpha: expected float, got str"),
+                ("ensemble-vary-seed", "select", {"ensemble": {"vary": {"seed": 1}}},
+                 "ensemble.vary.seed: expected bool, got int"),
+                ("ensemble-vary-not-object", "select", {"ensemble": {"vary": 3}},
+                 "ensemble.vary: expected dict, got int"),
+                ("synthetic-n-events", "synth", {"synthetic": {"n_events": 2.5}},
+                 "synthetic.n_events: expected int, got float"),
+                ("preprocess-window-len", "extract", {"preprocess": {"window_len": "512"}},
+                 "preprocess.window_len: expected int, got str"),
+            )
+        ),
+        *(
+            _case(f"model-{id}", "eval",
+                  lambda d: {"input": d(m), "models": {"a": d("a.json")}, "output": d("o.json")},
+                  {m: MATRIX, "a.json": text}, named)
+            for id, text, named in (
+                ("missing-bias", _model_file(bias=None), "a.json: bias: missing"),
+                ("missing-weights", _model_file(weights=None), "a.json: weights: missing"),
+                ("missing-threshold", _model_file(threshold=None), "a.json: threshold: missing"),
+                ("missing-standardization", _model_file(standardization=None),
+                 "a.json: standardization: missing"),
+                ("missing-stds", _model_file(standardization={"means": {"f": 0.0, "g": 0.0}}),
+                 "standardization.stds: missing"),
+                ("text-weight", _model_file(weights={"f": "1.0", "g": 0.5}), "weights.f"),
+                ("bool-bias", _model_file(bias=True), "bias"),
+                ("list-weights", _model_file(weights=[1.0, 0.5]), "weights: expected dict"),
+                ("zero-std", _model_file(standardization={"means": MODEL["standardization"]["means"],
+                                                          "stds": {"f": 1.0, "g": 0.0}}),
+                 "standardization.stds.g"),
+                ("nan-std", _model_file(standardization={"means": MODEL["standardization"]["means"],
+                                                         "stds": {"f": float("nan"), "g": 1.0}}),
+                 "standardization.stds.f"),
+                ("threshold-1", _model_file(threshold=1.0), "threshold: must lie in (0, 1)"),
+                ("threshold-negative", _model_file(threshold=-0.2), "threshold"),
+                ("not-an-object", "[1, 2]", "not a quakebox-model-v1 file"),
+            )
+        ),
     ]
 
 
@@ -372,3 +437,4 @@ def test_malformed_input_exits_2_naming_field(workdir, capsys, command, build, f
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
+

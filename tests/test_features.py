@@ -31,6 +31,7 @@ from quakebox.features import (
 )
 
 from conftest import make_record, make_vector
+from oracles.catch22_ref import REFERENCE_FUNCS, reference_all, zscore
 
 FIXTURES = Path(__file__).parent / "fixtures" / "catch22_parity.json"
 
@@ -60,6 +61,43 @@ class TestCatalogParity:
 
     def test_corpus_is_ten_series(self, parity_series):
         assert len(parity_series) == 10
+
+    def test_fixture_is_what_the_oracle_computes(self):
+        # the frozen expectations and the oracle must not drift apart
+        for entry in json.loads(FIXTURES.read_text())["series"]:
+            assert reference_all(entry["values"]) == entry["expected"], entry["name"]
+
+
+def _oracle_series(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    t = np.arange(n)
+    if kind == "white":
+        return rng.standard_normal(n)
+    if kind == "random_walk":
+        return np.cumsum(rng.standard_normal(n))
+    if kind == "sinusoid":
+        return np.sin(t * rng.uniform(0.05, 1.0)) + 0.3 * rng.standard_normal(n)
+    if kind == "decaying":
+        return np.exp(-t / (n / 5)) * rng.standard_normal(n)
+    return np.round(3 * rng.standard_normal(n))  # "rounded": many tied values
+
+
+class TestArrayKernelsAgainstOracle:
+    """The array kernels against the scalar oracle on random series of every
+    length class, from the feature's minimum length up to 1024."""
+
+    @pytest.mark.parametrize("code", ["C10", "C12", "C14", "C15", "C19", "C20"])
+    def test_random_series(self, code):
+        registry = canonical_registry()
+        shortest = registry.get(code).min_length
+        rng = np.random.default_rng(int(code[1:]))
+        fixed = {shortest, shortest + 1, 2 * shortest + 3, 97, 256, 513, 1024}
+        lengths = sorted(fixed | set(rng.integers(shortest, 1025, size=6).tolist()))
+        for kind in ("white", "random_walk", "sinusoid", "decaying", "rounded"):
+            for n in lengths:
+                x = _oracle_series(kind, n, rng)
+                expected = REFERENCE_FUNCS[code](zscore(x.tolist()))
+                got = registry.extract(code, x)
+                assert got == pytest.approx(expected, rel=1e-6, abs=1e-10), (kind, n)
 
 
 class TestRegistry:
@@ -104,6 +142,21 @@ class TestRegistry:
         first = {c: reg.extract(c, x) for c in reg.codes()}
         second = {c: reg.extract(c, x) for c in reg.codes()}
         assert first == second  # exact equality, not approx
+
+    def test_extract_values_matches_per_code_extract(self, rng):
+        reg = reproduction_registry()
+        x = rng.standard_normal(300)
+        codes = ("C15", "W1", "C10", "C1")
+        values = reg.extract_values(codes, x)
+        assert tuple(values) == codes
+        assert values == {c: reg.extract(c, x) for c in codes}
+
+    def test_extract_values_errors_name_the_failing_code(self):
+        reg = reproduction_registry()
+        with pytest.raises(DegenerateSeries, match="^C14 is undefined on a constant series$"):
+            reg.extract_values(("C14", "W1"), np.full(100, 3.0))
+        with pytest.raises(DegenerateSeries, match="^C10 needs a 1-D series of at least 20"):
+            reg.extract_values(("W1", "C10"), np.arange(12.0))
 
     def test_duplicate_codes_rejected(self):
         reg = canonical_registry()

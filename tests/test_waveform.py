@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from quakebox.errors import DegenerateInput, InvalidBand, InvalidFactor
 from quakebox.waveform import (
@@ -148,6 +149,25 @@ class TestBandpass:
     def test_same_length(self, rng):
         x = rng.standard_normal(333)
         assert bandpass(x, 200.0, PreprocessConfig()).size == 333
+
+
+    def test_cached_design_matches_fresh_design_interleaved(self, rng):
+        # two configs that differ in fs, band and order, alternated so each
+        # call follows a call with the other design
+        setups = [
+            (PreprocessConfig(band_low_hz=5.0, band_high_hz=25.0), 200.0, 1200),
+            (PreprocessConfig(band_low_hz=2.0, band_high_hz=40.0, filter_order=3), 100.0, 700),
+        ]
+        for _ in range(3):
+            for cfg, fs, n in setups:
+                x = rng.standard_normal(n)
+                sos = signal.butter(
+                    cfg.filter_order, [cfg.band_low_hz, cfg.band_high_hz],
+                    btype="bandpass", fs=fs, output="sos",
+                )
+                padlen = min(n - 1, int(round(3 * fs / cfg.band_low_hz)))
+                expected = signal.sosfiltfilt(sos, x, padtype="even", padlen=padlen)
+                assert np.array_equal(bandpass(x, fs, cfg), expected)
 
 
 class TestDownsample:
