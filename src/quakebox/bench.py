@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -28,7 +28,7 @@ from .errors import (
     InsufficientNoise,
     TooFewEvents,
 )
-from .features.vectors import FeatureVector
+from .features.vectors import FeatureMatrix, FeatureVector, Rows
 from .metrics import EvalReport, report
 from .model import ModelArtifact
 from .seeds import derive_rng
@@ -141,7 +141,7 @@ class RatioSpec:
 
 @dataclass(frozen=True)
 class RatioDataset:
-    items: List
+    items: FeatureMatrix  # every positive, then the drawn noise rows
     requested_ratio: float
     achieved_ratio: float
 
@@ -150,9 +150,7 @@ def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def build_ratio_dataset(
-    positives: Sequence, noise_pool: Sequence, ratio: float, seed: int
-) -> RatioDataset:
+def build_ratio_dataset(positives: Rows, noise_pool: Rows, ratio: float, seed: int) -> RatioDataset:
     """All positives plus round(ratio * n_pos) noise items, drawn seeded.
 
     Sampling without replacement is a shuffle prefix: the same seed yields
@@ -166,9 +164,12 @@ def build_ratio_dataset(
             f"ratio {ratio} needs {need} noise items, pool has {len(noise_pool)} "
             f"(short {need - len(noise_pool)})"
         )
+    positives = FeatureMatrix.from_rows(positives)
+    noise_pool = FeatureMatrix.from_rows(noise_pool).columns(positives.codes)
     rng = derive_rng(seed, "ratio-noise")
-    order = rng.permutation(len(noise_pool))
-    items = list(positives) + [noise_pool[i] for i in order[:need]]
+    drawn = noise_pool.take(rng.permutation(len(noise_pool))[:need])
+    items = replace(positives, X=np.concatenate([positives.X, drawn.X]),
+                    trace_ids=positives.trace_ids + drawn.trace_ids, labels=positives.labels + drawn.labels)
     return RatioDataset(
         items=items,
         requested_ratio=float(ratio),
@@ -198,8 +199,8 @@ class SweepTable:
 
 def sweep(
     models: Mapping[str, ModelArtifact],
-    positives: Sequence[FeatureVector],
-    noise_pool: Sequence[FeatureVector],
+    positives: Rows,
+    noise_pool: Rows,
     spec: RatioSpec,
     external_preds: Mapping[str, Mapping[str, str]] | None = None,
 ) -> SweepTable:
@@ -209,27 +210,28 @@ def sweep(
     only the evaluation set composition changes.  External sources must
     cover every trace id the ladder can draw.
     """
-    if any(v.label != "event" for v in positives):
+    positives = FeatureMatrix.from_rows(positives)
+    noise_pool = FeatureMatrix.from_rows(noise_pool)
+    if set(positives.labels) != {"event"}:
         raise DegenerateInput("positives must all carry the event label")
-    if any(v.label != "noise" for v in noise_pool):
+    if set(noise_pool.labels) != {"noise"}:
         raise DegenerateInput("noise pool must all carry the noise label")
     external_preds = external_preds or {}
     sources = tuple(models) + tuple(external_preds)
     reports: Dict[Tuple[str, float], EvalReport] = {}
     for ratio in spec.ratios:
         ds = build_ratio_dataset(positives, noise_pool, ratio, spec.seed)
-        labels = [v.label for v in ds.items]
         preds = {name: artifact.predict_labels(ds.items) for name, artifact in models.items()}
         for name, pred_map in external_preds.items():
-            missing = [v.trace_id for v in ds.items if v.trace_id not in pred_map]
+            missing = [tid for tid in ds.items.trace_ids if tid not in pred_map]
             if missing:
                 raise IngestError(
                     f"prediction source {name!r} missing {len(missing)} trace id(s): "
                     + ", ".join(sorted(missing)[:10])
                 )
-            preds[name] = [pred_map[v.trace_id] for v in ds.items]
+            preds[name] = [pred_map[tid] for tid in ds.items.trace_ids]
         for name in sources:
-            reports[(name, ratio)] = report(labels, preds[name])
+            reports[(name, ratio)] = report(ds.items.labels, preds[name])
     return SweepTable(sources=sources, ratios=tuple(spec.ratios), reports=reports)
 
 

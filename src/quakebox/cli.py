@@ -234,7 +234,7 @@ def cmd_extract(cfg: dict, seed: int | None, out_dir: str | None) -> None:
 
 def cmd_train(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     master = _master_seed(cfg, seed)
-    vectors, role = read_matrix(_get(cfg, "input", str))
+    matrix, role = read_matrix(_get(cfg, "input", str))
     _forbid_test_role("input", role)
     try:
         pen = PenaltyConfig(
@@ -252,9 +252,8 @@ def cmd_train(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     threshold = _get(cfg, "threshold", float, required=False, default=None)
     if threshold is not None and not 0.0 < threshold < 1.0:
         raise ConfigError("threshold", f"must lie in (0, 1), got {threshold}")
-    params = standardize_fit(vectors)
-    standardized = standardize_apply(vectors, params)
-    model = train(standardized, pen, opt)
+    params = standardize_fit(matrix)
+    model = train(standardize_apply(matrix, params), pen, opt)
     if threshold is not None:
         model = replace(model, threshold=threshold)
     out = _resolve(out_dir, _get(cfg, "output", str))
@@ -268,8 +267,8 @@ def cmd_train(cfg: dict, seed: int | None, out_dir: str | None) -> None:
 
 def cmd_select(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     master = _master_seed(cfg, seed)
-    train_vecs, train_role = read_matrix(_get(cfg, "train_input", str))
-    val_vecs, val_role = read_matrix(_get(cfg, "validation_input", str))
+    train_matrix, train_role = read_matrix(_get(cfg, "train_input", str))
+    val_matrix, val_role = read_matrix(_get(cfg, "validation_input", str))
     _forbid_test_role("train_input", train_role)
     _forbid_test_role("validation_input", val_role)
     grid = _numbers(cfg, "ensemble.lambda_grid", float, None)
@@ -296,11 +295,21 @@ def cmd_select(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     except ValueError as exc:
         raise ConfigError("ensemble", str(exc)) from exc
     base = _get(cfg, "base_features", list, required=False, default=list(selected_profile()[:4]))
-    report_obj = selection.discover_features(
-        train_vecs, val_vecs, ecfg, rule, base=tuple(str(c) for c in base)
-    )
+    for i, code in enumerate(base):
+        _typed(f"base_features[{i}]", code, str)
+        if code not in train_matrix.codes:
+            raise ConfigError(f"base_features[{i}]", f"{code} is not a column of train_input")
+    report_obj = selection.discover_features(train_matrix, val_matrix, ecfg, rule, base=tuple(base))
     out = _resolve(out_dir, _get(cfg, "output", str))
     selection.save_selection_report(out, report_obj)
+    unconverged = [r.run_id for r in report_obj.runs if not r.converged]
+    if unconverged:
+        tied = len(set(unconverged) & set(report_obj.tie_set_ids))
+        print(
+            f"warning: {len(unconverged)} of {len(report_obj.runs)} ensemble runs stopped at "
+            f"ensemble.max_iters={ecfg.max_iters} unconverged ({tied} in the tie-set)",
+            file=sys.stderr,
+        )
     dist_out = _get(cfg, "distribution_output", str, required=False, default=None)
     if dist_out:
         _write_distribution_table(_resolve(out_dir, dist_out), report_obj)
@@ -331,14 +340,15 @@ def _load_sources(cfg: dict, trace_ids: Sequence[str]):
 
 
 def cmd_eval(cfg: dict, seed: int | None, out_dir: str | None) -> None:
-    vectors, _role = read_matrix(_get(cfg, "input", str))
-    trace_ids = [v.trace_id for v in vectors]
-    labels = [v.label for v in vectors]
-    models, predictions = _load_sources(cfg, trace_ids)
     level = _get(cfg, "significance_level", float, required=False, default=0.05)
-    per_source_preds = {name: art.predict_labels(vectors) for name, art in models.items()}
+    if not 0.0 < level < 1.0:
+        raise ConfigError("significance_level", f"must lie in (0, 1), got {level}")
+    matrix, _role = read_matrix(_get(cfg, "input", str))
+    labels = matrix.labels
+    models, predictions = _load_sources(cfg, matrix.trace_ids)
+    per_source_preds = {name: art.predict_labels(matrix) for name, art in models.items()}
     for name, pred_map in predictions.items():
-        per_source_preds[name] = [pred_map[tid] for tid in trace_ids]
+        per_source_preds[name] = [pred_map[tid] for tid in matrix.trace_ids]
     results = {name: report(labels, preds).to_dict() for name, preds in per_source_preds.items()}
     names = list(per_source_preds)
     comparisons = []
@@ -362,8 +372,8 @@ def cmd_sweep(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     master = _master_seed(cfg, seed)
     positives, _prole = read_matrix(_get(cfg, "positives_input", str))
     pool, _nrole = read_matrix(_get(cfg, "noise_pool_input", str))
-    positives = [v for v in positives if v.label == "event"]
-    pool = [v for v in pool if v.label == "noise"]
+    positives = positives.take(positives.is_event)
+    pool = pool.take(~pool.is_event)
     ratios = _numbers(cfg, "ratios", float, [1.73, 5.0, 10.0, 25.0, 50.0])
     try:
         spec = bench.RatioSpec(
@@ -372,8 +382,7 @@ def cmd_sweep(cfg: dict, seed: int | None, out_dir: str | None) -> None:
         )
     except ValueError as exc:
         raise ConfigError("ratios", str(exc)) from exc
-    ladder_ids = [v.trace_id for v in positives] + [v.trace_id for v in pool]
-    models, predictions = _load_sources(cfg, ladder_ids)
+    models, predictions = _load_sources(cfg, positives.trace_ids + pool.trace_ids)
     table = bench.sweep(models, positives, pool, spec, external_preds=predictions)
     out = _resolve(out_dir, _get(cfg, "output", str))
     bench.save_sweep(out, table)
@@ -412,6 +421,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         COMMANDS[args.command](cfg, args.seed, args.out_dir)
     except QuakeboxError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a missing input, or an output directory that does not exist
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -12,6 +12,7 @@ from .registry import (
     selected_profile,
 )
 from .vectors import (
+    FeatureMatrix,
     FeatureVector,
     StandardizationParams,
     extract_matrix,
@@ -19,7 +20,6 @@ from .vectors import (
     read_matrix,
     standardize_apply,
     standardize_fit,
-    to_arrays,
     write_matrix,
 )
 
@@ -27,6 +27,7 @@ __all__ = [
     "BASE_FEATURES",
     "SELECTED_CANONICAL",
     "FeatureDef",
+    "FeatureMatrix",
     "FeatureRegistry",
     "FeatureVector",
     "StandardizationParams",
@@ -40,6 +41,5 @@ __all__ = [
     "selected_profile",
     "standardize_apply",
     "standardize_fit",
-    "to_arrays",
     "write_matrix",
 ]

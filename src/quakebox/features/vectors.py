@@ -1,18 +1,20 @@
-"""Feature vectors, matrices, standardization, and the matrix file format.
+"""Feature vectors, the feature matrix, standardization, and the matrix file format.
 
 A :class:`FeatureVector` holds one trace's extracted values as an ordered
-code -> value map.  Collections of vectors act as the feature matrix;
-helpers convert them to numpy arrays for the model, and standardization
-parameters are always fitted on training data only (sample standard
-deviation, ddof=1 — the repo-wide estimator convention).
+code -> value map; rows exist only where one trace is extracted or scored.
+Every collection is a :class:`FeatureMatrix`, and every function that takes
+one also takes a sequence of vectors, which it converts once with
+:meth:`FeatureMatrix.from_rows`.  Standardization parameters are always
+fitted on training data only (sample standard deviation, ddof=1 — the
+repo-wide estimator convention).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from ..errors import (
     FormatError,
     MissingFeature,
     MissingParams,
+    ShapeMismatch,
     ZeroVariance,
 )
 from ..waveform import LABELS, WaveformRecord
@@ -44,9 +47,6 @@ class FeatureVector:
                 raise ValueError(f"{self.trace_id}: feature {code} is not finite ({v})")
             clean[str(code)] = v
         object.__setattr__(self, "values", clean)
-
-    def codes(self) -> tuple[str, ...]:
-        return tuple(self.values)
 
 
 def extract_vector(
@@ -98,6 +98,85 @@ def extract_matrix(
 
 
 # ---------------------------------------------------------------------------
+# the feature matrix
+
+
+@dataclass(frozen=True)
+class FeatureMatrix:
+    """Feature values of many traces: ``X[i, j]`` is feature ``codes[j]`` of
+    trace ``trace_ids[i]``, labelled ``labels[i]``.  ``X`` is a private
+    float64 copy, read-only, finite and C-contiguous, so that column
+    reductions always sum in one order."""
+
+    X: np.ndarray
+    codes: Tuple[str, ...]
+    trace_ids: Tuple[str, ...]
+    labels: Tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        X = np.array(self.X, dtype=float, order="C")
+        X.flags.writeable = False
+        object.__setattr__(self, "X", X)
+        if X.shape != (len(self.trace_ids), len(self.codes)) or len(self.labels) != len(X):
+            raise ShapeMismatch(f"{X.shape} matrix for {len(self.trace_ids)} trace ids, "
+                                f"{len(self.labels)} labels and {len(self.codes)} codes")
+        if not np.isfinite(X).all():
+            i, j = np.argwhere(~np.isfinite(X))[0]
+            raise FormatError(f"trace {self.trace_ids[i]}: feature {self.codes[j]} is not finite ({X[i, j]})")
+
+    def __len__(self) -> int:
+        return len(self.trace_ids)
+
+    @property
+    def is_event(self) -> np.ndarray:
+        """Boolean mask of the rows labelled ``event``."""
+        return np.array([label == "event" for label in self.labels], dtype=bool)
+
+    @classmethod
+    def from_rows(cls, rows: Rows) -> FeatureMatrix:
+        """The matrix of ``rows``, columns in the first row's order; the identity on a matrix.
+
+        A row with more or fewer codes than the first raises FormatError (as
+        a matrix line with the wrong column count does); a row with as many
+        that lacks one of them raises MissingFeature.  Both name the trace.
+        """
+        if not rows:
+            raise DegenerateInput("empty feature collection")
+        if isinstance(rows, cls):
+            return rows
+        codes = tuple(rows[0].values)
+        values = []
+        for row in rows:
+            if len(row.values) != len(codes):
+                differ = ", ".join(sorted(set(codes).symmetric_difference(row.values)))
+                raise FormatError(f"trace {row.trace_id}: inconsistent feature codes in collection ({differ})")
+            try:
+                values.append([row.values[c] for c in codes])
+            except KeyError as exc:
+                raise MissingFeature(f"trace {row.trace_id}: vector lacks feature {exc}") from exc
+        return cls(values, codes, tuple([r.trace_id for r in rows]), tuple([r.label for r in rows]))
+
+    def columns(self, codes: Sequence[str]) -> FeatureMatrix:
+        """The matrix restricted to ``codes``, in that order."""
+        codes = tuple(codes)
+        if codes == self.codes:
+            return self
+        missing = [c for c in codes if c not in self.codes]
+        if missing:
+            raise MissingFeature(f"feature matrix lacks feature(s) {', '.join(missing)}")
+        return replace(self, X=self.X[:, [self.codes.index(c) for c in codes]], codes=codes)
+
+    def take(self, index) -> FeatureMatrix:
+        """The rows picked by ``index``: integer positions or a boolean mask."""
+        rows = np.arange(len(self))[index].tolist()
+        return replace(self, X=self.X[rows], trace_ids=tuple(self.trace_ids[i] for i in rows),
+                       labels=tuple(self.labels[i] for i in rows))
+
+
+Rows = Union[FeatureMatrix, Sequence[FeatureVector]]
+
+
+# ---------------------------------------------------------------------------
 # standardization
 
 
@@ -112,22 +191,22 @@ class StandardizationParams:
         return tuple(self.means)
 
 
-def standardize_fit(vectors: Sequence[FeatureVector]) -> StandardizationParams:
+def standardize_fit(data: Rows) -> StandardizationParams:
     """Fit per-feature mean and standard deviation (ddof=1).
 
-    Every vector must share the same code set; features constant across the
-    collection are reported together by code in a :class:`ZeroVariance`
-    error, since a zero scale cannot standardize anything.
+    Features constant across the collection are reported together by code
+    in a :class:`ZeroVariance` error, since a zero scale cannot
+    standardize anything.
     """
-    matrix, _, codes = to_arrays(vectors)
-    means = matrix.mean(axis=0)
-    stds = matrix.std(axis=0, ddof=1) if matrix.shape[0] > 1 else np.zeros(len(codes))
-    constant = [c for c, s in zip(codes, stds) if not s > 0]
+    m = FeatureMatrix.from_rows(data)
+    means = m.X.mean(axis=0)
+    stds = m.X.std(axis=0, ddof=1) if len(m) > 1 else np.zeros(len(m.codes))
+    constant = [c for c, s in zip(m.codes, stds) if not s > 0]
     if constant:
         raise ZeroVariance(f"feature(s) constant across collection: {', '.join(constant)}")
     return StandardizationParams(
-        means={c: float(m) for c, m in zip(codes, means)},
-        stds={c: float(s) for c, s in zip(codes, stds)},
+        means={c: float(v) for c, v in zip(m.codes, means)},
+        stds={c: float(s) for c, s in zip(m.codes, stds)},
     )
 
 
@@ -141,38 +220,10 @@ def zscore(X: np.ndarray, params: StandardizationParams, codes: Sequence[str]) -
     return (X - means) / stds
 
 
-def standardize_apply(
-    vectors: Sequence[FeatureVector], params: StandardizationParams
-) -> List[FeatureVector]:
-    """Z-score every vector (all with one code set) with previously fitted parameters."""
-    if not vectors:
-        return []
-    codes = vectors[0].codes()
-    for vec in vectors:
-        if vec.codes() != codes:
-            raise FormatError(f"trace {vec.trace_id}: inconsistent feature codes in collection")
-    X, _, _ = to_arrays(vectors, codes)
-    return [
-        FeatureVector(trace_id=vec.trace_id, values=dict(zip(codes, row)), label=vec.label)
-        for vec, row in zip(vectors, zscore(X, params, codes).tolist())
-    ]
-
-
-def to_arrays(
-    vectors: Sequence[FeatureVector], codes: Sequence[str] | None = None
-) -> Tuple[np.ndarray, np.ndarray, Tuple[str, ...]]:
-    """(X, y01, codes) arrays for model fitting; y is 1 for events.  A vector
-    lacking one of ``codes`` (default: the first vector's) raises MissingFeature."""
-    if not vectors:
-        raise DegenerateInput("empty feature collection")
-    codes = vectors[0].codes() if codes is None else tuple(codes)
-    try:
-        X = np.array([[vec.values[c] for c in codes] for vec in vectors], dtype=float)
-    except KeyError as exc:
-        bad = next(vec for vec in vectors if any(c not in vec.values for c in codes))
-        raise MissingFeature(f"trace {bad.trace_id}: vector lacks feature {exc}") from exc
-    y = np.array([1.0 if v.label == "event" else 0.0 for v in vectors])
-    return X, y, codes
+def standardize_apply(data: Rows, params: StandardizationParams) -> FeatureMatrix:
+    """Z-score every row with previously fitted parameters."""
+    m = FeatureMatrix.from_rows(data)
+    return replace(m, X=zscore(m.X, params, m.codes))
 
 
 # ---------------------------------------------------------------------------
@@ -182,26 +233,20 @@ def to_arrays(
 FORMAT_LINE_PREFIX = "# quakebox-features-v1"
 
 
-def write_matrix(path: str | Path, vectors: Sequence[FeatureVector], role: str = "all") -> None:
-    """Write vectors as a TSV matrix at full float precision."""
-    if not vectors:
-        raise DegenerateInput("refusing to write an empty feature matrix")
-    codes = vectors[0].codes()
+def write_matrix(path: str | Path, data: Rows, role: str = "all") -> None:
+    """Write a matrix as TSV at full float precision."""
+    m = FeatureMatrix.from_rows(data)
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{FORMAT_LINE_PREFIX} role={role}\n")
-        fh.write("\t".join(("trace_id", "label") + codes) + "\n")
-        for vec in vectors:
-            if vec.codes() != codes:
-                raise FormatError(
-                    f"trace {vec.trace_id}: inconsistent feature codes in collection"
-                )
-            row = [vec.trace_id, vec.label] + [repr(vec.values[c]) for c in codes]
-            fh.write("\t".join(row) + "\n")
+        fh.write("\t".join(("trace_id", "label") + m.codes) + "\n")
+        # repr of Python floats: repr(np.float64(x)) is "np.float64(x)" under numpy 2
+        for trace_id, label, row in zip(m.trace_ids, m.labels, m.X.tolist()):
+            fh.write("\t".join([trace_id, label, *map(repr, row)]) + "\n")
 
 
-def read_matrix(path: str | Path) -> Tuple[List[FeatureVector], str]:
-    """Read a TSV feature matrix; returns (vectors, role)."""
+def read_matrix(path: str | Path) -> Tuple[FeatureMatrix, str]:
+    """Read a TSV feature matrix; returns (matrix, role)."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
@@ -218,7 +263,7 @@ def read_matrix(path: str | Path) -> Tuple[List[FeatureVector], str]:
         repeated = sorted({c for c in codes if codes.count(c) > 1})
         if repeated:
             raise FormatError(f"feature code(s) repeated in header: {', '.join(repeated)}", line=2)
-        vectors: List[FeatureVector] = []
+        trace_ids, labels, linenos, cells = [], [], [], []
         for lineno, line in enumerate(fh, start=3):
             if not line.strip():
                 continue
@@ -230,10 +275,14 @@ def read_matrix(path: str | Path) -> Tuple[List[FeatureVector], str]:
             if parts[1] not in LABELS:
                 raise FormatError(f"label must be one of {LABELS}, got {parts[1]!r}", line=lineno)
             try:
-                values = {c: float(v) for c, v in zip(codes, parts[2:])}
-                vectors.append(
-                    FeatureVector(trace_id=parts[0], values=values, label=parts[1])
-                )
+                cells.extend(map(float, parts[2:]))
             except ValueError as exc:
                 raise FormatError(str(exc), line=lineno) from exc
-    return vectors, role
+            trace_ids.append(parts[0])
+            labels.append(parts[1])
+            linenos.append(lineno)
+    X = np.array(cells).reshape(len(trace_ids), len(codes))
+    try:
+        return FeatureMatrix(X, codes, tuple(trace_ids), tuple(labels)), role
+    except FormatError as exc:  # a non-finite cell: name its line too
+        raise FormatError(str(exc), line=linenos[np.argwhere(~np.isfinite(X))[0, 0]]) from None

@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateLabels, FormatError
-from .features.vectors import FeatureVector, StandardizationParams, to_arrays, zscore
+from .features.vectors import FeatureMatrix, FeatureVector, Rows, StandardizationParams, zscore
 
 
 @dataclass(frozen=True)
@@ -111,14 +111,12 @@ def _labels(probs: np.ndarray, threshold: float) -> list[str]:
     return ["event" if hit else "noise" for hit in (probs >= threshold).tolist()]
 
 
-def predict_proba(model: LinearModel, rows: Sequence[FeatureVector]) -> np.ndarray:
+def predict_proba(model: LinearModel, rows: Rows) -> np.ndarray:
     """Event probability for each standardized row, in row order."""
-    return _proba(model, to_arrays(rows, model.codes())[0])
+    return _proba(model, FeatureMatrix.from_rows(rows).columns(model.codes()).X)
 
 
-def classify(
-    model: LinearModel, rows: Sequence[FeatureVector], threshold: Optional[float] = None
-) -> list[str]:
+def classify(model: LinearModel, rows: Rows, threshold: Optional[float] = None) -> list[str]:
     """Label each standardized row; a probability exactly at threshold counts as event."""
     return _labels(predict_proba(model, rows), model.threshold if threshold is None else threshold)
 
@@ -131,12 +129,11 @@ def _nll(y: np.ndarray, p: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def loss(
-    model: LinearModel, data: Sequence[FeatureVector], cfg: PenaltyConfig
-) -> float:
+def loss(model: LinearModel, data: Rows, cfg: PenaltyConfig) -> float:
     """Mean negative log-likelihood plus the elastic net penalty."""
-    X, y, codes = to_arrays(data, model.codes())
-    return _objective(X, y, np.array([model.weights[c] for c in codes]), model.bias, cfg)
+    m = FeatureMatrix.from_rows(data).columns(model.codes())
+    w = np.array(list(model.weights.values()))
+    return _objective(m.X, m.is_event.astype(float), w, model.bias, cfg)
 
 
 def _objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, cfg: PenaltyConfig) -> float:
@@ -147,13 +144,12 @@ def _objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, cfg: Penal
 
 
 def train(
-    data: Sequence[FeatureVector],
+    data: Rows,
     cfg: PenaltyConfig,
     opt: TrainOptions = TrainOptions(),
-    codes: Sequence[str] | None = None,
     sweep_callback=None,
 ) -> LinearModel:
-    """Fit by cyclic coordinate descent on standardized training vectors.
+    """Fit by cyclic coordinate descent on standardized training rows.
 
     Convergence is declared when no coordinate (bias included) moves more
     than ``opt.tol`` in a full sweep; hitting ``opt.max_iters`` instead is
@@ -161,7 +157,8 @@ def train(
     ``sweep_callback(objective)`` is invoked once per sweep (used by the
     monotonicity property suite).
     """
-    X, y, codes = to_arrays(data, codes)
+    m = FeatureMatrix.from_rows(data)
+    X, y = m.X, m.is_event.astype(float)
     if len(set(y.tolist())) < 2:
         raise DegenerateLabels("training data contains a single class")
     n, p = X.shape
@@ -218,20 +215,21 @@ def train(
     }
     return LinearModel(
         bias=float(b),
-        weights={c: float(v) for c, v in zip(codes, w)},
+        weights={c: float(v) for c, v in zip(m.codes, w)},
         threshold=0.5,
         training_meta=meta,
     )
 
 
-def lambda_max(data: Sequence[FeatureVector], alpha: float, codes: Sequence[str] | None = None) -> float:
+def lambda_max(data: Rows, alpha: float) -> float:
     """Smallest penalty scale that zeroes every weight (for grid construction).
 
     At the intercept-only optimum the coordinate gradients are
     x_j . (p_bar - y) / n; the L1 threshold kills all of them when
     lambda * alpha exceeds their largest magnitude.
     """
-    X, y, _ = to_arrays(data, codes)
+    m = FeatureMatrix.from_rows(data)
+    X, y = m.X, m.is_event.astype(float)
     p_bar = y.mean()
     grads = np.abs(X.T @ (p_bar - y)) / X.shape[0]
     top = float(grads.max())
@@ -251,10 +249,10 @@ class ModelArtifact:
     model: LinearModel
     standardization: StandardizationParams
 
-    def predict_labels(self, raws: Sequence[FeatureVector]) -> list[str]:
+    def predict_labels(self, raws: Rows) -> list[str]:
         """Standardize raw rows with the training-time params and classify them."""
         codes = self.model.codes()
-        X, _, _ = to_arrays(raws, codes)
+        X = FeatureMatrix.from_rows(raws).columns(codes).X
         probs = _proba(self.model, zscore(X, self.standardization, codes))
         return _labels(probs, self.model.threshold)
 

@@ -17,16 +17,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DegenerateInput, FormatError, QuakeboxError
-from .features.vectors import (
-    FeatureVector,
-    standardize_apply,
-    standardize_fit,
-)
+from .features.vectors import FeatureMatrix, Rows, standardize_apply, standardize_fit
 from .metrics import confusion, mcc
 from .model import PenaltyConfig, TrainOptions, classify, lambda_max, train
 from .seeds import derive_rng, derive_seed
@@ -73,6 +69,9 @@ class EnsembleRunResult:
     weights: Mapping[str, float]
     val_mcc: float
     config_used: Mapping[str, object]
+    # whether the fit met its tolerance within ``max_iters``; a report file
+    # does not record it, so runs read back from one hold None
+    converged: Optional[bool] = None
 
 
 @dataclass(frozen=True)
@@ -111,42 +110,31 @@ class SelectionRule:
     min_median_abs: float = 0.05
 
 
-def default_lambda_grid(
-    train_vectors: Sequence[FeatureVector], alpha: float, n_points: int = 10
-) -> Tuple[float, ...]:
+def default_lambda_grid(train_data: Rows, alpha: float, n_points: int = 10) -> Tuple[float, ...]:
     """Log-spaced grid below the all-zero threshold ``lambda_max``.
 
     Spans half of lambda_max down two decades, which brackets the useful
     sparsity range for standardized inputs.
     """
-    params = standardize_fit(train_vectors)
-    standardized = standardize_apply(train_vectors, params)
-    top = lambda_max(standardized, alpha)
+    train_data = FeatureMatrix.from_rows(train_data)
+    top = lambda_max(standardize_apply(train_data, standardize_fit(train_data)), alpha)
     return tuple(float(v) for v in np.geomspace(0.5 * top, 0.005 * top, n_points))
 
 
 def _stratified_subsample(
-    vectors: Sequence[FeatureVector], fraction: float, rng: np.random.Generator
-) -> List[FeatureVector]:
+    matrix: FeatureMatrix, fraction: float, rng: np.random.Generator
+) -> FeatureMatrix:
     """Per-class subsample without replacement; keeps at least one of each class."""
-    by_label: Dict[str, List[int]] = {}
-    for i, v in enumerate(vectors):
-        by_label.setdefault(v.label, []).append(i)
-    chosen: List[int] = []
-    for label in sorted(by_label):
-        idx = by_label[label]
+    labels = np.array(matrix.labels)
+    chosen = []
+    for label in sorted(set(matrix.labels)):
+        idx = np.flatnonzero(labels == label)
         k = max(1, int(fraction * len(idx)))
-        picks = rng.permutation(len(idx))[:k]
-        chosen.extend(idx[i] for i in picks)
-    chosen.sort()
-    return [vectors[i] for i in chosen]
+        chosen.append(idx[rng.permutation(len(idx))[:k]])
+    return matrix.take(np.sort(np.concatenate(chosen)))
 
 
-def run_ensemble(
-    train_vectors: Sequence[FeatureVector],
-    val_vectors: Sequence[FeatureVector],
-    cfg: EnsembleConfig,
-) -> List[EnsembleRunResult]:
+def run_ensemble(train_data: Rows, val_data: Rows, cfg: EnsembleConfig) -> List[EnsembleRunResult]:
     """Train ``cfg.n_runs`` models and score each on the validation set.
 
     Each run fits its own standardization on its own training subsample
@@ -155,33 +143,32 @@ def run_ensemble(
     (grid point, subsample) pair.  A failed run aborts the ensemble with the
     run id attached.
     """
-    if not train_vectors or not val_vectors:
-        raise DegenerateInput("ensemble needs non-empty train and validation sets")
-    grid = cfg.lambda_grid or default_lambda_grid(train_vectors, cfg.alpha)
+    train_data = FeatureMatrix.from_rows(train_data)
+    val_data = FeatureMatrix.from_rows(val_data)
+    grid = cfg.lambda_grid or default_lambda_grid(train_data, cfg.alpha)
     if not cfg.vary.lambda_grid:
         grid = grid[:1]
 
-    val_labels = [v.label for v in val_vectors]
     results: List[EnsembleRunResult] = []
     for run_id in range(cfg.n_runs):
         lam_idx = run_id % len(grid)
         seed_idx = (run_id // len(grid)) if cfg.vary.seed else 0
         run_seed = derive_seed(cfg.seed, "ensemble-run", seed_idx)
         try:
-            subset = list(train_vectors)
+            subset = train_data
             if cfg.vary.subsample:
                 rng = derive_rng(cfg.seed, "ensemble-subsample", seed_idx)
                 subset = _stratified_subsample(subset, cfg.subsample_fraction, rng)
             params = standardize_fit(subset)
             strain = standardize_apply(subset, params)
-            sval = standardize_apply(val_vectors, params)
+            sval = standardize_apply(val_data, params)
             model = train(
                 strain,
                 PenaltyConfig(alpha=cfg.alpha, lam=grid[lam_idx]),
                 TrainOptions(max_iters=cfg.max_iters, tol=cfg.tol, seed=run_seed),
             )
             preds = classify(model, sval)
-            val_score = mcc(confusion(val_labels, preds))
+            val_score = mcc(confusion(val_data.labels, preds))
         except QuakeboxError as exc:
             raise type(exc)(f"ensemble run {run_id}: {exc}") from exc
         results.append(
@@ -195,6 +182,7 @@ def run_ensemble(
                     "subsample": cfg.vary.subsample,
                     "n_train": len(subset),
                 },
+                converged=model.training_meta["converged"],
             )
         )
     return results
@@ -263,14 +251,14 @@ class SelectionReport:
 
 
 def discover_features(
-    train_vectors: Sequence[FeatureVector],
-    val_vectors: Sequence[FeatureVector],
+    train_data: Rows,
+    val_data: Rows,
     cfg: EnsembleConfig,
     rule: SelectionRule = SelectionRule(),
     base: Sequence[str] = (),
 ) -> SelectionReport:
     """Run the full discovery workflow: ensemble, tie-set, distribution, rule."""
-    results = run_ensemble(train_vectors, val_vectors, cfg)
+    results = run_ensemble(train_data, val_data, cfg)
     tie_set = best_models(results, cfg.tie_tolerance)
     dist = weight_distributions(tie_set)
     selected = select_features(dist, rule, base)

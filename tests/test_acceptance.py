@@ -128,7 +128,8 @@ def test_criterion_2_elastic_net_correctness():
         failures.append(f"nonzero counts not monotone: {nonzeros}")
 
     # (d) intercept-only optimum equals the class log-odds
-    skew = [v for v in data if v.label == "event"][:75] + [v for v in data if v.label == "noise"][:25]
+    skew = data.take(np.concatenate(
+        [np.flatnonzero(data.is_event)[:75], np.flatnonzero(~data.is_event)[:25]]))
     model = train(skew, PenaltyConfig(alpha=1.0, lam=50.0), TrainOptions(tol=1e-12))
     if any(w != 0.0 for w in model.weights.values()):
         failures.append("weights survived an all-zero penalty level")

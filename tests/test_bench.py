@@ -95,12 +95,12 @@ class TestRatioDataset:
 
     def test_published_count_arithmetic(self):
         ds = bench.build_ratio_dataset(self.positives(763), self.pool(4000), 5.0, seed=1)
-        assert sum(1 for v in ds.items if v.label == "noise") == 3815
+        assert ds.items.labels.count("noise") == 3815
 
     def test_ratio_one(self):
         ds = bench.build_ratio_dataset(self.positives(10), self.pool(50), 1.0, seed=1)
-        assert sum(1 for v in ds.items if v.label == "noise") == 10
-        assert sum(1 for v in ds.items if v.label == "event") == 10
+        assert ds.items.labels.count("noise") == 10
+        assert ds.items.labels.count("event") == 10
 
     def test_insufficient_noise_reports_shortfall(self):
         with pytest.raises(InsufficientNoise, match="short 400"):
@@ -109,12 +109,12 @@ class TestRatioDataset:
     def test_all_positives_retained(self):
         pos = self.positives(7)
         ds = bench.build_ratio_dataset(pos, self.pool(100), 3.0, seed=2)
-        kept = {v.trace_id for v in ds.items if v.label == "event"}
+        kept = {t for t, lab in zip(ds.items.trace_ids, ds.items.labels) if lab == "event"}
         assert kept == {p.trace_id for p in pos}
 
     def test_sampling_without_replacement(self):
         ds = bench.build_ratio_dataset(self.positives(10), self.pool(100), 8.0, seed=3)
-        noise_ids = [v.trace_id for v in ds.items if v.label == "noise"]
+        noise_ids = [t for t, lab in zip(ds.items.trace_ids, ds.items.labels) if lab == "noise"]
         assert len(noise_ids) == len(set(noise_ids))
 
     def test_nested_subsets_for_fixed_seed(self):
@@ -122,7 +122,7 @@ class TestRatioDataset:
         previous = set()
         for ratio in (1.73, 5.0, 10.0, 25.0, 50.0):
             ds = bench.build_ratio_dataset(pos, pool, ratio, seed=4)
-            ids = {v.trace_id for v in ds.items if v.label == "noise"}
+            ids = {t for t, lab in zip(ds.items.trace_ids, ds.items.labels) if lab == "noise"}
             assert previous <= ids
             previous = ids
 

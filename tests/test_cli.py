@@ -115,9 +115,9 @@ class TestSynth:
 
 class TestPipeline:
     def test_extract_produces_expected_columns(self, tiny_pipeline):
-        vecs, role = read_matrix(tiny_pipeline / "train.tsv")
+        matrix, role = read_matrix(tiny_pipeline / "train.tsv")
         assert role == "train"
-        assert vecs[0].codes() == ("W1", "W2", "W3", "W4", "C10", "C11", "C14", "C15")
+        assert matrix.codes == ("W1", "W2", "W3", "W4", "C10", "C11", "C14", "C15")
 
     def test_train_select_eval_sweep(self, tiny_pipeline):
         wd = tiny_pipeline
@@ -186,14 +186,39 @@ class TestPipeline:
         assert len(grid["cells"]) == 2
         assert (wd / "sweep.txt").read_text().startswith("source")
 
+    def test_select_warns_on_unconverged_runs(self, tiny_pipeline, capsys):
+        wd = tiny_pipeline
+        for max_iters, lambda_grid in ((1, [0.01, 0.001]), (500, [0.05])):
+            select_cfg = write_config(wd, "select.json", {
+                "master_seed": 7,
+                "train_input": str(wd / "train.tsv"),
+                "validation_input": str(wd / "validation.tsv"),
+                "output": str(wd / f"selection{max_iters}.json"),
+                "ensemble": {"n_runs": 6, "max_iters": max_iters, "lambda_grid": lambda_grid},
+                "base_features": ["W1", "W2", "W3", "W4"],
+            })
+            capsys.readouterr()
+            assert run(["select", "-c", select_cfg]) == 0
+            err = capsys.readouterr().err
+            report = json.loads((wd / f"selection{max_iters}.json").read_text())
+            # the report format is unchanged: no diagnostics among the run fields
+            assert {key for r in report["runs"] for key in r} == {
+                "run_id", "val_mcc", "config_used", "weights"}
+            if max_iters == 1:
+                tied = len(report["tie_set_ids"])
+                assert err == (f"warning: 6 of 6 ensemble runs stopped at ensemble.max_iters=1 "
+                               f"unconverged ({tied} in the tie-set)\n")
+            else:
+                assert err == ""
+
     def test_sweep_with_all_noise_predictions(self, tiny_pipeline):
         wd = tiny_pipeline
         pos_vecs, _ = read_matrix(wd / "test.tsv")
         pool_vecs, _ = read_matrix(wd / "train.tsv")
         with open(wd / "allnoise.tsv", "w") as fh:
             fh.write("trace_id\tlabel\n")
-            for v in pos_vecs + pool_vecs:
-                fh.write(f"{v.trace_id}\tnoise\n")
+            for trace_id in pos_vecs.trace_ids + pool_vecs.trace_ids:
+                fh.write(f"{trace_id}\tnoise\n")
         sweep_cfg = write_config(
             wd,
             "sweep_lazy.json",
@@ -215,12 +240,12 @@ class TestPipeline:
         vecs, _ = read_matrix(wd / "test.tsv")
         with open(wd / "oracle.tsv", "w") as fh:
             fh.write("trace_id\tlabel\n")
-            for v in vecs:
-                fh.write(f"{v.trace_id}\t{v.label}\n")
+            for trace_id, label in zip(vecs.trace_ids, vecs.labels):
+                fh.write(f"{trace_id}\t{label}\n")
         with open(wd / "lazy.tsv", "w") as fh:
             fh.write("trace_id\tlabel\n")
-            for v in vecs:
-                fh.write(f"{v.trace_id}\tnoise\n")
+            for trace_id in vecs.trace_ids:
+                fh.write(f"{trace_id}\tnoise\n")
         eval_cfg = write_config(
             wd,
             "eval2.json",
@@ -363,6 +388,31 @@ def _malformed_cases():
         _case("matrix-repeated-code", "train",
               lambda d: {"input": d(m), "output": d("o.json")},
               {m: MATRIX.replace("\tf\tg\n", "\tf\tf\n")}, "line 2"),
+        _case("matrix-non-finite-cell", "train",
+              lambda d: {"input": d(m), "output": d("o.json")},
+              {m: MATRIX.replace("2.0\t0.1", "2.0\tnan")}, "line 4: trace e2: feature g is not finite"),
+        _case("select-base-feature-not-str", "select",
+              lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
+                         "base_features": ["f", 5]}, {m: MATRIX}, "base_features[1]: expected str"),
+        _case("select-base-feature-not-a-column", "select",
+              lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
+                         "base_features": ["W9"]}, {m: MATRIX},
+              "base_features[0]: W9 is not a column of train_input"),
+        _case("eval-significance-level-7", "eval",
+              lambda d: {"input": d(m), "predictions": {"x": d("p.tsv")}, "output": d("o.json"),
+                         "significance_level": 7}, {m: MATRIX}, "significance_level: must lie in (0, 1)"),
+        _case("eval-missing-input", "eval",
+              lambda d: {"input": d("absent.tsv"), "predictions": {"x": d("p.tsv")},
+                         "output": d("o.json")}, {}, "absent.tsv: No such file or directory"),
+        _case("eval-missing-model", "eval",
+              lambda d: {"input": d(m), "models": {"a": d("absent.json")}, "output": d("o.json")},
+              {m: MATRIX}, "absent.json: No such file or directory"),
+        _case("extract-missing-waveforms", "extract",
+              lambda d: {"input": d("absent.jsonl"), "output": d("o.tsv")}, {},
+              "absent.jsonl: No such file or directory"),
+        _case("train-output-dir-missing", "train",
+              lambda d: {"input": d(m), "output": d("absent/o.json")}, {m: MATRIX},
+              "absent/o.json: No such file or directory"),
         _case("select-alpha-above-1", "select",
               lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
                          "ensemble": {"alpha": 2.0}}, {m: MATRIX}, "alpha"),

@@ -3,18 +3,22 @@
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from quakebox.errors import (
+    DegenerateInput,
     DegenerateSeries,
     FormatError,
+    MissingFeature,
     MissingParams,
     UnknownFeature,
     ZeroVariance,
 )
 from quakebox.features import (
+    FeatureMatrix,
     FeatureRegistry,
     FeatureVector,
     canonical_registry,
@@ -198,14 +202,14 @@ class TestExtractVector:
     def test_selected_subset(self, rng):
         rec = make_record(samples=rng.standard_normal(300))
         vec = extract_vector(rec, reproduction_registry(), selected_profile())
-        assert vec.codes() == selected_profile()
+        assert tuple(vec.values) == selected_profile()
         assert vec.label == rec.label
         assert vec.trace_id == rec.trace_id
 
     def test_empty_selection_valid(self, rng):
         rec = make_record(samples=rng.standard_normal(300))
         vec = extract_vector(rec, reproduction_registry(), ())
-        assert vec.codes() == ()
+        assert tuple(vec.values) == ()
 
     def test_unregistered_selection(self, rng):
         rec = make_record(samples=rng.standard_normal(300))
@@ -259,8 +263,8 @@ class TestStandardization:
         ]
         params = standardize_fit(vecs)
         out = standardize_apply(vecs, params)
-        for code in ("a", "b"):
-            col = np.array([v.values[code] for v in out])
+        for j in range(2):
+            col = out.X[:, j]
             assert abs(col.mean()) < 1e-10
             assert abs(col.std(ddof=1) - 1.0) < 1e-10
 
@@ -272,14 +276,14 @@ class TestStandardization:
 
         params = StandardizationParams(means={"f": 2.0}, stds={"f": 1.5})
         out = standardize_apply([make_vector("c", "noise", f=5.0)], params)
-        assert out[0].values["f"] == pytest.approx(2.0)
+        assert out.X[0, 0] == pytest.approx(2.0)
 
     def test_value_equal_to_mean_maps_to_zero(self):
         from quakebox.features import StandardizationParams
 
         params = StandardizationParams(means={"f": 2.0}, stds={"f": 1.5})
         out = standardize_apply([make_vector("c", "noise", f=2.0)], params)
-        assert out[0].values["f"] == 0.0
+        assert out.X[0, 0] == 0.0
 
     def test_missing_params(self):
         from quakebox.features import StandardizationParams
@@ -288,6 +292,18 @@ class TestStandardization:
         with pytest.raises(MissingParams):
             standardize_apply([make_vector("c", "noise", g=1.0)], params)
 
+    def test_apply_equals_per_row_zscore(self, rng):
+        vecs = [
+            make_vector(f"t{i}", "noise", a=float(v1), b=float(v2), c=float(v3))
+            for i, (v1, v2, v3) in enumerate(rng.standard_normal((50, 3)) * [3.0, 0.2, 1e5])
+        ]
+        params = standardize_fit(vecs)
+        expected = [
+            [(v.values[c] - params.means[c]) / params.stds[c] for c in ("a", "b", "c")]
+            for v in vecs
+        ]
+        assert standardize_apply(vecs, params).X.tolist() == expected
+
     def test_mixed_code_sets_rejected(self):
         from quakebox.features import StandardizationParams
 
@@ -295,6 +311,39 @@ class TestStandardization:
         mixed = [make_vector("a", "noise", f=1.0, g=1.0), make_vector("b", "noise", f=1.0)]
         with pytest.raises(FormatError, match="trace b"):
             standardize_apply(mixed, params)
+
+
+class TestFeatureMatrix:
+    @pytest.mark.parametrize(
+        "rows,error,named",
+        [
+            ([], DegenerateInput, "empty feature collection"),
+            ([make_vector("a", "noise", f=1.0, g=2.0), make_vector("b", "noise", f=1.0, h=2.0)],
+             MissingFeature, "trace b: vector lacks feature 'g'"),
+            ([make_vector("a", "noise", f=1.0), make_vector("b", "event", f=1.0, g=2.0)],
+             FormatError, "trace b: inconsistent feature codes in collection (g)"),
+            ([make_vector("a", "noise", f=1.0),
+              SimpleNamespace(trace_id="b", values={"f": math.inf}, label="event")],
+             FormatError, "trace b: feature f is not finite (inf)"),
+        ],
+        ids=["empty", "missing-code", "different-code-set", "non-finite"],
+    )
+    def test_from_rows_errors_name_trace_and_code(self, rows, error, named):
+        with pytest.raises(error) as err:
+            FeatureMatrix.from_rows(rows)
+        assert named in str(err.value)
+
+    def test_fields_and_projection(self):
+        rows = [make_vector("a", "noise", f=1.0, g=2.0), make_vector("b", "event", g=4.0, f=3.0)]
+        m = FeatureMatrix.from_rows(rows)
+        assert FeatureMatrix.from_rows(m) is m
+        assert m.codes == ("f", "g") and m.trace_ids == ("a", "b") and m.labels == ("noise", "event")
+        assert m.X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert m.X.flags.c_contiguous and not m.X.flags.writeable
+        assert m.columns(("g",)).X.tolist() == [[2.0], [4.0]]
+        assert m.take(m.is_event).trace_ids == ("b",)
+        with pytest.raises(MissingFeature, match="h"):
+            m.columns(("f", "h"))
 
 
 class TestMatrixFile:
@@ -308,10 +357,25 @@ class TestMatrixFile:
         write_matrix(path, vecs, role="validation")
         back, role = read_matrix(path)
         assert role == "validation"
-        for a, b in zip(vecs, back):
-            assert a.trace_id == b.trace_id
-            assert a.label == b.label
-            assert a.values == b.values  # bit-exact via repr round-trip
+        for a, tid, label, row in zip(vecs, back.trace_ids, back.labels, back.X.tolist()):
+            assert a.trace_id == tid
+            assert a.label == label
+            assert a.values == dict(zip(back.codes, row))  # bit-exact via repr round-trip
+
+    def test_write_read_write_byte_identical(self, tmp_path, rng):
+        values = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3))
+        values[0] = [5e-324, 2.2250738585072014e-308 / 3, -0.0]  # subnormals, signed zero
+        values[1] = [1 / 3, 2 / 7, 0.1]
+        vecs = [
+            make_vector(f"t{i}", "event" if i % 3 else "noise", **dict(zip("abc", row)))
+            for i, row in enumerate(values.tolist())
+        ]
+        first, second = tmp_path / "1.tsv", tmp_path / "2.tsv"
+        write_matrix(first, vecs, role="train")
+        back, role = read_matrix(first)
+        write_matrix(second, back, role=role)
+        assert first.read_bytes() == second.read_bytes()
+        assert back.X.tolist() == values.tolist()
 
     def test_deterministic_bytes(self, tmp_path):
         vecs = [make_vector("a", "noise", f=1 / 3), make_vector("b", "event", f=2 / 7)]

@@ -7,7 +7,7 @@ import pytest
 
 from quakebox.bench import generate_planted_features
 from quakebox.errors import DegenerateLabels, MissingFeature
-from quakebox.features import standardize_apply, standardize_fit, to_arrays
+from quakebox.features import FeatureMatrix, standardize_apply, standardize_fit
 from quakebox.model import (
     LinearModel,
     ModelArtifact,
@@ -266,7 +266,8 @@ class TestTrain:
     def test_matches_convex_solver(self):
         cvxpy = pytest.importorskip("cvxpy")
         data, _ = standardized_planted(n=150, seed=8, n_nuisance=6)
-        X, y, codes = to_arrays(data)
+        m = FeatureMatrix.from_rows(data)
+        X, y, codes = m.X, m.is_event.astype(float), m.codes
         n, p = X.shape
         for alpha in (0.0, 0.5, 1.0):
             cfg = PenaltyConfig(alpha=alpha, lam=0.03)
