@@ -47,7 +47,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if any(f <= 0 for f in self.fractions):
+        if not all(f > 0 for f in self.fractions):
             raise ValueError(f"fractions must be positive, got {self.fractions}")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise ValueError(f"fractions must sum to 1, got {self.fractions}")
@@ -65,6 +65,15 @@ def _three_way_counts(n: int, fractions: Tuple[float, float, float]) -> Tuple[in
     n_train = math.floor(fractions[0] * n)
     n_val = math.floor(fractions[1] * n)
     return n_train, n_val, n - n_train - n_val
+
+
+def _ranked_split(items: Sequence, rng: np.random.Generator, fractions) -> dict:
+    """Each item's split (0 train, 1 validation, 2 test) by its rank in a seeded shuffle."""
+    n_train, n_val, _ = _three_way_counts(len(items), fractions)
+    return {
+        items[pos]: 0 if rank < n_train else 1 if rank < n_train + n_val else 2
+        for rank, pos in enumerate(rng.permutation(len(items)))
+    }
 
 
 def partition_by_event(records: Sequence, spec: SplitSpec) -> Split:
@@ -91,30 +100,8 @@ def partition_by_event(records: Sequence, spec: SplitSpec) -> Split:
     if n_events < 3:
         raise TooFewEvents(f"{n_events} event(s) cannot populate 3 splits")
 
-    rng = derive_rng(spec.seed, "split-events")
-    order = sorted(event_ids)
-    shuffled = [order[i] for i in rng.permutation(n_events)]
-    n_train, n_val, _ = _three_way_counts(n_events, spec.fractions)
-    assignment = {}
-    for rank, ev in enumerate(shuffled):
-        if rank < n_train:
-            assignment[ev] = 0
-        elif rank < n_train + n_val:
-            assignment[ev] = 1
-        else:
-            assignment[ev] = 2
-
-    rng_noise = derive_rng(spec.seed, "split-noise")
-    noise_order = rng_noise.permutation(len(noise_idx))
-    k_train, k_val, _ = _three_way_counts(len(noise_idx), spec.fractions)
-    noise_assignment = {}
-    for rank, pos in enumerate(noise_order):
-        if rank < k_train:
-            noise_assignment[noise_idx[pos]] = 0
-        elif rank < k_train + k_val:
-            noise_assignment[noise_idx[pos]] = 1
-        else:
-            noise_assignment[noise_idx[pos]] = 2
+    assignment = _ranked_split(sorted(event_ids), derive_rng(spec.seed, "split-events"), spec.fractions)
+    noise_assignment = _ranked_split(noise_idx, derive_rng(spec.seed, "split-noise"), spec.fractions)
 
     buckets: Tuple[List, List, List] = ([], [], [])
     for i, rec in enumerate(records):
@@ -135,8 +122,8 @@ class RatioSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.ratios or any(r <= 0 for r in self.ratios):
-            raise ValueError(f"ratios must be positive, got {self.ratios}")
+        if not self.ratios or not all(0 < r < math.inf for r in self.ratios):
+            raise ValueError(f"ratios must be positive and finite, got {self.ratios}")
 
 
 @dataclass(frozen=True)
@@ -283,9 +270,9 @@ class SyntheticSpec:
         lo, hi = self.traces_per_event
         if not (1 <= lo <= hi):
             raise ValueError(f"traces_per_event range invalid: {self.traces_per_event}")
-        if self.fs <= 0 or self.window_len < 16:
-            raise ValueError("fs must be positive and window_len at least 16")
-        if not (0 < self.snr_range[0] <= self.snr_range[1]):
+        if not 0 < self.fs < math.inf or self.window_len < 16:
+            raise ValueError("fs must be positive and finite and window_len at least 16")
+        if not (0 < self.snr_range[0] <= self.snr_range[1] < math.inf):
             raise ValueError(f"snr_range invalid: {self.snr_range}")
 
 
@@ -312,6 +299,21 @@ def _event_wavelet(
     w = envelope * np.sin(2.0 * np.pi * dominant_hz * dt + phase)
     rms = np.sqrt(np.mean(w**2))
     return w / rms if rms > 0 else w
+
+
+def _noise_record(
+    trace_id: str, fs: float, window_len: int, rng: np.random.Generator
+) -> WaveformRecord:
+    """A pure-noise trace at a random station (the station is drawn first)."""
+    return WaveformRecord(
+        trace_id=trace_id,
+        event_id=None,
+        station=f"st{int(rng.integers(0, 100)):03d}",
+        channel="GPZ",
+        sample_rate=fs,
+        samples=_colored_noise(window_len, fs, rng),
+        label="noise",
+    )
 
 
 def generate_synthetic(spec: SyntheticSpec) -> List[WaveformRecord]:
@@ -346,19 +348,10 @@ def generate_synthetic(spec: SyntheticSpec) -> List[WaveformRecord]:
                     magnitude=magnitude,
                 )
             )
-    for i in range(spec.n_noise):
-        rng = derive_rng(spec.seed, "noise", i)
-        records.append(
-            WaveformRecord(
-                trace_id=f"noise{i:05d}",
-                event_id=None,
-                station=f"st{int(rng.integers(0, 100)):03d}",
-                channel="GPZ",
-                sample_rate=spec.fs,
-                samples=_colored_noise(spec.window_len, spec.fs, rng),
-                label="noise",
-            )
-        )
+    records.extend(
+        _noise_record(f"noise{i:05d}", spec.fs, spec.window_len, derive_rng(spec.seed, "noise", i))
+        for i in range(spec.n_noise)
+    )
     return records
 
 
@@ -374,21 +367,10 @@ def generate_noise_pool(
     Mirrors drawing extra negatives from a separate collection period; ids
     get their own prefix so they cannot collide with a corpus' noise traces.
     """
-    records = []
-    for i in range(n_noise):
-        rng = derive_rng(seed, "pool", i)
-        records.append(
-            WaveformRecord(
-                trace_id=f"{trace_prefix}{i:06d}",
-                event_id=None,
-                station=f"st{int(rng.integers(0, 100)):03d}",
-                channel="GPZ",
-                sample_rate=fs,
-                samples=_colored_noise(window_len, fs, rng),
-                label="noise",
-            )
-        )
-    return records
+    return [
+        _noise_record(f"{trace_prefix}{i:06d}", fs, window_len, derive_rng(seed, "pool", i))
+        for i in range(n_noise)
+    ]
 
 
 def generate_planted_features(

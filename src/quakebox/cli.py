@@ -24,7 +24,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from . import bench, selection
+from . import bench, fields, selection
 from .errors import ConfigError, QuakeboxError
 from .features import (
     canonical_registry,
@@ -72,46 +72,10 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _get(cfg: Mapping[str, Any], field: str, kind, required: bool = True, default=None):
-    """The value at the dotted path ``field``; every error names the whole path."""
-    parts = field.split(".")
-    node: Any = cfg
-    for depth, part in enumerate(parts):
-        if not isinstance(node, Mapping):
-            parent = ".".join(parts[:depth])
-            raise ConfigError(parent, f"expected dict, got {type(node).__name__}")
-        if part not in node:
-            if required:
-                raise ConfigError(field, "missing required field")
-            return default
-        node = node[part]
-    return _typed(field, node, kind)
-
-
-def _typed(field: str, node, kind):
-    # JSON true/false are Python ints; they never stand in for a number
-    if isinstance(node, bool) and kind in (int, float):
-        raise ConfigError(field, f"expected {kind.__name__}, got bool")
-    if kind is float and isinstance(node, int):
-        node = float(node)
-    if kind is not None and not isinstance(node, kind):
-        raise ConfigError(field, f"expected {getattr(kind, '__name__', kind)}, got {type(node).__name__}")
-    return node
-
-
-def _numbers(cfg: Mapping[str, Any], field: str, kind, default, length: int | None = None):
-    """A list field whose entries are all ``kind``, optionally of a fixed length."""
-    values = _get(cfg, field, list, required=False, default=default)
-    if values is None:
-        return None
-    if length is not None and len(values) != length:
-        raise ConfigError(field, f"expected {length} values, got {len(values)}")
-    return tuple(_typed(f"{field}[{i}]", v, kind) for i, v in enumerate(values))
-
-
-def _positive(field: str, value, strict: bool = True):
-    if (value <= 0) if strict else (value < 0):
-        raise ConfigError(field, f"must be {'positive' if strict else 'nonnegative'}, got {value}")
+def _positive(cfg: Mapping[str, Any], field: str, kind, default):
+    value = fields.get(cfg, field, kind, ConfigError, default)
+    if not value > 0:
+        raise ConfigError(field, f"must be positive, got {value}")
     return value
 
 
@@ -125,19 +89,19 @@ def _resolve(out_dir: str | None, path: str) -> Path:
 def _master_seed(cfg: Mapping[str, Any], override: int | None) -> int:
     if override is not None:
         return override
-    return _get(cfg, "master_seed", int, required=False, default=0)
+    return fields.get(cfg, "master_seed", int, ConfigError, 0)
 
 
 def _preprocess_config(cfg: Mapping[str, Any]) -> PreprocessConfig:
-    fields = dict(
-        band_low_hz=_positive("preprocess.band_low_hz", _get(cfg, "preprocess.band_low_hz", float, False, 5.0)),
-        band_high_hz=_positive("preprocess.band_high_hz", _get(cfg, "preprocess.band_high_hz", float, False, 25.0)),
-        downsample_factor=_get(cfg, "preprocess.downsample_factor", int, False, 2),
-        filter_order=_get(cfg, "preprocess.filter_order", int, False, 4),
-        window_len=_get(cfg, "preprocess.window_len", int, False, None),
+    params = dict(
+        band_low_hz=_positive(cfg, "preprocess.band_low_hz", float, 5.0),
+        band_high_hz=_positive(cfg, "preprocess.band_high_hz", float, 25.0),
+        downsample_factor=fields.get(cfg, "preprocess.downsample_factor", int, ConfigError, 2),
+        filter_order=fields.get(cfg, "preprocess.filter_order", int, ConfigError, 4),
+        window_len=fields.get(cfg, "preprocess.window_len", int, ConfigError, None),
     )
     try:
-        return PreprocessConfig(**fields)
+        return PreprocessConfig(**params)
     except (QuakeboxError, ValueError) as exc:
         raise ConfigError("preprocess", str(exc)) from exc
 
@@ -151,24 +115,12 @@ def _feature_codes(cfg: Mapping[str, Any]):
                 f"unknown profile {features!r}; choose from {sorted(FEATURE_PROFILES)} or list codes",
             )
         return tuple(FEATURE_PROFILES[features]())
-    if isinstance(features, list) and all(isinstance(c, str) for c in features):
-        return tuple(features)
-    raise ConfigError("features", "must be a profile name or a list of feature codes")
+    return fields.listed(cfg, "features", str, ConfigError)
 
 
 def _forbid_test_role(field: str, role: str) -> None:
     if role == "test":
         raise ConfigError(field, "refuses test-partition data during training/selection")
-
-
-def _pair_list(cfg: Mapping[str, Any], field: str) -> dict[str, str]:
-    node = _get(cfg, field, dict, required=False, default={})
-    out = {}
-    for name, path in node.items():
-        if not isinstance(path, str):
-            raise ConfigError(f"{field}.{name}", "expected a file path string")
-        out[str(name)] = path
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -179,26 +131,30 @@ def cmd_synth(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     master = _master_seed(cfg, seed)
     try:
         spec = bench.SyntheticSpec(
-            n_events=_get(cfg, "synthetic.n_events", int, False, 47),
-            traces_per_event=_numbers(cfg, "synthetic.traces_per_event", int, [30, 68], length=2),
-            n_noise=_get(cfg, "synthetic.n_noise", int, False, 4000),
-            fs=_get(cfg, "synthetic.fs", float, False, 200.0),
-            window_len=_get(cfg, "synthetic.window_len", int, False, 600),
-            snr_range=_numbers(cfg, "synthetic.snr_range", float, [1.5, 12.0], length=2),
+            n_events=fields.get(cfg, "synthetic.n_events", int, ConfigError, 47),
+            traces_per_event=fields.listed(
+                cfg, "synthetic.traces_per_event", int, ConfigError, [30, 68], length=2
+            ),
+            n_noise=fields.get(cfg, "synthetic.n_noise", int, ConfigError, 4000),
+            fs=fields.get(cfg, "synthetic.fs", float, ConfigError, 200.0),
+            window_len=fields.get(cfg, "synthetic.window_len", int, ConfigError, 600),
+            snr_range=fields.listed(
+                cfg, "synthetic.snr_range", float, ConfigError, [1.5, 12.0], length=2
+            ),
             seed=derive_seed(master, "synth"),
         )
     except ValueError as exc:
         raise ConfigError("synthetic", str(exc)) from exc
     records = bench.generate_synthetic(spec)
-    out = _resolve(out_dir, _get(cfg, "output", str))
+    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
     write_waveforms(out, records, role="all")
     print(f"wrote {len(records)} records to {out}")
 
 
 def cmd_split(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     master = _master_seed(cfg, seed)
-    records, _role = read_waveforms(_get(cfg, "input", str))
-    fractions = _numbers(cfg, "fractions", float, [0.6, 0.2, 0.2], length=3)
+    records, _role = read_waveforms(fields.get(cfg, "input", str, ConfigError))
+    fractions = fields.listed(cfg, "fractions", float, ConfigError, [0.6, 0.2, 0.2], length=3)
     try:
         spec = bench.SplitSpec(
             fractions=fractions,
@@ -207,7 +163,7 @@ def cmd_split(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     except ValueError as exc:
         raise ConfigError("fractions", str(exc)) from exc
     split = bench.partition_by_event(records, spec)
-    target = Path(_resolve(out_dir, _get(cfg, "output_dir", str)))
+    target = Path(_resolve(out_dir, fields.get(cfg, "output_dir", str, ConfigError)))
     target.mkdir(parents=True, exist_ok=True)
     for role, subset in (
         ("train", split.train),
@@ -221,42 +177,42 @@ def cmd_split(cfg: dict, seed: int | None, out_dir: str | None) -> None:
 def cmd_extract(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     pcfg = _preprocess_config(cfg)
     codes = _feature_codes(cfg)
-    records, role = read_waveforms(_get(cfg, "input", str))
+    records, role = read_waveforms(fields.get(cfg, "input", str, ConfigError))
     if not records:
         raise ConfigError("input", "waveform file contains no records")
     registry = reproduction_registry()
     processed = [preprocess(r, pcfg) for r in records]
     vectors = extract_matrix(processed, registry, codes)
-    out = _resolve(out_dir, _get(cfg, "output", str))
+    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
     write_matrix(out, vectors, role=role)
     print(f"wrote {len(vectors)} x {len(codes)} matrix to {out}")
 
 
 def cmd_train(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     master = _master_seed(cfg, seed)
-    matrix, role = read_matrix(_get(cfg, "input", str))
+    matrix, role = read_matrix(fields.get(cfg, "input", str, ConfigError))
     _forbid_test_role("input", role)
     try:
         pen = PenaltyConfig(
-            alpha=_get(cfg, "model.alpha", float, False, 0.9),
-            lam=_get(cfg, "model.lambda", float, False, 0.01),
-            penalize_bias=_get(cfg, "model.penalize_bias", bool, False, False),
+            alpha=fields.get(cfg, "model.alpha", float, ConfigError, 0.9),
+            lam=fields.get(cfg, "model.lambda", float, ConfigError, 0.01),
+            penalize_bias=fields.get(cfg, "model.penalize_bias", bool, ConfigError, False),
         )
         opt = TrainOptions(
-            max_iters=_positive("optimizer.max_iters", _get(cfg, "optimizer.max_iters", int, False, 10_000)),
-            tol=_positive("optimizer.tol", _get(cfg, "optimizer.tol", float, False, 1e-8)),
+            max_iters=_positive(cfg, "optimizer.max_iters", int, 10_000),
+            tol=_positive(cfg, "optimizer.tol", float, 1e-8),
             seed=derive_seed(master, "train"),
         )
     except ValueError as exc:
         raise ConfigError("model", str(exc)) from exc
-    threshold = _get(cfg, "threshold", float, required=False, default=None)
+    threshold = fields.get(cfg, "threshold", float, ConfigError, None)
     if threshold is not None and not 0.0 < threshold < 1.0:
         raise ConfigError("threshold", f"must lie in (0, 1), got {threshold}")
     params = standardize_fit(matrix)
     model = train(standardize_apply(matrix, params), pen, opt)
     if threshold is not None:
         model = replace(model, threshold=threshold)
-    out = _resolve(out_dir, _get(cfg, "output", str))
+    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
     save_model(out, ModelArtifact(model=model, standardization=params))
     nonzero = sum(1 for w in model.weights.values() if w != 0)
     print(
@@ -267,40 +223,39 @@ def cmd_train(cfg: dict, seed: int | None, out_dir: str | None) -> None:
 
 def cmd_select(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     master = _master_seed(cfg, seed)
-    train_matrix, train_role = read_matrix(_get(cfg, "train_input", str))
-    val_matrix, val_role = read_matrix(_get(cfg, "validation_input", str))
+    train_matrix, train_role = read_matrix(fields.get(cfg, "train_input", str, ConfigError))
+    val_matrix, val_role = read_matrix(fields.get(cfg, "validation_input", str, ConfigError))
     _forbid_test_role("train_input", train_role)
     _forbid_test_role("validation_input", val_role)
-    grid = _numbers(cfg, "ensemble.lambda_grid", float, None)
+    grid = fields.listed(cfg, "ensemble.lambda_grid", float, ConfigError, None)
     try:
         ecfg = selection.EnsembleConfig(
-            n_runs=_get(cfg, "ensemble.n_runs", int, False, 200),
-            alpha=_get(cfg, "ensemble.alpha", float, False, 0.9),
+            n_runs=fields.get(cfg, "ensemble.n_runs", int, ConfigError, 200),
+            alpha=fields.get(cfg, "ensemble.alpha", float, ConfigError, 0.9),
             vary=selection.VariationFlags(
-                seed=_get(cfg, "ensemble.vary.seed", bool, False, True),
-                lambda_grid=_get(cfg, "ensemble.vary.lambda_grid", bool, False, True),
-                subsample=_get(cfg, "ensemble.vary.subsample", bool, False, True),
+                seed=fields.get(cfg, "ensemble.vary.seed", bool, ConfigError, True),
+                lambda_grid=fields.get(cfg, "ensemble.vary.lambda_grid", bool, ConfigError, True),
+                subsample=fields.get(cfg, "ensemble.vary.subsample", bool, ConfigError, True),
             ),
             lambda_grid=grid or None,
-            tie_tolerance=_get(cfg, "ensemble.tie_tolerance", float, False, 0.0),
-            subsample_fraction=_get(cfg, "ensemble.subsample_fraction", float, False, 0.8),
+            tie_tolerance=fields.get(cfg, "ensemble.tie_tolerance", float, ConfigError, 0.0),
+            subsample_fraction=fields.get(cfg, "ensemble.subsample_fraction", float, ConfigError, 0.8),
             seed=derive_seed(master, "select"),
-            max_iters=_get(cfg, "ensemble.max_iters", int, False, 500),
-            tol=_get(cfg, "ensemble.tol", float, False, 1e-6),
+            max_iters=fields.get(cfg, "ensemble.max_iters", int, ConfigError, 500),
+            tol=fields.get(cfg, "ensemble.tol", float, ConfigError, 1e-6),
         )
         rule = selection.SelectionRule(
-            min_fraction_nonzero=_get(cfg, "rule.min_fraction_nonzero", float, False, 0.9),
-            min_median_abs=_get(cfg, "rule.min_median_abs", float, False, 0.05),
+            min_fraction_nonzero=fields.get(cfg, "rule.min_fraction_nonzero", float, ConfigError, 0.9),
+            min_median_abs=fields.get(cfg, "rule.min_median_abs", float, ConfigError, 0.05),
         )
     except ValueError as exc:
         raise ConfigError("ensemble", str(exc)) from exc
-    base = _get(cfg, "base_features", list, required=False, default=list(selected_profile()[:4]))
+    base = fields.listed(cfg, "base_features", str, ConfigError, list(selected_profile()[:4]))
     for i, code in enumerate(base):
-        _typed(f"base_features[{i}]", code, str)
         if code not in train_matrix.codes:
             raise ConfigError(f"base_features[{i}]", f"{code} is not a column of train_input")
-    report_obj = selection.discover_features(train_matrix, val_matrix, ecfg, rule, base=tuple(base))
-    out = _resolve(out_dir, _get(cfg, "output", str))
+    report_obj = selection.discover_features(train_matrix, val_matrix, ecfg, rule, base=base)
+    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
     selection.save_selection_report(out, report_obj)
     unconverged = [r.run_id for r in report_obj.runs if not r.converged]
     if unconverged:
@@ -310,7 +265,7 @@ def cmd_select(cfg: dict, seed: int | None, out_dir: str | None) -> None:
             f"ensemble.max_iters={ecfg.max_iters} unconverged ({tied} in the tie-set)",
             file=sys.stderr,
         )
-    dist_out = _get(cfg, "distribution_output", str, required=False, default=None)
+    dist_out = fields.get(cfg, "distribution_output", str, ConfigError, None)
     if dist_out:
         _write_distribution_table(_resolve(out_dir, dist_out), report_obj)
     print(
@@ -327,12 +282,11 @@ def _write_distribution_table(path: Path, rep: selection.SelectionReport) -> Non
 
 
 def _load_sources(cfg: dict, trace_ids: Sequence[str]):
-    models = {
-        name: load_model(path) for name, path in _pair_list(cfg, "models").items()
-    }
+    model_paths = fields.table(cfg, "models", str, ConfigError, {})
+    prediction_paths = fields.table(cfg, "predictions", str, ConfigError, {})
+    models = {name: load_model(path) for name, path in model_paths.items()}
     predictions = {
-        name: bench.ingest_predictions(path, trace_ids)
-        for name, path in _pair_list(cfg, "predictions").items()
+        name: bench.ingest_predictions(path, trace_ids) for name, path in prediction_paths.items()
     }
     if not models and not predictions:
         raise ConfigError("models", "need at least one model or prediction source")
@@ -340,10 +294,10 @@ def _load_sources(cfg: dict, trace_ids: Sequence[str]):
 
 
 def cmd_eval(cfg: dict, seed: int | None, out_dir: str | None) -> None:
-    level = _get(cfg, "significance_level", float, required=False, default=0.05)
+    level = fields.get(cfg, "significance_level", float, ConfigError, 0.05)
     if not 0.0 < level < 1.0:
         raise ConfigError("significance_level", f"must lie in (0, 1), got {level}")
-    matrix, _role = read_matrix(_get(cfg, "input", str))
+    matrix, _role = read_matrix(fields.get(cfg, "input", str, ConfigError))
     labels = matrix.labels
     models, predictions = _load_sources(cfg, matrix.trace_ids)
     per_source_preds = {name: art.predict_labels(matrix) for name, art in models.items()}
@@ -362,7 +316,7 @@ def cmd_eval(cfg: dict, seed: int | None, out_dir: str | None) -> None:
         "sources": results,
         "mcnemar": comparisons,
     }
-    out = _resolve(out_dir, _get(cfg, "output", str))
+    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
     Path(out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     summary = ", ".join(f"{n}: mcc={results[n]['mcc']:.4f}" for n in names)
     print(f"wrote evaluation to {out} ({summary})")
@@ -370,11 +324,11 @@ def cmd_eval(cfg: dict, seed: int | None, out_dir: str | None) -> None:
 
 def cmd_sweep(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     master = _master_seed(cfg, seed)
-    positives, _prole = read_matrix(_get(cfg, "positives_input", str))
-    pool, _nrole = read_matrix(_get(cfg, "noise_pool_input", str))
+    positives, _prole = read_matrix(fields.get(cfg, "positives_input", str, ConfigError))
+    pool, _nrole = read_matrix(fields.get(cfg, "noise_pool_input", str, ConfigError))
     positives = positives.take(positives.is_event)
     pool = pool.take(~pool.is_event)
-    ratios = _numbers(cfg, "ratios", float, [1.73, 5.0, 10.0, 25.0, 50.0])
+    ratios = fields.listed(cfg, "ratios", float, ConfigError, [1.73, 5.0, 10.0, 25.0, 50.0])
     try:
         spec = bench.RatioSpec(
             ratios=ratios,
@@ -384,9 +338,9 @@ def cmd_sweep(cfg: dict, seed: int | None, out_dir: str | None) -> None:
         raise ConfigError("ratios", str(exc)) from exc
     models, predictions = _load_sources(cfg, positives.trace_ids + pool.trace_ids)
     table = bench.sweep(models, positives, pool, spec, external_preds=predictions)
-    out = _resolve(out_dir, _get(cfg, "output", str))
+    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
     bench.save_sweep(out, table)
-    text_out = _get(cfg, "text_output", str, required=False, default=None)
+    text_out = fields.get(cfg, "text_output", str, ConfigError, None)
     if text_out:
         Path(_resolve(out_dir, text_out)).write_text(table.render_text(), encoding="utf-8")
     print(f"wrote sweep grid to {out}")

@@ -6,8 +6,6 @@ from .registry import (
     FeatureDef,
     FeatureRegistry,
     canonical_registry,
-    extract_feature,
-    list_features,
     reproduction_registry,
     selected_profile,
 )
@@ -32,10 +30,8 @@ __all__ = [
     "FeatureVector",
     "StandardizationParams",
     "canonical_registry",
-    "extract_feature",
     "extract_matrix",
     "extract_vector",
-    "list_features",
     "read_matrix",
     "reproduction_registry",
     "selected_profile",

@@ -104,18 +104,6 @@ class FeatureRegistry:
         return values
 
 
-def list_features(registry: FeatureRegistry) -> tuple[str, ...]:
-    """Feature codes in registration order."""
-    return registry.codes()
-
-
-def extract_feature(samples: np.ndarray, code: str, registry: "FeatureRegistry | None" = None) -> float:
-    """Compute one feature; defaults to the full reproduction registry."""
-    if registry is None:
-        registry = reproduction_registry()
-    return registry.extract(code, samples)
-
-
 def _canonical_defs() -> list[FeatureDef]:
     entries = [
         ("C1", "DN_HistogramMode_5", catalog.histogram_mode_5, 10,

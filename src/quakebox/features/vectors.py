@@ -27,7 +27,7 @@ from ..errors import (
     ShapeMismatch,
     ZeroVariance,
 )
-from ..waveform import LABELS, WaveformRecord
+from ..waveform import LABELS, WaveformRecord, check_role
 from .registry import FeatureRegistry
 
 
@@ -237,6 +237,7 @@ def write_matrix(path: str | Path, data: Rows, role: str = "all") -> None:
     """Write a matrix as TSV at full float precision."""
     m = FeatureMatrix.from_rows(data)
     path = Path(path)
+    check_role(path, role)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{FORMAT_LINE_PREFIX} role={role}\n")
         fh.write("\t".join(("trace_id", "label") + m.codes) + "\n")
@@ -256,6 +257,7 @@ def read_matrix(path: str | Path) -> Tuple[FeatureMatrix, str]:
         for token in first.split():
             if token.startswith("role="):
                 role = token.split("=", 1)[1]
+        check_role(path, role)
         header = fh.readline().rstrip("\n").split("\t")
         if header[:2] != ["trace_id", "label"]:
             raise FormatError("header must start with trace_id<TAB>label", line=2)

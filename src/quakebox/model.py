@@ -23,6 +23,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import fields
 from .errors import DegenerateLabels, FormatError
 from .features.vectors import FeatureMatrix, FeatureVector, Rows, StandardizationParams, zscore
 
@@ -38,7 +39,7 @@ class PenaltyConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
 
 
@@ -53,7 +54,7 @@ class TrainOptions:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ValueError(f"tol must be nonnegative, got {self.tol}")
 
 
@@ -89,12 +90,8 @@ def penalty(weights: Sequence[float], cfg: PenaltyConfig) -> float:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    ez = np.exp(-np.abs(z))  # never overflows: exp of a non-positive number
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def _proba(model: LinearModel, X: np.ndarray) -> np.ndarray:
@@ -289,47 +286,23 @@ def load_model(path: str | Path) -> ModelArtifact:
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise FormatError(f"{path}: not a {MODEL_FORMAT} file")
 
-    def fail(field: str, why: str) -> FormatError:
-        return FormatError(f"{path}: {field}: {why}")
-
-    def get(field: str, kind: type):
-        node = payload  # every parent of ``field`` was already checked to be a dict
-        for key in field.split("."):
-            if key not in node:
-                raise fail(field, "missing required field")
-            node = node[key]
-        if not isinstance(node, kind):
-            raise fail(field, f"expected {kind.__name__}, got {type(node).__name__}")
-        return node
-
-    def number(field: str, value) -> float:
-        # JSON true/false are Python ints; they never stand in for a number
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise fail(field, f"expected a number, got {type(value).__name__}")
-        if not math.isfinite(value):
-            raise fail(field, f"must be finite, got {value}")
-        return float(value)
-
-    def table(field: str) -> dict[str, float]:
-        return {code: number(f"{field}.{code}", v) for code, v in get(field, dict).items()}
-
-    threshold = number("threshold", get("threshold", object))
+    fail = fields.in_file(path)
+    threshold = fields.get(payload, "threshold", float, fail)
     if not 0.0 < threshold < 1.0:
         raise fail("threshold", f"must lie in (0, 1), got {threshold}")
-    meta = payload.get("training_meta", {})
-    if not isinstance(meta, dict):
-        raise fail("training_meta", f"expected dict, got {type(meta).__name__}")
-    get("standardization", dict)
-    stds = table("standardization.stds")
+    meta = fields.get(payload, "training_meta", dict, fail, {})
+    stds = fields.table(payload, "standardization.stds", float, fail)
     for code, value in stds.items():
         if not value > 0:
             raise fail(f"standardization.stds.{code}", f"must be positive, got {value}")
     return ModelArtifact(
         model=LinearModel(
-            bias=number("bias", get("bias", object)),
-            weights=table("weights"),
+            bias=fields.get(payload, "bias", float, fail),
+            weights=fields.table(payload, "weights", float, fail),
             threshold=threshold,
             training_meta=meta,
         ),
-        standardization=StandardizationParams(means=table("standardization.means"), stds=stds),
+        standardization=StandardizationParams(
+            means=fields.table(payload, "standardization.means", float, fail), stds=stds
+        ),
     )

@@ -15,12 +15,13 @@ the injected axes explicit configuration rather than solver accident.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import fields
 from .errors import DegenerateInput, FormatError, QuakeboxError
 from .features.vectors import FeatureMatrix, Rows, standardize_apply, standardize_fit
 from .metrics import confusion, mcc
@@ -52,7 +53,7 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if self.n_runs < 1:
             raise ValueError("n_runs must be at least 1")
-        if self.tie_tolerance < 0:
+        if not self.tie_tolerance >= 0:
             raise ValueError("tie_tolerance must be nonnegative")
         if not 0 < self.subsample_fraction <= 1:
             raise ValueError("subsample_fraction must lie in (0, 1]")
@@ -96,10 +97,7 @@ class WeightDistribution:
 
     def table(self) -> List[Tuple[str, float, float, float, float, float, float]]:
         """Plot-data rows: (code, min, max, median, median|w|, mean|w|, frac nonzero)."""
-        return [
-            (c, s.minimum, s.maximum, s.median, s.median_abs, s.mean_abs, s.fraction_nonzero)
-            for c, s in self.stats.items()
-        ]
+        return [(c, *astuple(s)) for c, s in self.stats.items()]
 
 
 @dataclass(frozen=True)
@@ -276,6 +274,8 @@ def discover_features(
 
 
 REPORT_FORMAT = "quakebox-selection-v1"
+# a report's names for the FeatureWeightStats fields, in field order
+_STAT_KEYS = ("min", "max", "median", "median_abs", "mean_abs", "fraction_nonzero")
 
 
 def save_selection_report(path: str | Path, report: SelectionReport) -> None:
@@ -289,15 +289,7 @@ def save_selection_report(path: str | Path, report: SelectionReport) -> None:
         "tie_set_ids": report.tie_set_ids,
         "n_tie_models": report.distribution.n_models,
         "distribution": {
-            c: {
-                "min": s.minimum,
-                "max": s.maximum,
-                "median": s.median,
-                "median_abs": s.median_abs,
-                "mean_abs": s.mean_abs,
-                "fraction_nonzero": s.fraction_nonzero,
-            }
-            for c, s in report.distribution.stats.items()
+            c: dict(zip(_STAT_KEYS, astuple(s))) for c, s in report.distribution.stats.items()
         },
         "runs": [
             {
@@ -313,43 +305,39 @@ def save_selection_report(path: str | Path, report: SelectionReport) -> None:
 
 
 def load_selection_report(path: str | Path) -> SelectionReport:
+    """Read a report file.  A missing or malformed field raises
+    :class:`FormatError` naming the file and the field (``runs[3].val_mcc``)."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    if payload.get("format") != REPORT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
         raise FormatError(f"{path}: not a {REPORT_FORMAT} file")
-    runs = [
-        EnsembleRunResult(
-            run_id=int(r["run_id"]),
-            weights={k: float(v) for k, v in r["weights"].items()},
-            val_mcc=float(r["val_mcc"]),
-            config_used=r["config_used"],
-        )
-        for r in payload["runs"]
-    ]
-    dist = WeightDistribution(
-        stats={
-            c: FeatureWeightStats(
-                minimum=float(s["min"]),
-                maximum=float(s["max"]),
-                median=float(s["median"]),
-                median_abs=float(s["median_abs"]),
-                mean_abs=float(s["mean_abs"]),
-                fraction_nonzero=float(s["fraction_nonzero"]),
+
+    fail = fields.in_file(path)
+    runs = []
+    for i, r in enumerate(fields.listed(payload, "runs", dict, fail)):
+        at = fields.under(f"runs[{i}]", fail)
+        runs.append(
+            EnsembleRunResult(
+                run_id=fields.get(r, "run_id", int, at),
+                weights=fields.table(r, "weights", float, at),
+                val_mcc=fields.get(r, "val_mcc", float, at),
+                config_used=fields.get(r, "config_used", dict, at),
             )
-            for c, s in payload["distribution"].items()
-        },
-        n_models=int(payload["n_tie_models"]),
-    )
-    rule = SelectionRule(
-        min_fraction_nonzero=float(payload["rule"]["min_fraction_nonzero"]),
-        min_median_abs=float(payload["rule"]["min_median_abs"]),
-    )
+        )
+    stats = {}
+    for code, s in fields.table(payload, "distribution", dict, fail).items():
+        at = fields.under(f"distribution.{code}", fail)
+        stats[code] = FeatureWeightStats(*(fields.get(s, key, float, at) for key in _STAT_KEYS))
+    n_models = fields.get(payload, "n_tie_models", int, fail)
     return SelectionReport(
         runs=runs,
-        tie_set_ids=[int(i) for i in payload["tie_set_ids"]],
-        distribution=dist,
-        selected=tuple(payload["selected"]),
-        rule=rule,
+        tie_set_ids=list(fields.listed(payload, "tie_set_ids", int, fail)),
+        distribution=WeightDistribution(stats=stats, n_models=n_models),
+        selected=fields.listed(payload, "selected", str, fail),
+        rule=SelectionRule(
+            min_fraction_nonzero=fields.get(payload, "rule.min_fraction_nonzero", float, fail),
+            min_median_abs=fields.get(payload, "rule.min_median_abs", float, fail),
+        ),
     )

@@ -13,14 +13,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 from scipy import signal
 
-from .errors import DegenerateInput, InvalidBand, InvalidFactor
+from .errors import DegenerateInput, FormatError, InvalidBand, InvalidFactor
 
 LABELS = ("event", "noise")
+ROLES = ("all", "train", "validation", "test")  # which partition a data file holds
+
+
+def check_role(path: str | Path, role: str) -> str:
+    """``role`` if it is one of ROLES; a FormatError on line 1 (the header) otherwise."""
+    if role not in ROLES:
+        raise FormatError(f"{path}: role must be one of {ROLES}, got {role!r}", line=1)
+    return role
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +68,7 @@ class WaveformRecord:
             raise ValueError(f"{self.trace_id}: event records require an event_id")
         if self.label == "noise" and self.event_id is not None:
             raise ValueError(f"{self.trace_id}: noise records must not carry an event_id")
-        if self.label == "event" and self.magnitude is not None and self.magnitude < 0.2:
+        if self.label == "event" and self.magnitude is not None and not self.magnitude >= 0.2:
             raise ValueError(
                 f"{self.trace_id}: event magnitude {self.magnitude} below catalog floor 0.2"
             )

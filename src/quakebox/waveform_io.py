@@ -2,7 +2,8 @@
 
 The on-disk format (see docs/formats.md) is JSON Lines: a header object on
 the first line, then one record object per line.  Field names and the
-header are fixed; readers reject any record that violates the
+header are fixed; readers reject any record with a field of the wrong JSON
+type (read through :mod:`quakebox.fields`) or that violates the
 :class:`~quakebox.waveform.WaveformRecord` invariants with a line-numbered
 error so bad inputs fail loudly instead of poisoning an experiment.
 """
@@ -13,26 +14,30 @@ import json
 from pathlib import Path
 from typing import Iterable, List, Tuple
 
+from . import fields
 from .errors import FormatError
-from .waveform import WaveformRecord
+from .waveform import WaveformRecord, check_role
 
 FORMAT_NAME = "quakebox-waveforms-v1"
 
-RECORD_FIELDS = (
-    "trace_id",
-    "event_id",
-    "station",
-    "channel",
-    "sample_rate",
-    "label",
-    "magnitude",
-    "samples",
-)
+# each record field's JSON type; event_id and magnitude may also be null
+RECORD_FIELDS = {
+    "trace_id": str,
+    "event_id": str,
+    "station": str,
+    "channel": str,
+    "sample_rate": float,
+    "label": str,
+    "magnitude": float,
+    "samples": list,
+}
+NULLABLE = ("event_id", "magnitude")
 
 
 def write_waveforms(path: str | Path, records: Iterable[WaveformRecord], role: str = "all") -> None:
     """Write records as JSON Lines with a header carrying the partition role."""
     path = Path(path)
+    check_role(path, role)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps({"format": FORMAT_NAME, "role": role}) + "\n")
         for rec in records:
@@ -53,7 +58,7 @@ def read_waveforms(path: str | Path) -> Tuple[List[WaveformRecord], str]:
     """Read a waveform file; returns (records, role).
 
     Raises :class:`FormatError` with the offending line number on any
-    malformed line or invariant violation.
+    malformed line, mistyped field or invariant violation.
     """
     path = Path(path)
     records: List[WaveformRecord] = []
@@ -67,31 +72,28 @@ def read_waveforms(path: str | Path) -> Tuple[List[WaveformRecord], str]:
             raise FormatError(f"{path}: invalid header JSON ({exc})", line=1) from exc
         if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
             raise FormatError(f"{path}: not a {FORMAT_NAME} file", line=1)
-        role = str(header.get("role", "all"))
+        role = check_role(path, fields.get(header, "role", str, fields.in_file(path, 1), "all"))
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc})", line=lineno) from exc
+                raise FormatError(f"{path}: invalid JSON ({exc})", line=lineno) from exc
             if not isinstance(row, dict):
-                raise FormatError("record is not a JSON object", line=lineno)
+                raise FormatError(f"{path}: record is not a JSON object", line=lineno)
             missing = [f for f in RECORD_FIELDS if f not in row]
             if missing:
-                raise FormatError(f"missing fields {missing}", line=lineno)
+                raise FormatError(f"{path}: missing fields {missing}", line=lineno)
+            fail = fields.in_file(path, lineno)
+            values = {
+                f: None if f in NULLABLE and row[f] is None else fields.typed(f, row[f], kind, fail)
+                for f, kind in RECORD_FIELDS.items()
+            }
+            fields.numbers("samples", values["samples"], fail)
             try:
-                rec = WaveformRecord(
-                    trace_id=str(row["trace_id"]),
-                    event_id=row["event_id"],
-                    station=str(row["station"]),
-                    channel=str(row["channel"]),
-                    sample_rate=float(row["sample_rate"]),
-                    label=str(row["label"]),
-                    magnitude=None if row["magnitude"] is None else float(row["magnitude"]),
-                    samples=row["samples"],
-                )
+                rec = WaveformRecord(**values)
             except (ValueError, TypeError) as exc:
-                raise FormatError(str(exc), line=lineno) from exc
+                raise FormatError(f"{path}: {exc}", line=lineno) from exc
             records.append(rec)
     return records, role

@@ -1,5 +1,7 @@
 """Benchmark harness: splits, ratio datasets, sweeps, generators, ingestion."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from quakebox.errors import (
     TooFewEvents,
 )
 from quakebox.features import standardize_apply, standardize_fit
-from quakebox.model import LinearModel, ModelArtifact, PenaltyConfig, train
+from quakebox.model import LinearModel, ModelArtifact, PenaltyConfig, TrainOptions, train
+from quakebox.selection import EnsembleConfig
 
 from conftest import make_record, make_vector
 
@@ -327,3 +330,22 @@ class TestIngestPredictions:
         path = self.write(tmp_path, "trace_id\tprobability\na\t1.4\n")
         with pytest.raises(Exception, match="outside"):
             bench.ingest_predictions(path, ["a"])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PenaltyConfig(lam=math.nan),
+    lambda: TrainOptions(tol=math.nan),
+    lambda: bench.RatioSpec(ratios=(1.0, math.nan)),
+    lambda: bench.RatioSpec(ratios=(math.inf,)),
+    lambda: bench.SyntheticSpec(fs=math.nan),
+    lambda: bench.SyntheticSpec(fs=math.inf),
+    lambda: bench.SyntheticSpec(snr_range=(1.0, math.inf)),
+    lambda: EnsembleConfig(tie_tolerance=math.nan),
+    lambda: bench.SplitSpec(fractions=(math.nan, 0.5, 0.5)),
+    lambda: make_record("ev1", label="event", magnitude=math.nan),
+], ids=["lambda", "tol", "ratio-nan", "ratio-inf", "fs-nan", "fs-inf", "snr-inf", "tie-tolerance",
+        "fraction", "magnitude"])
+def test_range_checks_refuse_non_finite(build):
+    # each check is a negated in-range test, which NaN fails
+    with pytest.raises(ValueError):
+        build()

@@ -1,6 +1,7 @@
 """CLI: the composed pipeline, reproducibility, and role enforcement."""
 
 import json
+import math
 
 import pytest
 
@@ -350,6 +351,16 @@ MATRIX = (
 )
 
 
+WAVES_HEADER = '{"format": "quakebox-waveforms-v1", "role": "all"}\n'
+RECORD = {"trace_id": "n1", "event_id": None, "station": "s01", "channel": "GPZ",
+          "sample_rate": 200.0, "label": "noise", "magnitude": None, "samples": [0.1, -0.2, 0.3]}
+
+
+def _waves(**changes):
+    """A waveform file of one RECORD line, with fields replaced."""
+    return WAVES_HEADER + json.dumps({**RECORD, **changes}) + "\n"
+
+
 def _case(id, command, build, files, named):
     return pytest.param(command, build, files, named, id=id)
 
@@ -413,6 +424,9 @@ def _malformed_cases():
         _case("train-output-dir-missing", "train",
               lambda d: {"input": d(m), "output": d("absent/o.json")}, {m: MATRIX},
               "absent/o.json: No such file or directory"),
+        _case("extract-feature-code-not-str", "extract",
+              lambda d: {"input": d("w.jsonl"), "output": d("o.tsv"), "features": ["W1", 5]},
+              {"w.jsonl": _waves()}, "error: features[1]: expected str, got int\n"),
         _case("select-alpha-above-1", "select",
               lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
                          "ensemble": {"alpha": 2.0}}, {m: MATRIX}, "alpha"),
@@ -450,6 +464,47 @@ def _malformed_cases():
             )
         ),
         *(
+            # a non-finite number is refused where it is read, naming its dotted path
+            _case(f"non-finite-{field}-{value}", command,
+                  lambda d, c=config, v=value: {**inputs(d), **c(d, v)}, {m: MATRIX},
+                  f"error: {field}: must be finite, got {value}\n")
+            for command, field, config in (
+                ("train", "model.lambda", lambda d, v: {"model": {"lambda": v}}),
+                ("train", "optimizer.tol", lambda d, v: {"optimizer": {"tol": v, "max_iters": 20}}),
+                ("select", "ensemble.lambda_grid[0]",
+                 lambda d, v: {"ensemble": {"lambda_grid": [v], "n_runs": 2}}),
+                ("sweep", "ratios[0]", lambda d, v: {"positives_input": d(m), "noise_pool_input": d(m),
+                                                     "predictions": {"x": d("p.tsv")}, "ratios": [v]}),
+                ("synth", "synthetic.fs", lambda d, v: {"synthetic": {"fs": v}}),
+                ("synth", "synthetic.snr_range[1]", lambda d, v: {"synthetic": {"snr_range": [1.0, v]}}),
+            )
+            for value in (math.nan, math.inf)
+        ),
+        _case("train-int-beyond-float-range", "train",
+              lambda d: {**inputs(d), "model": {"lambda": 10**400}}, {m: MATRIX},
+              "error: model.lambda: must be finite, got inf\n"),
+        *(
+            # each record field has one JSON type; the error names the line, the file and the field
+            _case(f"waves-{id}", "extract",
+                  lambda d: {"input": d("w.jsonl"), "output": d("o.tsv")}, {"w.jsonl": text},
+                  ("error: line 2: ", f"w.jsonl: {named}\n"))
+            for id, text, named in (
+                ("bool-sample-rate", _waves(sample_rate=True), "sample_rate: expected float, got bool"),
+                ("text-sample-rate", _waves(sample_rate="200"), "sample_rate: expected float, got str"),
+                ("int-trace-id", _waves(trace_id=5), "trace_id: expected str, got int"),
+                ("null-station", _waves(station=None), "station: expected str, got NoneType"),
+                ("infinite-magnitude", _waves(magnitude=math.inf), "magnitude: must be finite, got inf"),
+            )
+        ),
+        _case("waves-unknown-role", "extract",
+              lambda d: {"input": d("w.jsonl"), "output": d("o.tsv")},
+              {"w.jsonl": _waves().replace('"role": "all"', '"role": "Train"')},
+              ("error: line 1: ", "w.jsonl: role must be one of")),
+        _case("matrix-TEST-role", "train",
+              lambda d: {"input": d(m), "output": d("o.json")},
+              {m: MATRIX.replace("role=train", "role=TEST")},
+              ("error: line 1: ", f"{m}: role must be one of")),
+        *(
             _case(f"model-{id}", "eval",
                   lambda d: {"input": d(m), "models": {"a": d("a.json")}, "output": d("o.json")},
                   {m: MATRIX, "a.json": text}, named)
@@ -485,6 +540,7 @@ def test_malformed_input_exits_2_naming_field(workdir, capsys, command, build, f
     cfg = write_config(workdir, "cfg.json", build(lambda name: str(workdir / name)))
     assert run([command, "-c", cfg]) == 2
     err = capsys.readouterr().err
-    assert named in err
+    for text in (named,) if isinstance(named, str) else named:
+        assert text in err
     assert "Traceback" not in err
 

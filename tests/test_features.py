@@ -22,10 +22,8 @@ from quakebox.features import (
     FeatureRegistry,
     FeatureVector,
     canonical_registry,
-    extract_feature,
     extract_matrix,
     extract_vector,
-    list_features,
     read_matrix,
     reproduction_registry,
     selected_profile,
@@ -106,7 +104,7 @@ class TestArrayKernelsAgainstOracle:
 
 class TestRegistry:
     def test_canonical_has_22_codes(self):
-        codes = list_features(canonical_registry())
+        codes = canonical_registry().codes()
         assert len(codes) == 22
         assert codes == tuple(f"C{i}" for i in range(1, 23))
 
@@ -116,19 +114,19 @@ class TestRegistry:
             assert code in reg
 
     def test_reproduction_has_26_codes(self):
-        codes = list_features(reproduction_registry())
+        codes = reproduction_registry().codes()
         assert len(codes) == 26
         assert codes[:4] == ("W1", "W2", "W3", "W4")
 
     def test_empty_registry(self):
-        assert list_features(FeatureRegistry([])) == ()
+        assert FeatureRegistry([]).codes() == ()
 
     def test_selected_profile_is_eight(self):
         assert selected_profile() == ("W1", "W2", "W3", "W4", "C10", "C11", "C14", "C15")
 
     def test_unknown_code(self, rng):
         with pytest.raises(UnknownFeature):
-            extract_feature(rng.standard_normal(100), "ZZ")
+            reproduction_registry().extract("ZZ", rng.standard_normal(100))
 
     def test_constant_series_rejected(self):
         reg = reproduction_registry()

@@ -105,6 +105,28 @@ class TestPredict:
                 assert classify(scaled, [vec]) == base
 
 
+class TestSigmoid:
+    @staticmethod
+    def mask_split(z):
+        """The earlier form: each sign's branch on its own boolean-mask subset."""
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    def test_byte_identical_to_mask_split_form(self):
+        rng = np.random.default_rng(5)
+        edges = np.array([0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 1e-300, -1e-300, 36.7, -36.7])
+        arrays = [edges] + [
+            rng.standard_normal(rng.integers(1, 16_000)) * scale
+            for scale in (1.0, 10.0, 300.0) for _ in range(20)
+        ]
+        for z in arrays:
+            assert _sigmoid(z).tobytes() == self.mask_split(z).tobytes()
+
+
 class TestBatchScoring:
     def test_batch_equals_scalar_sum_in_code_order(self, rng):
         codes = [f"c{j}" for j in range(8)]

@@ -1,9 +1,12 @@
 """Ensemble feature discovery: runs, tie-sets, distributions, the rule."""
 
+import json
+import re
+
 import pytest
 
 from quakebox.bench import generate_planted_features
-from quakebox.errors import DegenerateInput
+from quakebox.errors import DegenerateInput, FormatError
 from quakebox.selection import (
     EnsembleConfig,
     EnsembleRunResult,
@@ -193,3 +196,43 @@ class TestWorkflow:
         assert back.distribution.stats == report.distribution.stats
         assert len(back.runs) == len(report.runs)
         assert back.runs[3].weights == dict(report.runs[3].weights)
+
+
+class TestReportFile:
+    @pytest.fixture(scope="class")
+    def payload(self, tmp_path_factory):
+        train_v, val_v, _ = planted_split(n=120, seed=17)
+        path = tmp_path_factory.mktemp("report") / "selection.json"
+        save_selection_report(path, discover_features(train_v, val_v, EnsembleConfig(n_runs=4, seed=18)))
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("change,named", [
+        (lambda p: p.pop("runs"), "runs: missing required field"),
+        (lambda p: p["runs"][1].update(val_mcc="high"), "runs[1].val_mcc: expected float, got str"),
+        (lambda p: p["runs"][0].update(val_mcc=True), "runs[0].val_mcc: expected float, got bool"),
+        (lambda p: p["runs"][2]["weights"].update(F01=float("nan")), "runs[2].weights.F01: must be finite"),
+        (lambda p: p["rule"].pop("min_median_abs"), "rule.min_median_abs: missing required field"),
+        (lambda p: p.update(tie_set_ids=[0, "1"]), "tie_set_ids[1]: expected int, got str"),
+    ], ids=["missing-runs", "text-val-mcc", "bool-val-mcc", "nan-weight", "missing-rule-field",
+            "text-tie-id"])
+    def test_malformed_field_named(self, tmp_path, payload, change, named):
+        broken = json.loads(json.dumps(payload))
+        change(broken)
+        path = tmp_path / "selection.json"
+        path.write_text(json.dumps(broken))
+        with pytest.raises(FormatError, match=f"selection.json: {re.escape(named)}"):
+            load_selection_report(path)
+
+    @pytest.mark.parametrize("text", ["[1]", '"quakebox-selection-v1"'])
+    def test_top_level_not_a_report(self, tmp_path, text):
+        path = tmp_path / "selection.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="not a quakebox-selection-v1 file"):
+            load_selection_report(path)
+
+    def test_valid_report_reads_back_unchanged(self, tmp_path, payload):
+        path = tmp_path / "selection.json"
+        path.write_text(json.dumps(payload, indent=2) + "\n")
+        back = load_selection_report(path)
+        save_selection_report(tmp_path / "again.json", back)
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()

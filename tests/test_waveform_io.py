@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quakebox.errors import FormatError
+from quakebox.features import FeatureMatrix, read_matrix, write_matrix
 from quakebox.waveform_io import read_waveforms, write_waveforms
 
 from conftest import make_record
@@ -92,3 +93,54 @@ def test_garbage_json_line(tmp_path, corpus):
         fh.write("not json at all\n")
     with pytest.raises(FormatError, match="line 5"):
         read_waveforms(path)
+
+
+@pytest.mark.parametrize("role", ["TEST", "Train", "", "holdout"])
+def test_unknown_role_refused_on_line_1(tmp_path, corpus, role):
+    matrix = FeatureMatrix(np.zeros((1, 1)), ("f",), ("t",), ("noise",))
+    writers = (lambda p: write_waveforms(p, corpus, role=role), lambda p: write_matrix(p, matrix, role=role))
+    for write in writers:
+        with pytest.raises(FormatError, match="line 1: .*role must be one of"):
+            write(tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+    write_waveforms(tmp_path / "w.jsonl", corpus, role="train")
+    write_matrix(tmp_path / "m.tsv", matrix, role="train")
+    for path, read, old, new in (
+        (tmp_path / "w.jsonl", read_waveforms, '"role": "train"', f'"role": "{role}"'),
+        (tmp_path / "m.tsv", read_matrix, "role=train", f"role={role}"),
+    ):
+        path.write_text(path.read_text().replace(old, new, 1))
+        with pytest.raises(FormatError, match="line 1: .*role must be one of"):
+            read(path)
+
+
+@pytest.mark.parametrize("field,value,named", [
+    ("sample_rate", True, "sample_rate: expected float, got bool"),
+    ("sample_rate", "200", "sample_rate: expected float, got str"),
+    ("sample_rate", float("nan"), "sample_rate: must be finite"),
+    ("trace_id", 5, "trace_id: expected str, got int"),
+    ("station", None, "station: expected str, got NoneType"),
+    ("event_id", 1, "event_id: expected str, got int"),
+    ("magnitude", "1.05", "magnitude: expected float, got str"),
+    ("samples", 1.0, "samples: expected list, got float"),
+    ("samples", [0.5, True], r"samples\[1\]: expected float, got bool"),
+    ("samples", [0.5, 1, "2.0"], r"samples\[2\]: expected float, got str"),
+])
+def test_mistyped_record_field_names_line_and_field(tmp_path, corpus, field, value, named):
+    path = tmp_path / "waves.jsonl"
+    write_waveforms(path, corpus)
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[1])
+    row[field] = value
+    lines[1] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=f"line 2: .*waves.jsonl: {named}"):
+        read_waveforms(path)
+
+
+def test_integer_sample_rate_widens(tmp_path, corpus):
+    path = tmp_path / "waves.jsonl"
+    write_waveforms(path, corpus)
+    path.write_text(path.read_text().replace('"sample_rate": 200.0', '"sample_rate": 200'))
+    back, _ = read_waveforms(path)
+    assert all(type(r.sample_rate) is float and r.sample_rate == 200.0 for r in back)
