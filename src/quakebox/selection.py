@@ -70,8 +70,8 @@ class EnsembleRunResult:
     weights: Mapping[str, float]
     val_mcc: float
     config_used: Mapping[str, object]
-    # whether the fit met its tolerance within ``max_iters``; a report file
-    # does not record it, so runs read back from one hold None
+    # the fit's outer steps and whether it met its tolerance within ``max_iters``
+    iterations: Optional[int] = None
     converged: Optional[bool] = None
 
 
@@ -180,6 +180,7 @@ def run_ensemble(train_data: Rows, val_data: Rows, cfg: EnsembleConfig) -> List[
                     "subsample": cfg.vary.subsample,
                     "n_train": len(subset),
                 },
+                iterations=model.training_meta["iterations"],
                 converged=model.training_meta["converged"],
             )
         )
@@ -297,6 +298,8 @@ def save_selection_report(path: str | Path, report: SelectionReport) -> None:
                 "val_mcc": r.val_mcc,
                 "config_used": dict(r.config_used),
                 "weights": dict(r.weights),
+                "iterations": r.iterations,
+                "converged": r.converged,
             }
             for r in report.runs
         ],
@@ -324,6 +327,8 @@ def load_selection_report(path: str | Path) -> SelectionReport:
                 weights=fields.table(r, "weights", float, at),
                 val_mcc=fields.get(r, "val_mcc", float, at),
                 config_used=fields.get(r, "config_used", dict, at),
+                iterations=fields.get(r, "iterations", int, at),
+                converged=fields.get(r, "converged", bool, at),
             )
         )
     stats = {}

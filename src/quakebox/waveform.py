@@ -4,9 +4,10 @@ A trace enters as a :class:`WaveformRecord` and is detrended, demeaned,
 band-pass filtered (zero phase), and decimated, in that order.  All
 operations are pure functions: they never mutate their inputs and are safe
 to run concurrently.  The only module state is a cache of Butterworth
-designs keyed by (order, corners, btype, fs); a design depends on nothing
-else, the cached arrays are read-only, and each filter call gets its own
-copy, so the functions stay pure.
+designs (sections and initial filter state) keyed by (order, corners,
+btype, fs); a design depends on nothing else, the cached arrays are
+read-only, and each filter call gets its own copy, so the functions stay
+pure.
 """
 
 from __future__ import annotations
@@ -133,15 +134,34 @@ def detrend_linear(samples: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _butter_sos(order: int, corners, btype: str, fs: Optional[float] = None) -> np.ndarray:
-    """Butterworth second-order sections, designed once per argument set.
+def _butter_sos(
+    order: int, corners, btype: str, fs: Optional[float] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Butterworth second-order sections and their step-response initial
+    state (``sosfilt_zi``), designed once per argument set.
 
-    The cached array is read-only so that no caller can change it; scipy's
-    ``sosfilt`` refuses read-only coefficients, so filter with a ``.copy()``.
+    The cached arrays are read-only so that no caller can change them;
+    scipy's ``sosfilt`` refuses read-only coefficients, so filter with a
+    ``.copy()``.
     """
     sos = signal.butter(order, corners, btype=btype, fs=fs, output="sos")
-    sos.flags.writeable = False
-    return sos
+    zi = signal.sosfilt_zi(sos)
+    sos.flags.writeable = zi.flags.writeable = False
+    return sos, zi
+
+
+def _filtfilt(design: tuple[np.ndarray, np.ndarray], x: np.ndarray, padlen: int) -> np.ndarray:
+    """``signal.sosfiltfilt(sos, x, padtype="even", padlen=padlen)`` on a 1-D
+    ``x``, step for step, with the cached initial state instead of a fresh
+    ``sosfilt_zi`` on every call; the output is bit-identical."""
+    sos, zi = design
+    sos = sos.copy()
+    if padlen > 0:  # mirror ``padlen`` samples at each end, edge samples not repeated
+        x = np.concatenate((x[padlen:0:-1], x, x[-2 : -(padlen + 2) : -1]))
+    y, _ = signal.sosfilt(sos, x, zi=zi * x[:1])
+    y, _ = signal.sosfilt(sos, y[::-1], zi=zi * y[-1:])
+    y = y[::-1]
+    return y[padlen:-padlen] if padlen > 0 else y
 
 
 def bandpass(samples: np.ndarray, fs: float, cfg: PreprocessConfig) -> np.ndarray:
@@ -156,10 +176,9 @@ def bandpass(samples: np.ndarray, fs: float, cfg: PreprocessConfig) -> np.ndarra
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise DegenerateInput("bandpass needs at least 2 samples")
-    sos = _butter_sos(cfg.filter_order, (cfg.band_low_hz, cfg.band_high_hz), "bandpass", fs).copy()
+    design = _butter_sos(cfg.filter_order, (cfg.band_low_hz, cfg.band_high_hz), "bandpass", fs)
     settle = int(round(3 * fs / cfg.band_low_hz))
-    padlen = min(x.size - 1, settle)
-    return signal.sosfiltfilt(sos, x, padtype="even", padlen=padlen)
+    return _filtfilt(design, x, min(x.size - 1, settle))
 
 
 def downsample(
@@ -180,9 +199,7 @@ def downsample(
     if factor == 1:
         return x.copy()
     if not assume_bandlimited:
-        sos = _butter_sos(8, 0.8 / factor, "lowpass").copy()
-        padlen = min(x.size - 1, 30 * factor)
-        x = signal.sosfiltfilt(sos, x, padtype="even", padlen=padlen)
+        x = _filtfilt(_butter_sos(8, 0.8 / factor, "lowpass"), x, min(x.size - 1, 30 * factor))
     return x[::factor].copy()
 
 

@@ -8,6 +8,7 @@ import pytest
 from quakebox.bench import generate_planted_features
 from quakebox.errors import DegenerateLabels, MissingFeature
 from quakebox.features import FeatureMatrix, standardize_apply, standardize_fit
+from quakebox import model as model_module
 from quakebox.model import (
     LinearModel,
     ModelArtifact,
@@ -15,6 +16,7 @@ from quakebox.model import (
     TrainOptions,
     _sigmoid,
     classify,
+    kkt_residual,
     lambda_max,
     load_model,
     loss,
@@ -32,6 +34,21 @@ def standardized_planted(n=200, seed=0, **kw):
     vecs, informative = generate_planted_features(n, seed=seed, **kw)
     params = standardize_fit(vecs)
     return standardize_apply(vecs, params), informative
+
+
+def matrix(X, is_event):
+    n, p = X.shape
+    return FeatureMatrix(
+        X, tuple(f"c{j:02d}" for j in range(p)), tuple(f"t{i}" for i in range(n)),
+        tuple("event" if e else "noise" for e in is_event),
+    )
+
+
+def logistic_data(rng, n, p, coef):
+    """Rows of standard normals with labels drawn from a logistic model on the first columns."""
+    X = rng.standard_normal((n, p))
+    logit = X[:, : len(coef)] @ np.asarray(coef) + 0.3
+    return matrix(X, rng.random(n) < 1.0 / (1.0 + np.exp(-logit)))
 
 
 class TestPenalty:
@@ -306,6 +323,92 @@ class TestTrain:
             assert loss(mine, data, cfg) == pytest.approx(problem.value, abs=1e-7)
             for j, code in enumerate(codes):
                 assert mine.weights[code] == pytest.approx(float(w.value[j]), abs=2e-4)
+
+
+class TestOptimality:
+    """kkt_residual certifies a fit without an external solver."""
+
+    @staticmethod
+    def dataset(shape, rng):
+        if shape == "planted":
+            return logistic_data(rng, 200, 12, [1.5, -1.0])
+        if shape == "wide":  # more columns than rows: separable, finite only through the penalty
+            data = logistic_data(rng, 30, 60, [1.0, 1.0])
+            while len(set(data.labels)) < 2:
+                data = logistic_data(rng, 30, 60, [1.0, 1.0])
+            return data
+        vecs, _ = generate_planted_features(  # a margin, with a few labels flipped across it
+            150, n_nuisance=6, strength=6.0, label_noise=0.02, seed=int(rng.integers(1000)))
+        return standardize_apply(vecs, standardize_fit(vecs))
+
+    @pytest.mark.parametrize("shape", ["planted", "wide", "near-separable"])
+    @pytest.mark.parametrize("penalize_bias", [False, True])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_converged_fit_meets_kkt(self, alpha, penalize_bias, shape):
+        rng = np.random.default_rng([int(10 * alpha), penalize_bias, len(shape)])
+        for _ in range(3):
+            data = self.dataset(shape, rng)
+            top = lambda_max(data, max(alpha, 0.5))
+            cfg = PenaltyConfig(alpha=alpha, lam=float(top * 10 ** rng.uniform(-3, -0.3)),
+                                penalize_bias=penalize_bias)
+            model = train(data, cfg, TrainOptions(max_iters=1000, tol=1e-10))
+            assert model.training_meta["converged"] is True
+            residual = kkt_residual(model, data, cfg)
+            assert residual <= 1e-6
+            assert model.training_meta["kkt_residual"] == pytest.approx(residual, abs=1e-12)
+
+    def test_residual_flags_a_moved_bias(self):
+        data, _ = standardized_planted(n=200, seed=11, label_noise=0.1)
+        cfg = PenaltyConfig(alpha=0.9, lam=0.01)
+        model = train(data, cfg, TrainOptions(tol=1e-10))
+        moved = LinearModel(bias=model.bias + 0.5, weights=model.weights)
+        assert kkt_residual(model, data, cfg) <= 1e-6
+        assert kkt_residual(moved, data, cfg) > 1e-2
+
+
+class TestDegenerateInputs:
+    def test_separable_unpenalized_stays_finite_and_unconverged(self):
+        data, _ = standardized_planted(n=60, seed=12, n_nuisance=2, margin=1.0)
+        history = []
+        model = train(data, PenaltyConfig(alpha=0.5, lam=0.0),
+                      TrainOptions(max_iters=10_000, tol=1e-10), sweep_callback=history.append)
+        assert all(math.isfinite(w) for w in [model.bias, *model.weights.values()])
+        assert model.training_meta["converged"] is False
+        assert model.training_meta["iterations"] == len(history) == 10_000
+        assert np.all(np.diff(history) <= 0.0)
+        assert classify(model, data) == list(data.labels)
+
+    def test_duplicated_column_falls_back_to_sweeps(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        single = logistic_data(rng, 150, 3, [1.0, -0.5])
+        X = single.X
+        doubled = matrix(np.column_stack([X, X[:, 0]]), single.is_event)
+        exact = []
+        solve = model_module._active_solve
+
+        def spy(*args):
+            out = solve(*args)
+            exact.append(out is not None)
+            return out
+
+        monkeypatch.setattr(model_module, "_active_solve", spy)
+        cfg = PenaltyConfig(alpha=0.5, lam=0.0)
+        opt = TrainOptions(max_iters=200, tol=1e-10)
+        fit = train(doubled, cfg, opt)
+        assert not all(exact)  # the singular active-set system was refused
+        assert fit.training_meta["converged"] is True
+        reference = train(single, cfg, opt)
+        w = fit.weights
+        assert w["c00"] + w["c03"] == pytest.approx(reference.weights["c00"], abs=1e-6)
+        assert w["c01"] == pytest.approx(reference.weights["c01"], abs=1e-6)
+        assert fit.bias == pytest.approx(reference.bias, abs=1e-6)
+        assert kkt_residual(fit, doubled, cfg) <= 1e-6
+
+    def test_one_outer_step_is_unconverged(self):
+        data, _ = standardized_planted(n=100, seed=14)
+        model = train(data, PenaltyConfig(alpha=0.9, lam=0.01), TrainOptions(max_iters=1, tol=1e-6))
+        assert model.training_meta["iterations"] == 1
+        assert model.training_meta["converged"] is False
 
 
 class TestModelFile:

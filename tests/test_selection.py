@@ -196,6 +196,9 @@ class TestWorkflow:
         assert back.distribution.stats == report.distribution.stats
         assert len(back.runs) == len(report.runs)
         assert back.runs[3].weights == dict(report.runs[3].weights)
+        assert [(r.iterations, r.converged) for r in back.runs] == [
+            (r.iterations, r.converged) for r in report.runs]
+        assert all(r.converged is True and r.iterations >= 1 for r in back.runs)
 
 
 class TestReportFile:
@@ -213,8 +216,10 @@ class TestReportFile:
         (lambda p: p["runs"][2]["weights"].update(F01=float("nan")), "runs[2].weights.F01: must be finite"),
         (lambda p: p["rule"].pop("min_median_abs"), "rule.min_median_abs: missing required field"),
         (lambda p: p.update(tie_set_ids=[0, "1"]), "tie_set_ids[1]: expected int, got str"),
+        (lambda p: p["runs"][3].pop("iterations"), "runs[3].iterations: missing required field"),
+        (lambda p: p["runs"][0].update(converged=1), "runs[0].converged: expected bool, got int"),
     ], ids=["missing-runs", "text-val-mcc", "bool-val-mcc", "nan-weight", "missing-rule-field",
-            "text-tie-id"])
+            "text-tie-id", "missing-iterations", "int-converged"])
     def test_malformed_field_named(self, tmp_path, payload, change, named):
         broken = json.loads(json.dumps(payload))
         change(broken)

@@ -153,13 +153,14 @@ class TestBandpass:
 
     def test_cached_design_matches_fresh_design_interleaved(self, rng):
         # two configs that differ in fs, band and order, alternated so each
-        # call follows a call with the other design
+        # call follows a call with the other design; the lengths run from 2
+        # samples through both sides of the settling length (120 and 150)
         setups = [
-            (PreprocessConfig(band_low_hz=5.0, band_high_hz=25.0), 200.0, 1200),
-            (PreprocessConfig(band_low_hz=2.0, band_high_hz=40.0, filter_order=3), 100.0, 700),
+            (PreprocessConfig(band_low_hz=5.0, band_high_hz=25.0), 200.0),
+            (PreprocessConfig(band_low_hz=2.0, band_high_hz=40.0, filter_order=3), 100.0),
         ]
-        for _ in range(3):
-            for cfg, fs, n in setups:
+        for n in (1200, 700, 2, 3, 119, 120, 121, 122, 150, 151, 152):
+            for cfg, fs in setups:
                 x = rng.standard_normal(n)
                 sos = signal.butter(
                     cfg.filter_order, [cfg.band_low_hz, cfg.band_high_hz],
@@ -167,7 +168,16 @@ class TestBandpass:
                 )
                 padlen = min(n - 1, int(round(3 * fs / cfg.band_low_hz)))
                 expected = signal.sosfiltfilt(sos, x, padtype="even", padlen=padlen)
-                assert np.array_equal(bandpass(x, fs, cfg), expected)
+                assert bandpass(x, fs, cfg).tobytes() == expected.tobytes()
+
+    def test_cached_lowpass_matches_sosfiltfilt(self, rng):
+        for factor in (2, 3, 2):
+            for n in (1, 2, 30 * factor, 30 * factor + 1, 30 * factor + 2, 500):
+                x = rng.standard_normal(n)
+                sos = signal.butter(8, 0.8 / factor, btype="lowpass", output="sos")
+                padlen = min(n - 1, 30 * factor)
+                expected = signal.sosfiltfilt(sos, x, padtype="even", padlen=padlen)[::factor]
+                assert downsample(x, factor).tobytes() == expected.tobytes()
 
 
 class TestDownsample:
