@@ -451,13 +451,16 @@ def ingest_predictions(
 
     The TSV needs a ``trace_id`` column and either ``label`` or
     ``probability`` (optionally with a per-row ``threshold``, default 0.5), both in [0, 1].
-    Duplicate or missing ids fail loudly with the ids listed; ids beyond the
-    expected set are tolerated and dropped.
+    A repeated header column and duplicate or missing ids fail loudly, each
+    listed; ids beyond the expected set are tolerated and dropped.
     """
     path = Path(path)
     expected = set(expected_trace_ids)
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise FormatError(f"{path}: column(s) repeated in header: {', '.join(repeated)}", line=1)
         if "trace_id" not in header:
             raise IngestError(f"{path}: header lacks a trace_id column")
         has_label = "label" in header

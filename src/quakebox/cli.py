@@ -1,10 +1,10 @@
 """Command-line front door.
 
-Every subcommand reads one JSON config (field-qualified validation errors),
-honors ``--seed`` as a master-seed override and ``--out-dir`` as an output
-prefix, and writes byte-deterministic artifacts: the same config and seed
-always reproduce the same files.  Training and selection refuse inputs
-tagged with the test role; evaluation commands take anything.
+Every subcommand checks its whole JSON config, refusing unknown keys,
+before it opens a file; honors ``--seed`` as a master-seed override and
+``--out-dir`` as an output prefix; and writes byte-deterministic artifacts:
+the same config and seed always reproduce the same files.  Training and
+selection refuse inputs tagged with the test role; evaluation commands take anything.
 
     quakebox synth    -c synth.json        waveform corpus from a generator spec
     quakebox split    -c split.json        event-wise train/validation/test files
@@ -72,11 +72,9 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _positive(cfg: Mapping[str, Any], field: str, kind, default):
-    value = fields.get(cfg, field, kind, ConfigError, default)
-    if not value > 0:
-        raise ConfigError(field, f"must be positive, got {value}")
-    return value
+def _known(cfg: Mapping[str, Any], *keys: str) -> None:
+    """Refuses a top-level key the command does not read; every command takes ``master_seed``."""
+    fields.known(cfg, {"master_seed", *keys}, ConfigError)
 
 
 def _resolve(out_dir: str | None, path: str) -> Path:
@@ -84,26 +82,6 @@ def _resolve(out_dir: str | None, path: str) -> Path:
     if out_dir and not p.is_absolute():
         return Path(out_dir) / p
     return p
-
-
-def _master_seed(cfg: Mapping[str, Any], override: int | None) -> int:
-    if override is not None:
-        return override
-    return fields.get(cfg, "master_seed", int, ConfigError, 0)
-
-
-def _preprocess_config(cfg: Mapping[str, Any]) -> PreprocessConfig:
-    params = dict(
-        band_low_hz=_positive(cfg, "preprocess.band_low_hz", float, 5.0),
-        band_high_hz=_positive(cfg, "preprocess.band_high_hz", float, 25.0),
-        downsample_factor=fields.get(cfg, "preprocess.downsample_factor", int, ConfigError, 2),
-        filter_order=fields.get(cfg, "preprocess.filter_order", int, ConfigError, 4),
-        window_len=fields.get(cfg, "preprocess.window_len", int, ConfigError, None),
-    )
-    try:
-        return PreprocessConfig(**params)
-    except (QuakeboxError, ValueError) as exc:
-        raise ConfigError("preprocess", str(exc)) from exc
 
 
 def _feature_codes(cfg: Mapping[str, Any]):
@@ -115,7 +93,26 @@ def _feature_codes(cfg: Mapping[str, Any]):
                 f"unknown profile {features!r}; choose from {sorted(FEATURE_PROFILES)} or list codes",
             )
         return tuple(FEATURE_PROFILES[features]())
-    return fields.listed(cfg, "features", str, ConfigError)
+    codes = fields.listed(cfg, "features", str, ConfigError)
+    if not codes:
+        raise ConfigError("features", "must list at least one feature code")
+    for i, code in enumerate(codes):
+        if codes.index(code) < i:
+            raise ConfigError(f"features[{i}]", f"{code} repeats features[{codes.index(code)}]")
+    return codes
+
+
+def _source_paths(cfg: Mapping[str, Any]) -> tuple[dict, dict]:
+    paths = (fields.table(cfg, "models", str, ConfigError, {}),
+             fields.table(cfg, "predictions", str, ConfigError, {}))
+    if not any(paths):
+        raise ConfigError("models", "need at least one model or prediction source")
+    return paths
+
+
+def _load_sources(paths: tuple[dict, dict], trace_ids: Sequence[str]):
+    models = {name: load_model(path) for name, path in paths[0].items()}
+    return models, {name: bench.ingest_predictions(path, trace_ids) for name, path in paths[1].items()}
 
 
 def _forbid_test_role(field: str, role: str) -> None:
@@ -124,46 +121,26 @@ def _forbid_test_role(field: str, role: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads and checks its whole config before it opens a file
 
 
-def cmd_synth(cfg: dict, seed: int | None, out_dir: str | None) -> None:
-    master = _master_seed(cfg, seed)
-    try:
-        spec = bench.SyntheticSpec(
-            n_events=fields.get(cfg, "synthetic.n_events", int, ConfigError, 47),
-            traces_per_event=fields.listed(
-                cfg, "synthetic.traces_per_event", int, ConfigError, [30, 68], length=2
-            ),
-            n_noise=fields.get(cfg, "synthetic.n_noise", int, ConfigError, 4000),
-            fs=fields.get(cfg, "synthetic.fs", float, ConfigError, 200.0),
-            window_len=fields.get(cfg, "synthetic.window_len", int, ConfigError, 600),
-            snr_range=fields.listed(
-                cfg, "synthetic.snr_range", float, ConfigError, [1.5, 12.0], length=2
-            ),
-            seed=derive_seed(master, "synth"),
-        )
-    except ValueError as exc:
-        raise ConfigError("synthetic", str(exc)) from exc
-    records = bench.generate_synthetic(spec)
+def cmd_synth(cfg: dict, master: int, out_dir: str | None) -> None:
+    spec = fields.spec(bench.SyntheticSpec, cfg, "synthetic", ConfigError,
+                       seed=derive_seed(master, "synth"))
     out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
+    _known(cfg, "synthetic", "output")
+    records = bench.generate_synthetic(spec)
     write_waveforms(out, records, role="all")
     print(f"wrote {len(records)} records to {out}")
 
 
-def cmd_split(cfg: dict, seed: int | None, out_dir: str | None) -> None:
-    master = _master_seed(cfg, seed)
-    records, _role = read_waveforms(fields.get(cfg, "input", str, ConfigError))
-    fractions = fields.listed(cfg, "fractions", float, ConfigError, [0.6, 0.2, 0.2], length=3)
-    try:
-        spec = bench.SplitSpec(
-            fractions=fractions,
-            seed=derive_seed(master, "split"),
-        )
-    except ValueError as exc:
-        raise ConfigError("fractions", str(exc)) from exc
+def cmd_split(cfg: dict, master: int, out_dir: str | None) -> None:
+    spec = fields.spec(bench.SplitSpec, cfg, "", ConfigError, seed=derive_seed(master, "split"))
+    source = fields.get(cfg, "input", str, ConfigError)
+    target = _resolve(out_dir, fields.get(cfg, "output_dir", str, ConfigError))
+    _known(cfg, "fractions", "input", "output_dir")
+    records, _role = read_waveforms(source)
     split = bench.partition_by_event(records, spec)
-    target = Path(_resolve(out_dir, fields.get(cfg, "output_dir", str, ConfigError)))
     target.mkdir(parents=True, exist_ok=True)
     for role, subset in (
         ("train", split.train),
@@ -174,45 +151,39 @@ def cmd_split(cfg: dict, seed: int | None, out_dir: str | None) -> None:
         print(f"wrote {len(subset)} records to {target / (role + '.jsonl')}")
 
 
-def cmd_extract(cfg: dict, seed: int | None, out_dir: str | None) -> None:
-    pcfg = _preprocess_config(cfg)
+def cmd_extract(cfg: dict, master: int, out_dir: str | None) -> None:
+    pcfg = fields.spec(PreprocessConfig, cfg, "preprocess", ConfigError)
     codes = _feature_codes(cfg)
-    records, role = read_waveforms(fields.get(cfg, "input", str, ConfigError))
+    source = fields.get(cfg, "input", str, ConfigError)
+    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
+    _known(cfg, "preprocess", "features", "input", "output")
+    records, role = read_waveforms(source)
     if not records:
         raise ConfigError("input", "waveform file contains no records")
     registry = reproduction_registry()
     processed = [preprocess(r, pcfg) for r in records]
     vectors = extract_matrix(processed, registry, codes)
-    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
     write_matrix(out, vectors, role=role)
     print(f"wrote {len(vectors)} x {len(codes)} matrix to {out}")
 
 
-def cmd_train(cfg: dict, seed: int | None, out_dir: str | None) -> None:
-    master = _master_seed(cfg, seed)
-    matrix, role = read_matrix(fields.get(cfg, "input", str, ConfigError))
-    _forbid_test_role("input", role)
-    try:
-        pen = PenaltyConfig(
-            alpha=fields.get(cfg, "model.alpha", float, ConfigError, 0.9),
-            lam=fields.get(cfg, "model.lambda", float, ConfigError, 0.01),
-            penalize_bias=fields.get(cfg, "model.penalize_bias", bool, ConfigError, False),
-        )
-        opt = TrainOptions(
-            max_iters=_positive(cfg, "optimizer.max_iters", int, 10_000),
-            tol=_positive(cfg, "optimizer.tol", float, 1e-8),
-            seed=derive_seed(master, "train"),
-        )
-    except ValueError as exc:
-        raise ConfigError("model", str(exc)) from exc
+def cmd_train(cfg: dict, master: int, out_dir: str | None) -> None:
+    pen = fields.spec(PenaltyConfig, cfg, "model", ConfigError)
+    opt = fields.spec(TrainOptions, cfg, "optimizer", ConfigError, seed=derive_seed(master, "train"))
+    if not opt.tol > 0:
+        raise ConfigError("optimizer.tol", f"must be positive, got {opt.tol}")
     threshold = fields.get(cfg, "threshold", float, ConfigError, None)
     if threshold is not None and not 0.0 < threshold < 1.0:
         raise ConfigError("threshold", f"must lie in (0, 1), got {threshold}")
+    source = fields.get(cfg, "input", str, ConfigError)
+    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
+    _known(cfg, "model", "optimizer", "threshold", "input", "output")
+    matrix, role = read_matrix(source)
+    _forbid_test_role("input", role)
     params = standardize_fit(matrix)
     model = train(standardize_apply(matrix, params), pen, opt)
     if threshold is not None:
         model = replace(model, threshold=threshold)
-    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
     save_model(out, ModelArtifact(model=model, standardization=params))
     nonzero = sum(1 for w in model.weights.values() if w != 0)
     print(
@@ -221,41 +192,25 @@ def cmd_train(cfg: dict, seed: int | None, out_dir: str | None) -> None:
     )
 
 
-def cmd_select(cfg: dict, seed: int | None, out_dir: str | None) -> None:
-    master = _master_seed(cfg, seed)
-    train_matrix, train_role = read_matrix(fields.get(cfg, "train_input", str, ConfigError))
-    val_matrix, val_role = read_matrix(fields.get(cfg, "validation_input", str, ConfigError))
+def cmd_select(cfg: dict, master: int, out_dir: str | None) -> None:
+    ecfg = fields.spec(selection.EnsembleConfig, cfg, "ensemble", ConfigError,
+                       seed=derive_seed(master, "select"))
+    rule = fields.spec(selection.SelectionRule, cfg, "rule", ConfigError)
+    base = fields.listed(cfg, "base_features", str, ConfigError, list(selected_profile()[:4]))
+    train_source = fields.get(cfg, "train_input", str, ConfigError)
+    val_source = fields.get(cfg, "validation_input", str, ConfigError)
+    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
+    dist_out = fields.get(cfg, "distribution_output", str, ConfigError, None)
+    _known(cfg, "ensemble", "rule", "base_features", "train_input", "validation_input", "output",
+           "distribution_output")
+    train_matrix, train_role = read_matrix(train_source)
+    val_matrix, val_role = read_matrix(val_source)
     _forbid_test_role("train_input", train_role)
     _forbid_test_role("validation_input", val_role)
-    grid = fields.listed(cfg, "ensemble.lambda_grid", float, ConfigError, None)
-    try:
-        ecfg = selection.EnsembleConfig(
-            n_runs=fields.get(cfg, "ensemble.n_runs", int, ConfigError, 200),
-            alpha=fields.get(cfg, "ensemble.alpha", float, ConfigError, 0.9),
-            vary=selection.VariationFlags(
-                seed=fields.get(cfg, "ensemble.vary.seed", bool, ConfigError, True),
-                lambda_grid=fields.get(cfg, "ensemble.vary.lambda_grid", bool, ConfigError, True),
-                subsample=fields.get(cfg, "ensemble.vary.subsample", bool, ConfigError, True),
-            ),
-            lambda_grid=grid or None,
-            tie_tolerance=fields.get(cfg, "ensemble.tie_tolerance", float, ConfigError, 0.0),
-            subsample_fraction=fields.get(cfg, "ensemble.subsample_fraction", float, ConfigError, 0.8),
-            seed=derive_seed(master, "select"),
-            max_iters=fields.get(cfg, "ensemble.max_iters", int, ConfigError, 500),
-            tol=fields.get(cfg, "ensemble.tol", float, ConfigError, 1e-6),
-        )
-        rule = selection.SelectionRule(
-            min_fraction_nonzero=fields.get(cfg, "rule.min_fraction_nonzero", float, ConfigError, 0.9),
-            min_median_abs=fields.get(cfg, "rule.min_median_abs", float, ConfigError, 0.05),
-        )
-    except ValueError as exc:
-        raise ConfigError("ensemble", str(exc)) from exc
-    base = fields.listed(cfg, "base_features", str, ConfigError, list(selected_profile()[:4]))
     for i, code in enumerate(base):
         if code not in train_matrix.codes:
             raise ConfigError(f"base_features[{i}]", f"{code} is not a column of train_input")
     report_obj = selection.discover_features(train_matrix, val_matrix, ecfg, rule, base=base)
-    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
     selection.save_selection_report(out, report_obj)
     unconverged = [r.run_id for r in report_obj.runs if not r.converged]
     if unconverged:
@@ -265,7 +220,6 @@ def cmd_select(cfg: dict, seed: int | None, out_dir: str | None) -> None:
             f"ensemble.max_iters={ecfg.max_iters} unconverged ({tied} in the tie-set)",
             file=sys.stderr,
         )
-    dist_out = fields.get(cfg, "distribution_output", str, ConfigError, None)
     if dist_out:
         _write_distribution_table(_resolve(out_dir, dist_out), report_obj)
     print(
@@ -281,25 +235,17 @@ def _write_distribution_table(path: Path, rep: selection.SelectionReport) -> Non
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _load_sources(cfg: dict, trace_ids: Sequence[str]):
-    model_paths = fields.table(cfg, "models", str, ConfigError, {})
-    prediction_paths = fields.table(cfg, "predictions", str, ConfigError, {})
-    models = {name: load_model(path) for name, path in model_paths.items()}
-    predictions = {
-        name: bench.ingest_predictions(path, trace_ids) for name, path in prediction_paths.items()
-    }
-    if not models and not predictions:
-        raise ConfigError("models", "need at least one model or prediction source")
-    return models, predictions
-
-
-def cmd_eval(cfg: dict, seed: int | None, out_dir: str | None) -> None:
+def cmd_eval(cfg: dict, master: int, out_dir: str | None) -> None:
     level = fields.get(cfg, "significance_level", float, ConfigError, 0.05)
     if not 0.0 < level < 1.0:
         raise ConfigError("significance_level", f"must lie in (0, 1), got {level}")
-    matrix, _role = read_matrix(fields.get(cfg, "input", str, ConfigError))
+    source = fields.get(cfg, "input", str, ConfigError)
+    paths = _source_paths(cfg)
+    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
+    _known(cfg, "significance_level", "input", "models", "predictions", "output")
+    matrix, _role = read_matrix(source)
     labels = matrix.labels
-    models, predictions = _load_sources(cfg, matrix.trace_ids)
+    models, predictions = _load_sources(paths, matrix.trace_ids)
     per_source_preds = {name: art.predict_labels(matrix) for name, art in models.items()}
     for name, pred_map in predictions.items():
         per_source_preds[name] = [pred_map[tid] for tid in matrix.trace_ids]
@@ -316,31 +262,27 @@ def cmd_eval(cfg: dict, seed: int | None, out_dir: str | None) -> None:
         "sources": results,
         "mcnemar": comparisons,
     }
-    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
     Path(out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     summary = ", ".join(f"{n}: mcc={results[n]['mcc']:.4f}" for n in names)
     print(f"wrote evaluation to {out} ({summary})")
 
 
-def cmd_sweep(cfg: dict, seed: int | None, out_dir: str | None) -> None:
-    master = _master_seed(cfg, seed)
-    positives, _prole = read_matrix(fields.get(cfg, "positives_input", str, ConfigError))
-    pool, _nrole = read_matrix(fields.get(cfg, "noise_pool_input", str, ConfigError))
+def cmd_sweep(cfg: dict, master: int, out_dir: str | None) -> None:
+    spec = fields.spec(bench.RatioSpec, cfg, "", ConfigError, seed=derive_seed(master, "sweep"))
+    positives_source = fields.get(cfg, "positives_input", str, ConfigError)
+    pool_source = fields.get(cfg, "noise_pool_input", str, ConfigError)
+    paths = _source_paths(cfg)
+    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
+    text_out = fields.get(cfg, "text_output", str, ConfigError, None)
+    _known(cfg, "ratios", "positives_input", "noise_pool_input", "models", "predictions", "output",
+           "text_output")
+    positives, _prole = read_matrix(positives_source)
+    pool, _nrole = read_matrix(pool_source)
     positives = positives.take(positives.is_event)
     pool = pool.take(~pool.is_event)
-    ratios = fields.listed(cfg, "ratios", float, ConfigError, [1.73, 5.0, 10.0, 25.0, 50.0])
-    try:
-        spec = bench.RatioSpec(
-            ratios=ratios,
-            seed=derive_seed(master, "sweep"),
-        )
-    except ValueError as exc:
-        raise ConfigError("ratios", str(exc)) from exc
-    models, predictions = _load_sources(cfg, positives.trace_ids + pool.trace_ids)
+    models, predictions = _load_sources(paths, positives.trace_ids + pool.trace_ids)
     table = bench.sweep(models, positives, pool, spec, external_preds=predictions)
-    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
     bench.save_sweep(out, table)
-    text_out = fields.get(cfg, "text_output", str, ConfigError, None)
     if text_out:
         Path(_resolve(out_dir, text_out)).write_text(table.render_text(), encoding="utf-8")
     print(f"wrote sweep grid to {out}")
@@ -372,7 +314,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        COMMANDS[args.command](cfg, args.seed, args.out_dir)
+        master = fields.get(cfg, "master_seed", int, ConfigError, 0)
+        COMMANDS[args.command](cfg, master if args.seed is None else args.seed, args.out_dir)
     except QuakeboxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,15 +7,21 @@ and every number read must be finite.  Each caller passes
 ``fail(field, why)``, which builds the error it raises: ``ConfigError``
 for a config, :func:`in_file` (a ``FormatError`` naming the file, and the
 line) for a data file.
+
+:func:`spec` reads a whole config section into its frozen dataclass:
+each field by its type hint, a missing one at the dataclass default, and
+a key that names no field refused as ``section.key: unknown field``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import typing
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from .errors import FormatError
+from .errors import FormatError, QuakeboxError
 
 Fail = Callable[[str, str], Exception]
 _REQUIRED = object()
@@ -99,3 +105,51 @@ def in_file(path: str | Path, line: int | None = None) -> Fail:
 def under(prefix: str, fail: Fail) -> Fail:
     """``fail`` for the fields of the object at ``prefix`` (``runs[3]``)."""
     return lambda field, why: fail(f"{prefix}.{field}", why)
+
+
+def spec(cls, doc: Mapping[str, Any], section: str, fail: Fail, **fixed):
+    """The dataclass ``cls`` read from the object at ``section`` of ``doc``.
+
+    Each field is read by its type hint under its JSON name (its
+    ``metadata["json"]``, else its own) and a missing one keeps its
+    default.  ``fixed`` fields (the command's seeds) are the caller's and
+    cannot be read.  The dataclass's own check fails naming ``section``;
+    a key that names no field fails after that.  An empty ``section``
+    reads the fields from ``doc`` itself and leaves its other keys to the
+    caller.
+    """
+    at = under(section, fail) if section else fail
+    node = get(doc, section, dict, fail, {}) if section else doc
+    hints = typing.get_type_hints(cls)
+    names, values = [], {}
+    for f in dataclasses.fields(cls):
+        if f.name not in fixed:
+            names.append(f.metadata.get("json", f.name))
+            if names[-1] in node:
+                values[f.name] = _hinted(node, names[-1], hints[f.name], at)
+    try:
+        made = cls(**values, **fixed)
+    except (ValueError, QuakeboxError) as exc:
+        raise fail(section or ", ".join(names), str(exc)) from exc
+    if section:
+        known(node, names, at)
+    return made
+
+
+def _hinted(node: Mapping[str, Any], name: str, hint, fail: Fail):
+    """The field ``name`` of ``node`` read as its type hint says."""
+    args = typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        return spec(hint, node, name, fail)
+    if type(None) in args:  # Optional[X] is read as X: null is refused
+        return _hinted(node, name, args[0], fail)
+    if typing.get_origin(hint) is tuple:
+        return listed(node, name, args[0], fail, length=None if args[-1] is Ellipsis else len(args))
+    return get(node, name, hint, fail)
+
+
+def known(node: Mapping[str, Any], names, fail: Fail) -> None:
+    """Refuses the first key of ``node`` that is not in ``names``."""
+    for key in node:
+        if key not in names:
+            raise fail(key, "unknown field")

@@ -37,7 +37,7 @@ class PenaltyConfig:
     """Elastic net penalty: ``alpha`` mixes L1 vs L2, ``lam`` scales both."""
 
     alpha: float = 0.9
-    lam: float = 0.01
+    lam: float = field(default=0.01, metadata={"json": "lambda"})
     penalize_bias: bool = False
 
     def __post_init__(self) -> None:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quakebox.features.vectors import FeatureVector
+from quakebox.seeds import derive_rng
 from quakebox.waveform import WaveformRecord
 
 
@@ -12,7 +13,7 @@ def rng():
 
 def make_record(trace_id="tr0", label="noise", samples=None, fs=200.0, event_id=None, **kw):
     if samples is None:
-        samples = np.random.default_rng(abs(hash(trace_id)) % 2**32).standard_normal(400)
+        samples = derive_rng(0, trace_id).standard_normal(400)
     if label == "event" and event_id is None:
         event_id = "ev0"
     return WaveformRecord(

@@ -8,6 +8,7 @@ import pytest
 from quakebox import bench
 from quakebox.errors import (
     DegenerateInput,
+    FormatError,
     IngestError,
     InsufficientNoise,
     TooFewEvents,
@@ -319,6 +320,15 @@ class TestIngestPredictions:
     def test_duplicate_id_rejected(self, tmp_path):
         path = self.write(tmp_path, "trace_id\tlabel\na\tevent\na\tnoise\n")
         with pytest.raises(IngestError, match="duplicate"):
+            bench.ingest_predictions(path, ["a"])
+
+    @pytest.mark.parametrize("header,named", [
+        ("trace_id\tprobability\tprobability", "probability"),
+        ("trace_id\tlabel\ttrace_id", "trace_id"),
+    ])
+    def test_repeated_column_rejected(self, tmp_path, header, named):
+        path = self.write(tmp_path, f"{header}\na\t0.7\tb\n")
+        with pytest.raises(FormatError, match=rf"^line 1: .*preds.tsv: column\(s\) repeated in header: {named}$"):
             bench.ingest_predictions(path, ["a"])
 
     def test_extra_ids_tolerated(self, tmp_path):

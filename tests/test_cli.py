@@ -427,6 +427,33 @@ def _malformed_cases():
         _case("extract-feature-code-not-str", "extract",
               lambda d: {"input": d("w.jsonl"), "output": d("o.tsv"), "features": ["W1", 5]},
               {"w.jsonl": _waves()}, "error: features[1]: expected str, got int\n"),
+        *(
+            _case(f"extract-features-{id}", "extract",
+                  lambda d, f=features: {"input": d("w.jsonl"), "output": d("o.tsv"), "features": f},
+                  {"w.jsonl": _waves()}, f"error: {message}\n")
+            for id, features, message in (
+                ("empty", [], "features: must list at least one feature code"),
+                ("repeated", ["W1", "W2", "W1"], "features[2]: W1 repeats features[0]"),
+            )
+        ),
+        _case("unknown-top-level", "train",
+              lambda d: {"input": d(m), "output": d("o.json"), "treshold": 0.4}, {m: MATRIX},
+              "error: treshold: unknown field\n"),
+        *(
+            # a key that names no field, the command's seeds included, is refused by its dotted path
+            _case(f"unknown-{id}", command, lambda d, c=config: {**inputs(d), **c}, {m: MATRIX},
+                  f"error: {message}\n")
+            for id, command, config, message in (
+                ("model-lamda", "train", {"model": {"lamda": 5.0}}, "model.lamda: unknown field"),
+                ("ensemble-vary", "select", {"ensemble": {"vary": {"lambda": False}}},
+                 "ensemble.vary.lambda: unknown field"),
+                ("synthetic-seed", "synth", {"synthetic": {"seed": 3}}, "synthetic.seed: unknown field"),
+                ("optimizer-seed", "train", {"optimizer": {"seed": 3}}, "optimizer.seed: unknown field"),
+                ("ensemble-seed", "select", {"ensemble": {"seed": 3}}, "ensemble.seed: unknown field"),
+                ("eval-text-master-seed", "eval", {"master_seed": "7", "predictions": {"x": "p.tsv"}},
+                 "master_seed: expected int, got str"),
+            )
+        ),
         _case("select-alpha-above-1", "select",
               lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
                          "ensemble": {"alpha": 2.0}}, {m: MATRIX}, "alpha"),

@@ -5,7 +5,11 @@ import math
 import pytest
 
 from quakebox import fields
+from quakebox.bench import RatioSpec, SplitSpec, SyntheticSpec
 from quakebox.errors import ConfigError, FormatError
+from quakebox.model import PenaltyConfig, TrainOptions
+from quakebox.selection import EnsembleConfig, SelectionRule, VariationFlags
+from quakebox.waveform import PreprocessConfig
 
 
 fail = fields.in_file("doc.json")
@@ -96,3 +100,92 @@ class TestContainers:
         at = fields.under("runs[2]", fields.in_file("doc.json", line=7))
         with pytest.raises(FormatError, match=r"^line 7: doc.json: runs\[2\].val_mcc: must be finite"):
             fields.get({"val_mcc": math.nan}, "val_mcc", float, at)
+
+
+def spec(cls, doc, section, **fixed):
+    return fields.spec(cls, doc, section, ConfigError, **fixed)
+
+
+class TestSpec:
+    @pytest.mark.parametrize("cls,section,seeds", [
+        (SyntheticSpec, "synthetic", {"seed": 5}),
+        (SplitSpec, "", {"seed": 5}),
+        (PreprocessConfig, "preprocess", {}),
+        (PenaltyConfig, "model", {}),
+        (TrainOptions, "optimizer", {"seed": 5}),
+        (EnsembleConfig, "ensemble", {"seed": 5}),
+        (VariationFlags, "ensemble.vary", {}),
+        (SelectionRule, "rule", {}),
+        (RatioSpec, "", {"seed": 5}),
+    ])
+    def test_empty_section_gives_the_defaults(self, cls, section, seeds):
+        assert spec(cls, {}, section, **seeds) == cls(**seeds)
+
+    def test_fields_read_by_type_hint(self):
+        doc = {"synthetic": {"n_events": 3, "fs": 100, "snr_range": [2, 8.5]}}
+        made = spec(SyntheticSpec, doc, "synthetic", seed=1)
+        assert made == SyntheticSpec(n_events=3, fs=100.0, snr_range=(2.0, 8.5), seed=1)
+        assert type(made.fs) is float and type(made.snr_range[0]) is float
+
+    def test_null_for_optional_int_is_refused(self):
+        assert spec(PreprocessConfig, {"p": {"window_len": 64}}, "p").window_len == 64
+        with pytest.raises(ConfigError, match=r"^p.window_len: expected int, got NoneType$"):
+            spec(PreprocessConfig, {"p": {"window_len": None}}, "p")
+
+    def test_fixed_length_tuple_checks_its_length(self):
+        with pytest.raises(ConfigError, match=r"^s.snr_range: expected 2 values, got 3$"):
+            spec(SyntheticSpec, {"s": {"snr_range": [1.0, 2.0, 3.0]}}, "s", seed=0)
+
+    def test_open_tuple_names_each_entry(self):
+        assert spec(RatioSpec, {"ratios": [1, 2.5, 4]}, "", seed=0).ratios == (1.0, 2.5, 4.0)
+        with pytest.raises(ConfigError, match=r"^ratios\[2\]: expected float, got str$"):
+            spec(RatioSpec, {"ratios": [1.0, 2.0, "3"]}, "", seed=0)
+        with pytest.raises(ConfigError, match=r"^ensemble.lambda_grid\[1\]: must be finite, got inf$"):
+            spec(EnsembleConfig, {"ensemble": {"lambda_grid": [0.1, math.inf]}}, "ensemble", seed=0)
+
+    def test_nested_dataclass_is_a_section(self):
+        doc = {"ensemble": {"n_runs": 4, "vary": {"subsample": False}}}
+        made = spec(EnsembleConfig, doc, "ensemble", seed=2)
+        assert made == EnsembleConfig(n_runs=4, vary=VariationFlags(subsample=False), seed=2)
+        with pytest.raises(ConfigError, match=r"^ensemble.vary.seed: expected bool, got int$"):
+            spec(EnsembleConfig, {"ensemble": {"vary": {"seed": 1}}}, "ensemble", seed=2)
+        with pytest.raises(ConfigError, match=r"^ensemble.vary.lambda: unknown field$"):
+            spec(EnsembleConfig, {"ensemble": {"vary": {"lambda": True}}}, "ensemble", seed=2)
+
+    def test_metadata_json_name(self):
+        assert spec(PenaltyConfig, {"model": {"lambda": 0.25}}, "model").lam == 0.25
+        with pytest.raises(ConfigError, match=r"^model.lambda: expected float, got bool$"):
+            spec(PenaltyConfig, {"model": {"lambda": True}}, "model")
+        with pytest.raises(ConfigError, match=r"^model.lam: unknown field$"):
+            spec(PenaltyConfig, {"model": {"lam": 0.25}}, "model")
+
+    @pytest.mark.parametrize("cls,section", [
+        (SyntheticSpec, "synthetic"), (TrainOptions, "optimizer"), (EnsembleConfig, "ensemble"),
+    ])
+    def test_the_commands_seed_is_not_readable(self, cls, section):
+        with pytest.raises(ConfigError, match=rf"^{section}.seed: unknown field$"):
+            spec(cls, {section: {"seed": 3}}, section, seed=5)
+
+    def test_unknown_key_is_reported_after_the_field_errors(self):
+        for doc, message in (
+            ({"lamda": 5.0, "alpha": "high"}, r"^model.alpha: expected float, got str$"),
+            ({"lamda": 5.0, "alpha": 2.0}, r"^model: alpha must lie in \[0, 1\], got 2.0$"),
+            ({"lamda": 5.0, "alpha": 0.5}, r"^model.lamda: unknown field$"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                spec(PenaltyConfig, {"model": doc}, "model")
+
+    def test_dataclass_check_is_reported_under_the_section(self):
+        # a ValueError
+        with pytest.raises(ConfigError, match=r"^optimizer: max_iters must be at least 1, got 0$"):
+            spec(TrainOptions, {"optimizer": {"max_iters": 0}}, "optimizer", seed=0)
+        # a QuakeboxError (InvalidBand)
+        with pytest.raises(ConfigError, match=r"^preprocess: band must satisfy 0 < low < high"):
+            spec(PreprocessConfig, {"preprocess": {"band_low_hz": 30.0}}, "preprocess")
+        # a spec read from the top level names its fields
+        with pytest.raises(ConfigError, match=r"^fractions: fractions must sum to 1"):
+            spec(SplitSpec, {"fractions": [0.5, 0.5, 0.5], "input": "w.jsonl"}, "", seed=0)
+
+    def test_section_must_be_an_object(self):
+        with pytest.raises(ConfigError, match=r"^rule: expected dict, got list$"):
+            spec(SelectionRule, {"rule": [0.9, 0.05]}, "rule")
