@@ -22,6 +22,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateInput,
     FormatError,
     IngestError,
@@ -204,6 +205,9 @@ def sweep(
     if set(noise_pool.labels) != {"noise"}:
         raise DegenerateInput("noise pool must all carry the noise label")
     external_preds = external_preds or {}
+    for name in external_preds:
+        if name in models:
+            raise ConfigError(f"external_preds.{name}", "names a source already in models")
     sources = tuple(models) + tuple(external_preds)
     reports: Dict[Tuple[str, float], EvalReport] = {}
     for ratio in spec.ratios:

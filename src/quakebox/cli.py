@@ -27,6 +27,7 @@ from typing import Any, Mapping, Sequence
 from . import bench, fields, selection
 from .errors import ConfigError, QuakeboxError
 from .features import (
+    FeatureRegistry,
     canonical_registry,
     extract_matrix,
     read_matrix,
@@ -84,7 +85,7 @@ def _resolve(out_dir: str | None, path: str) -> Path:
     return p
 
 
-def _feature_codes(cfg: Mapping[str, Any]):
+def _feature_codes(cfg: Mapping[str, Any], registry: FeatureRegistry):
     features = cfg.get("features", "discovery26")
     if isinstance(features, str):
         if features not in FEATURE_PROFILES:
@@ -97,17 +98,22 @@ def _feature_codes(cfg: Mapping[str, Any]):
     if not codes:
         raise ConfigError("features", "must list at least one feature code")
     for i, code in enumerate(codes):
+        if code not in registry:
+            raise ConfigError(f"features[{i}]", f"{code} is not a registered feature code")
         if codes.index(code) < i:
             raise ConfigError(f"features[{i}]", f"{code} repeats features[{codes.index(code)}]")
     return codes
 
 
 def _source_paths(cfg: Mapping[str, Any]) -> tuple[dict, dict]:
-    paths = (fields.table(cfg, "models", str, ConfigError, {}),
-             fields.table(cfg, "predictions", str, ConfigError, {}))
-    if not any(paths):
+    models = fields.table(cfg, "models", str, ConfigError, {})
+    predictions = fields.table(cfg, "predictions", str, ConfigError, {})
+    if not models and not predictions:
         raise ConfigError("models", "need at least one model or prediction source")
-    return paths
+    for name in predictions:
+        if name in models:
+            raise ConfigError(f"predictions.{name}", "names a source already in models")
+    return models, predictions
 
 
 def _load_sources(paths: tuple[dict, dict], trace_ids: Sequence[str]):
@@ -153,14 +159,14 @@ def cmd_split(cfg: dict, master: int, out_dir: str | None) -> None:
 
 def cmd_extract(cfg: dict, master: int, out_dir: str | None) -> None:
     pcfg = fields.spec(PreprocessConfig, cfg, "preprocess", ConfigError)
-    codes = _feature_codes(cfg)
+    registry = reproduction_registry()
+    codes = _feature_codes(cfg, registry)
     source = fields.get(cfg, "input", str, ConfigError)
     out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
     _known(cfg, "preprocess", "features", "input", "output")
     records, role = read_waveforms(source)
     if not records:
         raise ConfigError("input", "waveform file contains no records")
-    registry = reproduction_registry()
     processed = [preprocess(r, pcfg) for r in records]
     vectors = extract_matrix(processed, registry, codes)
     write_matrix(out, vectors, role=role)
@@ -169,7 +175,7 @@ def cmd_extract(cfg: dict, master: int, out_dir: str | None) -> None:
 
 def cmd_train(cfg: dict, master: int, out_dir: str | None) -> None:
     pen = fields.spec(PenaltyConfig, cfg, "model", ConfigError)
-    opt = fields.spec(TrainOptions, cfg, "optimizer", ConfigError, seed=derive_seed(master, "train"))
+    opt = fields.spec(TrainOptions, cfg, "optimizer", ConfigError)
     if not opt.tol > 0:
         raise ConfigError("optimizer.tol", f"must be positive, got {opt.tol}")
     threshold = fields.get(cfg, "threshold", float, ConfigError, None)

@@ -139,8 +139,6 @@ def spec(cls, doc: Mapping[str, Any], section: str, fail: Fail, **fixed):
 def _hinted(node: Mapping[str, Any], name: str, hint, fail: Fail):
     """The field ``name`` of ``node`` read as its type hint says."""
     args = typing.get_args(hint)
-    if dataclasses.is_dataclass(hint):
-        return spec(hint, node, name, fail)
     if type(None) in args:  # Optional[X] is read as X: null is refused
         return _hinted(node, name, args[0], fail)
     if typing.get_origin(hint) is tuple:

@@ -54,7 +54,6 @@ class TrainOptions:
 
     max_iters: int = 10_000
     tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
@@ -311,7 +310,6 @@ def train(
     meta = {
         "alpha": cfg.alpha,
         "lambda": cfg.lam,
-        "seed": opt.seed,
         "iterations": steps,
         "converged": converged,
         "objective": objective,

@@ -1,23 +1,26 @@
 """Ensemble feature discovery.
 
-Train the penalized model many times under controlled variation (training
-subsample, penalty scale, run seed), keep the runs tied at the best
-validation MCC, summarize each feature's weight distribution over that
-tie-set, and select features by an explicit two-threshold rule: kept in at
-least ``min_fraction_nonzero`` of tied runs and with median absolute weight
-of at least ``min_median_abs`` (on standardized inputs).
+Train the penalized model many times over the two axes of stability
+selection, the penalty scale and the training subsample; keep the runs
+tied at the best validation MCC, summarize each feature's weight
+distribution over that tie-set, and select features by an explicit
+two-threshold rule: kept in at least ``min_fraction_nonzero`` of tied runs
+and with median absolute weight of at least ``min_median_abs`` (on
+standardized inputs).
 
-A deterministic convex solver returns the same fit for the same data, so
-run-to-run variation must be injected deliberately; the ``vary`` flags make
-the injected axes explicit configuration rather than solver accident.
+The solver is deterministic, so the same penalty on the same rows gives
+the same fit: run ``r`` fits ``grid[r % len(grid)]`` on the stratified
+subsample drawn by ``r // len(grid)``.  A one-entry ``lambda_grid`` fixes
+the penalty, and ``subsample_fraction = 1.0`` fits every run on the whole
+training set.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -26,23 +29,13 @@ from .errors import DegenerateInput, FormatError, QuakeboxError
 from .features.vectors import FeatureMatrix, Rows, standardize_apply, standardize_fit
 from .metrics import confusion, mcc
 from .model import PenaltyConfig, TrainOptions, classify, lambda_max, train
-from .seeds import derive_rng, derive_seed
-
-
-@dataclass(frozen=True)
-class VariationFlags:
-    """Which axes differ between ensemble runs."""
-
-    seed: bool = True
-    lambda_grid: bool = True
-    subsample: bool = True
+from .seeds import derive_rng
 
 
 @dataclass(frozen=True)
 class EnsembleConfig:
     n_runs: int = 200
     alpha: float = 0.9
-    vary: VariationFlags = field(default_factory=VariationFlags)
     lambda_grid: Tuple[float, ...] | None = None
     tie_tolerance: float = 0.0
     subsample_fraction: float = 0.8
@@ -71,8 +64,8 @@ class EnsembleRunResult:
     val_mcc: float
     config_used: Mapping[str, object]
     # the fit's outer steps and whether it met its tolerance within ``max_iters``
-    iterations: Optional[int] = None
-    converged: Optional[bool] = None
+    iterations: int
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -137,33 +130,27 @@ def run_ensemble(train_data: Rows, val_data: Rows, cfg: EnsembleConfig) -> List[
 
     Each run fits its own standardization on its own training subsample
     (validation data never leaks into the scaling).  Runs cycle through the
-    penalty grid fastest, so ``n_runs = len(grid) * n_seeds`` covers every
-    (grid point, subsample) pair.  A failed run aborts the ensemble with the
-    run id attached.
+    penalty grid fastest, so ``n_runs = len(grid) * n_draws`` covers every
+    (grid point, subsample draw) pair.  A failed run aborts the ensemble
+    with the run id attached.
     """
     train_data = FeatureMatrix.from_rows(train_data)
     val_data = FeatureMatrix.from_rows(val_data)
     grid = cfg.lambda_grid or default_lambda_grid(train_data, cfg.alpha)
-    if not cfg.vary.lambda_grid:
-        grid = grid[:1]
 
     results: List[EnsembleRunResult] = []
     for run_id in range(cfg.n_runs):
-        lam_idx = run_id % len(grid)
-        seed_idx = (run_id // len(grid)) if cfg.vary.seed else 0
-        run_seed = derive_seed(cfg.seed, "ensemble-run", seed_idx)
+        lam = grid[run_id % len(grid)]
         try:
-            subset = train_data
-            if cfg.vary.subsample:
-                rng = derive_rng(cfg.seed, "ensemble-subsample", seed_idx)
-                subset = _stratified_subsample(subset, cfg.subsample_fraction, rng)
+            rng = derive_rng(cfg.seed, "ensemble-subsample", run_id // len(grid))
+            subset = _stratified_subsample(train_data, cfg.subsample_fraction, rng)
             params = standardize_fit(subset)
             strain = standardize_apply(subset, params)
             sval = standardize_apply(val_data, params)
             model = train(
                 strain,
-                PenaltyConfig(alpha=cfg.alpha, lam=grid[lam_idx]),
-                TrainOptions(max_iters=cfg.max_iters, tol=cfg.tol, seed=run_seed),
+                PenaltyConfig(alpha=cfg.alpha, lam=lam),
+                TrainOptions(max_iters=cfg.max_iters, tol=cfg.tol),
             )
             preds = classify(model, sval)
             val_score = mcc(confusion(val_data.labels, preds))
@@ -174,12 +161,7 @@ def run_ensemble(train_data: Rows, val_data: Rows, cfg: EnsembleConfig) -> List[
                 run_id=run_id,
                 weights=dict(model.weights),
                 val_mcc=val_score,
-                config_used={
-                    "lambda": grid[lam_idx],
-                    "seed": run_seed,
-                    "subsample": cfg.vary.subsample,
-                    "n_train": len(subset),
-                },
+                config_used={"lambda": lam, "n_train": len(subset)},
                 iterations=model.training_meta["iterations"],
                 converged=model.training_meta["converged"],
             )

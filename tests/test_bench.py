@@ -7,6 +7,7 @@ import pytest
 
 from quakebox import bench
 from quakebox.errors import (
+    ConfigError,
     DegenerateInput,
     FormatError,
     IngestError,
@@ -144,18 +145,27 @@ class TestSweep:
         pool = [make_vector(f"n{i}", "noise", f=-1.0 - 0.01 * i) for i in range(600)]
         return positives, pool
 
-    def test_row_per_ratio(self):
-        positives, pool = self.setup_case()
+    def artifact(self):
         from quakebox.features import StandardizationParams
 
-        model = LinearModel(bias=0.0, weights={"f": 5.0})
-        artifact = ModelArtifact(
-            model=model,
+        return ModelArtifact(
+            model=LinearModel(bias=0.0, weights={"f": 5.0}),
             standardization=StandardizationParams(means={"f": 0.0}, stds={"f": 1.0}),
         )
-        table = bench.sweep({"lr": artifact}, positives, pool, bench.RatioSpec(seed=1))
+
+    def test_row_per_ratio(self):
+        positives, pool = self.setup_case()
+        table = bench.sweep({"lr": self.artifact()}, positives, pool, bench.RatioSpec(seed=1))
         assert len(table.ratios) == 5
         assert table.mcc_row("lr") == [pytest.approx(1.0)] * 5
+
+    def test_source_named_by_a_model_and_a_prediction_file_refused(self):
+        # the file's predictions would replace the model's under the one name
+        positives, pool = self.setup_case()
+        preds = {v.trace_id: "noise" for v in positives + pool}
+        with pytest.raises(ConfigError, match=r"^external_preds.lr: names a source already in models$"):
+            bench.sweep({"lr": self.artifact()}, positives, pool, bench.RatioSpec(seed=1),
+                        external_preds={"lr": preds})
 
     def test_all_noise_predictor_scores_zero_everywhere(self):
         positives, pool = self.setup_case()

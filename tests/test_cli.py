@@ -418,6 +418,18 @@ def _malformed_cases():
         _case("eval-missing-model", "eval",
               lambda d: {"input": d(m), "models": {"a": d("absent.json")}, "output": d("o.json")},
               {m: MATRIX}, "absent.json: No such file or directory"),
+        *(
+            # a source named twice is refused before any file is opened
+            _case(f"{command}-source-in-models-and-predictions", command,
+                  lambda d, c=config: {**c(d), "models": {"x": d("absent.json")},
+                                       "predictions": {"x": d("absent.tsv")}, "output": d("o.json")},
+                  {}, "error: predictions.x: names a source already in models\n")
+            for command, config in (
+                ("eval", lambda d: {"input": d("absent.tsv")}),
+                ("sweep", lambda d: {"positives_input": d("absent.tsv"),
+                                     "noise_pool_input": d("absent.tsv")}),
+            )
+        ),
         _case("extract-missing-waveforms", "extract",
               lambda d: {"input": d("absent.jsonl"), "output": d("o.tsv")}, {},
               "absent.jsonl: No such file or directory"),
@@ -436,6 +448,10 @@ def _malformed_cases():
                 ("repeated", ["W1", "W2", "W1"], "features[2]: W1 repeats features[0]"),
             )
         ),
+        # an unregistered code is refused while the config is read, before the input is opened
+        _case("extract-features-unregistered", "extract",
+              lambda d: {"input": d("absent.jsonl"), "output": d("o.tsv"), "features": ["W1", "W99"]},
+              {}, "error: features[1]: W99 is not a registered feature code\n"),
         _case("unknown-top-level", "train",
               lambda d: {"input": d(m), "output": d("o.json"), "treshold": 0.4}, {m: MATRIX},
               "error: treshold: unknown field\n"),
@@ -446,7 +462,7 @@ def _malformed_cases():
             for id, command, config, message in (
                 ("model-lamda", "train", {"model": {"lamda": 5.0}}, "model.lamda: unknown field"),
                 ("ensemble-vary", "select", {"ensemble": {"vary": {"lambda": False}}},
-                 "ensemble.vary.lambda: unknown field"),
+                 "ensemble.vary: unknown field"),
                 ("synthetic-seed", "synth", {"synthetic": {"seed": 3}}, "synthetic.seed: unknown field"),
                 ("optimizer-seed", "train", {"optimizer": {"seed": 3}}, "optimizer.seed: unknown field"),
                 ("ensemble-seed", "select", {"ensemble": {"seed": 3}}, "ensemble.seed: unknown field"),
@@ -480,10 +496,11 @@ def _malformed_cases():
                  "model.alpha: expected float, got str"),
                 ("ensemble-alpha", "select", {"ensemble": {"alpha": "high"}},
                  "ensemble.alpha: expected float, got str"),
+                # the ensemble has no variation switches: a ``vary`` section names no field
                 ("ensemble-vary-seed", "select", {"ensemble": {"vary": {"seed": 1}}},
-                 "ensemble.vary.seed: expected bool, got int"),
+                 "ensemble.vary: unknown field"),
                 ("ensemble-vary-not-object", "select", {"ensemble": {"vary": 3}},
-                 "ensemble.vary: expected dict, got int"),
+                 "ensemble.vary: unknown field"),
                 ("synthetic-n-events", "synth", {"synthetic": {"n_events": 2.5}},
                  "synthetic.n_events: expected int, got float"),
                 ("preprocess-window-len", "extract", {"preprocess": {"window_len": "512"}},

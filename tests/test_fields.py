@@ -8,7 +8,7 @@ from quakebox import fields
 from quakebox.bench import RatioSpec, SplitSpec, SyntheticSpec
 from quakebox.errors import ConfigError, FormatError
 from quakebox.model import PenaltyConfig, TrainOptions
-from quakebox.selection import EnsembleConfig, SelectionRule, VariationFlags
+from quakebox.selection import EnsembleConfig, SelectionRule
 from quakebox.waveform import PreprocessConfig
 
 
@@ -112,9 +112,8 @@ class TestSpec:
         (SplitSpec, "", {"seed": 5}),
         (PreprocessConfig, "preprocess", {}),
         (PenaltyConfig, "model", {}),
-        (TrainOptions, "optimizer", {"seed": 5}),
+        (TrainOptions, "optimizer", {}),
         (EnsembleConfig, "ensemble", {"seed": 5}),
-        (VariationFlags, "ensemble.vary", {}),
         (SelectionRule, "rule", {}),
         (RatioSpec, "", {"seed": 5}),
     ])
@@ -143,14 +142,10 @@ class TestSpec:
         with pytest.raises(ConfigError, match=r"^ensemble.lambda_grid\[1\]: must be finite, got inf$"):
             spec(EnsembleConfig, {"ensemble": {"lambda_grid": [0.1, math.inf]}}, "ensemble", seed=0)
 
-    def test_nested_dataclass_is_a_section(self):
-        doc = {"ensemble": {"n_runs": 4, "vary": {"subsample": False}}}
-        made = spec(EnsembleConfig, doc, "ensemble", seed=2)
-        assert made == EnsembleConfig(n_runs=4, vary=VariationFlags(subsample=False), seed=2)
-        with pytest.raises(ConfigError, match=r"^ensemble.vary.seed: expected bool, got int$"):
-            spec(EnsembleConfig, {"ensemble": {"vary": {"seed": 1}}}, "ensemble", seed=2)
-        with pytest.raises(ConfigError, match=r"^ensemble.vary.lambda: unknown field$"):
-            spec(EnsembleConfig, {"ensemble": {"vary": {"lambda": True}}}, "ensemble", seed=2)
+    def test_ensemble_has_no_vary_section(self):
+        for vary in ({"subsample": False}, {"seed": 1}, 3):
+            with pytest.raises(ConfigError, match=r"^ensemble.vary: unknown field$"):
+                spec(EnsembleConfig, {"ensemble": {"n_runs": 4, "vary": vary}}, "ensemble", seed=2)
 
     def test_metadata_json_name(self):
         assert spec(PenaltyConfig, {"model": {"lambda": 0.25}}, "model").lam == 0.25
@@ -163,8 +158,10 @@ class TestSpec:
         (SyntheticSpec, "synthetic"), (TrainOptions, "optimizer"), (EnsembleConfig, "ensemble"),
     ])
     def test_the_commands_seed_is_not_readable(self, cls, section):
+        # the trainer takes no seed at all; the others take the command's
+        fixed = {} if cls is TrainOptions else {"seed": 5}
         with pytest.raises(ConfigError, match=rf"^{section}.seed: unknown field$"):
-            spec(cls, {section: {"seed": 3}}, section, seed=5)
+            spec(cls, {section: {"seed": 3}}, section, **fixed)
 
     def test_unknown_key_is_reported_after_the_field_errors(self):
         for doc, message in (
@@ -178,7 +175,7 @@ class TestSpec:
     def test_dataclass_check_is_reported_under_the_section(self):
         # a ValueError
         with pytest.raises(ConfigError, match=r"^optimizer: max_iters must be at least 1, got 0$"):
-            spec(TrainOptions, {"optimizer": {"max_iters": 0}}, "optimizer", seed=0)
+            spec(TrainOptions, {"optimizer": {"max_iters": 0}}, "optimizer")
         # a QuakeboxError (InvalidBand)
         with pytest.raises(ConfigError, match=r"^preprocess: band must satisfy 0 < low < high"):
             spec(PreprocessConfig, {"preprocess": {"band_low_hz": 30.0}}, "preprocess")

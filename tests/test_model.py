@@ -278,7 +278,7 @@ class TestTrain:
     def test_deterministic_bit_identical(self):
         data, _ = standardized_planted(n=120, seed=6)
         cfg = PenaltyConfig(alpha=0.9, lam=0.01)
-        opt = TrainOptions(max_iters=200, tol=1e-8, seed=3)
+        opt = TrainOptions(max_iters=200, tol=1e-8)
         m1 = train(data, cfg, opt)
         m2 = train(data, cfg, opt)
         assert m1.bias == m2.bias

@@ -5,13 +5,16 @@ import re
 
 import pytest
 
+import quakebox.selection
 from quakebox.bench import generate_planted_features
 from quakebox.errors import DegenerateInput, FormatError
+from quakebox.features import FeatureMatrix, standardize_apply, standardize_fit
+from quakebox.metrics import confusion, mcc
+from quakebox.model import PenaltyConfig, TrainOptions, classify, train
 from quakebox.selection import (
     EnsembleConfig,
     EnsembleRunResult,
     SelectionRule,
-    VariationFlags,
     best_models,
     discover_features,
     load_selection_report,
@@ -29,7 +32,8 @@ def planted_split(n=300, seed=0, **kw):
 
 
 def result(run_id, val_mcc, **weights):
-    return EnsembleRunResult(run_id=run_id, weights=weights, val_mcc=val_mcc, config_used={})
+    return EnsembleRunResult(run_id=run_id, weights=weights, val_mcc=val_mcc, config_used={},
+                             iterations=1, converged=True)
 
 
 class TestRunEnsemble:
@@ -40,21 +44,42 @@ class TestRunEnsemble:
         assert out[0].run_id == 0
         assert -1.0 <= out[0].val_mcc <= 1.0
 
-    def test_seed_only_variation_is_a_tie_of_identical_models(self):
-        # deterministic convex fits ignore the run seed: every run must agree
+    def test_full_fraction_runs_equal_a_direct_train(self):
+        # at subsample_fraction 1.0 every run fits the whole training set at its grid point
         train_v, val_v, _ = planted_split(seed=2)
-        cfg = EnsembleConfig(
-            n_runs=12,
-            vary=VariationFlags(seed=True, lambda_grid=False, subsample=False),
-            lambda_grid=(0.02,),
-            seed=5,
-        )
+        grid = (0.05, 0.02)
+        cfg = EnsembleConfig(n_runs=6, lambda_grid=grid, subsample_fraction=1.0, seed=5)
         out = run_ensemble(train_v, val_v, cfg)
-        assert len(out) == 12
-        reference = out[0].weights
-        for r in out[1:]:
-            assert r.weights == reference
-        assert len(best_models(out)) == 12
+        matrix = FeatureMatrix.from_rows(train_v)
+        params = standardize_fit(matrix)
+        strain, sval = standardize_apply(matrix, params), standardize_apply(val_v, params)
+        for r in out:
+            lam = grid[r.run_id % len(grid)]
+            direct = train(strain, PenaltyConfig(alpha=cfg.alpha, lam=lam),
+                           TrainOptions(max_iters=cfg.max_iters, tol=cfg.tol))
+            assert r.config_used == {"lambda": lam, "n_train": len(matrix)}
+            assert r.weights == direct.weights
+            assert r.val_mcc == mcc(confusion(sval.labels, classify(direct, sval)))
+            assert r.iterations == direct.training_meta["iterations"]
+            assert r.converged == direct.training_meta["converged"]
+
+    def test_each_pass_over_the_grid_draws_a_new_subsample(self, monkeypatch):
+        seen = []
+
+        def recording_train(data, *args):
+            seen.append(data.trace_ids)
+            return train(data, *args)
+
+        monkeypatch.setattr(quakebox.selection, "train", recording_train)
+        train_v, val_v, _ = planted_split(seed=4)
+        grid = (0.05, 0.02, 0.01)
+        out = run_ensemble(train_v, val_v, EnsembleConfig(n_runs=9, lambda_grid=grid, seed=3))
+        assert len(seen) == 9
+        for r in range(len(out)):
+            assert seen[r] == seen[r - r % len(grid)]  # one draw serves a whole pass
+        for r in range(len(out) - len(grid)):
+            assert seen[r] != seen[r + len(grid)]
+            assert out[r].weights != out[r + len(grid)].weights
 
     def test_varied_runs_differ(self):
         train_v, val_v, _ = planted_split(seed=3)
@@ -77,8 +102,7 @@ class TestRunEnsemble:
         train_v = [make_vector(f"t{i}", "event" if i % 2 else "noise", f=1.0)
                    for i in range(20)]
         val_v = [make_vector("v0", "event", f=1.0)]
-        cfg = EnsembleConfig(n_runs=3, vary=VariationFlags(subsample=False),
-                             lambda_grid=(0.1,), seed=1)
+        cfg = EnsembleConfig(n_runs=3, subsample_fraction=1.0, lambda_grid=(0.1,), seed=1)
         with pytest.raises(ZeroVariance, match="ensemble run 0"):
             run_ensemble(train_v, val_v, cfg)
 
