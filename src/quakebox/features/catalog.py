@@ -1,6 +1,8 @@
 """The 22 canonical time-series features.
 
-Each function maps a 1-D float array to one scalar.  The canonical values
+Each function maps a 1-D float array to one scalar, except the two
+fluctuation-scaling features (C19, C20), which map a (traces x samples)
+block to one value per row.  The canonical values
 are defined on standardized input: the registry z-scores a series (sample
 standard deviation, ddof=1) before dispatching to any function in this
 module, which also makes every one of them invariant to affine transforms
@@ -470,8 +472,9 @@ def spectral_centroid_welch(y: np.ndarray) -> float:
 # scaling / fluctuation analysis
 
 
-def _fluctuation_split_fraction(y: np.ndarray, lag: int, mode: str) -> float:
-    """Self-similarity breakpoint of detrended fluctuations in log-log scale.
+def _fluctuation_split_fraction(block: np.ndarray, lag: int, mode: str) -> np.ndarray:
+    """Self-similarity breakpoint of detrended fluctuations in log-log scale,
+    for every row of a (traces x samples) block.
 
     The lagged cumulative sum is cut into windows of 50 log-spaced sizes
     (5 .. n/2, deduplicated); per size, windows are linearly detrended and a
@@ -480,30 +483,35 @@ def _fluctuation_split_fraction(y: np.ndarray, lag: int, mode: str) -> float:
     split point with at least 6 sizes per side; the statistic is the
     fraction of sizes in the first segment at the split minimizing the
     summed residual norms.  Fewer than 12 distinct sizes score 0.
+
+    Every row has the same window sizes, so each size is one reshape of the
+    whole block's windows into (traces * windows, size) rows.  Every sum runs
+    along one row of one array, which makes a row's value independent of the
+    other rows in its block; a BLAS matrix-vector product would not, as it
+    may sum a row differently depending on the row's position.
     """
-    n = y.size
+    n_rows, n = block.shape
     grid = np.exp(np.linspace(np.log(5.0), np.log(n // 2), 50))
     sizes = np.unique(np.round(grid).astype(np.int64))
     if sizes.size < 12:
-        return 0.0
-    cs = np.cumsum(y[::lag])
-    fluct = np.empty(sizes.size)
+        return np.zeros(n_rows)
+    cs = np.cumsum(block[:, ::lag], axis=1)
+    fluct = np.empty((n_rows, sizes.size))
     for i, tau in enumerate(sizes):
-        nwin = cs.size // tau
-        seg = cs[: nwin * tau].reshape(nwin, tau)
+        nwin = cs.shape[1] // tau
+        seg = cs[:, : nwin * tau].reshape(n_rows * nwin, tau)
         x = np.arange(1, tau + 1, dtype=float)
         xc = x - x.mean()
-        denom = xc @ xc
-        slope = (seg @ xc) / denom
+        slope = (seg * xc).sum(axis=1) / (xc @ xc)
         intercept = seg.mean(axis=1) - slope * x.mean()
         resid = seg - (slope[:, None] * x[None, :] + intercept[:, None])
         if mode == "dfa":
-            fluct[i] = np.sqrt((resid**2).sum() / (nwin * tau))
+            fluct[:, i] = np.sqrt((resid**2).reshape(n_rows, -1).sum(axis=1) / (nwin * tau))
         else:
             ranges = resid.max(axis=1) - resid.min(axis=1)
-            fluct[i] = np.sqrt((ranges**2).sum() / nwin)
+            fluct[:, i] = np.sqrt((ranges**2).reshape(n_rows, nwin).sum(axis=1) / nwin)
     log_t = np.log(sizes.astype(float))
-    log_f = np.log(fluct)
+    log_f = np.log(fluct)[:, None, :]
     ntt = sizes.size
     min_points = 6
     splits = np.arange(min_points, ntt - min_points + 1)[:, None]
@@ -511,26 +519,27 @@ def _fluctuation_split_fraction(y: np.ndarray, lag: int, mode: str) -> float:
     err = _masked_line_residual_norm(log_t, log_f, i < splits) + _masked_line_residual_norm(
         log_t, log_f, i >= splits - 1
     )
-    return int(splits[np.argmin(err), 0]) / ntt
+    return splits[np.argmin(err, axis=1), 0] / ntt
 
 
 def _masked_line_residual_norm(x: np.ndarray, y: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per row of ``mask``: residual norm of the least-squares line through
-    the points (x, y) that the row selects."""
-    count = mask.sum(axis=1, keepdims=True)
-    xm = np.where(mask, x, 0.0).sum(axis=1, keepdims=True) / count
-    ym = np.where(mask, y, 0.0).sum(axis=1, keepdims=True) / count
+    the points (x, y) that the row selects; ``y`` may stack several series
+    on leading axes, and the result then has one row of norms per series."""
+    count = mask.sum(axis=-1, keepdims=True)
+    xm = np.where(mask, x, 0.0).sum(axis=-1, keepdims=True) / count
+    ym = np.where(mask, y, 0.0).sum(axis=-1, keepdims=True) / count
     dx = np.where(mask, x - xm, 0.0)
-    slope = (dx * (y - ym)).sum(axis=1, keepdims=True) / (dx * dx).sum(axis=1, keepdims=True)
+    slope = (dx * (y - ym)).sum(axis=-1, keepdims=True) / (dx * dx).sum(axis=-1, keepdims=True)
     resid = np.where(mask, slope * x + (ym - slope * xm) - y, 0.0)
-    return np.sqrt((resid * resid).sum(axis=1))
+    return np.sqrt((resid * resid).sum(axis=-1))
 
 
-def dfa_scaling_split(y: np.ndarray) -> float:
-    """Fluctuation-scaling breakpoint for DFA at decimation lag 2."""
-    return _fluctuation_split_fraction(np.asarray(y, dtype=float), 2, "dfa")
+def dfa_scaling_split(block: np.ndarray) -> np.ndarray:
+    """Fluctuation-scaling breakpoint for DFA at decimation lag 2, per row."""
+    return _fluctuation_split_fraction(np.asarray(block, dtype=float), 2, "dfa")
 
 
-def range_fit_scaling_split(y: np.ndarray) -> float:
-    """Fluctuation-scaling breakpoint for rescaled-range fits at lag 1."""
-    return _fluctuation_split_fraction(np.asarray(y, dtype=float), 1, "rsrangefit")
+def range_fit_scaling_split(block: np.ndarray) -> np.ndarray:
+    """Fluctuation-scaling breakpoint for rescaled-range fits at lag 1, per row."""
+    return _fluctuation_split_fraction(np.asarray(block, dtype=float), 1, "rsrangefit")

@@ -22,15 +22,17 @@ from . import catalog, surrogates
 class FeatureDef:
     """One registered feature.
 
-    ``standardize_input`` marks features defined on z-scored series (sample
-    std, ddof=1); the registry applies the transform before dispatch.
+    ``func`` maps a (traces x samples) block to one value per row; a
+    one-series kernel is lifted with :func:`per_row`.  ``standardize_input``
+    marks features defined on z-scored series (sample std, ddof=1); the
+    registry applies the transform before dispatch.
     ``affine_invariant`` declares whether the value is unchanged under
     x -> a*x + b with a > 0, which the property suite asserts.
     """
 
     code: str
     name: str
-    func: Callable[[np.ndarray], float]
+    func: Callable[[np.ndarray], np.ndarray]
     min_length: int
     standardize_input: bool
     affine_invariant: bool
@@ -76,79 +78,119 @@ class FeatureRegistry:
     def extract_values(self, codes: Sequence[str], samples: np.ndarray) -> dict[str, float]:
         """Compute several features on one series, in the order given.
 
-        Rejects series shorter than a feature's documented minimum or with
-        zero variance (standardization would be undefined), and refuses to
-        return non-finite values.  The variance check and the z-score are
-        done once for all codes; the z-scored series is read-only because
-        every standardized feature shares it.
+        The series is a block of one (see :meth:`extract_block`); its
+        failure is raised as :class:`DegenerateSeries`.
+        """
+        values, failures = self.extract_block(codes, np.asarray(samples, dtype=float)[None])
+        if failures:
+            raise DegenerateSeries(failures[0])
+        return dict(zip(codes, values[0].tolist()))
+
+    def extract_block(self, codes: Sequence[str], block: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+        """Compute several features on every row of a (traces x samples) block.
+
+        Returns the (traces x codes) values and, for each row that failed,
+        its first failure in code order: a series shorter than a feature's
+        documented minimum, one with zero variance (standardization would be
+        undefined), or a non-finite value.  A failed row holds NaN from its
+        failing code on and is not passed to later codes, so its message is
+        the one the row alone would give.  The variance check and the
+        z-score are done once for the whole block; the z-scored block is
+        read-only because every standardized feature shares it.  Each
+        feature's kernel receives the rows still standing as one block.
         """
         defs = [self.get(code) for code in codes]
-        x = np.asarray(samples, dtype=float)
+        x = np.asarray(block, dtype=float)
+        n_rows = len(x)
+        values = np.full((n_rows, len(defs)), np.nan)
+        failures: dict[int, str] = {}
+        alive = np.arange(n_rows)
         z = None
-        values: dict[str, float] = {}
-        for d in defs:
-            if x.ndim != 1 or x.size < d.min_length:
-                raise DegenerateSeries(
-                    f"{d.code} needs a 1-D series of at least {d.min_length} samples, got {x.shape}"
-                )
+        for j, d in enumerate(defs):
+            if not alive.size:
+                break
+            if x.ndim != 2 or x.shape[1] < d.min_length:
+                message = f"{d.code} needs a 1-D series of at least {d.min_length} samples, got {x.shape[1:]}"
+                failures.update((int(r), message) for r in alive)
+                break
             if z is None:
-                sd = x.std(ddof=1)
-                if not sd > 0:
-                    raise DegenerateSeries(f"{d.code} is undefined on a constant series")
-                z = (x - x.mean()) / sd
+                n = x.shape[1]
+                # x.std(ddof=1) and x - x.mean() of each row, in numpy's own
+                # order of operations, sharing the deviations between them
+                dev = x - x.sum(axis=1, keepdims=True) / n
+                sd = np.sqrt((dev * dev).sum(axis=1) / (n - 1))
+                constant = ~(sd > 0)
+                if constant.any():
+                    message = f"{d.code} is undefined on a constant series"
+                    failures.update((int(r), message) for r in np.flatnonzero(constant))
+                    alive = np.flatnonzero(~constant)
+                    sd[constant] = 1.0
+                z = dev / sd[:, None]
                 z.flags.writeable = False
-            value = float(d.func(z if d.standardize_input else x))
-            if not np.isfinite(value):
-                raise DegenerateSeries(f"{d.code} produced a non-finite value")
-            values[d.code] = value
-        return values
+            source = z if d.standardize_input else x
+            column = d.func(source if alive.size == n_rows else source[alive])
+            finite = np.isfinite(column)
+            if np.count_nonzero(finite) < finite.size:
+                failures.update((int(r), f"{d.code} produced a non-finite value") for r in alive[~finite])
+                alive, column = alive[finite], column[finite]
+            values[alive, j] = column
+        return values, failures
+
+
+def per_row(kernel: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """The block kernel that applies a one-series ``kernel`` to each row."""
+
+    def block_kernel(block: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(kernel, block), float, len(block))
+
+    return block_kernel
 
 
 def _canonical_defs() -> list[FeatureDef]:
     entries = [
-        ("C1", "DN_HistogramMode_5", catalog.histogram_mode_5, 10,
+        ("C1", "DN_HistogramMode_5", per_row(catalog.histogram_mode_5), 10,
          "5-bin histogram mode of the standardized distribution"),
-        ("C2", "DN_HistogramMode_10", catalog.histogram_mode_10, 10,
+        ("C2", "DN_HistogramMode_10", per_row(catalog.histogram_mode_10), 10,
          "10-bin histogram mode of the standardized distribution"),
-        ("C3", "CO_f1ecac", catalog.acf_first_1e_crossing, 10,
+        ("C3", "CO_f1ecac", per_row(catalog.acf_first_1e_crossing), 10,
          "first 1/e crossing of the autocorrelation function"),
-        ("C4", "CO_FirstMin_ac", catalog.acf_first_minimum, 10,
+        ("C4", "CO_FirstMin_ac", per_row(catalog.acf_first_minimum), 10,
          "first local minimum of the autocorrelation function"),
-        ("C5", "CO_HistogramAMI_even_2_5", catalog.histogram_ami_even_2_5, 10,
+        ("C5", "CO_HistogramAMI_even_2_5", per_row(catalog.histogram_ami_even_2_5), 10,
          "automutual information at lag 2, 5 even bins"),
-        ("C6", "CO_trev_1_num", catalog.time_reversal_asymmetry, 4,
+        ("C6", "CO_trev_1_num", per_row(catalog.time_reversal_asymmetry), 4,
          "time-reversibility: mean cubed successive difference"),
-        ("C7", "MD_hrv_classic_pnn40", catalog.high_delta_fraction, 4,
+        ("C7", "MD_hrv_classic_pnn40", per_row(catalog.high_delta_fraction), 4,
          "fraction of successive differences exceeding 0.04"),
-        ("C8", "SB_BinaryStats_mean_longstretch1", catalog.longest_stretch_above_mean, 10,
+        ("C8", "SB_BinaryStats_mean_longstretch1", per_row(catalog.longest_stretch_above_mean), 10,
          "longest run above the mean"),
-        ("C9", "SB_TransitionMatrix_3ac_sumdiagcov", catalog.transition_matrix_trace_cov, 20,
+        ("C9", "SB_TransitionMatrix_3ac_sumdiagcov", per_row(catalog.transition_matrix_trace_cov), 20,
          "trace of covariance of the 3-symbol transition matrix"),
-        ("C10", "PD_PeriodicityWang_th0_01", catalog.periodicity_wang, 20,
+        ("C10", "PD_PeriodicityWang_th0_01", per_row(catalog.periodicity_wang), 20,
          "first significant autocorrelation peak after spline detrending"),
-        ("C11", "CO_Embed2_Dist_tau_d_expfit_meandiff", catalog.embedding_distance_expfit_diff, 20,
+        ("C11", "CO_Embed2_Dist_tau_d_expfit_meandiff", per_row(catalog.embedding_distance_expfit_diff), 20,
          "exponential-fit mismatch of embedding distance distribution"),
-        ("C12", "IN_AutoMutualInfoStats_40_gaussian_fmmi", catalog.ami_gaussian_first_minimum, 10,
+        ("C12", "IN_AutoMutualInfoStats_40_gaussian_fmmi", per_row(catalog.ami_gaussian_first_minimum), 10,
          "first minimum of Gaussian automutual information"),
-        ("C13", "FC_LocalSimple_mean1_tauresrat", catalog.forecast_mean1_decorrelation_ratio, 10,
+        ("C13", "FC_LocalSimple_mean1_tauresrat", per_row(catalog.forecast_mean1_decorrelation_ratio), 10,
          "decorrelation-lag ratio after lag-1 mean forecasting"),
-        ("C14", "DN_OutlierInclude_p_001_mdrmd", catalog.outlier_timing_positive, 10,
+        ("C14", "DN_OutlierInclude_p_001_mdrmd", per_row(catalog.outlier_timing_positive), 10,
          "median timing of positive deviations across thresholds"),
-        ("C15", "DN_OutlierInclude_n_001_mdrmd", catalog.outlier_timing_negative, 10,
+        ("C15", "DN_OutlierInclude_n_001_mdrmd", per_row(catalog.outlier_timing_negative), 10,
          "median timing of negative deviations across thresholds"),
-        ("C16", "SP_Summaries_welch_rect_area_5_1", catalog.spectral_power_lowest_fifth, 16,
+        ("C16", "SP_Summaries_welch_rect_area_5_1", per_row(catalog.spectral_power_lowest_fifth), 16,
          "spectral power in the lowest fifth of frequencies"),
-        ("C17", "SB_BinaryStats_diff_longstretch0", catalog.longest_stretch_decreasing, 10,
+        ("C17", "SB_BinaryStats_diff_longstretch0", per_row(catalog.longest_stretch_decreasing), 10,
          "longest run of successive decreases"),
-        ("C18", "SB_MotifThree_quantile_hh", catalog.motif_three_pair_entropy, 10,
+        ("C18", "SB_MotifThree_quantile_hh", per_row(catalog.motif_three_pair_entropy), 10,
          "entropy of consecutive pairs in a 3-letter quantile alphabet"),
         ("C19", "SC_FluctAnal_2_dfa_50_1_2_logi_prop_r1", catalog.dfa_scaling_split, 16,
          "DFA fluctuation-scaling breakpoint fraction"),
         ("C20", "SC_FluctAnal_2_rsrangefit_50_1_logi_prop_r1", catalog.range_fit_scaling_split, 16,
          "rescaled-range fluctuation-scaling breakpoint fraction"),
-        ("C21", "SP_Summaries_welch_rect_centroid", catalog.spectral_centroid_welch, 16,
+        ("C21", "SP_Summaries_welch_rect_centroid", per_row(catalog.spectral_centroid_welch), 16,
          "median-power angular frequency of the spectrum"),
-        ("C22", "FC_LocalSimple_mean3_stderr", catalog.forecast_mean3_residual_spread, 8,
+        ("C22", "FC_LocalSimple_mean3_stderr", per_row(catalog.forecast_mean3_residual_spread), 8,
          "spread of rolling 3-sample-mean forecast errors"),
     ]
     return [
@@ -167,16 +209,16 @@ def _canonical_defs() -> list[FeatureDef]:
 
 def _surrogate_defs() -> list[FeatureDef]:
     return [
-        FeatureDef("W1", "trace_rms", surrogates.root_mean_square, 4,
+        FeatureDef("W1", "trace_rms", per_row(surrogates.root_mean_square), 4,
                    standardize_input=False, affine_invariant=False,
                    description="RMS amplitude (surrogate for prior-model feature 1)"),
-        FeatureDef("W2", "dominant_frequency", surrogates.dominant_frequency, 8,
+        FeatureDef("W2", "dominant_frequency", per_row(surrogates.dominant_frequency), 8,
                    standardize_input=False, affine_invariant=True,
                    description="dominant frequency in cycles/sample (surrogate 2)"),
-        FeatureDef("W3", "spectral_centroid", surrogates.spectral_centroid, 8,
+        FeatureDef("W3", "spectral_centroid", per_row(surrogates.spectral_centroid), 8,
                    standardize_input=False, affine_invariant=True,
                    description="spectral centroid in cycles/sample (surrogate 3)"),
-        FeatureDef("W4", "short_long_energy_ratio", surrogates.short_long_energy_ratio, 10,
+        FeatureDef("W4", "short_long_energy_ratio", per_row(surrogates.short_long_energy_ratio), 10,
                    standardize_input=False, affine_invariant=False,
                    description="max short/long window energy ratio (surrogate 4)"),
     ]

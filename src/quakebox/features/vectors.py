@@ -49,6 +49,16 @@ class FeatureVector:
         object.__setattr__(self, "values", clean)
 
 
+def _registry_codes(registry: FeatureRegistry, selected: Sequence[str] | None) -> tuple[str, ...]:
+    """The ``selected`` codes in registry order; ``None`` means the whole registry."""
+    if selected is None:
+        return registry.codes()
+    wanted = set(selected)
+    for code in wanted:
+        registry.get(code)  # UnknownFeature for unregistered codes
+    return tuple(c for c in registry.codes() if c in wanted)
+
+
 def extract_vector(
     record: WaveformRecord,
     registry: FeatureRegistry,
@@ -56,21 +66,21 @@ def extract_vector(
 ) -> FeatureVector:
     """Extract the selected features (registry order) from one record.
 
-    Extraction failures are re-raised with the failing code and trace id
-    attached.  ``selected=None`` means the whole registry.
+    The record is a block of one.  Extraction failures are re-raised with
+    the failing code and trace id attached.  ``selected=None`` means the
+    whole registry.
     """
-    if selected is None:
-        codes = registry.codes()
-    else:
-        wanted = set(selected)
-        for code in wanted:
-            registry.get(code)  # UnknownFeature for unregistered codes
-        codes = tuple(c for c in registry.codes() if c in wanted)
     try:
-        values = registry.extract_values(codes, record.samples)
+        values = registry.extract_values(_registry_codes(registry, selected), record.samples)
     except DegenerateSeries as exc:
         raise DegenerateSeries(f"trace {record.trace_id}: {exc}") from exc
     return FeatureVector(trace_id=record.trace_id, values=values, label=record.label)
+
+
+# rows per block: bounds the memory of the kernels' temporaries (C19/C20's
+# split search holds a few rows x 39 x 50 arrays); a kernel call's fixed
+# cost is already spread thin over a few dozen rows
+_BLOCK_ROWS = 256
 
 
 def extract_matrix(
@@ -78,21 +88,37 @@ def extract_matrix(
     registry: FeatureRegistry,
     selected: Sequence[str] | None = None,
 ) -> List[FeatureVector]:
-    """Extract vectors for many records; all-or-nothing.
+    """Extract vectors for many records, in record order; all-or-nothing.
 
-    Degenerate traces are collected and reported together so a single bad
-    trace cannot silently shrink a dataset.
+    Records of one sample count are stacked into (traces x samples) blocks
+    of up to ``_BLOCK_ROWS`` rows, and each block goes through one
+    :meth:`FeatureRegistry.extract_block` call: one length and variance
+    check, one z-score, and one kernel call per feature.  A trace's values
+    and failure message are those :func:`extract_vector` gives it.
+    Degenerate traces are collected and reported together, in record
+    order, so a single bad trace cannot silently shrink a dataset.
     """
-    vectors: List[FeatureVector] = []
-    failures: List[str] = []
-    for rec in records:
-        try:
-            vectors.append(extract_vector(rec, registry, selected))
-        except DegenerateSeries as exc:
-            failures.append(f"{rec.trace_id} ({exc})")
+    records = list(records)
+    codes = _registry_codes(registry, selected)
+    by_length: dict[int, list[int]] = {}
+    for i, rec in enumerate(records):
+        by_length.setdefault(rec.samples.size, []).append(i)
+    vectors: List[FeatureVector | None] = [None] * len(records)
+    failures: dict[int, str] = {}
+    for group in by_length.values():
+        for start in range(0, len(group), _BLOCK_ROWS):
+            rows = group[start : start + _BLOCK_ROWS]
+            values, failed = registry.extract_block(codes, np.stack([records[i].samples for i in rows]))
+            for k, i in enumerate(rows):
+                rec = records[i]
+                if k in failed:
+                    failures[i] = f"{rec.trace_id} (trace {rec.trace_id}: {failed[k]})"
+                else:
+                    vectors[i] = FeatureVector(rec.trace_id, dict(zip(codes, values[k].tolist())), rec.label)
     if failures:
         raise DegenerateSeries(
-            f"{len(failures)} trace(s) failed feature extraction: " + "; ".join(failures)
+            f"{len(failures)} trace(s) failed feature extraction: "
+            + "; ".join(failures[i] for i in sorted(failures))
         )
     return vectors
 

@@ -131,29 +131,38 @@ def run_ensemble(train_data: Rows, val_data: Rows, cfg: EnsembleConfig) -> List[
     Each run fits its own standardization on its own training subsample
     (validation data never leaks into the scaling).  Runs cycle through the
     penalty grid fastest, so ``n_runs = len(grid) * n_draws`` covers every
-    (grid point, subsample draw) pair.  A failed run aborts the ensemble
-    with the run id attached.
+    (grid point, subsample draw) pair.  A draw that keeps every training row
+    (``subsample_fraction = 1.0``) is the same for every pass, so each
+    penalty is fitted on it once and later passes reuse that fit.  A failed
+    run aborts the ensemble with the run id attached.
     """
     train_data = FeatureMatrix.from_rows(train_data)
     val_data = FeatureMatrix.from_rows(val_data)
     grid = cfg.lambda_grid or default_lambda_grid(train_data, cfg.alpha)
 
     results: List[EnsembleRunResult] = []
+    whole_set_fits: dict[float, tuple] = {}  # lambda -> (model, val_score) on a draw of every row
     for run_id in range(cfg.n_runs):
         lam = grid[run_id % len(grid)]
         try:
             rng = derive_rng(cfg.seed, "ensemble-subsample", run_id // len(grid))
             subset = _stratified_subsample(train_data, cfg.subsample_fraction, rng)
-            params = standardize_fit(subset)
-            strain = standardize_apply(subset, params)
-            sval = standardize_apply(val_data, params)
-            model = train(
-                strain,
-                PenaltyConfig(alpha=cfg.alpha, lam=lam),
-                TrainOptions(max_iters=cfg.max_iters, tol=cfg.tol),
-            )
-            preds = classify(model, sval)
-            val_score = mcc(confusion(val_data.labels, preds))
+            whole = len(subset) == len(train_data)
+            if whole and lam in whole_set_fits:
+                model, val_score = whole_set_fits[lam]
+            else:
+                params = standardize_fit(subset)
+                strain = standardize_apply(subset, params)
+                sval = standardize_apply(val_data, params)
+                model = train(
+                    strain,
+                    PenaltyConfig(alpha=cfg.alpha, lam=lam),
+                    TrainOptions(max_iters=cfg.max_iters, tol=cfg.tol),
+                )
+                preds = classify(model, sval)
+                val_score = mcc(confusion(val_data.labels, preds))
+                if whole:
+                    whole_set_fits[lam] = model, val_score
         except QuakeboxError as exc:
             raise type(exc)(f"ensemble run {run_id}: {exc}") from exc
         results.append(

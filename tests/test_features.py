@@ -18,6 +18,7 @@ from quakebox.errors import (
     ZeroVariance,
 )
 from quakebox.features import (
+    FeatureDef,
     FeatureMatrix,
     FeatureRegistry,
     FeatureVector,
@@ -85,7 +86,12 @@ def _oracle_series(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
 
 class TestArrayKernelsAgainstOracle:
     """The array kernels against the scalar oracle on random series of every
-    length class, from the feature's minimum length up to 1024."""
+    length class, from the feature's minimum length up to 1024.  Each series
+    is also extracted inside blocks: 64 rows of one length, and the mixed
+    lengths (blocks of one and of many) in one ``extract_matrix`` call; a
+    value taken from a block equals the one-series value exactly."""
+
+    KINDS = ("white", "random_walk", "sinusoid", "decaying", "rounded")
 
     @pytest.mark.parametrize("code", ["C10", "C12", "C14", "C15", "C19", "C20"])
     def test_random_series(self, code):
@@ -94,12 +100,28 @@ class TestArrayKernelsAgainstOracle:
         rng = np.random.default_rng(int(code[1:]))
         fixed = {shortest, shortest + 1, 2 * shortest + 3, 97, 256, 513, 1024}
         lengths = sorted(fixed | set(rng.integers(shortest, 1025, size=6).tolist()))
-        for kind in ("white", "random_walk", "sinusoid", "decaying", "rounded"):
+        mixed = []
+        for kind in self.KINDS:
             for n in lengths:
                 x = _oracle_series(kind, n, rng)
                 expected = REFERENCE_FUNCS[code](zscore(x.tolist()))
                 got = registry.extract(code, x)
                 assert got == pytest.approx(expected, rel=1e-6, abs=1e-10), (kind, n)
+                if kind == "white" or n == 97:  # blocks of one, and one block of five
+                    mixed.append((f"{kind}-{n}", x, got))
+        n = int(rng.choice(lengths))
+        block = []
+        for i in range(64):
+            x = _oracle_series(self.KINDS[i % 5], n, rng)
+            block.append((f"block-{i}", x, registry.extract(code, x)))
+        for series in (block, mixed):
+            vectors = extract_matrix([make_record(name, samples=x) for name, x, _ in series],
+                                     registry, (code,))
+            for (name, x, one), vec in zip(series, vectors):
+                assert vec.trace_id == name
+                assert vec.values[code] == one, name
+                expected = REFERENCE_FUNCS[code](zscore(x.tolist()))
+                assert vec.values[code] == pytest.approx(expected, rel=1e-6, abs=1e-10), name
 
 
 class TestRegistry:
@@ -226,6 +248,47 @@ class TestExtractVector:
         with pytest.raises(DegenerateSeries) as err:
             extract_matrix([good, bad1, bad2], canonical_registry(), ("C1",))
         assert "flat1" in str(err.value) and "flat2" in str(err.value)
+        # mixed lengths: each failure keeps its one-trace message, in record order
+        records = [
+            good,
+            make_record("short", samples=rng.standard_normal(12)),
+            make_record("flat", samples=np.full(300, 2.0)),
+            make_record("ok40", samples=rng.standard_normal(40)),
+            make_record("ok2", samples=rng.standard_normal(300)),
+        ]
+        with pytest.raises(DegenerateSeries) as err:
+            extract_matrix(records, canonical_registry(), ("C1", "C19"))
+        assert str(err.value) == (
+            "2 trace(s) failed feature extraction: "
+            "short (trace short: C19 needs a 1-D series of at least 16 samples, got (12,)); "
+            "flat (trace flat: C1 is undefined on a constant series)"
+        )
+
+    def test_non_finite_value_fails_only_its_row(self, rng):
+        seen = []
+
+        def last_positive(block):  # infinite on a row that ends above zero
+            return np.where(block[:, -1] > 0, np.inf, 0.0)
+
+        def count_rows(block):
+            seen.append(len(block))
+            return np.zeros(len(block))
+
+        reg = FeatureRegistry([
+            FeatureDef("X1", "last_positive", last_positive, 4, False, False, "inf when x[-1] > 0"),
+            FeatureDef("X2", "count_rows", count_rows, 4, False, False, "0"),
+        ])
+        records = [make_record(f"t{i}", samples=np.r_[rng.standard_normal(20), end])
+                   for i, end in enumerate((1.0, -1.0, -1.0, 1.0))]
+        with pytest.raises(DegenerateSeries) as err:
+            extract_matrix(records, reg)
+        assert str(err.value) == (
+            "2 trace(s) failed feature extraction: t0 (trace t0: X1 produced a non-finite value); "
+            "t3 (trace t3: X1 produced a non-finite value)"
+        )
+        assert seen == [2]  # later codes see only the rows still standing
+        with pytest.raises(DegenerateSeries, match="^trace t0: X1 produced a non-finite value$"):
+            extract_vector(records[0], reg)
 
     def test_vector_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -44,12 +44,22 @@ class TestRunEnsemble:
         assert out[0].run_id == 0
         assert -1.0 <= out[0].val_mcc <= 1.0
 
-    def test_full_fraction_runs_equal_a_direct_train(self):
-        # at subsample_fraction 1.0 every run fits the whole training set at its grid point
+    def test_full_fraction_runs_equal_a_direct_train(self, monkeypatch):
+        # at subsample_fraction 1.0 every run fits the whole training set at its grid point,
+        # and every pass draws that same set, so each grid point is fitted once
+        calls = []
+
+        def counting_train(*args):
+            calls.append(args[1].lam)
+            return train(*args)
+
+        monkeypatch.setattr(quakebox.selection, "train", counting_train)
         train_v, val_v, _ = planted_split(seed=2)
         grid = (0.05, 0.02)
         cfg = EnsembleConfig(n_runs=6, lambda_grid=grid, subsample_fraction=1.0, seed=5)
         out = run_ensemble(train_v, val_v, cfg)
+        assert calls == list(grid)
+        assert [r.run_id for r in out] == list(range(cfg.n_runs))
         matrix = FeatureMatrix.from_rows(train_v)
         params = standardize_fit(matrix)
         strain, sval = standardize_apply(matrix, params), standardize_apply(val_v, params)
