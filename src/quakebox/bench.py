@@ -29,7 +29,7 @@ from .errors import (
     InsufficientNoise,
     TooFewEvents,
 )
-from .features.vectors import FeatureMatrix, FeatureVector, Rows
+from .features.vectors import FeatureMatrix, FeatureVector
 from .metrics import EvalReport, report
 from .model import ModelArtifact
 from .seeds import derive_rng
@@ -138,7 +138,9 @@ def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def build_ratio_dataset(positives: Rows, noise_pool: Rows, ratio: float, seed: int) -> RatioDataset:
+def build_ratio_dataset(
+    positives: FeatureMatrix, noise_pool: FeatureMatrix, ratio: float, seed: int
+) -> RatioDataset:
     """All positives plus round(ratio * n_pos) noise items, drawn seeded.
 
     Sampling without replacement is a shuffle prefix: the same seed yields
@@ -152,8 +154,7 @@ def build_ratio_dataset(positives: Rows, noise_pool: Rows, ratio: float, seed: i
             f"ratio {ratio} needs {need} noise items, pool has {len(noise_pool)} "
             f"(short {need - len(noise_pool)})"
         )
-    positives = FeatureMatrix.from_rows(positives)
-    noise_pool = FeatureMatrix.from_rows(noise_pool).columns(positives.codes)
+    noise_pool = noise_pool.columns(positives.codes)
     rng = derive_rng(seed, "ratio-noise")
     drawn = noise_pool.take(rng.permutation(len(noise_pool))[:need])
     items = replace(positives, X=np.concatenate([positives.X, drawn.X]),
@@ -187,8 +188,8 @@ class SweepTable:
 
 def sweep(
     models: Mapping[str, ModelArtifact],
-    positives: Rows,
-    noise_pool: Rows,
+    positives: FeatureMatrix,
+    noise_pool: FeatureMatrix,
     spec: RatioSpec,
     external_preds: Mapping[str, Mapping[str, str]] | None = None,
 ) -> SweepTable:
@@ -198,8 +199,6 @@ def sweep(
     only the evaluation set composition changes.  External sources must
     cover every trace id the ladder can draw.
     """
-    positives = FeatureMatrix.from_rows(positives)
-    noise_pool = FeatureMatrix.from_rows(noise_pool)
     if set(positives.labels) != {"event"}:
         raise DegenerateInput("positives must all carry the event label")
     if set(noise_pool.labels) != {"noise"}:
@@ -389,8 +388,8 @@ def generate_planted_features(
     """Feature matrix with a known informative subset, for recovery tests.
 
     All columns are standard normal; the label is the sign of
-    ``strength * sum(+/- x_informative)``.  Rows with |logit| below
-    ``margin`` are resampled, so the classes are separated by a gap and a
+    ``strength * sum(+/- x_informative)``.  A row with |logit| below
+    ``margin`` is resampled, so the classes are separated by a gap and a
     competent fit can score perfectly — which is what lets many differently
     regularized runs tie at the best validation score, as in real discovery
     campaigns.  ``label_noise`` flips that fraction of labels afterwards.

@@ -286,6 +286,10 @@ def cmd_sweep(cfg: dict, master: int, out_dir: str | None) -> None:
     pool, _nrole = read_matrix(pool_source)
     positives = positives.take(positives.is_event)
     pool = pool.take(~pool.is_event)
+    if not positives:
+        raise ConfigError("positives_input", f"{positives_source} holds no event rows")
+    if not pool:
+        raise ConfigError("noise_pool_input", f"{pool_source} holds no noise rows")
     models, predictions = _load_sources(paths, positives.trace_ids + pool.trace_ids)
     table = bench.sweep(models, positives, pool, spec, external_preds=predictions)
     bench.save_sweep(out, table)

@@ -67,18 +67,13 @@ def _histcounts_equal(y: np.ndarray, nbins: int) -> tuple[np.ndarray, np.ndarray
     return counts, edges
 
 
-def _quantile_hazen(y: np.ndarray, q: float) -> float:
-    """Quantile with plotting positions (k + 0.5)/n (linear interpolation)."""
-    return float(np.quantile(y, q, method="hazen"))
-
-
 def _coarse_grain_3(y: np.ndarray) -> np.ndarray:
     """Symbolize into 3 near-equiprobable groups split at the 1/3, 2/3 quantiles.
 
-    Values equal to a split point go to the lower group.
+    The quantiles use plotting positions (k + 0.5)/n with linear
+    interpolation (Hazen).  Values equal to a split point go to the lower group.
     """
-    q1 = _quantile_hazen(y, 1.0 / 3.0)
-    q2 = _quantile_hazen(y, 2.0 / 3.0)
+    q1, q2 = np.quantile(y, [1.0 / 3.0, 2.0 / 3.0], method="hazen")
     return 1 + (y > q1).astype(np.int64) + (y > q2).astype(np.int64)
 
 

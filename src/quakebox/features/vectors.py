@@ -2,11 +2,12 @@
 
 A :class:`FeatureVector` holds one trace's extracted values as an ordered
 code -> value map; rows exist only where one trace is extracted or scored.
-Every collection is a :class:`FeatureMatrix`, and every function that takes
-one also takes a sequence of vectors, which it converts once with
-:meth:`FeatureMatrix.from_rows`.  Standardization parameters are always
-fitted on training data only (sample standard deviation, ddof=1 — the
-repo-wide estimator convention).
+Every collection is a :class:`FeatureMatrix`.  Only :func:`standardize_fit`,
+:func:`standardize_apply` and :func:`write_matrix`, which callers hand the
+vector lists of :func:`extract_matrix`, also take a sequence of vectors; they
+convert it once with :meth:`FeatureMatrix.from_rows`.  Standardization
+parameters are always fitted on training data only (sample standard
+deviation, ddof=1 — the repo-wide estimator convention).
 """
 
 from __future__ import annotations
@@ -288,6 +289,8 @@ def read_matrix(path: str | Path) -> Tuple[FeatureMatrix, str]:
         if header[:2] != ["trace_id", "label"]:
             raise FormatError("header must start with trace_id<TAB>label", line=2)
         codes = tuple(header[2:])
+        if not codes:
+            raise FormatError(f"{path}: header has no feature columns", line=2)
         repeated = sorted({c for c in codes if codes.count(c) > 1})
         if repeated:
             raise FormatError(f"feature code(s) repeated in header: {', '.join(repeated)}", line=2)
@@ -309,6 +312,8 @@ def read_matrix(path: str | Path) -> Tuple[FeatureMatrix, str]:
             trace_ids.append(parts[0])
             labels.append(parts[1])
             linenos.append(lineno)
+    if not trace_ids:
+        raise FormatError(f"{path}: no data rows")
     X = np.array(cells).reshape(len(trace_ids), len(codes))
     try:
         return FeatureMatrix(X, codes, tuple(trace_ids), tuple(labels)), role

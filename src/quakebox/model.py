@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fields
 from .errors import DegenerateLabels, FormatError
-from .features.vectors import FeatureMatrix, FeatureVector, Rows, StandardizationParams, zscore
+from .features.vectors import FeatureMatrix, FeatureVector, StandardizationParams, zscore
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,12 @@ def _labels(probs: np.ndarray, threshold: float) -> list[str]:
     return ["event" if hit else "noise" for hit in (probs >= threshold).tolist()]
 
 
-def predict_proba(model: LinearModel, rows: Rows) -> np.ndarray:
+def predict_proba(model: LinearModel, rows: FeatureMatrix) -> np.ndarray:
     """Event probability for each standardized row, in row order."""
-    return _proba(model, FeatureMatrix.from_rows(rows).columns(model.codes()).X)
+    return _proba(model, rows.columns(model.codes()).X)
 
 
-def classify(model: LinearModel, rows: Rows, threshold: Optional[float] = None) -> list[str]:
+def classify(model: LinearModel, rows: FeatureMatrix, threshold: Optional[float] = None) -> list[str]:
     """Label each standardized row; a probability exactly at threshold counts as event."""
     return _labels(predict_proba(model, rows), model.threshold if threshold is None else threshold)
 
@@ -130,9 +130,9 @@ def _nll(y: np.ndarray, p: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def loss(model: LinearModel, data: Rows, cfg: PenaltyConfig) -> float:
+def loss(model: LinearModel, data: FeatureMatrix, cfg: PenaltyConfig) -> float:
     """Mean negative log-likelihood plus the elastic net penalty."""
-    m = FeatureMatrix.from_rows(data).columns(model.codes())
+    m = data.columns(model.codes())
     w = np.array(list(model.weights.values()))
     return _objective(m.X, m.is_event.astype(float), w, model.bias, cfg)
 
@@ -175,14 +175,14 @@ def _kkt(A: np.ndarray, y: np.ndarray, theta: np.ndarray, l1: np.ndarray, l2: np
     return float(violation.max())
 
 
-def kkt_residual(model: LinearModel, data: Rows, cfg: PenaltyConfig) -> float:
+def kkt_residual(model: LinearModel, data: FeatureMatrix, cfg: PenaltyConfig) -> float:
     """Largest violation of the elastic-net optimality conditions, bias included.
 
     For a coordinate away from zero the penalized gradient must vanish; at
     zero the smooth gradient must lie within the L1 threshold.  An exact
     optimum gives 0.
     """
-    m = FeatureMatrix.from_rows(data).columns(model.codes())
+    m = data.columns(model.codes())
     theta = np.array([model.bias, *model.weights.values()])
     l1, l2 = _penalty_weights(cfg, len(model.weights))
     return _kkt(_with_bias(m.X), m.is_event.astype(float), theta, l1, l2)
@@ -253,7 +253,7 @@ def _quadratic_minimiser(G, c, l1, l2, theta, tol) -> np.ndarray:
 
 
 def train(
-    data: Rows,
+    data: FeatureMatrix,
     cfg: PenaltyConfig,
     opt: TrainOptions = TrainOptions(),
     sweep_callback=None,
@@ -268,8 +268,7 @@ def train(
     ``sweep_callback(objective)`` is invoked once per outer step (used by
     the monotonicity property suite).
     """
-    m = FeatureMatrix.from_rows(data)
-    X, y = m.X, m.is_event.astype(float)
+    X, y = data.X, data.is_event.astype(float)
     if len(set(y.tolist())) < 2:
         raise DegenerateLabels("training data contains a single class")
     n, p = X.shape
@@ -317,21 +316,20 @@ def train(
     }
     return LinearModel(
         bias=float(theta[0]),
-        weights={c: float(v) for c, v in zip(m.codes, theta[1:])},
+        weights={c: float(v) for c, v in zip(data.codes, theta[1:])},
         threshold=0.5,
         training_meta=meta,
     )
 
 
-def lambda_max(data: Rows, alpha: float) -> float:
+def lambda_max(data: FeatureMatrix, alpha: float) -> float:
     """Smallest penalty scale that zeroes every weight (for grid construction).
 
     At the intercept-only optimum the coordinate gradients are
     x_j . (p_bar - y) / n; the L1 threshold kills all of them when
     lambda * alpha exceeds their largest magnitude.
     """
-    m = FeatureMatrix.from_rows(data)
-    X, y = m.X, m.is_event.astype(float)
+    X, y = data.X, data.is_event.astype(float)
     p_bar = y.mean()
     grads = np.abs(X.T @ (p_bar - y)) / X.shape[0]
     top = float(grads.max())
@@ -351,16 +349,16 @@ class ModelArtifact:
     model: LinearModel
     standardization: StandardizationParams
 
-    def predict_labels(self, raws: Rows) -> list[str]:
+    def predict_labels(self, raws: FeatureMatrix) -> list[str]:
         """Standardize raw rows with the training-time params and classify them."""
         codes = self.model.codes()
-        X = FeatureMatrix.from_rows(raws).columns(codes).X
+        X = raws.columns(codes).X
         probs = _proba(self.model, zscore(X, self.standardization, codes))
         return _labels(probs, self.model.threshold)
 
     def predict_label(self, raw: FeatureVector) -> str:
         """Label one raw vector: ``predict_labels`` on a batch of one."""
-        return self.predict_labels([raw])[0]
+        return self.predict_labels(FeatureMatrix.from_rows([raw]))[0]
 
 
 MODEL_FORMAT = "quakebox-model-v1"

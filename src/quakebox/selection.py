@@ -8,11 +8,12 @@ two-threshold rule: kept in at least ``min_fraction_nonzero`` of tied runs
 and with median absolute weight of at least ``min_median_abs`` (on
 standardized inputs).
 
-The solver is deterministic, so the same penalty on the same rows gives
-the same fit: run ``r`` fits ``grid[r % len(grid)]`` on the stratified
-subsample drawn by ``r // len(grid)``.  A one-entry ``lambda_grid`` fixes
-the penalty, and ``subsample_fraction = 1.0`` fits every run on the whole
-training set.
+Run ``r`` fits ``grid[r % len(grid)]`` on the stratified subsample drawn
+by ``r // len(grid)``, so the runs of one draw share its rows: each draw is
+subsampled and standardized once, and the solver, which is deterministic,
+gives the same fit for the same penalty on the same rows.  A one-entry
+``lambda_grid`` fixes the penalty, and ``subsample_fraction = 1.0`` fits
+every run on the whole training set.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import fields
 from .errors import DegenerateInput, FormatError, QuakeboxError
-from .features.vectors import FeatureMatrix, Rows, standardize_apply, standardize_fit
+from .features.vectors import FeatureMatrix, standardize_apply, standardize_fit
 from .metrics import confusion, mcc
 from .model import PenaltyConfig, TrainOptions, classify, lambda_max, train
 from .seeds import derive_rng
@@ -101,13 +102,12 @@ class SelectionRule:
     min_median_abs: float = 0.05
 
 
-def default_lambda_grid(train_data: Rows, alpha: float, n_points: int = 10) -> Tuple[float, ...]:
+def default_lambda_grid(train_data: FeatureMatrix, alpha: float, n_points: int = 10) -> Tuple[float, ...]:
     """Log-spaced grid below the all-zero threshold ``lambda_max``.
 
     Spans half of lambda_max down two decades, which brackets the useful
     sparsity range for standardized inputs.
     """
-    train_data = FeatureMatrix.from_rows(train_data)
     top = lambda_max(standardize_apply(train_data, standardize_fit(train_data)), alpha)
     return tuple(float(v) for v in np.geomspace(0.5 * top, 0.005 * top, n_points))
 
@@ -125,56 +125,50 @@ def _stratified_subsample(
     return matrix.take(np.sort(np.concatenate(chosen)))
 
 
-def run_ensemble(train_data: Rows, val_data: Rows, cfg: EnsembleConfig) -> List[EnsembleRunResult]:
+def run_ensemble(
+    train_data: FeatureMatrix, val_data: FeatureMatrix, cfg: EnsembleConfig
+) -> List[EnsembleRunResult]:
     """Train ``cfg.n_runs`` models and score each on the validation set.
 
-    Each run fits its own standardization on its own training subsample
-    (validation data never leaks into the scaling).  Runs cycle through the
-    penalty grid fastest, so ``n_runs = len(grid) * n_draws`` covers every
-    (grid point, subsample draw) pair.  A draw that keeps every training row
-    (``subsample_fraction = 1.0``) is the same for every pass, so each
-    penalty is fitted on it once and later passes reuse that fit.  A failed
-    run aborts the ensemble with the run id attached.
+    Runs cycle through the penalty grid fastest, so ``n_runs = len(grid) *
+    n_draws`` covers every (grid point, subsample draw) pair.  The loop walks
+    one draw at a time: each draw's training subsample is drawn, fitted with
+    its own standardization (validation data never leaks into the scaling)
+    and standardized once, with the validation set, for all of its runs.  A
+    draw that keeps every training row repeats the previous draw and reuses
+    its fits.  A failed run aborts the ensemble with the run id attached.
     """
-    train_data = FeatureMatrix.from_rows(train_data)
-    val_data = FeatureMatrix.from_rows(val_data)
     grid = cfg.lambda_grid or default_lambda_grid(train_data, cfg.alpha)
+    opt = TrainOptions(max_iters=cfg.max_iters, tol=cfg.tol)
 
     results: List[EnsembleRunResult] = []
-    whole_set_fits: dict[float, tuple] = {}  # lambda -> (model, val_score) on a draw of every row
-    for run_id in range(cfg.n_runs):
-        lam = grid[run_id % len(grid)]
+    for first in range(0, cfg.n_runs, len(grid)):
+        run_id = first
         try:
-            rng = derive_rng(cfg.seed, "ensemble-subsample", run_id // len(grid))
+            rng = derive_rng(cfg.seed, "ensemble-subsample", first // len(grid))
             subset = _stratified_subsample(train_data, cfg.subsample_fraction, rng)
-            whole = len(subset) == len(train_data)
-            if whole and lam in whole_set_fits:
-                model, val_score = whole_set_fits[lam]
-            else:
+            if first == 0 or len(subset) < len(train_data):
                 params = standardize_fit(subset)
-                strain = standardize_apply(subset, params)
-                sval = standardize_apply(val_data, params)
-                model = train(
-                    strain,
-                    PenaltyConfig(alpha=cfg.alpha, lam=lam),
-                    TrainOptions(max_iters=cfg.max_iters, tol=cfg.tol),
+                strain, sval = standardize_apply(subset, params), standardize_apply(val_data, params)
+                fits = {}  # grid index -> (model, validation MCC) on this draw
+            for k, lam in enumerate(grid[: cfg.n_runs - first]):
+                run_id = first + k
+                if k not in fits:
+                    model = train(strain, PenaltyConfig(alpha=cfg.alpha, lam=lam), opt)
+                    fits[k] = model, mcc(confusion(val_data.labels, classify(model, sval)))
+                model, val_score = fits[k]
+                results.append(
+                    EnsembleRunResult(
+                        run_id=run_id,
+                        weights=dict(model.weights),
+                        val_mcc=val_score,
+                        config_used={"lambda": lam, "n_train": len(subset)},
+                        iterations=model.training_meta["iterations"],
+                        converged=model.training_meta["converged"],
+                    )
                 )
-                preds = classify(model, sval)
-                val_score = mcc(confusion(val_data.labels, preds))
-                if whole:
-                    whole_set_fits[lam] = model, val_score
         except QuakeboxError as exc:
             raise type(exc)(f"ensemble run {run_id}: {exc}") from exc
-        results.append(
-            EnsembleRunResult(
-                run_id=run_id,
-                weights=dict(model.weights),
-                val_mcc=val_score,
-                config_used={"lambda": lam, "n_train": len(subset)},
-                iterations=model.training_meta["iterations"],
-                converged=model.training_meta["converged"],
-            )
-        )
     return results
 
 
@@ -241,8 +235,8 @@ class SelectionReport:
 
 
 def discover_features(
-    train_data: Rows,
-    val_data: Rows,
+    train_data: FeatureMatrix,
+    val_data: FeatureMatrix,
     cfg: EnsembleConfig,
     rule: SelectionRule = SelectionRule(),
     base: Sequence[str] = (),

@@ -16,6 +16,7 @@ import numpy as np
 from quakebox import bench, selection
 from quakebox.cli import main as cli_main
 from quakebox.features import (
+    FeatureMatrix,
     canonical_registry,
     extract_matrix,
     reproduction_registry,
@@ -166,7 +167,7 @@ def test_criterion_4_selection_workflow_recovery():
         vecs, informative = bench.generate_planted_features(
             600, n_informative=2, n_nuisance=22, strength=4.0, margin=1.0, seed=9000 + corpus
         )
-        train_v, val_v = vecs[:400], vecs[400:]
+        train_v, val_v = FeatureMatrix.from_rows(vecs[:400]), FeatureMatrix.from_rows(vecs[400:])
         cfg = selection.EnsembleConfig(n_runs=200, alpha=0.9, seed=7000 + corpus)
         report = selection.discover_features(train_v, val_v, cfg, selection.SelectionRule())
         picked = set(report.selected)
@@ -197,7 +198,9 @@ def _sweep_trend_one_corpus(seed: int):
 
     train_pos = [v for v in train_vecs if v.label == "event"]
     train_noise = [v for v in train_vecs if v.label == "noise"]
-    baseline = bench.build_ratio_dataset(train_pos, train_noise, 1.73, seed=seed + 2).items
+    baseline = bench.build_ratio_dataset(
+        FeatureMatrix.from_rows(train_pos), FeatureMatrix.from_rows(train_noise), 1.73, seed=seed + 2
+    ).items
     params = standardize_fit(baseline)
     model = train(standardize_apply(baseline, params),
                   PenaltyConfig(alpha=0.5, lam=0.001),
@@ -219,7 +222,8 @@ def _sweep_trend_one_corpus(seed: int):
     pool = extract_matrix([preprocess(r, pcfg) for r in pool_records], registry, profile)
 
     spec_ratios = bench.RatioSpec(seed=seed + 4)
-    table = bench.sweep({"lr": artifact}, test_pos, pool, spec_ratios)
+    positives, noise_pool = FeatureMatrix.from_rows(test_pos), FeatureMatrix.from_rows(pool)
+    table = bench.sweep({"lr": artifact}, positives, noise_pool, spec_ratios)
     lr_row = table.mcc_row("lr")
     lr_fps = [table.reports[("lr", r)].matrix.fp for r in spec_ratios.ratios]
 
@@ -230,7 +234,7 @@ def _sweep_trend_one_corpus(seed: int):
     flagged = set(np.array(ids)[rng.permutation(len(ids))[: max(1, int(0.75 * len(ids)))]])
     preds = {tid: ("event" if tid in flagged else "noise") for tid in ids}
     preds.update({v.trace_id: "noise" for v in pool})
-    table2 = bench.sweep({}, test_pos, pool, spec_ratios, external_preds={"fp0": preds})
+    table2 = bench.sweep({}, positives, noise_pool, spec_ratios, external_preds={"fp0": preds})
     fp0_row = table2.mcc_row("fp0")
 
     lr_monotone_down = all(b <= a + 1e-12 for a, b in zip(lr_row, lr_row[1:]))

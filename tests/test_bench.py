@@ -14,7 +14,7 @@ from quakebox.errors import (
     InsufficientNoise,
     TooFewEvents,
 )
-from quakebox.features import standardize_apply, standardize_fit
+from quakebox.features import FeatureMatrix, standardize_apply, standardize_fit
 from quakebox.model import LinearModel, ModelArtifact, PenaltyConfig, TrainOptions, train
 from quakebox.selection import EnsembleConfig
 
@@ -93,10 +93,10 @@ class TestPartition:
 
 class TestRatioDataset:
     def pool(self, n):
-        return [make_vector(f"n{i:05d}", "noise", f=float(i)) for i in range(n)]
+        return FeatureMatrix.from_rows([make_vector(f"n{i:05d}", "noise", f=float(i)) for i in range(n)])
 
     def positives(self, n):
-        return [make_vector(f"p{i:05d}", "event", f=float(i)) for i in range(n)]
+        return FeatureMatrix.from_rows([make_vector(f"p{i:05d}", "event", f=float(i)) for i in range(n)])
 
     def test_published_count_arithmetic(self):
         ds = bench.build_ratio_dataset(self.positives(763), self.pool(4000), 5.0, seed=1)
@@ -115,7 +115,7 @@ class TestRatioDataset:
         pos = self.positives(7)
         ds = bench.build_ratio_dataset(pos, self.pool(100), 3.0, seed=2)
         kept = {t for t, lab in zip(ds.items.trace_ids, ds.items.labels) if lab == "event"}
-        assert kept == {p.trace_id for p in pos}
+        assert kept == set(pos.trace_ids)
 
     def test_sampling_without_replacement(self):
         ds = bench.build_ratio_dataset(self.positives(10), self.pool(100), 8.0, seed=3)
@@ -145,6 +145,11 @@ class TestSweep:
         pool = [make_vector(f"n{i}", "noise", f=-1.0 - 0.01 * i) for i in range(600)]
         return positives, pool
 
+    @staticmethod
+    def sweep(models, positives, pool, spec, **kw):
+        positives, pool = FeatureMatrix.from_rows(positives), FeatureMatrix.from_rows(pool)
+        return bench.sweep(models, positives, pool, spec, **kw)
+
     def artifact(self):
         from quakebox.features import StandardizationParams
 
@@ -155,7 +160,7 @@ class TestSweep:
 
     def test_row_per_ratio(self):
         positives, pool = self.setup_case()
-        table = bench.sweep({"lr": self.artifact()}, positives, pool, bench.RatioSpec(seed=1))
+        table = self.sweep({"lr": self.artifact()}, positives, pool, bench.RatioSpec(seed=1))
         assert len(table.ratios) == 5
         assert table.mcc_row("lr") == [pytest.approx(1.0)] * 5
 
@@ -164,29 +169,29 @@ class TestSweep:
         positives, pool = self.setup_case()
         preds = {v.trace_id: "noise" for v in positives + pool}
         with pytest.raises(ConfigError, match=r"^external_preds.lr: names a source already in models$"):
-            bench.sweep({"lr": self.artifact()}, positives, pool, bench.RatioSpec(seed=1),
-                        external_preds={"lr": preds})
+            self.sweep({"lr": self.artifact()}, positives, pool, bench.RatioSpec(seed=1),
+                       external_preds={"lr": preds})
 
     def test_all_noise_predictor_scores_zero_everywhere(self):
         positives, pool = self.setup_case()
         preds = {v.trace_id: "noise" for v in positives + pool}
-        table = bench.sweep({}, positives, pool, bench.RatioSpec(seed=2),
-                            external_preds={"lazy": preds})
+        table = self.sweep({}, positives, pool, bench.RatioSpec(seed=2),
+                           external_preds={"lazy": preds})
         assert table.mcc_row("lazy") == [0.0] * 5
 
     def test_oracle_predictor_scores_one_everywhere(self):
         positives, pool = self.setup_case()
         preds = {v.trace_id: v.label for v in positives + pool}
-        table = bench.sweep({}, positives, pool, bench.RatioSpec(seed=3),
-                            external_preds={"oracle": preds})
+        table = self.sweep({}, positives, pool, bench.RatioSpec(seed=3),
+                           external_preds={"oracle": preds})
         assert table.mcc_row("oracle") == [pytest.approx(1.0)] * 5
 
     def test_fp_free_fixed_fn_predictor_non_decreasing(self):
         positives, pool = self.setup_case()
         preds = {v.trace_id: "noise" for v in pool}
         preds.update({v.trace_id: ("event" if i % 4 else "noise") for i, v in enumerate(positives)})
-        table = bench.sweep({}, positives, pool, bench.RatioSpec(seed=4),
-                            external_preds={"cnnish": preds})
+        table = self.sweep({}, positives, pool, bench.RatioSpec(seed=4),
+                           external_preds={"cnnish": preds})
         row = table.mcc_row("cnnish")
         assert all(b >= a - 1e-12 for a, b in zip(row, row[1:]))
 
@@ -194,20 +199,20 @@ class TestSweep:
         positives, pool = self.setup_case()
         preds = {v.trace_id: "noise" for v in pool}
         with pytest.raises(IngestError, match="p0"):
-            bench.sweep({}, positives, pool, bench.RatioSpec(seed=5),
-                        external_preds={"partial": preds})
+            self.sweep({}, positives, pool, bench.RatioSpec(seed=5),
+                       external_preds={"partial": preds})
 
     def test_label_hygiene(self):
         positives, pool = self.setup_case()
         with pytest.raises(DegenerateInput):
-            bench.sweep({}, pool[:3], pool, bench.RatioSpec(seed=6),
-                        external_preds={"x": {}})
+            self.sweep({}, pool[:3], pool, bench.RatioSpec(seed=6),
+                       external_preds={"x": {}})
 
     def test_render_text_table(self):
         positives, pool = self.setup_case()
         preds = {v.trace_id: v.label for v in positives + pool}
-        table = bench.sweep({}, positives, pool, bench.RatioSpec(ratios=(1.0, 2.0), seed=7),
-                            external_preds={"oracle": preds})
+        table = self.sweep({}, positives, pool, bench.RatioSpec(ratios=(1.0, 2.0), seed=7),
+                           external_preds={"oracle": preds})
         text = table.render_text()
         assert "oracle" in text and "1.0000" in text
 

@@ -402,6 +402,32 @@ def _malformed_cases():
         _case("matrix-non-finite-cell", "train",
               lambda d: {"input": d(m), "output": d("o.json")},
               {m: MATRIX.replace("2.0\t0.1", "2.0\tnan")}, "line 4: trace e2: feature g is not finite"),
+        *(
+            # an empty matrix file is refused where it is read, naming the file
+            _case(f"matrix-{id}-{command}", command, config, {m: text}, named)
+            for id, text, named in (
+                ("no-feature-columns",
+                 "# quakebox-features-v1 role=train\ntrace_id\tlabel\ne1\tevent\nn1\tnoise\n",
+                 ("error: line 2: ", f"{m}: header has no feature columns\n")),
+                ("no-data-rows", MATRIX[: MATRIX.index("e1")], f"{m}: no data rows\n"),
+            )
+            for command, config in (
+                ("train", lambda d: {"input": d(m), "output": d("o.json")}),
+                ("select", lambda d: {"train_input": d(m), "validation_input": d(m),
+                                      "output": d("o.json"), "base_features": []}),
+            )
+        ),
+        *(
+            # the label filter must leave rows in each sweep input
+            _case(f"sweep-no-{kind}-rows", "sweep",
+                  lambda d: {"positives_input": d(m), "noise_pool_input": d(m),
+                             "predictions": {"x": d("p.tsv")}, "output": d("o.json")},
+                  {m: MATRIX.replace(drop, "")}, (f"error: {field}: ", f"{m} holds no {kind} rows\n"))
+            for kind, drop, field in (
+                ("event", "e1\tevent\t1.0\t0.5\ne2\tevent\t2.0\t0.1\n", "positives_input"),
+                ("noise", "n1\tnoise\t-1.0\t0.3\nn2\tnoise\t-2.0\t0.9\n", "noise_pool_input"),
+            )
+        ),
         _case("select-base-feature-not-str", "select",
               lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
                          "base_features": ["f", 5]}, {m: MATRIX}, "base_features[1]: expected str"),

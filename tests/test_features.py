@@ -438,6 +438,21 @@ class TestMatrixFile:
         assert first.read_bytes() == second.read_bytes()
         assert back.X.tolist() == values.tolist()
 
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            ("trace_id\tlabel\ne1\tevent\n", "line 2: {path}: header has no feature columns"),
+            ("trace_id\tlabel\tf\n\n", "{path}: no data rows"),
+        ],
+        ids=["no-feature-columns", "no-data-rows"],
+    )
+    def test_empty_matrix_refused_naming_the_file(self, tmp_path, text, named):
+        path = tmp_path / "m.tsv"
+        path.write_text("# quakebox-features-v1 role=train\n" + text)
+        with pytest.raises(FormatError) as err:
+            read_matrix(path)
+        assert str(err.value) == named.format(path=path)
+
     def test_deterministic_bytes(self, tmp_path):
         vecs = [make_vector("a", "noise", f=1 / 3), make_vector("b", "event", f=2 / 7)]
         p1, p2 = tmp_path / "1.tsv", tmp_path / "2.tsv"

@@ -88,38 +88,40 @@ class TestSoftThreshold:
 class TestPredict:
     def test_zero_model_gives_half(self):
         model = LinearModel(bias=0.0, weights={"a": 0.0})
-        assert predict_proba(model, [make_vector("t", "noise", a=123.0)])[0] == 0.5
+        assert predict_proba(model, FeatureMatrix.from_rows([make_vector("t", "noise", a=123.0)]))[0] == 0.5
 
     def test_sigmoid_ln3(self):
         model = LinearModel(bias=0.0, weights={"a": 1.0})
-        p = predict_proba(model, [make_vector("t", "noise", a=math.log(3.0))])[0]
+        p = predict_proba(model, FeatureMatrix.from_rows([make_vector("t", "noise", a=math.log(3.0))]))[0]
         assert p == pytest.approx(0.75, abs=1e-12)
 
     def test_missing_feature(self):
         model = LinearModel(bias=0.0, weights={"a": 1.0})
         with pytest.raises(MissingFeature):
-            predict_proba(model, [make_vector("t", "noise", b=1.0)])
+            predict_proba(model, FeatureMatrix.from_rows([make_vector("t", "noise", b=1.0)]))
 
     def test_classify_tie_is_event(self):
         model = LinearModel(bias=0.0, weights={"a": 0.0})
-        assert classify(model, [make_vector("t", "noise", a=0.0)]) == ["event"]
-        assert classify(model, [make_vector("t", "noise", a=0.0)], threshold=0.51) == ["noise"]
+        rows = FeatureMatrix.from_rows([make_vector("t", "noise", a=0.0)])
+        assert classify(model, rows) == ["event"]
+        assert classify(model, rows, threshold=0.51) == ["noise"]
 
     def test_threshold_above_probability(self):
         model = LinearModel(bias=2.0, weights={})  # p ~ 0.88
-        assert classify(model, [make_vector("t", "noise")], threshold=0.95) == ["noise"]
+        rows = FeatureMatrix.from_rows([make_vector("t", "noise")])
+        assert classify(model, rows, threshold=0.95) == ["noise"]
 
     def test_scaling_never_flips_at_half(self, rng):
         model = LinearModel(bias=0.3, weights={"a": 1.2, "b": -0.7})
         for _ in range(200):
             vec = make_vector("t", "noise", a=float(rng.standard_normal()), b=float(rng.standard_normal()))
-            base = classify(model, [vec])
+            base = classify(model, FeatureMatrix.from_rows([vec]))
             for c in (1.5, 3.0, 10.0):
                 scaled = LinearModel(
                     bias=c * model.bias,
                     weights={k: c * v for k, v in model.weights.items()},
                 )
-                assert classify(scaled, [vec]) == base
+                assert classify(scaled, FeatureMatrix.from_rows([vec])) == base
 
 
 class TestSigmoid:
@@ -164,46 +166,46 @@ class TestBatchScoring:
             for code in model.codes():
                 z += model.weights[code] * row.values[code]
             expected.append(float(_sigmoid(np.array([z]))[0]))
-        assert predict_proba(model, rows).tolist() == expected
+        assert predict_proba(model, FeatureMatrix.from_rows(rows)).tolist() == expected
 
     def test_missing_feature_names_the_trace(self):
         model = LinearModel(bias=0.0, weights={"a": 1.0})
         rows = [make_vector("ok", "noise", a=1.0), make_vector("lacks", "noise", b=1.0)]
         with pytest.raises(MissingFeature, match="trace lacks"):
-            predict_proba(model, rows)
+            predict_proba(model, FeatureMatrix.from_rows(rows))
 
     def test_artifact_single_and_batch_labels_agree(self):
         vecs, _ = generate_planted_features(400, seed=12, strength=1.0, label_noise=0.1)
         params = standardize_fit(vecs)
         model = train(standardize_apply(vecs, params), PenaltyConfig(alpha=0.5, lam=0.01))
         artifact = ModelArtifact(model=model, standardization=params)
-        batch = artifact.predict_labels(vecs)
+        batch = artifact.predict_labels(FeatureMatrix.from_rows(vecs))
         assert batch == [artifact.predict_label(v) for v in vecs]
         assert set(batch) == {"event", "noise"}
 
 
 class TestLoss:
     def test_zero_model_balanced(self):
-        data = [make_vector("a", "event", f=1.0), make_vector("b", "noise", f=-1.0)]
+        data = FeatureMatrix.from_rows([make_vector("a", "event", f=1.0), make_vector("b", "noise", f=-1.0)])
         model = LinearModel(bias=0.0, weights={"f": 0.0})
         assert loss(model, data, PenaltyConfig(alpha=0.5, lam=0.0)) == pytest.approx(math.log(2.0))
 
     def test_zero_weights_ignore_lambda(self):
-        data = [make_vector("a", "event", f=1.0), make_vector("b", "noise", f=-1.0)]
+        data = FeatureMatrix.from_rows([make_vector("a", "event", f=1.0), make_vector("b", "noise", f=-1.0)])
         model = LinearModel(bias=0.0, weights={"f": 0.0})
         l0 = loss(model, data, PenaltyConfig(alpha=0.5, lam=0.0))
         l10 = loss(model, data, PenaltyConfig(alpha=0.5, lam=10.0))
         assert l0 == l10
 
     def test_confident_separator_near_zero(self):
-        data = [make_vector("a", "event", f=1.0), make_vector("b", "noise", f=-1.0)]
+        data = FeatureMatrix.from_rows([make_vector("a", "event", f=1.0), make_vector("b", "noise", f=-1.0)])
         model = LinearModel(bias=0.0, weights={"f": 20.0})
         assert loss(model, data, PenaltyConfig(alpha=0.5, lam=0.0)) < 0.01
 
 
 class TestTrain:
     def test_separable_two_points_perfect_accuracy(self):
-        data = [make_vector("a", "event", f=1.0), make_vector("b", "noise", f=-1.0)]
+        data = FeatureMatrix.from_rows([make_vector("a", "event", f=1.0), make_vector("b", "noise", f=-1.0)])
         model = train(data, PenaltyConfig(alpha=0.5, lam=0.0), TrainOptions(max_iters=200, tol=1e-10))
         assert classify(model, data) == ["event", "noise"]
         assert model.weights["f"] > 0
@@ -212,12 +214,13 @@ class TestTrain:
     def test_huge_lambda_gives_intercept_only_log_odds(self):
         data = [make_vector(f"e{i}", "event", f=float(i)) for i in range(30)]
         data += [make_vector(f"n{i}", "noise", f=float(-i)) for i in range(10)]
-        model = train(data, PenaltyConfig(alpha=1.0, lam=100.0), TrainOptions(tol=1e-12))
+        model = train(FeatureMatrix.from_rows(data), PenaltyConfig(alpha=1.0, lam=100.0),
+                      TrainOptions(tol=1e-12))
         assert model.weights["f"] == 0.0
         assert model.bias == pytest.approx(math.log(30 / 10), abs=1e-6)
 
     def test_single_class_rejected(self):
-        data = [make_vector("a", "event", f=1.0), make_vector("b", "event", f=2.0)]
+        data = FeatureMatrix.from_rows([make_vector("a", "event", f=1.0), make_vector("b", "event", f=2.0)])
         with pytest.raises(DegenerateLabels):
             train(data, PenaltyConfig())
 

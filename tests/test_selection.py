@@ -11,6 +11,7 @@ from quakebox.errors import DegenerateInput, FormatError
 from quakebox.features import FeatureMatrix, standardize_apply, standardize_fit
 from quakebox.metrics import confusion, mcc
 from quakebox.model import PenaltyConfig, TrainOptions, classify, train
+from quakebox.seeds import derive_rng
 from quakebox.selection import (
     EnsembleConfig,
     EnsembleRunResult,
@@ -28,7 +29,7 @@ from quakebox.selection import (
 def planted_split(n=300, seed=0, **kw):
     vecs, informative = generate_planted_features(n, seed=seed, **kw)
     cut = int(0.7 * n)
-    return vecs[:cut], vecs[cut:], informative
+    return FeatureMatrix.from_rows(vecs[:cut]), FeatureMatrix.from_rows(vecs[cut:]), informative
 
 
 def result(run_id, val_mcc, **weights):
@@ -91,6 +92,40 @@ class TestRunEnsemble:
             assert seen[r] != seen[r + len(grid)]
             assert out[r].weights != out[r + len(grid)].weights
 
+    @pytest.mark.parametrize("fraction,n_fits", [(0.8, 3), (1.0, 1)])
+    def test_one_standardization_per_draw_equals_per_run_fits(self, monkeypatch, fraction, n_fits):
+        # 8 runs over a 3-point grid are 3 draws, the last one partial; a draw of
+        # every row repeats the first, so at fraction 1.0 only that one is fitted
+        fitted = []
+
+        def counting_fit(data):
+            fitted.append(data.trace_ids)
+            return standardize_fit(data)
+
+        monkeypatch.setattr(quakebox.selection, "standardize_fit", counting_fit)
+        train_v, val_v, _ = planted_split(seed=7)
+        grid = (0.05, 0.02, 0.01)
+        cfg = EnsembleConfig(n_runs=8, lambda_grid=grid, subsample_fraction=fraction, seed=9)
+        out = run_ensemble(train_v, val_v, cfg)
+        assert len(fitted) == n_fits
+        assert [r.run_id for r in out] == list(range(cfg.n_runs))
+        for r in out:  # each run fitted on its own, as a loop over runs would
+            rng = derive_rng(cfg.seed, "ensemble-subsample", r.run_id // len(grid))
+            subset = quakebox.selection._stratified_subsample(train_v, fraction, rng)
+            params = standardize_fit(subset)
+            sval = standardize_apply(val_v, params)
+            lam = grid[r.run_id % len(grid)]
+            direct = train(standardize_apply(subset, params), PenaltyConfig(alpha=cfg.alpha, lam=lam),
+                           TrainOptions(max_iters=cfg.max_iters, tol=cfg.tol))
+            assert r == EnsembleRunResult(
+                run_id=r.run_id,
+                weights=direct.weights,
+                val_mcc=mcc(confusion(val_v.labels, classify(direct, sval))),
+                config_used={"lambda": lam, "n_train": len(subset)},
+                iterations=direct.training_meta["iterations"],
+                converged=direct.training_meta["converged"],
+            )
+
     def test_varied_runs_differ(self):
         train_v, val_v, _ = planted_split(seed=3)
         cfg = EnsembleConfig(n_runs=20, seed=6)
@@ -102,16 +137,16 @@ class TestRunEnsemble:
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(DegenerateInput):
-            run_ensemble([], [], EnsembleConfig(n_runs=1))
+            run_ensemble(FeatureMatrix.from_rows([]), FeatureMatrix.from_rows([]), EnsembleConfig(n_runs=1))
 
     def test_failed_run_aborts_with_run_id(self):
         from quakebox.errors import ZeroVariance
         from conftest import make_vector
 
         # a feature constant across training makes standardization fail in run 0
-        train_v = [make_vector(f"t{i}", "event" if i % 2 else "noise", f=1.0)
-                   for i in range(20)]
-        val_v = [make_vector("v0", "event", f=1.0)]
+        train_v = FeatureMatrix.from_rows(
+            [make_vector(f"t{i}", "event" if i % 2 else "noise", f=1.0) for i in range(20)])
+        val_v = FeatureMatrix.from_rows([make_vector("v0", "event", f=1.0)])
         cfg = EnsembleConfig(n_runs=3, subsample_fraction=1.0, lambda_grid=(0.1,), seed=1)
         with pytest.raises(ZeroVariance, match="ensemble run 0"):
             run_ensemble(train_v, val_v, cfg)
