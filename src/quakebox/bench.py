@@ -24,16 +24,15 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateInput,
-    FormatError,
     IngestError,
     InsufficientNoise,
     TooFewEvents,
 )
-from .features.vectors import FeatureMatrix, FeatureVector
+from .features.vectors import FeatureMatrix, FeatureVector, read_table, table_error
 from .metrics import EvalReport, report
 from .model import ModelArtifact
 from .seeds import derive_rng
-from .waveform import WaveformRecord
+from .waveform import LABELS, WaveformRecord
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +362,14 @@ def generate_noise_pool(
     fs: float = 200.0,
     window_len: int = 600,
     seed: int = 0,
-    trace_prefix: str = "xnoise",
 ) -> List[WaveformRecord]:
     """Pure-noise records for the ratio sweep's enlarged negative pool.
 
     Mirrors drawing extra negatives from a separate collection period; ids
-    get their own prefix so they cannot collide with a corpus' noise traces.
+    get their own prefix, ``xnoise``, so they cannot collide with a corpus' noise traces.
     """
     return [
-        _noise_record(f"{trace_prefix}{i:06d}", fs, window_len, derive_rng(seed, "pool", i))
+        _noise_record(f"xnoise{i:06d}", fs, window_len, derive_rng(seed, "pool", i))
         for i in range(n_noise)
     ]
 
@@ -437,13 +435,13 @@ def generate_planted_features(
 # external prediction ingestion
 
 
-def _unit_interval(cell: str, column: str, lineno: int) -> float:
+def _unit_interval(cell: str, column: str, path: Path, lineno: int) -> float:
     try:
         value = float(cell)
     except ValueError as exc:
-        raise FormatError(f"{column}: {exc}", line=lineno) from exc
+        raise table_error(path, lineno, f"{column}: {exc}") from exc
     if not 0.0 <= value <= 1.0:
-        raise FormatError(f"{column} {value} outside [0, 1]", line=lineno)
+        raise table_error(path, lineno, f"{column} {value} outside [0, 1]")
     return value
 
 
@@ -454,46 +452,34 @@ def ingest_predictions(
 
     The TSV needs a ``trace_id`` column and either ``label`` or
     ``probability`` (optionally with a per-row ``threshold``, default 0.5), both in [0, 1].
-    A repeated header column and duplicate or missing ids fail loudly, each
-    listed; ids beyond the expected set are tolerated and dropped.
+    A bad row names the file and line; duplicate and missing ids fail
+    loudly, each listed; ids beyond the expected set are dropped.
     """
     path = Path(path)
     expected = set(expected_trace_ids)
     with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        repeated = sorted({c for c in header if header.count(c) > 1})
-        if repeated:
-            raise FormatError(f"{path}: column(s) repeated in header: {', '.join(repeated)}", line=1)
+        header, rows = read_table(path, fh, 1)
         if "trace_id" not in header:
             raise IngestError(f"{path}: header lacks a trace_id column")
-        has_label = "label" in header
-        has_prob = "probability" in header
-        if not (has_label or has_prob):
+        if "label" not in header and "probability" not in header:
             raise IngestError(f"{path}: need a label or probability column")
         idx = {name: header.index(name) for name in header}
         out: Dict[str, str] = {}
         duplicates: List[str] = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(header):
-                raise FormatError(
-                    f"expected {len(header)} columns, found {len(parts)}", line=lineno
-                )
+        for lineno, parts in rows:
             tid = parts[idx["trace_id"]]
             if tid in out:
                 duplicates.append(tid)
                 continue
-            if has_label:
+            if "label" in idx:
                 label = parts[idx["label"]]
-                if label not in ("event", "noise"):
-                    raise FormatError(f"bad label {label!r}", line=lineno)
+                if label not in LABELS:
+                    raise table_error(path, lineno, f"bad label {label!r}")
             else:
-                prob = _unit_interval(parts[idx["probability"]], "probability", lineno)
+                prob = _unit_interval(parts[idx["probability"]], "probability", path, lineno)
                 threshold = 0.5
                 if "threshold" in idx:
-                    threshold = _unit_interval(parts[idx["threshold"]], "threshold", lineno)
+                    threshold = _unit_interval(parts[idx["threshold"]], "threshold", path, lineno)
                 label = "event" if prob >= threshold else "noise"
             out[tid] = label
     if duplicates:

@@ -27,6 +27,7 @@ from typing import Any, Mapping, Sequence
 from . import bench, fields, selection
 from .errors import ConfigError, QuakeboxError
 from .features import (
+    BASE_FEATURES,
     FeatureRegistry,
     canonical_registry,
     extract_matrix,
@@ -201,8 +202,10 @@ def cmd_train(cfg: dict, master: int, out_dir: str | None) -> None:
 def cmd_select(cfg: dict, master: int, out_dir: str | None) -> None:
     ecfg = fields.spec(selection.EnsembleConfig, cfg, "ensemble", ConfigError,
                        seed=derive_seed(master, "select"))
+    if not ecfg.tol > 0:
+        raise ConfigError("ensemble.tol", f"must be positive, got {ecfg.tol}")
     rule = fields.spec(selection.SelectionRule, cfg, "rule", ConfigError)
-    base = fields.listed(cfg, "base_features", str, ConfigError, list(selected_profile()[:4]))
+    base = fields.listed(cfg, "base_features", str, ConfigError, list(BASE_FEATURES))
     train_source = fields.get(cfg, "train_input", str, ConfigError)
     val_source = fields.get(cfg, "validation_input", str, ConfigError)
     out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
@@ -235,7 +238,7 @@ def cmd_select(cfg: dict, master: int, out_dir: str | None) -> None:
 
 
 def _write_distribution_table(path: Path, rep: selection.SelectionReport) -> None:
-    lines = ["code\tmin\tmax\tmedian\tmedian_abs\tmean_abs\tfraction_nonzero"]
+    lines = ["\t".join(("code",) + selection._STAT_KEYS)]
     for row in rep.distribution.table():
         lines.append("\t".join([row[0]] + [repr(v) for v in row[1:]]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

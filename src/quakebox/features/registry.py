@@ -3,8 +3,7 @@
 A registry is an ordered, immutable collection of :class:`FeatureDef`.  The
 canonical catalog registers the 22 time-series features as C1..C22 (in the
 reference package's output order); the reproduction profile prepends the
-four W1..W4 surrogate features for 26 inputs in total.  Plugins are just
-additional ``FeatureDef`` entries.
+four W1..W4 surrogate features for 26 inputs in total.
 """
 
 from __future__ import annotations
@@ -66,10 +65,6 @@ class FeatureRegistry:
 
     def __iter__(self) -> Iterator[FeatureDef]:
         return iter(self._defs.values())
-
-    def merged(self, extra: "FeatureRegistry | Sequence[FeatureDef]") -> "FeatureRegistry":
-        """New registry with additional definitions appended."""
-        return FeatureRegistry(list(self) + list(extra))
 
     def extract(self, code: str, samples: np.ndarray) -> float:
         """Compute one feature on one series (see :meth:`extract_values`)."""

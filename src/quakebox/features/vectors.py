@@ -8,6 +8,9 @@ vector lists of :func:`extract_matrix`, also take a sequence of vectors; they
 convert it once with :meth:`FeatureMatrix.from_rows`.  Standardization
 parameters are always fitted on training data only (sample standard
 deviation, ddof=1 — the repo-wide estimator convention).
+
+:func:`read_table`, beside :func:`read_matrix`, reads every tab-separated
+input, matrices and ``bench.ingest_predictions``' files alike.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Mapping, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -273,6 +276,33 @@ def write_matrix(path: str | Path, data: Rows, role: str = "all") -> None:
             fh.write("\t".join([trace_id, label, *map(repr, row)]) + "\n")
 
 
+def table_error(path: Path, line: int, message: str) -> FormatError:
+    """A FormatError naming the file and the line of a tab-separated input."""
+    return FormatError(f"{path}: {message}", line=line)
+
+
+def read_table(path: Path, fh: TextIO, lineno: int) -> Tuple[List[str], Iterator[Tuple[int, List[str]]]]:
+    """The header at line ``lineno`` of ``fh``, and a lazy iterator over the
+    ``(line number, cells)`` of each non-blank line after it.  A repeated
+    column is refused now and a wrong cell count when its row is reached, so
+    the caller's header checks come before any row error."""
+    header = fh.readline().rstrip("\n").split("\t")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise table_error(path, lineno, f"column(s) repeated in header: {', '.join(repeated)}")
+
+    def rows() -> Iterator[Tuple[int, List[str]]]:
+        for n, line in enumerate(fh, start=lineno + 1):
+            if not line.strip():
+                continue
+            cells = line.rstrip("\n").split("\t")
+            if len(cells) != len(header):
+                raise table_error(path, n, f"expected {len(header)} columns, found {len(cells)}")
+            yield n, cells
+
+    return header, rows()
+
+
 def read_matrix(path: str | Path) -> Tuple[FeatureMatrix, str]:
     """Read a TSV feature matrix; returns (matrix, role)."""
     path = Path(path)
@@ -285,30 +315,20 @@ def read_matrix(path: str | Path) -> Tuple[FeatureMatrix, str]:
             if token.startswith("role="):
                 role = token.split("=", 1)[1]
         check_role(path, role)
-        header = fh.readline().rstrip("\n").split("\t")
+        header, rows = read_table(path, fh, 2)
         if header[:2] != ["trace_id", "label"]:
-            raise FormatError("header must start with trace_id<TAB>label", line=2)
+            raise table_error(path, 2, "header must start with trace_id<TAB>label")
         codes = tuple(header[2:])
         if not codes:
-            raise FormatError(f"{path}: header has no feature columns", line=2)
-        repeated = sorted({c for c in codes if codes.count(c) > 1})
-        if repeated:
-            raise FormatError(f"feature code(s) repeated in header: {', '.join(repeated)}", line=2)
+            raise table_error(path, 2, "header has no feature columns")
         trace_ids, labels, linenos, cells = [], [], [], []
-        for lineno, line in enumerate(fh, start=3):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(header):
-                raise FormatError(
-                    f"expected {len(header)} columns, found {len(parts)}", line=lineno
-                )
+        for lineno, parts in rows:
             if parts[1] not in LABELS:
-                raise FormatError(f"label must be one of {LABELS}, got {parts[1]!r}", line=lineno)
+                raise table_error(path, lineno, f"label must be one of {LABELS}, got {parts[1]!r}")
             try:
                 cells.extend(map(float, parts[2:]))
             except ValueError as exc:
-                raise FormatError(str(exc), line=lineno) from exc
+                raise table_error(path, lineno, str(exc)) from exc
             trace_ids.append(parts[0])
             labels.append(parts[1])
             linenos.append(lineno)
@@ -318,4 +338,4 @@ def read_matrix(path: str | Path) -> Tuple[FeatureMatrix, str]:
     try:
         return FeatureMatrix(X, codes, tuple(trace_ids), tuple(labels)), role
     except FormatError as exc:  # a non-finite cell: name its line too
-        raise FormatError(str(exc), line=linenos[np.argwhere(~np.isfinite(X))[0, 0]]) from None
+        raise table_error(path, linenos[np.argwhere(~np.isfinite(X))[0, 0]], str(exc)) from None

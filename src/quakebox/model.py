@@ -14,7 +14,7 @@ Objective, for labels y in {0, 1} and mixing alpha in [0, 1]:
 
     mean_i NLL_i  +  lambda * (alpha * sum|w_j| + (1 - alpha) * sum w_j^2)
 
-The bias is excluded from the penalty unless ``penalize_bias`` is set.
+The bias is never penalized (glmnet's convention).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ class PenaltyConfig:
 
     alpha: float = 0.9
     lam: float = field(default=0.01, metadata={"json": "lambda"})
-    penalize_bias: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -117,9 +116,9 @@ def predict_proba(model: LinearModel, rows: FeatureMatrix) -> np.ndarray:
     return _proba(model, rows.columns(model.codes()).X)
 
 
-def classify(model: LinearModel, rows: FeatureMatrix, threshold: Optional[float] = None) -> list[str]:
-    """Label each standardized row; a probability exactly at threshold counts as event."""
-    return _labels(predict_proba(model, rows), model.threshold if threshold is None else threshold)
+def classify(model: LinearModel, rows: FeatureMatrix) -> list[str]:
+    """Label each standardized row; a probability exactly at the model's threshold counts as event."""
+    return _labels(predict_proba(model, rows), model.threshold)
 
 
 _CLAMP = 1e-12
@@ -138,10 +137,7 @@ def loss(model: LinearModel, data: FeatureMatrix, cfg: PenaltyConfig) -> float:
 
 
 def _objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, cfg: PenaltyConfig) -> float:
-    value = _nll(y, _sigmoid(b + X @ w)) + penalty(w, cfg)
-    if cfg.penalize_bias:
-        value += penalty([b], cfg)
-    return value
+    return _nll(y, _sigmoid(b + X @ w)) + penalty(w, cfg)
 
 
 # Floor on the IRLS weights p(1 - p): the quadratic model keeps a positive
@@ -153,11 +149,10 @@ _KKT_SLACK = 1e-12  # an inactive coordinate may exceed its L1 threshold by roun
 
 
 def _penalty_weights(cfg: PenaltyConfig, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate L1 and L2 scales for (bias, w_1, ..., w_p)."""
+    """Per-coordinate L1 and L2 scales for (bias, w_1, ..., w_p); the bias's are 0."""
     l1 = np.full(p + 1, cfg.lam * cfg.alpha)
     l2 = np.full(p + 1, cfg.lam * (1.0 - cfg.alpha))
-    if not cfg.penalize_bias:
-        l1[0] = l2[0] = 0.0
+    l1[0] = l2[0] = 0.0
     return l1, l2
 
 

@@ -102,14 +102,14 @@ class SelectionRule:
     min_median_abs: float = 0.05
 
 
-def default_lambda_grid(train_data: FeatureMatrix, alpha: float, n_points: int = 10) -> Tuple[float, ...]:
-    """Log-spaced grid below the all-zero threshold ``lambda_max``.
+def default_lambda_grid(train_data: FeatureMatrix, alpha: float) -> Tuple[float, ...]:
+    """Ten log-spaced values below the all-zero threshold ``lambda_max``.
 
     Spans half of lambda_max down two decades, which brackets the useful
     sparsity range for standardized inputs.
     """
     top = lambda_max(standardize_apply(train_data, standardize_fit(train_data)), alpha)
-    return tuple(float(v) for v in np.geomspace(0.5 * top, 0.005 * top, n_points))
+    return tuple(float(v) for v in np.geomspace(0.5 * top, 0.005 * top, 10))
 
 
 def _stratified_subsample(

@@ -74,10 +74,6 @@ class WaveformRecord:
                 f"{self.trace_id}: event magnitude {self.magnitude} below catalog floor 0.2"
             )
 
-    def with_samples(self, samples: np.ndarray, sample_rate: float) -> "WaveformRecord":
-        """Copy of this record with new samples, provenance preserved."""
-        return replace(self, samples=samples, sample_rate=sample_rate)
-
 
 @dataclass(frozen=True)
 class PreprocessConfig:
@@ -227,4 +223,4 @@ def preprocess(record: WaveformRecord, cfg: PreprocessConfig) -> WaveformRecord:
             )
         start = (x.size - cfg.window_len) // 2
         x = x[start : start + cfg.window_len]
-    return record.with_samples(x, fs / factor)
+    return replace(record, samples=x, sample_rate=fs / factor)

@@ -346,6 +346,31 @@ class TestIngestPredictions:
         with pytest.raises(FormatError, match=rf"^line 1: .*preds.tsv: column\(s\) repeated in header: {named}$"):
             bench.ingest_predictions(path, ["a"])
 
+    @pytest.mark.parametrize("text,named", [
+        # the blank line 3 is skipped but counted
+        ("trace_id\tlabel\na\tevent\n\nb\tquake\n", "line 4: {path}: bad label 'quake'"),
+        ("trace_id\tlabel\na\tevent\tx\n", "line 2: {path}: expected 2 columns, found 3"),
+        ("trace_id\tprobability\na\thigh\n",
+         "line 2: {path}: probability: could not convert string to float: 'high'"),
+        ("trace_id\tprobability\tthreshold\na\t0.4\t7\n", "line 2: {path}: threshold 7.0 outside [0, 1]"),
+    ], ids=["label", "column-count", "text-probability", "threshold-7"])
+    def test_bad_row_names_file_and_line(self, tmp_path, text, named):
+        path = self.write(tmp_path, text)
+        with pytest.raises(FormatError) as err:
+            bench.ingest_predictions(path, ["a", "b"])
+        assert str(err.value) == named.format(path=path)
+
+    @pytest.mark.parametrize("header,error,named", [
+        ("trace_id\tprobability\tprobability", FormatError, "column(s) repeated in header: probability"),
+        ("id\tprobability", IngestError, "header lacks a trace_id column"),
+        ("trace_id\tscore", IngestError, "need a label or probability column"),
+    ], ids=["repeated-column", "no-trace-id", "no-label-or-probability"])
+    def test_header_error_before_row_error(self, tmp_path, header, error, named):
+        path = self.write(tmp_path, f"{header}\na\n")  # the row has too few columns
+        with pytest.raises(error) as err:
+            bench.ingest_predictions(path, ["a"])
+        assert str(err.value).endswith(f"{path}: {named}")
+
     def test_extra_ids_tolerated(self, tmp_path):
         path = self.write(tmp_path, "trace_id\tlabel\na\tevent\nzz\tnoise\n")
         out = bench.ingest_predictions(path, ["a"])

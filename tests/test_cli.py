@@ -401,7 +401,17 @@ def _malformed_cases():
               {m: MATRIX.replace("\tf\tg\n", "\tf\tf\n")}, "line 2"),
         _case("matrix-non-finite-cell", "train",
               lambda d: {"input": d(m), "output": d("o.json")},
-              {m: MATRIX.replace("2.0\t0.1", "2.0\tnan")}, "line 4: trace e2: feature g is not finite"),
+              {m: MATRIX.replace("2.0\t0.1", "2.0\tnan")},
+              ("error: line 4: ", f"{m}: trace e2: feature g is not finite (nan)\n")),
+        # select reads two matrices: the error names the one at fault
+        _case("select-bad-validation-input", "select",
+              lambda d: {"train_input": d(m), "validation_input": d("v.tsv"), "output": d("o.json")},
+              {m: MATRIX, "v.tsv": MATRIX.replace("n1\tnoise", "n1\tquake")},
+              ("error: line 5: ", "v.tsv: label must be one of")),
+        _case("select-tol-0", "select",
+              lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
+                         "ensemble": {"tol": 0}}, {m: MATRIX},
+              "error: ensemble.tol: must be positive, got 0.0\n"),
         *(
             # an empty matrix file is refused where it is read, naming the file
             _case(f"matrix-{id}-{command}", command, config, {m: text}, named)
@@ -487,6 +497,9 @@ def _malformed_cases():
                   f"error: {message}\n")
             for id, command, config, message in (
                 ("model-lamda", "train", {"model": {"lamda": 5.0}}, "model.lamda: unknown field"),
+                # the bias is never penalized: there is no switch for it
+                ("model-penalize-bias", "train", {"model": {"penalize_bias": True}},
+                 "model.penalize_bias: unknown field"),
                 ("ensemble-vary", "select", {"ensemble": {"vary": {"lambda": False}}},
                  "ensemble.vary: unknown field"),
                 ("synthetic-seed", "synth", {"synthetic": {"seed": 3}}, "synthetic.seed: unknown field"),

@@ -185,7 +185,7 @@ class TestRegistry:
     def test_duplicate_codes_rejected(self):
         reg = canonical_registry()
         with pytest.raises(ValueError):
-            reg.merged(list(reg))
+            FeatureRegistry(list(reg) * 2)
 
 
 class TestAffineInvarianceFlags:
@@ -447,6 +447,31 @@ class TestMatrixFile:
         ids=["no-feature-columns", "no-data-rows"],
     )
     def test_empty_matrix_refused_naming_the_file(self, tmp_path, text, named):
+        path = tmp_path / "m.tsv"
+        path.write_text("# quakebox-features-v1 role=train\n" + text)
+        with pytest.raises(FormatError) as err:
+            read_matrix(path)
+        assert str(err.value) == named.format(path=path)
+
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            ("id\tlabel\tf\ne1\tevent\t1.0\n", "line 2: {path}: header must start with trace_id<TAB>label"),
+            ("trace_id\tlabel\tf\tf\ne1\tevent\t1.0\t2.0\n", "line 2: {path}: column(s) repeated in header: f"),
+            # the blank line 4 is skipped but counted
+            ("trace_id\tlabel\tf\ne1\tevent\t1.0\n\nn1\tnoise\n", "line 5: {path}: expected 3 columns, found 2"),
+            ("trace_id\tlabel\tf\ne1\tquake\t1.0\n",
+             "line 3: {path}: label must be one of ('event', 'noise'), got 'quake'"),
+            ("trace_id\tlabel\tf\ne1\tevent\tx\n", "line 3: {path}: could not convert string to float: 'x'"),
+            ("trace_id\tlabel\tf\ne1\tevent\t1.0\nn1\tnoise\tinf\n",
+             "line 4: {path}: trace n1: feature f is not finite (inf)"),
+            # a bad header is reported before a bad row
+            ("trace_id\tlab\tf\ne1\tquake\n", "line 2: {path}: header must start with trace_id<TAB>label"),
+        ],
+        ids=["header-start", "repeated-column", "column-count", "label", "non-numeric", "non-finite",
+             "header-before-row"],
+    )
+    def test_malformed_matrix_names_file_and_line(self, tmp_path, text, named):
         path = tmp_path / "m.tsv"
         path.write_text("# quakebox-features-v1 role=train\n" + text)
         with pytest.raises(FormatError) as err:
