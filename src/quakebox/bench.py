@@ -195,8 +195,10 @@ def sweep(
     """Evaluate every model and prediction source at every ratio.
 
     Models were trained once at the baseline ratio and are reused as-is;
-    only the evaluation set composition changes.  External sources must
-    cover every trace id the ladder can draw.
+    only the evaluation set composition changes.  The draws are nested, so
+    each ratio is scored on its prefix of the largest ratio's dataset,
+    labelled once per source.  External sources must cover every trace id
+    the ladder can draw.
     """
     if set(positives.labels) != {"event"}:
         raise DegenerateInput("positives must all carry the event label")
@@ -207,20 +209,21 @@ def sweep(
         if name in models:
             raise ConfigError(f"external_preds.{name}", "names a source already in models")
     sources = tuple(models) + tuple(external_preds)
+    items = build_ratio_dataset(positives, noise_pool, max(spec.ratios), spec.seed).items
+    preds = {name: artifact.predict_labels(items) for name, artifact in models.items()}
+    for name, pred_map in external_preds.items():
+        missing = [tid for tid in items.trace_ids if tid not in pred_map]
+        if missing:
+            raise IngestError(
+                f"prediction source {name!r} missing {len(missing)} trace id(s): "
+                + ", ".join(sorted(missing)[:10])
+            )
+        preds[name] = [pred_map[tid] for tid in items.trace_ids]
     reports: Dict[Tuple[str, float], EvalReport] = {}
     for ratio in spec.ratios:
-        ds = build_ratio_dataset(positives, noise_pool, ratio, spec.seed)
-        preds = {name: artifact.predict_labels(ds.items) for name, artifact in models.items()}
-        for name, pred_map in external_preds.items():
-            missing = [tid for tid in ds.items.trace_ids if tid not in pred_map]
-            if missing:
-                raise IngestError(
-                    f"prediction source {name!r} missing {len(missing)} trace id(s): "
-                    + ", ".join(sorted(missing)[:10])
-                )
-            preds[name] = [pred_map[tid] for tid in ds.items.trace_ids]
+        n = len(positives) + _round_half_away(ratio * len(positives))
         for name in sources:
-            reports[(name, ratio)] = report(ds.items.labels, preds[name])
+            reports[(name, ratio)] = report(items.labels[:n], preds[name][:n])
     return SweepTable(sources=sources, ratios=tuple(spec.ratios), reports=reports)
 
 
@@ -460,9 +463,9 @@ def ingest_predictions(
     with path.open("r", encoding="utf-8") as fh:
         header, rows = read_table(path, fh, 1)
         if "trace_id" not in header:
-            raise IngestError(f"{path}: header lacks a trace_id column")
+            raise table_error(path, 1, "header lacks a trace_id column")
         if "label" not in header and "probability" not in header:
-            raise IngestError(f"{path}: need a label or probability column")
+            raise table_error(path, 1, "need a label or probability column")
         idx = {name: header.index(name) for name in header}
         out: Dict[str, str] = {}
         duplicates: List[str] = []

@@ -21,8 +21,9 @@ from . import catalog, surrogates
 class FeatureDef:
     """One registered feature.
 
-    ``func`` maps a (traces x samples) block to one value per row; a
-    one-series kernel is lifted with :func:`per_row`.  ``standardize_input``
+    ``func`` maps a (traces x samples) block to one value per row, each
+    independent of the other rows; a one-series kernel is lifted with
+    :func:`per_row`.  ``standardize_input``
     marks features defined on z-scored series (sample std, ddof=1); the
     registry applies the transform before dispatch.
     ``affine_invariant`` declares whether the value is unchanged under
@@ -67,68 +68,58 @@ class FeatureRegistry:
         return iter(self._defs.values())
 
     def extract(self, code: str, samples: np.ndarray) -> float:
-        """Compute one feature on one series (see :meth:`extract_values`)."""
-        return self.extract_values((code,), samples)[code]
-
-    def extract_values(self, codes: Sequence[str], samples: np.ndarray) -> dict[str, float]:
-        """Compute several features on one series, in the order given.
-
-        The series is a block of one (see :meth:`extract_block`); its
-        failure is raised as :class:`DegenerateSeries`.
-        """
-        values, failures = self.extract_block(codes, np.asarray(samples, dtype=float)[None])
+        """Compute one feature on one series, a block of one (see
+        :meth:`extract_block`); its failure is raised as :class:`DegenerateSeries`."""
+        values, failures = self.extract_block((code,), np.asarray(samples, dtype=float)[None])
         if failures:
             raise DegenerateSeries(failures[0])
-        return dict(zip(codes, values[0].tolist()))
+        return float(values[0, 0])
 
     def extract_block(self, codes: Sequence[str], block: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
         """Compute several features on every row of a (traces x samples) block.
 
         Returns the (traces x codes) values and, for each row that failed,
-        its first failure in code order: a series shorter than a feature's
-        documented minimum, one with zero variance (standardization would be
-        undefined), or a non-finite value.  A failed row holds NaN from its
-        failing code on and is not passed to later codes, so its message is
-        the one the row alone would give.  The variance check and the
-        z-score are done once for the whole block; the z-scored block is
-        read-only because every standardized feature shares it.  Each
-        feature's kernel receives the rows still standing as one block.
+        its first failure in code order: zero variance (standardization
+        would be undefined; named by the first code), a non-finite value,
+        or a series shorter than a feature's documented minimum.  A failed
+        row holds NaN from its failing code on.  The block's length,
+        variance and finiteness are each checked once, and it is z-scored
+        once (read-only: every standardized feature shares it).  Each
+        kernel before the first code the series is too short for runs once,
+        on the rows of nonzero variance.
         """
         defs = [self.get(code) for code in codes]
         x = np.asarray(block, dtype=float)
-        n_rows = len(x)
-        values = np.full((n_rows, len(defs)), np.nan)
+        values = np.full((len(x), len(defs)), np.nan)
         failures: dict[int, str] = {}
-        alive = np.arange(n_rows)
-        z = None
-        for j, d in enumerate(defs):
-            if not alive.size:
-                break
-            if x.ndim != 2 or x.shape[1] < d.min_length:
-                message = f"{d.code} needs a 1-D series of at least {d.min_length} samples, got {x.shape[1:]}"
-                failures.update((int(r), message) for r in alive)
-                break
-            if z is None:
-                n = x.shape[1]
-                # x.std(ddof=1) and x - x.mean() of each row, in numpy's own
-                # order of operations, sharing the deviations between them
-                dev = x - x.sum(axis=1, keepdims=True) / n
-                sd = np.sqrt((dev * dev).sum(axis=1) / (n - 1))
-                constant = ~(sd > 0)
-                if constant.any():
-                    message = f"{d.code} is undefined on a constant series"
-                    failures.update((int(r), message) for r in np.flatnonzero(constant))
-                    alive = np.flatnonzero(~constant)
-                    sd[constant] = 1.0
+        cut = next((j for j, d in enumerate(defs) if x.ndim != 2 or x.shape[1] < d.min_length), len(defs))
+        if cut:
+            n = x.shape[1]
+            # x.std(ddof=1) and x - x.mean() of each row, in numpy's own
+            # order of operations, sharing the deviations between them
+            dev = x - x.sum(axis=1, keepdims=True) / n
+            sd = np.sqrt((dev * dev).sum(axis=1) / (n - 1))
+            rows = np.flatnonzero(sd > 0)
+            if len(rows) < len(x):
+                message = f"{defs[0].code} is undefined on a constant series"
+                failures = dict.fromkeys(np.flatnonzero(~(sd > 0)).tolist(), message)
+                x, dev, sd = x[rows], dev[rows], sd[rows]
+            if len(rows):
                 z = dev / sd[:, None]
                 z.flags.writeable = False
-            source = z if d.standardize_input else x
-            column = d.func(source if alive.size == n_rows else source[alive])
-            finite = np.isfinite(column)
-            if np.count_nonzero(finite) < finite.size:
-                failures.update((int(r), f"{d.code} produced a non-finite value") for r in alive[~finite])
-                alive, column = alive[finite], column[finite]
-            values[alive, j] = column
+                out = np.empty((len(rows), cut))
+                for j, d in enumerate(defs[:cut]):
+                    out[:, j] = d.func(z if d.standardize_input else x)
+                finite = np.isfinite(out)
+                for k in np.flatnonzero(~finite.all(axis=1)).tolist():
+                    j = int(np.argmin(finite[k]))
+                    failures[int(rows[k])] = f"{defs[j].code} produced a non-finite value"
+                    out[k, j:] = np.nan
+                values[rows, :cut] = out
+        if cut < len(defs):
+            d = defs[cut]
+            message = f"{d.code} needs a 1-D series of at least {d.min_length} samples, got {x.shape[1:]}"
+            failures = {r: failures.get(r, message) for r in range(len(values))}
         return values, failures
 
 

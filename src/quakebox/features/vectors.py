@@ -9,6 +9,10 @@ convert it once with :meth:`FeatureMatrix.from_rows`.  Standardization
 parameters are always fitted on training data only (sample standard
 deviation, ddof=1 — the repo-wide estimator convention).
 
+Records reach feature values by one path: :func:`extract_matrix` stacks
+them into blocks for :meth:`FeatureRegistry.extract_block`, and
+:func:`extract_vector` is :func:`extract_matrix` on one record.
+
 :func:`read_table`, beside :func:`read_matrix`, reads every tab-separated
 input, matrices and ``bench.ingest_predictions``' files alike.
 """
@@ -68,17 +72,10 @@ def extract_vector(
     registry: FeatureRegistry,
     selected: Sequence[str] | None = None,
 ) -> FeatureVector:
-    """Extract the selected features (registry order) from one record.
-
-    The record is a block of one.  Extraction failures are re-raised with
-    the failing code and trace id attached.  ``selected=None`` means the
-    whole registry.
-    """
-    try:
-        values = registry.extract_values(_registry_codes(registry, selected), record.samples)
-    except DegenerateSeries as exc:
-        raise DegenerateSeries(f"trace {record.trace_id}: {exc}") from exc
-    return FeatureVector(trace_id=record.trace_id, values=values, label=record.label)
+    """Extract the selected features (registry order) from one record:
+    :func:`extract_matrix` on a list of one, failures included.
+    ``selected=None`` means the whole registry."""
+    return extract_matrix([record], registry, selected)[0]
 
 
 # rows per block: bounds the memory of the kernels' temporaries (C19/C20's
@@ -96,10 +93,10 @@ def extract_matrix(
 
     Records of one sample count are stacked into (traces x samples) blocks
     of up to ``_BLOCK_ROWS`` rows, and each block goes through one
-    :meth:`FeatureRegistry.extract_block` call: one length and variance
-    check, one z-score, and one kernel call per feature.  A trace's values
-    and failure message are those :func:`extract_vector` gives it.
-    Degenerate traces are collected and reported together, in record
+    :meth:`FeatureRegistry.extract_block` call: one length, variance and
+    finiteness check, one z-score, and one kernel call per feature.  A
+    trace's values and failure message do not depend on the records beside
+    it.  Degenerate traces are collected and reported together, in record
     order, so a single bad trace cannot silently shrink a dataset.
     """
     records = list(records)
@@ -116,7 +113,7 @@ def extract_matrix(
             for k, i in enumerate(rows):
                 rec = records[i]
                 if k in failed:
-                    failures[i] = f"{rec.trace_id} (trace {rec.trace_id}: {failed[k]})"
+                    failures[i] = f"trace {rec.trace_id}: {failed[k]}"
                 else:
                     vectors[i] = FeatureVector(rec.trace_id, dict(zip(codes, values[k].tolist())), rec.label)
     if failures:
@@ -217,9 +214,6 @@ class StandardizationParams:
     means: Mapping[str, float]
     stds: Mapping[str, float]
 
-    def codes(self) -> tuple[str, ...]:
-        return tuple(self.means)
-
 
 def standardize_fit(data: Rows) -> StandardizationParams:
     """Fit per-feature mean and standard deviation (ddof=1).
@@ -283,10 +277,12 @@ def table_error(path: Path, line: int, message: str) -> FormatError:
 
 def read_table(path: Path, fh: TextIO, lineno: int) -> Tuple[List[str], Iterator[Tuple[int, List[str]]]]:
     """The header at line ``lineno`` of ``fh``, and a lazy iterator over the
-    ``(line number, cells)`` of each non-blank line after it.  A repeated
-    column is refused now and a wrong cell count when its row is reached, so
-    the caller's header checks come before any row error."""
+    ``(line number, cells)`` of each non-blank line after it.  An empty or
+    repeated column name is refused now and a wrong cell count when its row
+    is reached, so the caller's header checks come before any row error."""
     header = fh.readline().rstrip("\n").split("\t")
+    if "" in header:
+        raise table_error(path, lineno, f"header column {header.index('') + 1} has an empty name")
     repeated = sorted({c for c in header if header.count(c) > 1})
     if repeated:
         raise table_error(path, lineno, f"column(s) repeated in header: {', '.join(repeated)}")

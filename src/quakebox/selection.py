@@ -86,9 +86,6 @@ class WeightDistribution:
     stats: Mapping[str, FeatureWeightStats]
     n_models: int
 
-    def codes(self) -> tuple[str, ...]:
-        return tuple(self.stats)
-
     def table(self) -> List[Tuple[str, float, float, float, float, float, float]]:
         """Plot-data rows: (code, min, max, median, median|w|, mean|w|, frac nonzero)."""
         return [(c, *astuple(s)) for c, s in self.stats.items()]

@@ -206,12 +206,16 @@ def preprocess(record: WaveformRecord, cfg: PreprocessConfig) -> WaveformRecord:
     Decimation skips its own anti-alias filter only when the band-pass has
     already confined the signal below the post-decimation Nyquist.  When the
     config fixes a window length, the result is center-cropped to it;
-    too-short traces raise :class:`DegenerateInput`.
+    too-short traces raise :class:`DegenerateInput`.  Both that error and a
+    band at or above the trace's Nyquist frequency name the trace.
     """
     fs = record.sample_rate
     x = detrend_linear(record.samples)
     x = demean(x)
-    x = bandpass(x, fs, cfg)
+    try:
+        x = bandpass(x, fs, cfg)
+    except InvalidBand as exc:
+        raise InvalidBand(f"{record.trace_id}: {exc}") from None
     factor = cfg.downsample_factor
     bandlimited = cfg.band_high_hz < fs / (2 * factor)
     x = downsample(x, factor, assume_bandlimited=bandlimited)

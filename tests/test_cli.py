@@ -579,6 +579,10 @@ def _malformed_cases():
                 ("infinite-magnitude", _waves(magnitude=math.inf), "magnitude: must be finite, got inf"),
             )
         ),
+        # a band the trace's sample rate cannot carry names the trace
+        _case("waves-band-above-nyquist", "extract",
+              lambda d: {"input": d("w.jsonl"), "output": d("o.tsv")}, {"w.jsonl": _waves(sample_rate=40.0)},
+              "error: n1: band_high_hz 25.0 must lie below Nyquist 20.0 (fs=40.0)\n"),
         _case("waves-unknown-role", "extract",
               lambda d: {"input": d("w.jsonl"), "output": d("o.tsv")},
               {"w.jsonl": _waves().replace('"role": "all"', '"role": "Train"')},

@@ -123,6 +123,23 @@ class TestArrayKernelsAgainstOracle:
                 expected = REFERENCE_FUNCS[code](zscore(x.tolist()))
                 assert vec.values[code] == pytest.approx(expected, rel=1e-6, abs=1e-10), name
 
+    @pytest.mark.parametrize("n", [20, 97, 256, 513])
+    def test_every_code_is_row_independent(self, n):
+        # a 64-row block of mixed series with one constant row: every row
+        # holds, bit for bit, the values and the failure it has alone
+        registry = reproduction_registry()
+        codes = registry.codes()
+        rng = np.random.default_rng(n)
+        kinds = ("white", "random_walk", "sinusoid", "rounded")
+        block = np.stack([_oracle_series(kinds[i % 4], n, rng) for i in range(64)])
+        block[17] = 2.5
+        values, failures = registry.extract_block(codes, block)
+        assert failures == {17: "W1 is undefined on a constant series"}
+        for k, row in enumerate(block):
+            one, failed = registry.extract_block(codes, row[None])
+            assert values[k].tobytes() == one[0].tobytes(), k
+            assert failed.get(0) == failures.get(k), k
+
 
 class TestRegistry:
     def test_canonical_has_22_codes(self):
@@ -171,16 +188,18 @@ class TestRegistry:
         reg = reproduction_registry()
         x = rng.standard_normal(300)
         codes = ("C15", "W1", "C10", "C1")
-        values = reg.extract_values(codes, x)
-        assert tuple(values) == codes
-        assert values == {c: reg.extract(c, x) for c in codes}
+        values, failures = reg.extract_block(codes, x[None])
+        assert failures == {}
+        assert values.tolist() == [[reg.extract(c, x) for c in codes]]
 
     def test_extract_values_errors_name_the_failing_code(self):
         reg = reproduction_registry()
-        with pytest.raises(DegenerateSeries, match="^C14 is undefined on a constant series$"):
-            reg.extract_values(("C14", "W1"), np.full(100, 3.0))
-        with pytest.raises(DegenerateSeries, match="^C10 needs a 1-D series of at least 20"):
-            reg.extract_values(("W1", "C10"), np.arange(12.0))
+        values, failures = reg.extract_block(("C14", "W1"), np.full((1, 100), 3.0))
+        assert failures == {0: "C14 is undefined on a constant series"}
+        assert np.isnan(values).all()
+        values, failures = reg.extract_block(("W1", "C10"), np.arange(12.0)[None])
+        assert failures == {0: "C10 needs a 1-D series of at least 20 samples, got (12,)"}
+        assert values[0, 0] == reg.extract("W1", np.arange(12.0)) and np.isnan(values[0, 1])
 
     def test_duplicate_codes_rejected(self):
         reg = canonical_registry()
@@ -260,8 +279,8 @@ class TestExtractVector:
             extract_matrix(records, canonical_registry(), ("C1", "C19"))
         assert str(err.value) == (
             "2 trace(s) failed feature extraction: "
-            "short (trace short: C19 needs a 1-D series of at least 16 samples, got (12,)); "
-            "flat (trace flat: C1 is undefined on a constant series)"
+            "trace short: C19 needs a 1-D series of at least 16 samples, got (12,); "
+            "trace flat: C1 is undefined on a constant series"
         )
 
     def test_non_finite_value_fails_only_its_row(self, rng):
@@ -283,12 +302,23 @@ class TestExtractVector:
         with pytest.raises(DegenerateSeries) as err:
             extract_matrix(records, reg)
         assert str(err.value) == (
-            "2 trace(s) failed feature extraction: t0 (trace t0: X1 produced a non-finite value); "
-            "t3 (trace t3: X1 produced a non-finite value)"
+            "2 trace(s) failed feature extraction: trace t0: X1 produced a non-finite value; "
+            "trace t3: X1 produced a non-finite value"
         )
-        assert seen == [2]  # later codes see only the rows still standing
-        with pytest.raises(DegenerateSeries, match="^trace t0: X1 produced a non-finite value$"):
+        assert seen == [4]  # each kernel sees every row of nonzero variance once
+        with pytest.raises(DegenerateSeries) as err:
             extract_vector(records[0], reg)
+        assert str(err.value) == (
+            "1 trace(s) failed feature extraction: trace t0: X1 produced a non-finite value"
+        )
+        # the rows still standing hold the values each gets as a block of one
+        block = np.stack([rec.samples for rec in records])
+        values, failures = reg.extract_block(reg.codes(), block)
+        assert failures == {0: "X1 produced a non-finite value", 3: "X1 produced a non-finite value"}
+        assert np.isnan(values[[0, 3]]).all()
+        for k in (1, 2):
+            one, none = reg.extract_block(reg.codes(), block[k : k + 1])
+            assert none == {} and values[k].tolist() == one[0].tolist() == [0.0, 0.0]
 
     def test_vector_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -458,6 +488,9 @@ class TestMatrixFile:
         [
             ("id\tlabel\tf\ne1\tevent\t1.0\n", "line 2: {path}: header must start with trace_id<TAB>label"),
             ("trace_id\tlabel\tf\tf\ne1\tevent\t1.0\t2.0\n", "line 2: {path}: column(s) repeated in header: f"),
+            # a trailing tab names an empty column
+            ("trace_id\tlabel\tf\t\ne1\tevent\t1.0\t\n",
+             "line 2: {path}: header column 4 has an empty name"),
             # the blank line 4 is skipped but counted
             ("trace_id\tlabel\tf\ne1\tevent\t1.0\n\nn1\tnoise\n", "line 5: {path}: expected 3 columns, found 2"),
             ("trace_id\tlabel\tf\ne1\tquake\t1.0\n",
@@ -468,8 +501,8 @@ class TestMatrixFile:
             # a bad header is reported before a bad row
             ("trace_id\tlab\tf\ne1\tquake\n", "line 2: {path}: header must start with trace_id<TAB>label"),
         ],
-        ids=["header-start", "repeated-column", "column-count", "label", "non-numeric", "non-finite",
-             "header-before-row"],
+        ids=["header-start", "repeated-column", "empty-column-name", "column-count", "label", "non-numeric",
+             "non-finite", "header-before-row"],
     )
     def test_malformed_matrix_names_file_and_line(self, tmp_path, text, named):
         path = tmp_path / "m.tsv"
