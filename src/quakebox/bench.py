@@ -29,6 +29,7 @@ from .errors import (
     TooFewEvents,
 )
 from .features.vectors import FeatureMatrix, FeatureVector, read_table, table_error
+from .fields import text_file
 from .metrics import EvalReport, report
 from .model import ModelArtifact
 from .seeds import derive_rng
@@ -133,8 +134,19 @@ class RatioDataset:
     achieved_ratio: float
 
 
-def _round_half_away(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def _noise_count(ratio: float, n_pos: int, pool: int) -> int:
+    """``ratio * n_pos`` rounded half away from zero: the noise items a ratio
+    dataset draws.  More than ``pool`` raises InsufficientNoise, without
+    the count when it runs beyond 2**53 (or the float range)."""
+    half_up = ratio * n_pos + 0.5
+    if half_up >= 2**53:
+        raise InsufficientNoise(f"ratio {ratio} needs more than the pool's {pool} noise items")
+    need = math.floor(half_up)
+    if need > pool:
+        raise InsufficientNoise(
+            f"ratio {ratio} needs {need} noise items, pool has {pool} (short {need - pool})"
+        )
+    return need
 
 
 def build_ratio_dataset(
@@ -147,12 +159,7 @@ def build_ratio_dataset(
     """
     if not positives:
         raise DegenerateInput("ratio dataset needs at least one positive")
-    need = _round_half_away(ratio * len(positives))
-    if need > len(noise_pool):
-        raise InsufficientNoise(
-            f"ratio {ratio} needs {need} noise items, pool has {len(noise_pool)} "
-            f"(short {need - len(noise_pool)})"
-        )
+    need = _noise_count(ratio, len(positives), len(noise_pool))
     noise_pool = noise_pool.columns(positives.codes)
     rng = derive_rng(seed, "ratio-noise")
     drawn = noise_pool.take(rng.permutation(len(noise_pool))[:need])
@@ -221,7 +228,7 @@ def sweep(
         preds[name] = [pred_map[tid] for tid in items.trace_ids]
     reports: Dict[Tuple[str, float], EvalReport] = {}
     for ratio in spec.ratios:
-        n = len(positives) + _round_half_away(ratio * len(positives))
+        n = len(positives) + _noise_count(ratio, len(positives), len(noise_pool))
         for name in sources:
             reports[(name, ratio)] = report(items.labels[:n], preds[name][:n])
     return SweepTable(sources=sources, ratios=tuple(spec.ratios), reports=reports)
@@ -404,31 +411,27 @@ def generate_planted_features(
     for k, pos in enumerate(positions):
         coef[pos] = strength * (1.0 if k % 2 == 0 else -1.0)
 
-    rows: List[np.ndarray] = []
-    logits: List[float] = []
-    while len(rows) < n_samples:
+    kept: List[np.ndarray] = []
+    positive: List[np.ndarray] = []
+    have = 0
+    while have < n_samples:
         batch = rng.standard_normal((n_samples, p))
         scores = batch @ coef
         keep = np.abs(scores) >= margin
-        for row, s in zip(batch[keep], scores[keep]):
-            rows.append(row)
-            logits.append(float(s))
-            if len(rows) == n_samples:
-                break
-    X = np.vstack(rows)
-    y = np.asarray(logits) > 0
+        kept.append(batch[keep][: n_samples - have])
+        positive.append(scores[keep][: n_samples - have] > 0)
+        have += len(kept[-1])
+    X = np.concatenate(kept)
+    y = np.concatenate(positive)
     if label_noise > 0:
         flips = rng.random(n_samples) < label_noise
         y = np.logical_xor(y, flips)
 
     codes = tuple(f"F{i+1:02d}" for i in range(p))
     vectors = [
-        FeatureVector(
-            trace_id=f"synth{i:05d}",
-            values={c: float(X[i, j]) for j, c in enumerate(codes)},
-            label="event" if y[i] else "noise",
-        )
-        for i in range(n_samples)
+        FeatureVector(trace_id=f"synth{i:05d}", values=dict(zip(codes, row)),
+                      label="event" if event else "noise")
+        for i, (row, event) in enumerate(zip(X.tolist(), y.tolist()))
     ]
     informative = tuple(codes[pos] for pos in sorted(positions))
     return vectors, informative
@@ -438,7 +441,7 @@ def generate_planted_features(
 # external prediction ingestion
 
 
-def _unit_interval(cell: str, column: str, path: Path, lineno: int) -> float:
+def _unit_interval(cell: str, column: str, path: str | Path, lineno: int) -> float:
     try:
         value = float(cell)
     except ValueError as exc:
@@ -458,9 +461,8 @@ def ingest_predictions(
     A bad row names the file and line; duplicate and missing ids fail
     loudly, each listed; ids beyond the expected set are dropped.
     """
-    path = Path(path)
     expected = set(expected_trace_ids)
-    with path.open("r", encoding="utf-8") as fh:
+    with text_file(path) as fh:
         header, rows = read_table(path, fh, 1)
         if "trace_id" not in header:
             raise table_error(path, 1, "header lacks a trace_id column")

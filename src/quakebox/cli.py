@@ -64,14 +64,10 @@ FEATURE_PROFILES = {
 
 def _load_config(path: str) -> dict:
     try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+        with fields.text_file(path) as fh:
+            return fields.document(fh.read(), path)
     except FileNotFoundError:
         raise ConfigError("config", f"file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON in {path}: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config", "top level must be a JSON object")
-    return cfg
 
 
 def _known(cfg: Mapping[str, Any], *keys: str) -> None:

@@ -35,6 +35,7 @@ from ..errors import (
     ShapeMismatch,
     ZeroVariance,
 )
+from ..fields import text_file
 from ..waveform import LABELS, WaveformRecord, check_role
 from .registry import FeatureRegistry
 
@@ -270,12 +271,12 @@ def write_matrix(path: str | Path, data: Rows, role: str = "all") -> None:
             fh.write("\t".join([trace_id, label, *map(repr, row)]) + "\n")
 
 
-def table_error(path: Path, line: int, message: str) -> FormatError:
+def table_error(path: str | Path, line: int, message: str) -> FormatError:
     """A FormatError naming the file and the line of a tab-separated input."""
     return FormatError(f"{path}: {message}", line=line)
 
 
-def read_table(path: Path, fh: TextIO, lineno: int) -> Tuple[List[str], Iterator[Tuple[int, List[str]]]]:
+def read_table(path: str | Path, fh: TextIO, lineno: int) -> Tuple[List[str], Iterator[Tuple[int, List[str]]]]:
     """The header at line ``lineno`` of ``fh``, and a lazy iterator over the
     ``(line number, cells)`` of each non-blank line after it.  An empty or
     repeated column name is refused now and a wrong cell count when its row
@@ -301,13 +302,12 @@ def read_table(path: Path, fh: TextIO, lineno: int) -> Tuple[List[str], Iterator
 
 def read_matrix(path: str | Path) -> Tuple[FeatureMatrix, str]:
     """Read a TSV feature matrix; returns (matrix, role)."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if not first.startswith(FORMAT_LINE_PREFIX):
+    with text_file(path) as fh:
+        tokens = fh.readline().split()
+        if tokens[:2] != FORMAT_LINE_PREFIX.split():
             raise FormatError(f"{path}: not a quakebox feature matrix", line=1)
         role = "all"
-        for token in first.split():
+        for token in tokens[2:]:
             if token.startswith("role="):
                 role = token.split("=", 1)[1]
         check_role(path, role)

@@ -1,12 +1,12 @@
-"""Reading the fields of a parsed JSON document.
+"""Opening input files, parsing JSON documents and reading their fields.
 
-Run configs, model files, selection reports and waveform records all read
-their fields by one rule: a field is found by its dotted path, JSON
-``true``/``false`` never stand in for a number, an int widens to float,
-and every number read must be finite.  Each caller passes
-``fail(field, why)``, which builds the error it raises: ``ConfigError``
-for a config, :func:`in_file` (a ``FormatError`` naming the file, and the
-line) for a data file.
+Every input opens through :func:`text_file`, every JSON document parses
+through :func:`document`, and all read their fields by one rule: a field
+is found by its dotted path, JSON ``true``/``false`` never stand in for a
+number, an int widens to float, and every number read must be finite.
+Each caller passes ``fail(field, why)``, which builds the error it raises:
+``ConfigError`` for a config, :func:`in_file` (a ``FormatError`` naming
+the file, and the line) for a data file.
 
 :func:`spec` reads a whole config section into its frozen dataclass:
 each field by its type hint, a missing one at the dataclass default, and
@@ -15,16 +15,44 @@ a key that names no field refused as ``section.key: unknown field``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import json
 import math
+import re
 import typing
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping, TextIO
 
 from .errors import FormatError, QuakeboxError
 
 Fail = Callable[[str, str], Exception]
 _REQUIRED = object()
+
+
+@contextlib.contextmanager
+def text_file(path: str | Path) -> Iterator[TextIO]:
+    """``path`` open as UTF-8 text with universal newlines.  A bad byte met in the
+    ``with`` body is a FormatError naming the file and the first bad line, if any."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:  # a bad byte reads as \udcXX
+            line = next((n for n, text in enumerate(fh, 1) if re.search("[\udc80-\udcff]", text)), None)
+        raise FormatError(f"{path}: invalid UTF-8 ({exc.reason})", line=line) from None
+
+
+def document(text: str, path: str | Path, fmt: str | None = None, line: int | None = None) -> dict:
+    """``text`` parsed as a JSON object, tagged ``"format": fmt`` when ``fmt``
+    is given; else a FormatError naming the file (and the line)."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise FormatError(f"{path}: invalid JSON ({exc})", line=line) from None
+    if not isinstance(doc, dict) or (fmt is not None and doc.get("format") != fmt):
+        raise FormatError(f"{path}: " + (f"not a {fmt} file" if fmt else "not a JSON object"), line=line)
+    return doc
 
 
 def get(doc: Mapping[str, Any], field: str, kind: type, fail: Fail, default=_REQUIRED):
@@ -81,13 +109,19 @@ def listed(doc: Mapping[str, Any], field: str, kind: type, fail: Fail, default=_
 def numbers(field: str, values: list, fail: Fail) -> list:
     """``values`` checked to hold only JSON numbers, in one pass for long arrays.
 
-    A bool, string or null entry fails naming ``field[i]``; finiteness is
-    left to the caller, which builds an array from ``values`` and checks it.
+    A bool, string or null entry fails naming ``field[i]``, and so does an
+    integer beyond the float range; any other finiteness check is left to
+    the caller, which builds an array from ``values`` and checks it.
     """
-    odd = set(map(type, values)) - {float, int}
+    kinds = set(map(type, values))
+    odd = kinds - {float, int}
     if odd:
         i = next(i for i, v in enumerate(values) if type(v) in odd)
         raise fail(f"{field}[{i}]", f"expected float, got {type(values[i]).__name__}")
+    if int in kinds:
+        for i, v in enumerate(values):
+            if type(v) is int:
+                typed(f"{field}[{i}]", v, float, fail)
     return values
 
 

@@ -28,7 +28,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import fields
-from .errors import DegenerateLabels, FormatError
+from .errors import DegenerateLabels
 from .features.vectors import FeatureMatrix, FeatureVector, StandardizationParams, zscore
 
 
@@ -377,12 +377,8 @@ def save_model(path: str | Path, artifact: ModelArtifact) -> None:
 def load_model(path: str | Path) -> ModelArtifact:
     """Read a model file.  A missing or malformed field raises
     :class:`FormatError` naming the file and the field's dotted path."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid model JSON ({exc})") from exc
-    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
-        raise FormatError(f"{path}: not a {MODEL_FORMAT} file")
+    with fields.text_file(path) as fh:
+        payload = fields.document(fh.read(), path, MODEL_FORMAT)
 
     fail = fields.in_file(path)
     threshold = fields.get(payload, "threshold", float, fail)

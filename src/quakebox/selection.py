@@ -26,7 +26,7 @@ from typing import List, Mapping, Sequence, Tuple
 import numpy as np
 
 from . import fields
-from .errors import DegenerateInput, FormatError, QuakeboxError
+from .errors import DegenerateInput, QuakeboxError
 from .features.vectors import FeatureMatrix, standardize_apply, standardize_fit
 from .metrics import confusion, mcc
 from .model import PenaltyConfig, TrainOptions, classify, lambda_max, train
@@ -292,12 +292,8 @@ def save_selection_report(path: str | Path, report: SelectionReport) -> None:
 def load_selection_report(path: str | Path) -> SelectionReport:
     """Read a report file.  A missing or malformed field raises
     :class:`FormatError` naming the file and the field (``runs[3].val_mcc``)."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
-        raise FormatError(f"{path}: not a {REPORT_FORMAT} file")
+    with fields.text_file(path) as fh:
+        payload = fields.document(fh.read(), path, REPORT_FORMAT)
 
     fail = fields.in_file(path)
     runs = []

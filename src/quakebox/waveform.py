@@ -167,12 +167,17 @@ def bandpass(samples: np.ndarray, fs: float, cfg: PreprocessConfig) -> np.ndarra
     magnitude response and cancels the phase, so arrival times survive for
     feature extraction.  Edges are mirror-padded by one settling length
     (three periods of the low corner) to keep transients out of short traces.
+    A band too narrow or too low for a stable design raises InvalidBand.
     """
     cfg.validate_against(fs)
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise DegenerateInput("bandpass needs at least 2 samples")
-    design = _butter_sos(cfg.filter_order, (cfg.band_low_hz, cfg.band_high_hz), "bandpass", fs)
+    try:
+        design = _butter_sos(cfg.filter_order, (cfg.band_low_hz, cfg.band_high_hz), "bandpass", fs)
+    except ValueError as exc:  # numpy's LinAlgError is a ValueError
+        raise InvalidBand(f"band [{cfg.band_low_hz}, {cfg.band_high_hz}] has no order-{cfg.filter_order} "
+                          f"Butterworth design at fs={fs} ({exc})") from None
     settle = int(round(3 * fs / cfg.band_low_hz))
     return _filtfilt(design, x, min(x.size - 1, settle))
 

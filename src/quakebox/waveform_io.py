@@ -20,7 +20,7 @@ from .waveform import WaveformRecord, check_role
 
 FORMAT_NAME = "quakebox-waveforms-v1"
 
-# each record field's JSON type; event_id and magnitude may also be null
+# each record field's JSON type, in the order written; event_id and magnitude may also be null
 RECORD_FIELDS = {
     "trace_id": str,
     "event_id": str,
@@ -41,16 +41,8 @@ def write_waveforms(path: str | Path, records: Iterable[WaveformRecord], role: s
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps({"format": FORMAT_NAME, "role": role}) + "\n")
         for rec in records:
-            row = {
-                "trace_id": rec.trace_id,
-                "event_id": rec.event_id,
-                "station": rec.station,
-                "channel": rec.channel,
-                "sample_rate": rec.sample_rate,
-                "label": rec.label,
-                "magnitude": rec.magnitude,
-                "samples": [float(v) for v in rec.samples],
-            }
+            row = {f: getattr(rec, f) for f in RECORD_FIELDS}
+            row["samples"] = rec.samples.tolist()
             fh.write(json.dumps(row) + "\n")
 
 
@@ -60,28 +52,17 @@ def read_waveforms(path: str | Path) -> Tuple[List[WaveformRecord], str]:
     Raises :class:`FormatError` with the offending line number on any
     malformed line, mistyped field or invariant violation.
     """
-    path = Path(path)
     records: List[WaveformRecord] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with fields.text_file(path) as fh:
         header_line = fh.readline()
         if not header_line:
             raise FormatError(f"{path}: empty file")
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid header JSON ({exc})", line=1) from exc
-        if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-            raise FormatError(f"{path}: not a {FORMAT_NAME} file", line=1)
+        header = fields.document(header_line, path, FORMAT_NAME, line=1)
         role = check_role(path, fields.get(header, "role", str, fields.in_file(path, 1), "all"))
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: invalid JSON ({exc})", line=lineno) from exc
-            if not isinstance(row, dict):
-                raise FormatError(f"{path}: record is not a JSON object", line=lineno)
+            row = fields.document(line, path, line=lineno)
             missing = [f for f in RECORD_FIELDS if f not in row]
             if missing:
                 raise FormatError(f"{path}: missing fields {missing}", line=lineno)

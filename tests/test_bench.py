@@ -113,6 +113,12 @@ class TestRatioDataset:
         with pytest.raises(InsufficientNoise, match="short 400"):
             bench.build_ratio_dataset(self.positives(10), self.pool(100), 50.0, seed=1)
 
+    @pytest.mark.parametrize("n_pos", [1, 3])
+    def test_overflowing_ratio_names_the_ratio_not_a_count(self, n_pos):
+        with pytest.raises(InsufficientNoise) as err:
+            bench.build_ratio_dataset(self.positives(n_pos), self.pool(4), 1e308, seed=1)
+        assert str(err.value) == "ratio 1e+308 needs more than the pool's 4 noise items"
+
     def test_all_positives_retained(self):
         pos = self.positives(7)
         ds = bench.build_ratio_dataset(pos, self.pool(100), 3.0, seed=2)

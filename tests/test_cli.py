@@ -299,6 +299,26 @@ class TestErrors:
         assert run(["train", "-c", "/nonexistent/cfg.json"]) == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_config_not_utf8_names_file_and_line(self, workdir, capsys):
+        path = workdir / "cfg.json"
+        path.write_bytes(b'{"input": "m.tsv",\n "output": "o\xffjson"}\n')
+        assert run(["train", "-c", path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line 2: {path}: invalid UTF-8 (invalid start byte)\n"
+
+    @pytest.mark.parametrize("text,named", [
+        ("[" * 100000, "invalid JSON (maximum recursion depth exceeded"),
+        ('{"input": ', "invalid JSON (Expecting value: line 1 column 11 (char 10))"),
+        ("[1, 2]", "not a JSON object"),
+    ], ids=["nested", "truncated", "array"])
+    def test_config_not_a_json_object_names_file(self, workdir, capsys, text, named):
+        path = workdir / "cfg.json"
+        path.write_text(text)
+        assert run(["train", "-c", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {named}")
+        assert "Traceback" not in err
+
     def test_empty_waveform_input(self, workdir, capsys):
         (workdir / "empty.jsonl").write_text(
             '{"format": "quakebox-waveforms-v1", "role": "all"}\n'
@@ -359,6 +379,10 @@ RECORD = {"trace_id": "n1", "event_id": None, "station": "s01", "channel": "GPZ"
 def _waves(**changes):
     """A waveform file of one RECORD line, with fields replaced."""
     return WAVES_HEADER + json.dumps({**RECORD, **changes}) + "\n"
+
+
+PREDICTIONS = "trace_id\tlabel\n" + "".join(f"{t}\t{lab}\n" for t, lab in (
+    ("e1", "event"), ("e2", "event"), ("n1", "noise"), ("n2", "noise")))
 
 
 def _case(id, command, build, files, named):
@@ -615,15 +639,58 @@ def _malformed_cases():
                 ("threshold-1", _model_file(threshold=1.0), "threshold: must lie in (0, 1)"),
                 ("threshold-negative", _model_file(threshold=-0.2), "threshold"),
                 ("not-an-object", "[1, 2]", "not a quakebox-model-v1 file"),
+                # a bad byte names its line, counted from the leading blank lines
+                ("not-utf8", b"\n\n" + _model_file().encode().replace(b"bias", b"bi\xe9s"),
+                 ("error: line 3: ", "a.json: invalid UTF-8 (invalid continuation byte)\n")),
+                ("nested", "[" * 100000, "a.json: invalid JSON (maximum recursion depth exceeded"),
             )
         ),
+        *(
+            # every reader opens its file as UTF-8 text: a bad byte names the file and its line
+            _case(f"not-utf8-{id}", command, build, files, named)
+            for id, command, build, files, named in (
+                ("waves", "extract", lambda d: {"input": d("w.jsonl"), "output": d("o.tsv")},
+                 {"w.jsonl": _waves().encode() + b'{"trace_id": "n\xff2"}\n'},
+                 ("error: line 3: ", "w.jsonl: invalid UTF-8 (invalid start byte)\n")),
+                ("matrix", "train", lambda d: {"input": d(m), "output": d("o.json")},
+                 {m: MATRIX.encode().replace(b"n2\t", b"n\xff2\t")},
+                 ("error: line 6: ", f"{m}: invalid UTF-8 (invalid start byte)\n")),
+                ("predictions", "eval",
+                 lambda d: {"input": d(m), "predictions": {"x": d("p.tsv")}, "output": d("o.json")},
+                 {m: MATRIX, "p.tsv": PREDICTIONS.encode().replace(b"n1\tnoise", b"n1\tno\xc3se")},
+                 ("error: line 4: ", "p.tsv: invalid UTF-8 (invalid continuation byte)\n")),
+            )
+        ),
+        _case("waves-nested-record", "extract", lambda d: {"input": d("w.jsonl"), "output": d("o.tsv")},
+              {"w.jsonl": WAVES_HEADER + "[" * 100000 + "\n"},
+              ("error: line 2: ", "w.jsonl: invalid JSON (maximum recursion depth exceeded")),
+        _case("waves-record-not-an-object", "extract",
+              lambda d: {"input": d("w.jsonl"), "output": d("o.tsv")}, {"w.jsonl": WAVES_HEADER + "[1]\n"},
+              ("error: line 2: ", "w.jsonl: not a JSON object\n")),
+        _case("waves-sample-beyond-float-range", "extract",
+              lambda d: {"input": d("w.jsonl"), "output": d("o.tsv")},
+              {"w.jsonl": _waves(samples=[0.1, 10**400, 0.3])},
+              ("error: line 2: ", "w.jsonl: samples[1]: must be finite, got inf\n")),
+        *(
+            # a ratio whose noise count overflows is refused naming the ratio, without the count
+            _case(f"sweep-ratio-1e308-{n}-positives", "sweep",
+                  lambda d: {"positives_input": d(m), "noise_pool_input": d(m), "ratios": [1e308],
+                             "predictions": {"x": d("p.tsv")}, "output": d("o.json")},
+                  {m: text, "p.tsv": PREDICTIONS},
+                  "error: ratio 1e+308 needs more than the pool's 2 noise items\n")
+            for n, text in ((2, MATRIX), (1, MATRIX.replace("e2\tevent\t2.0\t0.1\n", "")))
+        ),
+        _case("extract-band-without-stable-design", "extract",
+              lambda d: {"input": d("w.jsonl"), "output": d("o.tsv"), "preprocess": {"band_low_hz": 1e-10}},
+              {"w.jsonl": _waves()},
+              "error: n1: band [1e-10, 25.0] has no order-4 Butterworth design at fs=200.0 (Singular matrix)\n"),
     ]
 
 
 @pytest.mark.parametrize("command,build,files,named", _malformed_cases())
 def test_malformed_input_exits_2_naming_field(workdir, capsys, command, build, files, named):
     for name, text in files.items():
-        (workdir / name).write_text(text)
+        (workdir / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     cfg = write_config(workdir, "cfg.json", build(lambda name: str(workdir / name)))
     assert run([command, "-c", cfg]) == 2
     err = capsys.readouterr().err

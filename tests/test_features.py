@@ -511,6 +511,17 @@ class TestMatrixFile:
             read_matrix(path)
         assert str(err.value) == named.format(path=path)
 
+    @pytest.mark.parametrize("first", [
+        "# quakebox-features-v12 role=train", "# quakebox-features-v1role=train",
+        "#quakebox-features-v1 role=train", "# quakebox-features role=train", "",
+    ], ids=["v12", "v1role", "no-space", "untagged", "empty"])
+    def test_format_tag_matched_exactly(self, tmp_path, first):
+        path = tmp_path / "m.tsv"
+        path.write_text(first + "\ntrace_id\tlabel\tf\ne1\tevent\t1.0\n")
+        with pytest.raises(FormatError) as err:
+            read_matrix(path)
+        assert str(err.value) == f"line 1: {path}: not a quakebox feature matrix"
+
     def test_deterministic_bytes(self, tmp_path):
         vecs = [make_vector("a", "noise", f=1 / 3), make_vector("b", "event", f=2 / 7)]
         p1, p2 = tmp_path / "1.tsv", tmp_path / "2.tsv"

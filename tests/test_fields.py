@@ -1,4 +1,5 @@
-"""The shared JSON field reader: paths, types, finiteness, and the caller's error."""
+"""The shared input opener, JSON document parser and field reader: paths,
+types, finiteness, and the caller's error."""
 
 import math
 
@@ -96,6 +97,11 @@ class TestContainers:
             with pytest.raises(FormatError, match=rf"s\[2\]: expected float, got {name}"):
                 fields.numbers("s", [0.5, 2, bad, bad], fail)
 
+    @pytest.mark.parametrize("big,shown", [(10**400, "inf"), (-(10**400), "-inf")], ids=["above", "below"])
+    def test_numbers_refuses_an_int_beyond_the_float_range(self, big, shown):
+        with pytest.raises(FormatError, match=rf"^doc.json: s\[2\]: must be finite, got {shown}$"):
+            fields.numbers("s", [0.5, 2, big, 1e300], fail)
+
     def test_under_prefixes_the_field(self):
         at = fields.under("runs[2]", fields.in_file("doc.json", line=7))
         with pytest.raises(FormatError, match=r"^line 7: doc.json: runs\[2\].val_mcc: must be finite"):
@@ -186,3 +192,68 @@ class TestSpec:
     def test_section_must_be_an_object(self):
         with pytest.raises(ConfigError, match=r"^rule: expected dict, got list$"):
             spec(SelectionRule, {"rule": [0.9, 0.05]}, "rule")
+
+
+class TestTextFile:
+    def test_reads_text_with_universal_newlines(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes("a\r\nb\rc\u00e9\n".encode())
+        with fields.text_file(path) as fh:
+            assert list(fh) == ["a\n", "b\n", "c\u00e9\n"]
+
+    @pytest.mark.parametrize("data,line", [
+        (b"\xff", 1),
+        (b"a\nb\n\nc\xe9d\n", 4),
+        # "\r" ends a line in text mode, so it is counted as one
+        (b"a\rb\r\nc\xc3\n", 3),
+        # the decoder reads ahead: a bad byte far down the file fails the first read
+        (b"x\n" * 20000 + b"\x80\n", 20001),
+    ], ids=["only-byte", "blank-line", "carriage-returns", "read-ahead"])
+    def test_bad_byte_names_file_and_line(self, tmp_path, data, line):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as err:
+            with fields.text_file(path) as fh:
+                fh.readline()
+                fh.read()
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: {path}: invalid UTF-8 (")
+
+    def test_no_bad_line_found_names_the_file_alone(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("clean\n")
+        with pytest.raises(FormatError) as err:
+            with fields.text_file(path):
+                b"\xff".decode("utf-8")
+        assert err.value.line is None
+        assert str(err.value) == f"{path}: invalid UTF-8 (invalid start byte)"
+
+    def test_missing_file_is_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            with fields.text_file(tmp_path / "absent.txt"):
+                pass
+
+
+class TestDocument:
+    def test_object_returned(self):
+        assert fields.document('{"format": "f-v1", "x": 1}', "d.json", "f-v1") == {"format": "f-v1", "x": 1}
+        assert fields.document('{"x": 1}', "d.json") == {"x": 1}
+
+    @pytest.mark.parametrize("text,fmt,named", [
+        ('{"x": ', None, "d.json: invalid JSON (Expecting value: line 1 column 7 (char 6))"),
+        ("[" * 100000, None, "d.json: invalid JSON (maximum recursion depth exceeded"),
+        ('{"a": ' * 100000, "f-v1", "d.json: invalid JSON (maximum recursion depth exceeded"),
+        ("[1]", None, "d.json: not a JSON object"),
+        ('"f-v1"', "f-v1", "d.json: not a f-v1 file"),
+        ('{"format": "f-v2"}', "f-v1", "d.json: not a f-v1 file"),
+        ("{}", "f-v1", "d.json: not a f-v1 file"),
+    ], ids=["truncated", "nested-array", "nested-object", "array", "string", "wrong-format", "no-format"])
+    def test_bad_document_names_the_file(self, text, fmt, named):
+        with pytest.raises(FormatError) as err:
+            fields.document(text, "d.json", fmt)
+        assert str(err.value).startswith(named)
+        assert err.value.line is None
+
+    def test_line_is_named(self):
+        with pytest.raises(FormatError, match=r"^line 7: d.jsonl: not a JSON object$"):
+            fields.document("3", "d.jsonl", line=7)

@@ -304,6 +304,21 @@ class TestReportFile:
         with pytest.raises(FormatError, match="not a quakebox-selection-v1 file"):
             load_selection_report(path)
 
+    def test_bad_byte_names_file_and_line(self, tmp_path, payload):
+        path = tmp_path / "selection.json"
+        text = json.dumps(payload, indent=2).replace('"selected"', '"sel\u00e9cted"')
+        path.write_bytes(text.encode("latin-1"))  # the lone 0xe9 is not UTF-8
+        line = text[: text.index("sel\u00e9cted")].count("\n") + 1
+        with pytest.raises(FormatError) as err:
+            load_selection_report(path)
+        assert str(err.value) == f"line {line}: {path}: invalid UTF-8 (invalid continuation byte)"
+
+    def test_nested_document_names_the_file(self, tmp_path):
+        path = tmp_path / "selection.json"
+        path.write_text('{"runs": ' + "[" * 100000)
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: invalid JSON \(maximum recursion depth"):
+            load_selection_report(path)
+
     def test_valid_report_reads_back_unchanged(self, tmp_path, payload):
         path = tmp_path / "selection.json"
         path.write_text(json.dumps(payload, indent=2) + "\n")

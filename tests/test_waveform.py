@@ -146,6 +146,14 @@ class TestBandpass:
         with pytest.raises(InvalidBand):
             PreprocessConfig(band_low_hz=30.0, band_high_hz=25.0)
 
+    @pytest.mark.parametrize("low,why", [(1e-10, "Singular matrix"),
+                                         (5e-324, "filter critical frequencies must be greater than 0")])
+    def test_band_without_stable_design_names_the_trace_and_band(self, low, why):
+        rec = make_record("n7", samples=np.ones(64))
+        with pytest.raises(InvalidBand) as err:
+            preprocess(rec, PreprocessConfig(band_low_hz=low))
+        assert str(err.value) == f"n7: band [{low}, 25.0] has no order-4 Butterworth design at fs=200.0 ({why})"
+
     def test_same_length(self, rng):
         x = rng.standard_normal(333)
         assert bandpass(x, 200.0, PreprocessConfig()).size == 333

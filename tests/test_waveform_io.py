@@ -86,6 +86,16 @@ def test_missing_field_listed(tmp_path):
         read_waveforms(path)
 
 
+def test_bad_byte_names_file_and_line(tmp_path, corpus):
+    path = tmp_path / "waves.jsonl"
+    write_waveforms(path, corpus)
+    with path.open("ab") as fh:
+        fh.write(b'{"trace_id": "\xc3("}\n')
+    with pytest.raises(FormatError) as err:
+        read_waveforms(path)
+    assert str(err.value) == f"line 5: {path}: invalid UTF-8 (invalid continuation byte)"
+
+
 def test_garbage_json_line(tmp_path, corpus):
     path = tmp_path / "waves.jsonl"
     write_waveforms(path, corpus)
