@@ -32,13 +32,14 @@ _REQUIRED = object()
 
 @contextlib.contextmanager
 def text_file(path: str | Path) -> Iterator[TextIO]:
-    """``path`` open as UTF-8 text with universal newlines.  A bad byte met in the
-    ``with`` body is a FormatError naming the file and the first bad line, if any."""
+    """``path`` open as UTF-8 text with universal newlines; a leading byte-order
+    mark is skipped.  A bad byte met in the ``with`` body is a FormatError
+    naming the file and the first bad line, if any."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:  # a bad byte reads as \udcXX
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:  # a bad byte reads as \udcXX
             line = next((n for n, text in enumerate(fh, 1) if re.search("[\udc80-\udcff]", text)), None)
         raise FormatError(f"{path}: invalid UTF-8 ({exc.reason})", line=line) from None
 

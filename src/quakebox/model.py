@@ -224,6 +224,7 @@ def _quadratic_minimiser(G, c, l1, l2, theta, tol) -> np.ndarray:
     diag = np.diag(G)
     denom = (diag + 2.0 * l2).tolist()
     diag, thresholds = diag.tolist(), l1.tolist()
+    copysign = math.copysign
     tried = set()
     for sweep in range(_MAX_SWEEPS + 1):
         support = np.sign(theta).tobytes()
@@ -237,7 +238,10 @@ def _quadratic_minimiser(G, c, l1, l2, theta, tol) -> np.ndarray:
         max_change = 0.0
         for j, old in enumerate(theta.tolist()):
             z = float(residual[j]) + diag[j] * old
-            new = soft_threshold(z, thresholds[j]) / denom[j]
+            # soft_threshold(z, thresholds[j]) inlined, bit for bit: the dead
+            # zone keeps z's sign, so a zeroed coordinate may be -0.0
+            shrunk = abs(z) - thresholds[j]
+            new = (copysign(0.0, z) if shrunk <= 0.0 else copysign(shrunk, z)) / denom[j]
             if new != old:
                 residual -= (new - old) * G[j]
                 theta[j] = new
@@ -247,11 +251,23 @@ def _quadratic_minimiser(G, c, l1, l2, theta, tol) -> np.ndarray:
     return theta
 
 
+def _start_point(start: Sequence[float], p: int) -> np.ndarray:
+    theta = np.array(start, dtype=float)
+    if theta.shape != (p + 1,):
+        raise ValueError(f"start must hold {p + 1} values (the bias, then {p} weights), "
+                         f"got shape {theta.shape}")
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise ValueError(f"start[{bad[0]}] must be finite, got {theta[bad[0]]}")
+    return theta
+
+
 def train(
     data: FeatureMatrix,
     cfg: PenaltyConfig,
     opt: TrainOptions = TrainOptions(),
     sweep_callback=None,
+    start: Optional[Sequence[float]] = None,
 ) -> LinearModel:
     """Fit by proximal Newton on standardized training rows.
 
@@ -262,6 +278,12 @@ def train(
     as ``converged=False`` in the training metadata, not an error.
     ``sweep_callback(objective)`` is invoked once per outer step (used by
     the monotonicity property suite).
+
+    ``start`` is the point the first step starts from: p + 1 finite values,
+    the bias first, then the weights in ``data.codes`` order (a neighbouring
+    penalty's fit, for a warm-started path).  None starts from zero.  The
+    start changes the route to the optimum, so the number of steps and the
+    last bits of the fit, not the optimum itself.
     """
     X, y = data.X, data.is_event.astype(float)
     if len(set(y.tolist())) < 2:
@@ -273,7 +295,7 @@ def train(
     def objective_at(theta: np.ndarray) -> float:
         return _objective(X, y, theta[1:], theta[0], cfg)
 
-    theta = np.zeros(p + 1)
+    theta = np.zeros(p + 1) if start is None else _start_point(start, p)
     objective = objective_at(theta)
     converged = False
     steps = 0

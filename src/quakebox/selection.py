@@ -10,8 +10,13 @@ standardized inputs).
 
 Run ``r`` fits ``grid[r % len(grid)]`` on the stratified subsample drawn
 by ``r // len(grid)``, so the runs of one draw share its rows: each draw is
-subsampled and standardized once, and the solver, which is deterministic,
-gives the same fit for the same penalty on the same rows.  A one-entry
+subsampled and standardized once, and its runs walk the grid in run order
+as one warm-started path (Friedman, Hastie & Tibshirani, J. Stat. Softw.
+2010, section 2.5).  A draw's first run starts from zero, and every later
+run starts from the fit of the grid point before it on the same draw, so
+a run's fit depends on the earlier runs of its draw: it is the same
+optimum as a cold fit, up to the solver's tolerance, not the same bits.
+The solver is deterministic, so reruns stay byte-identical.  A one-entry
 ``lambda_grid`` fixes the penalty, and ``subsample_fraction = 1.0`` fits
 every run on the whole training set.
 """
@@ -64,9 +69,14 @@ class EnsembleRunResult:
     weights: Mapping[str, float]
     val_mcc: float
     config_used: Mapping[str, object]
-    # the fit's outer steps and whether it met its tolerance within ``max_iters``
+    # the fit's certificate: its outer steps, whether it met its tolerance
+    # within ``max_iters``, its penalized objective and optimality residual
+    # (as in a model's ``training_meta``) and its count of nonzero weights
     iterations: int
     converged: bool
+    objective: float
+    kkt_residual: float
+    nnz: int
 
 
 @dataclass(frozen=True)
@@ -131,9 +141,13 @@ def run_ensemble(
     n_draws`` covers every (grid point, subsample draw) pair.  The loop walks
     one draw at a time: each draw's training subsample is drawn, fitted with
     its own standardization (validation data never leaks into the scaling)
-    and standardized once, with the validation set, for all of its runs.  A
-    draw that keeps every training row repeats the previous draw and reuses
-    its fits.  A failed run aborts the ensemble with the run id attached.
+    and standardized once, with the validation set, for all of its runs.
+    The draw's runs are fitted in run order, each starting from the previous
+    run's fit on the same draw (the first from zero), so a run depends on
+    the earlier runs of its draw; the default grid descends, from sparse
+    fits to dense ones.  A draw that keeps every training row repeats the
+    previous draw and reuses its fits.  A failed run aborts the ensemble
+    with the run id attached.
     """
     grid = cfg.lambda_grid or default_lambda_grid(train_data, cfg.alpha)
     opt = TrainOptions(max_iters=cfg.max_iters, tol=cfg.tol)
@@ -151,17 +165,22 @@ def run_ensemble(
             for k, lam in enumerate(grid[: cfg.n_runs - first]):
                 run_id = first + k
                 if k not in fits:
-                    model = train(strain, PenaltyConfig(alpha=cfg.alpha, lam=lam), opt)
+                    start = (fits[k - 1][0].bias, *fits[k - 1][0].weights.values()) if k else None
+                    model = train(strain, PenaltyConfig(alpha=cfg.alpha, lam=lam), opt, start=start)
                     fits[k] = model, mcc(confusion(val_data.labels, classify(model, sval)))
                 model, val_score = fits[k]
+                meta = model.training_meta
                 results.append(
                     EnsembleRunResult(
                         run_id=run_id,
                         weights=dict(model.weights),
                         val_mcc=val_score,
                         config_used={"lambda": lam, "n_train": len(subset)},
-                        iterations=model.training_meta["iterations"],
-                        converged=model.training_meta["converged"],
+                        iterations=meta["iterations"],
+                        converged=meta["converged"],
+                        objective=meta["objective"],
+                        kkt_residual=meta["kkt_residual"],
+                        nnz=sum(w != 0.0 for w in model.weights.values()),
                     )
                 )
         except QuakeboxError as exc:
@@ -282,6 +301,9 @@ def save_selection_report(path: str | Path, report: SelectionReport) -> None:
                 "weights": dict(r.weights),
                 "iterations": r.iterations,
                 "converged": r.converged,
+                "objective": r.objective,
+                "kkt_residual": r.kkt_residual,
+                "nnz": r.nnz,
             }
             for r in report.runs
         ],
@@ -307,6 +329,9 @@ def load_selection_report(path: str | Path) -> SelectionReport:
                 config_used=fields.get(r, "config_used", dict, at),
                 iterations=fields.get(r, "iterations", int, at),
                 converged=fields.get(r, "converged", bool, at),
+                objective=fields.get(r, "objective", float, at),
+                kkt_residual=fields.get(r, "kkt_residual", float, at),
+                nnz=fields.get(r, "nnz", int, at),
             )
         )
     stats = {}

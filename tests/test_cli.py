@@ -202,9 +202,10 @@ class TestPipeline:
             assert run(["select", "-c", select_cfg]) == 0
             err = capsys.readouterr().err
             report = json.loads((wd / f"selection{max_iters}.json").read_text())
-            # each run records its solver diagnostics
+            # each run records its solver diagnostics and its fit's certificate
             assert {key for r in report["runs"] for key in r} == {
-                "run_id", "val_mcc", "config_used", "weights", "iterations", "converged"}
+                "run_id", "val_mcc", "config_used", "weights", "iterations", "converged",
+                "objective", "kkt_residual", "nnz"}
             if max_iters == 1:
                 tied = len(report["tie_set_ids"])
                 assert err == (f"warning: 6 of 6 ensemble runs stopped at ensemble.max_iters=1 "

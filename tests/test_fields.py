@@ -233,6 +233,72 @@ class TestTextFile:
             with fields.text_file(tmp_path / "absent.txt"):
                 pass
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"\xef\xbb\xbfa\r\nb\n")
+        with fields.text_file(path) as fh:
+            assert list(fh) == ["a\n", "b\n"]
+
+    def test_bad_byte_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"\xef\xbb\xbfa\nb\xff\n")
+        with pytest.raises(FormatError) as err:
+            with fields.text_file(path) as fh:
+                fh.read()
+        assert str(err.value) == f"line 2: {path}: invalid UTF-8 (invalid start byte)"
+
+
+class TestByteOrderMark:
+    """An input saved with a UTF-8 byte-order mark reads as its twin without one."""
+
+    @staticmethod
+    def twins(tmp_path, name, text):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        return plain, marked
+
+    def test_feature_matrix(self, tmp_path):
+        from conftest import make_vector
+        from quakebox.features import read_matrix, write_matrix
+
+        path = tmp_path / "m.tsv"
+        write_matrix(path, [make_vector(f"t{i}", "event" if i % 2 else "noise", a=i / 3, b=-i)
+                            for i in range(4)], role="train")
+        plain, marked = self.twins(tmp_path, "m.tsv", path.read_text())
+        (a, role_a), (b, role_b) = read_matrix(plain), read_matrix(marked)
+        assert role_a == role_b == "train"
+        assert (a.codes, a.trace_ids, a.labels) == (b.codes, b.trace_ids, b.labels)
+        assert a.X.tobytes() == b.X.tobytes()
+
+    def test_prediction_file(self, tmp_path):
+        from quakebox.bench import ingest_predictions
+
+        text = "trace_id\tprobability\nt0\t0.9\nt1\t0.2\n"
+        plain, marked = self.twins(tmp_path, "p.tsv", text)
+        assert ingest_predictions(marked, ["t0", "t1"]) == ingest_predictions(plain, ["t0", "t1"])
+        assert ingest_predictions(marked, ["t0", "t1"]) == {"t0": "event", "t1": "noise"}
+
+    def test_config(self, tmp_path):
+        from quakebox.cli import _load_config
+
+        plain, marked = self.twins(tmp_path, "c.json", '{"master_seed": 7, "ensemble": {"n_runs": 4}}\n')
+        assert _load_config(str(marked)) == _load_config(str(plain)) == {
+            "master_seed": 7, "ensemble": {"n_runs": 4}}
+
+    def test_waveform_file(self, tmp_path):
+        from conftest import make_record
+        from quakebox.waveform_io import read_waveforms, write_waveforms
+
+        path = tmp_path / "w.jsonl"
+        write_waveforms(path, [make_record("tr0"), make_record("tr1", "event")], role="test")
+        plain, marked = self.twins(tmp_path, "w.jsonl", path.read_text())
+        (a, role_a), (b, role_b) = read_waveforms(plain), read_waveforms(marked)
+        assert role_a == role_b == "test"
+        write_waveforms(tmp_path / "a.jsonl", a, role_a)
+        write_waveforms(tmp_path / "b.jsonl", b, role_b)
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes() == plain.read_bytes()
+
 
 class TestDocument:
     def test_object_returned(self):

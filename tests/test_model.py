@@ -1,6 +1,7 @@
 """Penalized logistic regression: penalty, prediction, loss, trainer."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -84,6 +85,40 @@ class TestSoftThreshold:
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold(1.0, -1.0)
+
+    def test_coordinate_sweeps_step_by_soft_threshold_bit_for_bit(self, monkeypatch):
+        # the minimiser inlines the operator; with no exact solve accepted it must
+        # give the bytes of sweeps that call it, the sign of each zero included
+        def sweeps(G, c, l1, l2, theta, tol):
+            theta = theta.copy()
+            residual = c - G @ theta
+            for _ in range(model_module._MAX_SWEEPS):
+                max_change = 0.0
+                for j, old in enumerate(theta.tolist()):
+                    z = float(residual[j]) + float(G[j, j]) * old
+                    new = soft_threshold(z, float(l1[j])) / float(G[j, j] + 2.0 * l2[j])
+                    if new != old:
+                        residual -= (new - old) * G[j]
+                        theta[j] = new
+                        max_change = max(max_change, abs(new - old))
+                if max_change <= tol:
+                    break
+            return theta
+
+        monkeypatch.setattr(model_module, "_active_solve", lambda *args: None)
+        rng = np.random.default_rng(21)
+        negative_zeros = 0
+        for _ in range(20):
+            A = np.column_stack([np.ones(40), rng.standard_normal((40, 8))])
+            G = (A.T * rng.uniform(0.05, 0.25, 40)) @ A / 40
+            c = rng.standard_normal(9) * 0.2
+            l1 = np.r_[0.0, np.full(8, 0.1)]
+            l2 = np.r_[0.0, np.full(8, 0.01)]
+            theta = np.r_[0.0, rng.standard_normal(8) * 0.1]
+            got = model_module._quadratic_minimiser(G, c, l1, l2, theta, 1e-9)
+            assert got.tobytes() == sweeps(G, c, l1, l2, theta, 1e-9).tobytes()
+            negative_zeros += int(np.sum((got == 0.0) & np.signbit(got)))
+        assert negative_zeros > 0  # the dead zone's -0.0 is exercised
 
 
 class TestPredict:
@@ -278,6 +313,46 @@ class TestTrain:
             nonzeros.append(sum(1 for w in model.weights.values() if w != 0.0))
         assert all(b <= a for a, b in zip(nonzeros, nonzeros[1:]))
         assert nonzeros[-1] == 0  # above lambda_max everything vanishes
+
+    @pytest.mark.parametrize("start,named", [
+        ([0.0] * 12, "start must hold 13 values (the bias, then 12 weights), got shape (12,)"),
+        ([0.0] * 14, "start must hold 13 values (the bias, then 12 weights), got shape (14,)"),
+        ([[0.0] * 13], "start must hold 13 values (the bias, then 12 weights), got shape (1, 13)"),
+        ([0.0] * 4 + [math.nan] + [0.0] * 8, "start[4] must be finite, got nan"),
+        ([math.inf] + [0.0] * 12, "start[0] must be finite, got inf"),
+    ], ids=["short", "long", "nested", "nan-weight", "infinite-bias"])
+    def test_bad_start_rejected(self, start, named):
+        data = logistic_data(np.random.default_rng(15), 60, 12, [1.0])
+        with pytest.raises(ValueError, match=re.escape(named)):
+            train(data, PenaltyConfig(alpha=0.9, lam=0.01), start=start)
+
+    def test_zero_start_is_the_cold_fit(self):
+        data, _ = standardized_planted(n=120, seed=6)
+        cfg = PenaltyConfig(alpha=0.9, lam=0.01)
+        cold, zero = train(data, cfg), train(data, cfg, start=[0.0] * (len(data.codes) + 1))
+        assert (cold.bias, cold.weights, cold.training_meta) == (zero.bias, zero.weights, zero.training_meta)
+
+    def test_warm_path_matches_cold_fits_in_fewer_steps(self):
+        # a descending 10-point path, each fit started from the one before it,
+        # reaches the cold fits' optima with no more outer steps in all
+        data, _ = standardized_planted(n=200, seed=16, label_noise=0.1)
+        top = lambda_max(data, alpha=0.9)
+        opt = TrainOptions(max_iters=500, tol=1e-6)
+        warm_steps = cold_steps = 0
+        start = None
+        for lam in np.geomspace(0.5 * top, 0.005 * top, 10):
+            cfg = PenaltyConfig(alpha=0.9, lam=float(lam))
+            cold = train(data, cfg, opt)
+            warm = train(data, cfg, opt, start=start)
+            for fit in (cold, warm):
+                assert fit.training_meta["converged"] is True
+                assert kkt_residual(fit, data, cfg) <= 1e-6
+            theta = np.array([warm.bias, *warm.weights.values()])
+            assert np.abs(theta - [cold.bias, *cold.weights.values()]).max() <= 1e-6
+            warm_steps += warm.training_meta["iterations"]
+            cold_steps += cold.training_meta["iterations"]
+            start = theta
+        assert warm_steps <= cold_steps
 
     def test_deterministic_bit_identical(self):
         data, _ = standardized_planted(n=120, seed=6)

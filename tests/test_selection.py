@@ -34,7 +34,19 @@ def planted_split(n=300, seed=0, **kw):
 
 def result(run_id, val_mcc, **weights):
     return EnsembleRunResult(run_id=run_id, weights=weights, val_mcc=val_mcc, config_used={},
-                             iterations=1, converged=True)
+                             iterations=1, converged=True, objective=0.5, kkt_residual=0.0,
+                             nnz=sum(w != 0.0 for w in weights.values()))
+
+
+def warm_path(strain, grid, cfg, n=None):
+    """``train`` over ``grid[:n]`` in order on one draw's rows, each fit started
+    from the one before, the first from zero: a draw's runs, fitted directly."""
+    opt = TrainOptions(max_iters=cfg.max_iters, tol=cfg.tol)
+    fits, start = [], None
+    for lam in grid[:n]:
+        fits.append(train(strain, PenaltyConfig(alpha=cfg.alpha, lam=lam), opt, start=start))
+        start = (fits[-1].bias, *fits[-1].weights.values())
+    return fits
 
 
 class TestRunEnsemble:
@@ -50,9 +62,9 @@ class TestRunEnsemble:
         # and every pass draws that same set, so each grid point is fitted once
         calls = []
 
-        def counting_train(*args):
+        def counting_train(*args, **kwargs):
             calls.append(args[1].lam)
-            return train(*args)
+            return train(*args, **kwargs)
 
         monkeypatch.setattr(quakebox.selection, "train", counting_train)
         train_v, val_v, _ = planted_split(seed=2)
@@ -64,10 +76,10 @@ class TestRunEnsemble:
         matrix = FeatureMatrix.from_rows(train_v)
         params = standardize_fit(matrix)
         strain, sval = standardize_apply(matrix, params), standardize_apply(val_v, params)
+        path = warm_path(strain, grid, cfg)
         for r in out:
             lam = grid[r.run_id % len(grid)]
-            direct = train(strain, PenaltyConfig(alpha=cfg.alpha, lam=lam),
-                           TrainOptions(max_iters=cfg.max_iters, tol=cfg.tol))
+            direct = path[r.run_id % len(grid)]
             assert r.config_used == {"lambda": lam, "n_train": len(matrix)}
             assert r.weights == direct.weights
             assert r.val_mcc == mcc(confusion(sval.labels, classify(direct, sval)))
@@ -77,9 +89,9 @@ class TestRunEnsemble:
     def test_each_pass_over_the_grid_draws_a_new_subsample(self, monkeypatch):
         seen = []
 
-        def recording_train(data, *args):
+        def recording_train(data, *args, **kwargs):
             seen.append(data.trace_ids)
-            return train(data, *args)
+            return train(data, *args, **kwargs)
 
         monkeypatch.setattr(quakebox.selection, "train", recording_train)
         train_v, val_v, _ = planted_split(seed=4)
@@ -109,21 +121,24 @@ class TestRunEnsemble:
         out = run_ensemble(train_v, val_v, cfg)
         assert len(fitted) == n_fits
         assert [r.run_id for r in out] == list(range(cfg.n_runs))
-        for r in out:  # each run fitted on its own, as a loop over runs would
+        for r in out:  # each run's draw redrawn and its path refitted on its own
             rng = derive_rng(cfg.seed, "ensemble-subsample", r.run_id // len(grid))
             subset = quakebox.selection._stratified_subsample(train_v, fraction, rng)
             params = standardize_fit(subset)
             sval = standardize_apply(val_v, params)
-            lam = grid[r.run_id % len(grid)]
-            direct = train(standardize_apply(subset, params), PenaltyConfig(alpha=cfg.alpha, lam=lam),
-                           TrainOptions(max_iters=cfg.max_iters, tol=cfg.tol))
+            k = r.run_id % len(grid)
+            direct = warm_path(standardize_apply(subset, params), grid, cfg, k + 1)[k]
+            meta = direct.training_meta
             assert r == EnsembleRunResult(
                 run_id=r.run_id,
                 weights=direct.weights,
                 val_mcc=mcc(confusion(val_v.labels, classify(direct, sval))),
-                config_used={"lambda": lam, "n_train": len(subset)},
-                iterations=direct.training_meta["iterations"],
-                converged=direct.training_meta["converged"],
+                config_used={"lambda": grid[k], "n_train": len(subset)},
+                iterations=meta["iterations"],
+                converged=meta["converged"],
+                objective=meta["objective"],
+                kkt_residual=meta["kkt_residual"],
+                nnz=sum(w != 0.0 for w in direct.weights.values()),
             )
 
     def test_varied_runs_differ(self):
@@ -269,6 +284,21 @@ class TestWorkflow:
             (r.iterations, r.converged) for r in report.runs]
         assert all(r.converged is True and r.iterations >= 1 for r in back.runs)
 
+    def test_report_round_trips_each_runs_certificate(self, tmp_path):
+        train_v, val_v, _ = planted_split(n=200, seed=15)
+        report = discover_features(train_v, val_v, EnsembleConfig(n_runs=12, seed=16))
+        path = tmp_path / "selection.json"
+        save_selection_report(path, report)
+        back = load_selection_report(path)
+        certificates = [(r.objective, r.kkt_residual, r.nnz) for r in report.runs]
+        assert [(r.objective, r.kkt_residual, r.nnz) for r in back.runs] == certificates
+        for r in back.runs:
+            assert type(r.objective) is float and type(r.kkt_residual) is float and type(r.nnz) is int
+            assert r.nnz == sum(w != 0.0 for w in r.weights.values())
+            assert 0.0 <= r.kkt_residual <= 1e-6
+        # a warm-started path still certifies each of its points
+        assert len({r.nnz for r in back.runs}) > 1
+
 
 class TestReportFile:
     @pytest.fixture(scope="class")
@@ -287,8 +317,17 @@ class TestReportFile:
         (lambda p: p.update(tie_set_ids=[0, "1"]), "tie_set_ids[1]: expected int, got str"),
         (lambda p: p["runs"][3].pop("iterations"), "runs[3].iterations: missing required field"),
         (lambda p: p["runs"][0].update(converged=1), "runs[0].converged: expected bool, got int"),
+        (lambda p: p["runs"][1].pop("objective"), "runs[1].objective: missing required field"),
+        (lambda p: p["runs"][2].update(objective=None), "runs[2].objective: expected float, got NoneType"),
+        (lambda p: p["runs"][0].pop("kkt_residual"), "runs[0].kkt_residual: missing required field"),
+        (lambda p: p["runs"][3].update(kkt_residual="0"), "runs[3].kkt_residual: expected float, got str"),
+        (lambda p: p["runs"][2].pop("nnz"), "runs[2].nnz: missing required field"),
+        (lambda p: p["runs"][1].update(nnz=2.0), "runs[1].nnz: expected int, got float"),
+        (lambda p: p["runs"][0].update(nnz=True), "runs[0].nnz: expected int, got bool"),
     ], ids=["missing-runs", "text-val-mcc", "bool-val-mcc", "nan-weight", "missing-rule-field",
-            "text-tie-id", "missing-iterations", "int-converged"])
+            "text-tie-id", "missing-iterations", "int-converged", "missing-objective",
+            "null-objective", "missing-kkt-residual", "text-kkt-residual", "missing-nnz",
+            "float-nnz", "bool-nnz"])
     def test_malformed_field_named(self, tmp_path, payload, change, named):
         broken = json.loads(json.dumps(payload))
         change(broken)
