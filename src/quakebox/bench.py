@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -259,6 +260,9 @@ def save_sweep(path: str | Path, table: SweepTable) -> None:
 # synthetic corpus generation
 
 
+DOMINANT_HZ = (6.0, 24.0)  # the range an event's dominant frequency is drawn from
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Shape of a synthetic waveform corpus.
@@ -284,6 +288,10 @@ class SyntheticSpec:
             raise ValueError(f"traces_per_event range invalid: {self.traces_per_event}")
         if not 0 < self.fs < math.inf or self.window_len < 16:
             raise ValueError("fs must be positive and finite and window_len at least 16")
+        # an event wavelet's largest phase, 2 pi DOMINANT_HZ[1] window_len / fs, must be a finite float
+        if self.window_len > sys.float_info.max / (2.0 * math.pi * DOMINANT_HZ[1]) * self.fs:
+            raise ValueError(f"fs {self.fs} is too small for window_len {self.window_len}: "
+                             "an event wavelet's phase overflows")
         if not (0 < self.snr_range[0] <= self.snr_range[1] < math.inf):
             raise ValueError(f"snr_range invalid: {self.snr_range}")
 
@@ -340,7 +348,7 @@ def generate_synthetic(spec: SyntheticSpec) -> List[WaveformRecord]:
     for e in range(spec.n_events):
         rng = derive_rng(spec.seed, "event", e)
         event_id = f"ev{e:04d}"
-        dominant = rng.uniform(6.0, 24.0)
+        dominant = rng.uniform(*DOMINANT_HZ)
         event_snr = float(np.exp(rng.uniform(log_lo, log_hi)))
         magnitude = round(max(0.2, 0.2 + np.log10(1.0 + event_snr)), 2)
         n_traces = int(rng.integers(spec.traces_per_event[0], spec.traces_per_event[1] + 1))

@@ -11,10 +11,14 @@ the file, and the line) for a data file.
 :func:`spec` reads a whole config section into its frozen dataclass:
 each field by its type hint, a missing one at the dataclass default, and
 a key that names no field refused as ``section.key: unknown field``.
+
+A waveform record's samples are read by :func:`numbers` (a v1 JSON
+array) or :func:`float64le` (v2 base64 of float64 bytes).
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import dataclasses
 import json
@@ -23,6 +27,8 @@ import re
 import typing
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, TextIO
+
+import numpy as np
 
 from .errors import FormatError, QuakeboxError
 
@@ -44,15 +50,19 @@ def text_file(path: str | Path) -> Iterator[TextIO]:
         raise FormatError(f"{path}: invalid UTF-8 ({exc.reason})", line=line) from None
 
 
-def document(text: str, path: str | Path, fmt: str | None = None, line: int | None = None) -> dict:
-    """``text`` parsed as a JSON object, tagged ``"format": fmt`` when ``fmt``
-    is given; else a FormatError naming the file (and the line)."""
+def document(text: str, path: str | Path, fmt: str | tuple[str, ...] | None = None,
+             line: int | None = None) -> dict:
+    """``text`` parsed as a JSON object, tagged ``"format": fmt`` (or one of
+    the ``fmt`` tuple) when ``fmt`` is given; else a FormatError naming the
+    file (and the line)."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise FormatError(f"{path}: invalid JSON ({exc})", line=line) from None
-    if not isinstance(doc, dict) or (fmt is not None and doc.get("format") != fmt):
-        raise FormatError(f"{path}: " + (f"not a {fmt} file" if fmt else "not a JSON object"), line=line)
+    formats = (fmt,) if isinstance(fmt, str) else fmt
+    if not isinstance(doc, dict) or (formats is not None and doc.get("format") not in formats):
+        what = f"not a {' or '.join(formats)} file" if formats else "not a JSON object"
+        raise FormatError(f"{path}: {what}", line=line)
     return doc
 
 
@@ -107,13 +117,15 @@ def listed(doc: Mapping[str, Any], field: str, kind: type, fail: Fail, default=_
     return tuple(typed(f"{field}[{i}]", v, kind, fail) for i, v in enumerate(values))
 
 
-def numbers(field: str, values: list, fail: Fail) -> list:
-    """``values`` checked to hold only JSON numbers, in one pass for long arrays.
+def numbers(field: str, values, fail: Fail) -> list:
+    """``values`` checked to be a list of JSON numbers only, in one pass for
+    long arrays.
 
     A bool, string or null entry fails naming ``field[i]``, and so does an
     integer beyond the float range; any other finiteness check is left to
     the caller, which builds an array from ``values`` and checks it.
     """
+    values = typed(field, values, list, fail)
     kinds = set(map(type, values))
     odd = kinds - {float, int}
     if odd:
@@ -124,6 +136,25 @@ def numbers(field: str, values: list, fail: Fail) -> list:
             if type(v) is int:
                 typed(f"{field}[{i}]", v, float, fail)
     return values
+
+
+def float64le(field: str, text, fail: Fail) -> np.ndarray:
+    """``text`` checked to be a string of base64 (the standard alphabet,
+    padded) and decoded as little-endian float64 values.
+
+    A character outside the alphabet, bad padding, or a byte count that is
+    not a multiple of 8 fails naming ``field``; whether the values are
+    finite, and that there is at least one, is left to the caller, as in
+    :func:`numbers`.
+    """
+    text = typed(field, text, str, fail)
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character that is not ASCII
+        raise fail(field, f"invalid base64 ({exc})") from None
+    if len(raw) % 8:
+        raise fail(field, f"{len(raw)} bytes is not a whole number of float64 values (8 bytes each)")
+    return np.frombuffer(raw, dtype="<f8")
 
 
 def table(doc: Mapping[str, Any], field: str, kind: type, fail: Fail, default=_REQUIRED) -> dict:

@@ -12,6 +12,7 @@ pure.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -31,6 +32,10 @@ def check_role(path: str | Path, role: str) -> str:
     if role not in ROLES:
         raise FormatError(f"{path}: role must be one of {ROLES}, got {role!r}", line=1)
     return role
+
+
+class SamplesError(ValueError):
+    """A record's samples are empty, not 1-D, or hold NaN or infinity."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,9 +60,9 @@ class WaveformRecord:
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size == 0:
-            raise ValueError(f"{self.trace_id}: samples must be a non-empty 1-D array")
+            raise SamplesError(f"{self.trace_id}: samples must be a non-empty 1-D array")
         if not np.all(np.isfinite(samples)):
-            raise ValueError(f"{self.trace_id}: samples contain NaN or infinity")
+            raise SamplesError(f"{self.trace_id}: samples contain NaN or infinity")
         samples = samples.copy()
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
@@ -98,6 +103,8 @@ class PreprocessConfig:
             )
         if not (isinstance(self.downsample_factor, int) and self.downsample_factor >= 1):
             raise InvalidFactor(f"downsample_factor must be a positive integer, got {self.downsample_factor!r}")
+        if self.downsample_factor > sys.float_info.max:  # the rates and corners it divides are floats
+            raise InvalidFactor("downsample_factor must lie within the float range")
         if not (isinstance(self.filter_order, int) and self.filter_order >= 1):
             raise ValueError(f"filter_order must be a positive integer, got {self.filter_order!r}")
         if self.window_len is not None and self.window_len < 1:
@@ -200,7 +207,12 @@ def downsample(
     if factor == 1:
         return x.copy()
     if not assume_bandlimited:
-        x = _filtfilt(_butter_sos(8, 0.8 / factor, "lowpass"), x, min(x.size - 1, 30 * factor))
+        try:
+            design = _butter_sos(8, 0.8 / factor, "lowpass")
+        except ValueError as exc:  # numpy's LinAlgError is a ValueError
+            raise InvalidFactor(f"factor {factor} has no order-8 anti-alias Butterworth design "
+                                f"({exc})") from None
+        x = _filtfilt(design, x, min(x.size - 1, 30 * factor))
     return x[::factor].copy()
 
 
@@ -222,8 +234,11 @@ def preprocess(record: WaveformRecord, cfg: PreprocessConfig) -> WaveformRecord:
     except InvalidBand as exc:
         raise InvalidBand(f"{record.trace_id}: {exc}") from None
     factor = cfg.downsample_factor
-    bandlimited = cfg.band_high_hz < fs / (2 * factor)
-    x = downsample(x, factor, assume_bandlimited=bandlimited)
+    bandlimited = cfg.band_high_hz < fs / 2 / factor  # 2 * factor may pass the float range
+    try:
+        x = downsample(x, factor, assume_bandlimited=bandlimited)
+    except InvalidFactor as exc:
+        raise InvalidFactor(f"{record.trace_id}: preprocess.downsample_factor: {exc}") from None
     if cfg.window_len is not None:
         if x.size < cfg.window_len:
             raise DegenerateInput(

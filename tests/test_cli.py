@@ -1,8 +1,10 @@
 """CLI: the composed pipeline, reproducibility, and role enforcement."""
 
+import base64
 import json
 import math
 
+import numpy as np
 import pytest
 
 from quakebox.cli import main
@@ -382,6 +384,17 @@ def _waves(**changes):
     return WAVES_HEADER + json.dumps({**RECORD, **changes}) + "\n"
 
 
+def _f64le(*values):
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _waves_v2(**changes):
+    """A quakebox-waveforms-v2 file of one RECORD line, with fields replaced (``...`` drops one)."""
+    row = {**RECORD, "samples": ..., "samples_f64le": _f64le(*RECORD["samples"]), **changes}
+    return (WAVES_HEADER.replace("-v1", "-v2")
+            + json.dumps({k: v for k, v in row.items() if v is not ...}) + "\n")
+
+
 PREDICTIONS = "trace_id\tlabel\n" + "".join(f"{t}\t{lab}\n" for t, lab in (
     ("e1", "event"), ("e2", "event"), ("n1", "noise"), ("n2", "noise")))
 
@@ -604,6 +617,54 @@ def _malformed_cases():
                 ("infinite-magnitude", _waves(magnitude=math.inf), "magnitude: must be finite, got inf"),
             )
         ),
+        *(
+            # a v2 record's samples are base64 of little-endian float64 bytes, read strictly
+            _case(f"waves-v2-{id}", "extract",
+                  lambda d: {"input": d("w.jsonl"), "output": d("o.tsv")}, {"w.jsonl": text},
+                  ("error: line 2: ", f"w.jsonl: samples_f64le: {named}"))
+            for id, text, named in (
+                ("bad-base64", _waves_v2(samples_f64le="AAAA*AAAAAAAAAA="), "invalid base64 ("),
+                ("length-7", _waves_v2(samples_f64le="AAAAAAAAAA=="),
+                 "7 bytes is not a whole number of float64 values (8 bytes each)\n"),
+                ("empty", _waves_v2(samples_f64le=""), "n1: samples must be a non-empty 1-D array\n"),
+                ("nan", _waves_v2(samples_f64le=_f64le(0.1, math.nan)),
+                 "n1: samples contain NaN or infinity\n"),
+                ("inf", _waves_v2(samples_f64le=_f64le(math.inf)), "n1: samples contain NaN or infinity\n"),
+                ("minus-inf", _waves_v2(samples_f64le=_f64le(0.1, -math.inf)),
+                 "n1: samples contain NaN or infinity\n"),
+                ("both-keys", _waves_v2(samples=[0.1]), "a quakebox-waveforms-v2 record holds its samples "
+                                                       "in samples_f64le only, and this one has samples\n"),
+                ("v1-array", _waves_v2(samples=[0.1], samples_f64le=...),
+                 "a quakebox-waveforms-v2 record holds its samples in samples_f64le only, and this one "
+                 "has samples\n"),
+                ("both-keys-in-v1", _waves(samples_f64le=_f64le(0.1)), "a quakebox-waveforms-v1 record holds "
+                                                                      "its samples in samples only, and this "
+                                                                      "one has samples_f64le\n"),
+            )
+        ),
+        *(
+            # a sample rate so small that the time axis (5e-324) or the wavelet's phase (1e-305) overflows
+            _case(f"synth-fs-{fs}", "synth",
+                  lambda d, f=fs: {"synthetic": {"fs": f}, "output": d("w.jsonl")}, {},
+                  f"error: synthetic: fs {fs} is too small for window_len 600: "
+                  "an event wavelet's phase overflows\n")
+            for fs in (5e-324, 1e-305)
+        ),
+        # a factor whose anti-alias low-pass has no stable design names the trace and the field
+        *(
+            _case(f"extract-downsample-factor-{id}", "extract",
+                  lambda d, f=factor: {"input": d("w.jsonl"), "output": d("o.tsv"),
+                                       "preprocess": {"downsample_factor": f}},
+                  {"w.jsonl": _waves()},
+                  (f"error: n1: preprocess.downsample_factor: factor {factor} has no order-8 anti-alias "
+                   "Butterworth design (", ")\n"))
+            for id, factor in (("1e30", 10**30), ("1e308", 10**308))
+        ),
+        _case("extract-downsample-factor-beyond-float-range", "extract",
+              lambda d: {"input": d("w.jsonl"), "output": d("o.tsv"),
+                         "preprocess": {"downsample_factor": 10**400}},
+              {"w.jsonl": _waves()},
+              "error: preprocess: downsample_factor must lie within the float range\n"),
         # a band the trace's sample rate cannot carry names the trace
         _case("waves-band-above-nyquist", "extract",
               lambda d: {"input": d("w.jsonl"), "output": d("o.tsv")}, {"w.jsonl": _waves(sample_rate=40.0)},

@@ -1,6 +1,8 @@
 """Waveform file round-trips and malformed-input rejection."""
 
+import base64
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,10 @@ from quakebox.features import FeatureMatrix, read_matrix, write_matrix
 from quakebox.waveform_io import read_waveforms, write_waveforms
 
 from conftest import make_record
+
+# four records as the quakebox-waveforms-v1 writer wrote them, samples as JSON arrays
+V1_FIXTURE = Path(__file__).parent / "fixtures" / "waves_v1.jsonl"
+META = ("trace_id", "event_id", "station", "channel", "sample_rate", "label", "magnitude")
 
 
 @pytest.fixture
@@ -138,7 +144,10 @@ def test_unknown_role_refused_on_line_1(tmp_path, corpus, role):
 ])
 def test_mistyped_record_field_names_line_and_field(tmp_path, corpus, field, value, named):
     path = tmp_path / "waves.jsonl"
-    write_waveforms(path, corpus)
+    if field == "samples":  # the samples array is a field of v1 records only
+        path.write_bytes(V1_FIXTURE.read_bytes())
+    else:
+        write_waveforms(path, corpus)
     lines = path.read_text().splitlines()
     row = json.loads(lines[1])
     row[field] = value
@@ -154,3 +163,85 @@ def test_integer_sample_rate_widens(tmp_path, corpus):
     path.write_text(path.read_text().replace('"sample_rate": 200.0', '"sample_rate": 200'))
     back, _ = read_waveforms(path)
     assert all(type(r.sample_rate) is float and r.sample_rate == 200.0 for r in back)
+
+
+def test_v1_file_reads_and_rewrites_as_v2(tmp_path):
+    old, role = read_waveforms(V1_FIXTURE)
+    assert (role, len(old)) == ("train", 4)
+    path = tmp_path / "waves.jsonl"
+    write_waveforms(path, old, role=role)
+    header = json.loads(path.read_text().splitlines()[0])
+    assert header == {"format": "quakebox-waveforms-v2", "role": "train"}
+    new, new_role = read_waveforms(path)
+    assert new_role == role
+    for a, b in zip(old, new, strict=True):
+        assert [getattr(a, f) for f in META] == [getattr(b, f) for f in META]
+        assert a.samples.tobytes() == b.samples.tobytes()  # bit for bit, -0.0 and subnormals included
+    # the v1 text holds each sample as its shortest repr, so the fixture's own numbers come back
+    first = json.loads(V1_FIXTURE.read_text().splitlines()[1])
+    assert new[0].samples.tolist() == first["samples"]
+
+
+@pytest.mark.parametrize("samples", [
+    np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    np.array([1.5, -2.25, 1e-300, np.pi], dtype=">f8"),
+], ids=["extremes", "big-endian"])
+def test_v2_samples_round_trip_bit_for_bit(tmp_path, samples):
+    path = tmp_path / "waves.jsonl"
+    write_waveforms(path, [make_record("n1", samples=samples)])
+    back, _ = read_waveforms(path)
+    assert back[0].samples.dtype == np.float64
+    assert back[0].samples.tobytes() == samples.astype("<f8").tobytes()  # -0.0 keeps its sign bit
+
+
+def _f64le(*values):
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+V2_BOTH = "a quakebox-waveforms-v2 record holds its samples in samples_f64le only, and this one has samples"
+
+
+@pytest.mark.parametrize("changes,named", [
+    ({"samples_f64le": "AAAA*AAAAAAAAAA="}, "invalid base64 ("),  # the reason is binascii's
+    ({"samples_f64le": "AAAAAAAAAAA"}, "invalid base64 ("),
+    ({"samples_f64le": "AAAAAAAAAA\u00e9="}, "invalid base64 ("),
+    ({"samples_f64le": "AAAAAAAAAA=="}, "7 bytes is not a whole number of float64 values"),
+    ({"samples_f64le": ""}, "n1: samples must be a non-empty 1-D array"),
+    ({"samples_f64le": 1.5}, "expected str, got float"),
+    ({"samples_f64le": _f64le(0.5, float("nan"))}, "n1: samples contain NaN or infinity"),
+    ({"samples_f64le": _f64le(float("inf"), 0.5)}, "n1: samples contain NaN or infinity"),
+    ({"samples_f64le": _f64le(0.5, float("-inf"))}, "n1: samples contain NaN or infinity"),
+    ({"samples": [0.5, 1.0]}, V2_BOTH),
+    ({"samples_f64le": ..., "samples": [0.5, 1.0]}, V2_BOTH),  # ... drops the key
+], ids=["bad-base64", "bad-padding", "not-ascii", "length-7", "empty", "not-a-string", "nan", "inf",
+        "minus-inf", "both-keys", "v1-array"])
+def test_malformed_v2_samples_name_line_and_field(tmp_path, changes, named):
+    path = tmp_path / "waves.jsonl"
+    write_waveforms(path, [make_record("n0"), make_record("n1")])
+    lines = path.read_text().splitlines()
+    row = {**json.loads(lines[2]), **changes}
+    lines[2] = json.dumps({k: v for k, v in row.items() if v is not ...})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as err:
+        read_waveforms(path)
+    assert str(err.value).startswith(f"line 3: {path}: samples_f64le: {named}")
+
+
+def test_v1_record_with_both_sample_keys_is_refused(tmp_path):
+    path = tmp_path / "waves.jsonl"
+    lines = V1_FIXTURE.read_text().splitlines()
+    lines[3] = json.dumps({**json.loads(lines[3]), "samples_f64le": _f64le(0.5)})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as err:
+        read_waveforms(path)
+    assert str(err.value) == (f"line 4: {path}: samples_f64le: a quakebox-waveforms-v1 record holds its "
+                              "samples in samples only, and this one has samples_f64le")
+
+
+def test_unknown_format_version_refused_on_line_1(tmp_path, corpus):
+    path = tmp_path / "waves.jsonl"
+    write_waveforms(path, corpus)
+    path.write_text(path.read_text().replace("waveforms-v2", "waveforms-v3", 1))
+    with pytest.raises(FormatError) as err:
+        read_waveforms(path)
+    assert str(err.value) == f"line 1: {path}: not a quakebox-waveforms-v1 or quakebox-waveforms-v2 file"
