@@ -261,15 +261,16 @@ def save_sweep(path: str | Path, table: SweepTable) -> None:
 
 
 DOMINANT_HZ = (6.0, 24.0)  # the range an event's dominant frequency is drawn from
+MAX_WINDOW_LEN = 10_000_000  # samples in one synthetic trace: 80 MB of float64
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Shape of a synthetic waveform corpus.
 
-    ``window_len`` is the raw trace length in samples at ``fs``; events are
-    damped in-band wavelets embedded in colored noise at an SNR drawn
-    log-uniformly from ``snr_range``.
+    ``window_len`` is the raw trace length in samples at ``fs``, at most
+    ``MAX_WINDOW_LEN``; events are damped in-band wavelets embedded in
+    colored noise at an SNR drawn log-uniformly from ``snr_range``.
     """
 
     n_events: int = 47
@@ -288,8 +289,11 @@ class SyntheticSpec:
             raise ValueError(f"traces_per_event range invalid: {self.traces_per_event}")
         if not 0 < self.fs < math.inf or self.window_len < 16:
             raise ValueError("fs must be positive and finite and window_len at least 16")
-        # an event wavelet's largest phase, 2 pi DOMINANT_HZ[1] window_len / fs, must be a finite float
-        if self.window_len > sys.float_info.max / (2.0 * math.pi * DOMINANT_HZ[1]) * self.fs:
+        if self.window_len > MAX_WINDOW_LEN:
+            raise ValueError(f"window_len {self.window_len} is above the cap of {MAX_WINDOW_LEN} samples")
+        # an event wavelet's largest phase, 2 pi DOMINANT_HZ[1] window_len / fs, must be a finite
+        # float; window_len is capped, so the bound on fs is finite and positive
+        if self.fs < self.window_len * (2.0 * math.pi * DOMINANT_HZ[1]) / sys.float_info.max:
             raise ValueError(f"fs {self.fs} is too small for window_len {self.window_len}: "
                              "an event wavelet's phase overflows")
         if not (0 < self.snr_range[0] <= self.snr_range[1] < math.inf):

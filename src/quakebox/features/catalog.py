@@ -1,292 +1,320 @@
 """The 22 canonical time-series features.
 
-Each function maps a 1-D float array to one scalar, except the two
-fluctuation-scaling features (C19, C20), which map a (traces x samples)
-block to one value per row.  The canonical values
-are defined on standardized input: the registry z-scores a series (sample
-standard deviation, ddof=1) before dispatching to any function in this
-module, which also makes every one of them invariant to affine transforms
-``x -> a*x + b`` with ``a > 0``.  Constant series are rejected by the
-registry before dispatch, so functions here may assume nonzero variance.
+Each function is a block kernel: it maps the rows of a
+:class:`~quakebox.features.registry.SeriesBlock` to one value per row, each
+independent of the other rows.  The canonical values are defined on
+standardized input, so every kernel here reads the block's z-scored rows
+(sample standard deviation, ddof=1), which also makes every one of them
+invariant to affine transforms ``x -> a*x + b`` with ``a > 0``.  Constant
+series are rejected by the registry before dispatch, so kernels here may
+assume nonzero variance.
 
-Formula notes live on each function; shared machinery (autocorrelation,
-equal-width histograms, Hazen quantiles) sits at the top.
+Intermediates that several features share (the autocorrelation and its
+first zero crossing, the one-sided periodogram) are computed once per block
+by the block object, with the functions at the top of this module.  Every
+reduction runs along one row, never across rows, so a row's value does not
+depend on the rows beside it; where a statistic sums a per-row selection of
+entries (a compressed array whose length varies by row), the kernel sums
+that row alone.  Formula notes live on each kernel.
 """
 
 from __future__ import annotations
 
 import bisect
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .registry import SeriesBlock
+
 
 # ---------------------------------------------------------------------------
-# shared helpers
+# shared intermediates and helpers
 
 
 def _next_pow2(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
 
-def autocorrelation(y: np.ndarray) -> np.ndarray:
-    """Linear autocorrelation at lags 0..n-1, normalized by lag 0.
+def autocorrelation(rows: np.ndarray) -> np.ndarray:
+    """Linear autocorrelation of each row at lags 0..n-1, normalized by lag 0.
 
     Computed by FFT with zero padding to twice the next power of two, which
-    makes the circular correlation exact for all linear lags.
+    makes the circular correlation exact for all linear lags.  The power
+    spectrum is formed one row at a time: numpy's complex multiply rounds a
+    2-D operand differently from a 1-D one, and a row's value must not
+    depend on its block.
     """
-    y = np.asarray(y, dtype=float)
-    n = y.size
+    n = rows.shape[1]
     nfft = 2 * _next_pow2(n)
-    spec = np.fft.rfft(y - y.mean(), nfft)
-    acov = np.fft.irfft(spec * np.conj(spec), nfft)[:n]
-    return acov / acov[0]
+    # rows.sum(...) / n is rows.mean(...), bit for bit, without its Python overhead
+    spec = np.fft.rfft(rows - rows.sum(axis=1, keepdims=True) / n, nfft)
+    for row in spec:
+        row[:] = row * np.conj(row)
+    acov = np.fft.irfft(spec, nfft)[:, :n]
+    return acov / acov[:, :1]
 
 
-def first_zero_crossing_ac(y: np.ndarray) -> int:
-    """Smallest positive lag where the autocorrelation is <= 0 (n if none)."""
-    ac = autocorrelation(y)
-    below = np.nonzero(ac[1:] <= 0)[0]
-    if below.size == 0:
-        return int(y.size)
-    return int(below[0]) + 1
+def first_zero_crossing(acf: np.ndarray) -> np.ndarray:
+    """Per row, the smallest positive lag where the autocorrelation is <= 0
+    (n if none)."""
+    below = acf[:, 1:] <= 0
+    return np.where(below.any(axis=1), below.argmax(axis=1) + 1, acf.shape[1])
 
 
-def _histcounts_equal(y: np.ndarray, nbins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and edges for equal-width bins spanning [min, max].
+def one_sided_power_spectrum(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rectangular-window periodogram of each row, zero-padded to the next
+    power of two.
 
-    Bin index is floor((v - min) / width), clipped into range, so the
-    maximum lands in the last bin.
+    Returns (angular frequencies, spectral density per row), one-sided with
+    interior bins doubled, normalized for unit sampling rate.
     """
-    lo = float(y.min())
-    hi = float(y.max())
-    width = (hi - lo) / nbins
-    idx = ((y - lo) / width).astype(np.int64)
-    idx = np.clip(idx, 0, nbins - 1)
-    counts = np.bincount(idx, minlength=nbins)
-    edges = lo + width * np.arange(nbins + 1)
-    return counts, edges
+    n = rows.shape[1]
+    nfft = _next_pow2(n)
+    pxx = np.abs(np.fft.rfft(rows, nfft)) ** 2 / n
+    pxx[:, 1:-1] *= 2.0
+    freqs = np.arange(pxx.shape[1]) / nfft
+    return 2.0 * np.pi * freqs, pxx / (2.0 * np.pi)
 
 
-def _coarse_grain_3(y: np.ndarray) -> np.ndarray:
-    """Symbolize into 3 near-equiprobable groups split at the 1/3, 2/3 quantiles.
+def _first(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a boolean matrix: whether any entry is set, and the index
+    of the first set entry (0 where none is)."""
+    return mask.any(axis=1), mask.argmax(axis=1)
+
+
+def _row_bincount(idx: np.ndarray, nbins: int) -> np.ndarray:
+    """Per row of an integer matrix with entries in [0, nbins): the count of
+    each value, as a (rows x nbins) float matrix."""
+    offsets = nbins * np.arange(len(idx))[:, None]
+    return np.bincount((idx + offsets).ravel(), minlength=nbins * len(idx)).reshape(-1, nbins).astype(float)
+
+
+def _coarse_grain_3(rows: np.ndarray) -> np.ndarray:
+    """Symbolize each row into 3 near-equiprobable groups 0, 1, 2 split at
+    its 1/3 and 2/3 quantiles.
 
     The quantiles use plotting positions (k + 0.5)/n with linear
     interpolation (Hazen).  Values equal to a split point go to the lower group.
     """
-    q1, q2 = np.quantile(y, [1.0 / 3.0, 2.0 / 3.0], method="hazen")
-    return 1 + (y > q1).astype(np.int64) + (y > q2).astype(np.int64)
+    q1, q2 = np.quantile(rows, [1.0 / 3.0, 2.0 / 3.0], axis=1, method="hazen")[:, :, None]
+    return (rows > q1).astype(np.int64) + (rows > q2)
 
 
-def _longest_run(mask: np.ndarray) -> int:
-    """Length of the longest run of True values."""
-    if mask.size == 0:
-        return 0
-    padded = np.concatenate(([False], mask, [False]))
-    change = np.flatnonzero(padded[1:] != padded[:-1])
-    if change.size == 0:
-        return 0
-    starts = change[0::2]
-    ends = change[1::2]
-    return int((ends - starts).max())
+def _longest_run(mask: np.ndarray) -> np.ndarray:
+    """Per row: length of the longest run of True values."""
+    pos = np.arange(1, mask.shape[1] + 1)
+    last_false = np.maximum.accumulate(np.where(mask, 0, pos), axis=1)
+    return (pos - last_false).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # distribution shape
 
 
-def histogram_mode_5(y: np.ndarray) -> float:
+def histogram_mode_5(block: SeriesBlock) -> np.ndarray:
     """Mode of the value distribution over a 5-bin equal-width histogram.
 
     Ties between equally full bins are resolved by averaging their centers.
     """
-    return _histogram_mode(y, 5)
+    return _histogram_mode(block.z, 5)
 
 
-def histogram_mode_10(y: np.ndarray) -> float:
+def histogram_mode_10(block: SeriesBlock) -> np.ndarray:
     """Mode of the value distribution over a 10-bin equal-width histogram."""
-    return _histogram_mode(y, 10)
+    return _histogram_mode(block.z, 10)
 
 
-def _histogram_mode(y: np.ndarray, nbins: int) -> float:
-    counts, edges = _histcounts_equal(np.asarray(y, dtype=float), nbins)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return float(centers[counts == counts.max()].mean())
+def _histogram_mode(z: np.ndarray, nbins: int) -> np.ndarray:
+    lo = z.min(axis=1, keepdims=True)
+    width = (z.max(axis=1, keepdims=True) - lo) / nbins
+    counts = _row_bincount(np.clip(((z - lo) / width).astype(np.int64), 0, nbins - 1), nbins)
+    edges = lo + width * np.arange(nbins + 1)
+    centers = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    top = counts == counts.max(axis=1, keepdims=True)
+    out = centers[np.arange(len(z)), top.argmax(axis=1)]
+    for k in np.flatnonzero(top.sum(axis=1) > 1).tolist():
+        out[k] = centers[k][top[k]].mean()
+    return out
 
 
 # ---------------------------------------------------------------------------
 # linear autocorrelation structure
 
 
-def acf_first_1e_crossing(y: np.ndarray) -> float:
+def acf_first_1e_crossing(block: SeriesBlock) -> np.ndarray:
     """First crossing of the autocorrelation below 1/e, linearly interpolated.
 
     Scans lags 1..n-2; returns n when the autocorrelation never drops that
     far.
     """
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    ac = autocorrelation(y)
+    ac = block.acf
+    n = ac.shape[1]
     thresh = 1.0 / np.e
-    below = np.nonzero(ac[1 : n - 1] < thresh)[0]
-    if below.size == 0:
-        return float(n)
-    k = int(below[0]) + 1
-    return (k - 1) + (thresh - ac[k - 1]) / (ac[k] - ac[k - 1])
+    hit, first = _first(ac[:, 1 : n - 1] < thresh)
+    out = np.full(len(ac), float(n))
+    rows = np.flatnonzero(hit)
+    k = first[rows] + 1
+    out[rows] = (k - 1) + (thresh - ac[rows, k - 1]) / (ac[rows, k] - ac[rows, k - 1])
+    return out
 
 
-def acf_first_minimum(y: np.ndarray) -> float:
+def acf_first_minimum(block: SeriesBlock) -> np.ndarray:
     """Lag of the first local minimum of the autocorrelation (n if none)."""
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    ac = autocorrelation(y)
-    for i in range(1, n - 1):
-        if ac[i] < ac[i - 1] and ac[i] < ac[i + 1]:
-            return float(i)
-    return float(n)
+    ac = block.acf
+    mid = ac[:, 1:-1]
+    hit, first = _first((mid < ac[:, :-2]) & (mid < ac[:, 2:]))
+    return np.where(hit, first + 1, ac.shape[1]).astype(float)
 
 
-def histogram_ami_even_2_5(y: np.ndarray) -> float:
+def histogram_ami_even_2_5(block: SeriesBlock) -> np.ndarray:
     """Automutual information at lag 2 over a 5-bin even-width histogram.
 
     Bin edges span [min - 0.1, max + 0.1]; the joint distribution of
     (x_t, x_{t+2}) gives I = sum p_ij * ln(p_ij / (p_i * p_j)).
     """
-    y = np.asarray(y, dtype=float)
+    z = block.z
     tau, nbins = 2, 5
-    y1 = y[:-tau]
-    y2 = y[tau:]
-    lo = float(y.min()) - 0.1
-    step = (float(y.max()) + 0.1 - lo) / nbins
+    lo = z.min(axis=1, keepdims=True) - 0.1
+    step = (z.max(axis=1, keepdims=True) + 0.1 - lo) / nbins
     edges = lo + step * np.arange(nbins + 1)
-    b1 = np.searchsorted(edges, y1, side="right") - 1
-    b2 = np.searchsorted(edges, y2, side="right") - 1
-    b1 = np.clip(b1, 0, nbins - 1)
-    b2 = np.clip(b2, 0, nbins - 1)
-    joint = np.bincount(b1 * nbins + b2, minlength=nbins * nbins).astype(float)
-    joint = joint.reshape(nbins, nbins) / joint.sum()
-    pi = joint.sum(axis=1)
-    pj = joint.sum(axis=0)
+    # a value's bin is the number of edges at or below it, less one
+    bins = np.clip((z[:, :, None] >= edges[:, None, :]).sum(axis=2) - 1, 0, nbins - 1)
+    joint = _row_bincount(bins[:, :-tau] * nbins + bins[:, tau:], nbins * nbins)
+    joint = joint.reshape(-1, nbins, nbins) / (z.shape[1] - tau)
+    pi = joint.sum(axis=2)
+    pj = joint.sum(axis=1)
     nz = joint > 0
-    return float(np.sum(joint[nz] * np.log(joint[nz] / np.outer(pi, pj)[nz])))
+    ratio = np.where(nz, joint, 1.0) / np.where(nz, pi[:, :, None] * pj[:, None, :], 1.0)
+    terms = joint * np.log(ratio)
+    return np.array([t[m].sum() for t, m in zip(terms, nz)])
 
 
-def time_reversal_asymmetry(y: np.ndarray) -> float:
+def time_reversal_asymmetry(block: SeriesBlock) -> np.ndarray:
     """Mean cubed successive difference, a time-reversibility statistic."""
-    d = np.diff(np.asarray(y, dtype=float))
-    return float(np.mean(d**3))
+    return np.mean(np.diff(block.z, axis=1) ** 3, axis=1)
 
 
 # ---------------------------------------------------------------------------
 # successive-difference statistics
 
 
-def high_delta_fraction(y: np.ndarray) -> float:
+def high_delta_fraction(block: SeriesBlock) -> np.ndarray:
     """Fraction of successive differences exceeding 0.04 in magnitude (pNN40)."""
-    d = np.abs(np.diff(np.asarray(y, dtype=float)))
-    return float(np.mean(d * 1000.0 > 40.0))
+    return np.mean(np.abs(np.diff(block.z, axis=1)) * 1000.0 > 40.0, axis=1)
 
 
 # ---------------------------------------------------------------------------
 # binary symbolization
 
 
-def longest_stretch_above_mean(y: np.ndarray) -> float:
+def longest_stretch_above_mean(block: SeriesBlock) -> np.ndarray:
     """Longest run of consecutive values strictly above the mean."""
-    y = np.asarray(y, dtype=float)
-    return float(_longest_run(y > y.mean()))
+    z = block.z
+    return _longest_run(z > z.mean(axis=1, keepdims=True)).astype(float)
 
 
-def longest_stretch_decreasing(y: np.ndarray) -> float:
+def longest_stretch_decreasing(block: SeriesBlock) -> np.ndarray:
     """Longest run of consecutive strict decreases."""
-    y = np.asarray(y, dtype=float)
-    return float(_longest_run(np.diff(y) < 0))
+    return _longest_run(np.diff(block.z, axis=1) < 0).astype(float)
 
 
-def motif_three_pair_entropy(y: np.ndarray) -> float:
+def motif_three_pair_entropy(block: SeriesBlock) -> np.ndarray:
     """Shannon entropy (nats) of consecutive symbol pairs in a 3-letter
     quantile alphabet."""
-    s = _coarse_grain_3(np.asarray(y, dtype=float)) - 1
-    pairs = s[:-1] * 3 + s[1:]
-    counts = np.bincount(pairs, minlength=9).astype(float)
-    p = counts / counts.sum()
+    s = _coarse_grain_3(block.z)
+    p = _row_bincount(s[:, :-1] * 3 + s[:, 1:], 9) / (s.shape[1] - 1)
     nz = p > 0
-    return float(-np.sum(p[nz] * np.log(p[nz])))
+    terms = p * np.log(np.where(nz, p, 1.0))
+    # a row that lacks some pair sums its nonzero terms alone: a sum over a
+    # shorter array rounds differently from one padded with zeros
+    full = nz.all(axis=1)
+    out = np.empty(len(p))
+    out[full] = -terms[full].sum(axis=1)
+    for k in np.flatnonzero(~full).tolist():
+        out[k] = -terms[k][nz[k]].sum()
+    return out
 
 
-def transition_matrix_trace_cov(y: np.ndarray) -> float:
+def transition_matrix_trace_cov(block: SeriesBlock) -> np.ndarray:
     """Trace of the covariance of the 3-symbol transition matrix.
 
     The series is decimated at the first zero crossing of its
     autocorrelation, symbolized into 3 quantile groups, and the first-order
     transition probability matrix T formed; the statistic is the summed
     variance (ddof=1) of T's columns.  Degenerate decimations (fewer than
-    two points) score 0.
+    two points) score 0.  Rows that share a decimation lag are symbolized
+    together.
     """
-    y = np.asarray(y, dtype=float)
-    tau = first_zero_crossing_ac(y)
-    ds = y[::tau]
-    if ds.size < 2:
-        return 0.0
-    s = _coarse_grain_3(ds) - 1
-    counts = np.bincount(s[:-1] * 3 + s[1:], minlength=9).astype(float)
-    T = counts.reshape(3, 3) / (ds.size - 1)
-    return float(np.var(T, axis=0, ddof=1).sum())
+    z, lags = block.z, block.acf_zero
+    out = np.zeros(len(z))
+    for tau in np.unique(lags).tolist():
+        rows = np.flatnonzero(lags == tau)
+        ds = z[rows, ::tau]
+        if ds.shape[1] < 2:
+            continue
+        s = _coarse_grain_3(ds)
+        counts = _row_bincount(s[:, :-1] * 3 + s[:, 1:], 9)
+        T = counts.reshape(-1, 3, 3) / (ds.shape[1] - 1)
+        out[rows] = np.var(T, axis=1, ddof=1).sum(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # periodicity and embedding
 
 
-def _spline_detrend(y: np.ndarray) -> np.ndarray:
-    """Residual of a least-squares cubic spline with one interior knot.
+@lru_cache(maxsize=64)
+def _spline_basis(n: int) -> np.ndarray:
+    """Orthonormal rows spanning the least-squares cubic splines with one
+    interior knot on n samples, computed once per n (read-only).
 
     The knot sits at floor(n/2) - 1, giving a 5-parameter C2 piecewise cubic
-    over [0, n-1]; the fit is solved in a scaled truncated-power basis.
+    over [0, n-1] in a scaled truncated-power basis, orthonormalized by QR.
     """
-    n = y.size
     t = np.arange(n, dtype=float) / (n - 1)
     knot = (n // 2 - 1) / (n - 1)
-    basis = np.column_stack(
-        [
-            np.ones(n),
-            t,
-            t**2,
-            t**3,
-            np.clip(t - knot, 0.0, None) ** 3,
-        ]
-    )
-    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-    return y - basis @ coef
+    basis = np.column_stack([np.ones(n), t, t**2, t**3, np.clip(t - knot, 0.0, None) ** 3])
+    q = np.ascontiguousarray(np.linalg.qr(basis)[0].T)
+    q.flags.writeable = False
+    return q
 
 
-def periodicity_wang(y: np.ndarray) -> float:
+def periodicity_wang(block: SeriesBlock) -> np.ndarray:
     """First significant autocorrelation peak after spline detrending.
 
-    The detrended series' autocovariance (mean lagged product) is scanned up
-    to n/3 lags for the first peak that follows a trough, rises at least
-    0.01 above it, and is positive; its lag is returned (1 when no peak
-    qualifies).
+    Each row loses its projection on the cubic spline space; the residual's
+    autocovariance (mean lagged product) is scanned up to n/3 lags for the
+    first peak that follows a trough, rises at least 0.01 above it, and is
+    positive; its lag is returned (1 when no peak qualifies).  The
+    projection's coefficients are row sums, not a matrix product, so that a
+    row's value does not depend on its block.
     """
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    sub = _spline_detrend(y)
+    z = block.z
+    n = z.shape[1]
+    sub = z.copy()
+    for q in _spline_basis(n):
+        sub -= (z * q).sum(axis=1)[:, None] * q
     acmax = int(np.ceil(n / 3))
     lags = np.arange(1, acmax + 1)
-    acf = np.correlate(sub, sub, "full")[n : n + acmax] / (n - lags)
+    acf = np.stack([np.correlate(s, s, "full")[n : n + acmax] for s in sub]) / (n - lags)
 
-    slopes = np.diff(acf)
-    rise_in, rise_out = slopes[:-1], slopes[1:]
-    troughs = np.flatnonzero((rise_in < 0) & (rise_out > 0)) + 1
-    peaks = np.flatnonzero((rise_in > 0) & (rise_out < 0)) + 1
-    # each peak's nearest preceding trough (peaks before the first have none)
-    before = np.searchsorted(troughs, peaks) - 1
-    peaks, it = peaks[before >= 0], troughs[before[before >= 0]]
-    qualifies = ~((acf[peaks] - acf[it] < 0.01) | (acf[peaks] < 0))
-    hits = peaks[qualifies]
-    return float(hits[0] + 1) if hits.size else 1.0
+    slopes = np.diff(acf, axis=1)
+    rise_in, rise_out = slopes[:, :-1], slopes[:, 1:]
+    troughs = (rise_in < 0) & (rise_out > 0)
+    peaks = (rise_in > 0) & (rise_out < 0)
+    # each position's nearest trough at or before it (-1 before the first)
+    pos = np.arange(1, acmax - 1)
+    trough = np.maximum.accumulate(np.where(troughs, pos, -1), axis=1)
+    peak = acf[:, 1:-1]
+    rise = peak - acf[np.arange(len(z))[:, None], trough]
+    hit, first = _first(peaks & (trough >= 0) & ~((rise < 0.01) | (peak < 0)))
+    return np.where(hit, first + 2, 1).astype(float)
 
 
-def embedding_distance_expfit_diff(y: np.ndarray) -> float:
+def embedding_distance_expfit_diff(block: SeriesBlock) -> np.ndarray:
     """Mismatch between successive embedding distances and an exponential fit.
 
     The series is embedded as (x_t, x_{t+tau}) with tau the first zero
@@ -296,93 +324,124 @@ def embedding_distance_expfit_diff(y: np.ndarray) -> float:
     exponential distribution with the empirical mean; the statistic is the
     mean absolute density difference over the bins.  Near-constant distance
     distributions score 0.
+
+    Rows that share tau are embedded together.  Each row has its own number
+    of bins, so all bins of a group are laid end to end, row after row, and
+    only the last mean runs row by row.
     """
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    tau = first_zero_crossing_ac(y)
-    tau = max(1, min(tau, n // 10))
-    d = np.sqrt(np.diff(y[: n - tau]) ** 2 + np.diff(y[tau:]) ** 2)
-    sd = float(d.std(ddof=1))
-    if sd < 1e-3:
-        return 0.0
-    mean_d = float(d.mean())
-    nbins = int(np.ceil((d.max() - d.min()) / (3.5 * sd / d.size ** (1.0 / 3.0))))
-    if nbins <= 0:
-        return 0.0
-    counts, edges = _histcounts_equal(d, nbins)
-    width = edges[1] - edges[0]
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    emp_density = counts / d.size / width
-    exp_density = np.exp(-centers / mean_d) / mean_d
-    return float(np.mean(np.abs(emp_density - exp_density)))
+    z = block.z
+    n = z.shape[1]
+    lags = np.minimum(block.acf_zero, n // 10)
+    out = np.zeros(len(z))
+    for tau in np.unique(lags).tolist():
+        rows = np.flatnonzero(lags == tau)
+        y = z[rows]
+        m = n - tau - 1
+        d = np.sqrt((y[:, 1 : n - tau] - y[:, :m]) ** 2 + (y[:, tau + 1 :] - y[:, tau:-1]) ** 2)
+        # d.mean(axis=1) and d.std(axis=1, ddof=1), in numpy's own order of operations
+        mean_d = d.sum(axis=1, keepdims=True) / m
+        dev = d - mean_d
+        sd = np.sqrt((dev * dev).sum(axis=1) / (m - 1))
+        live = sd >= 1e-3
+        if not live.all():
+            rows, d, mean_d, sd = rows[live], d[live], mean_d[live], sd[live]
+            if not len(rows):
+                continue
+        lo, hi = d.min(axis=1), d.max(axis=1)
+        nbins = np.ceil((hi - lo) / (3.5 * sd / m ** (1.0 / 3.0))).astype(np.int64)
+        width = (hi - lo) / nbins
+        # (d - lo) / width is never negative, so only the top needs clipping
+        idx = np.minimum(((d - lo[:, None]) / width[:, None]).astype(np.int64), nbins[:, None] - 1)
+        ends = np.cumsum(nbins)
+        starts = ends - nbins
+        counts = np.bincount((idx + starts[:, None]).ravel(), minlength=ends[-1])
+        # per bin: its row, and its index within the row
+        row = np.repeat(np.arange(len(d)), nbins)
+        k = np.arange(ends[-1]) - starts[row]
+        lo_b, width_b, mean_b = lo[row], width[row], mean_d[row, 0]
+        centers = 0.5 * ((lo_b + width_b * k) + (lo_b + width_b * (k + 1)))
+        emp_density = counts / m / ((lo + width) - lo)[row]
+        exp_density = np.exp(-centers / mean_b) / mean_b
+        mismatch = np.abs(emp_density - exp_density)
+        out[rows] = [mismatch[s:e].sum() / (e - s) for s, e in zip(starts.tolist(), ends.tolist())]
+    return out
 
 
-def ami_gaussian_first_minimum(y: np.ndarray) -> float:
+def ami_gaussian_first_minimum(block: SeriesBlock) -> np.ndarray:
     """Lag of the first minimum of Gaussian automutual information.
 
     AMI(k) = -ln(1 - rho_k^2)/2 with rho_k the Pearson correlation between
     the series and its k-lagged copy, over lags 1..min(40, ceil(n/2));
-    returns the maximum lag when no interior minimum exists.
+    returns the maximum lag when no interior minimum exists.  Lag k's pairs
+    fill the first n - k entries of length-n rows padded with zeros, and
+    every sum runs over the whole padded row, one lag at a time.
     """
-    y = np.asarray(y, dtype=float)
-    n = y.size
+    z = block.z
+    r, n = z.shape
     max_lag = min(40, int(np.ceil(n / 2)))
-    # row k-1 holds the pairs (y[i], y[i+k]) for i < n-k; masked entries are 0
-    lags = np.arange(1, max_lag + 1)[:, None]
-    i = np.arange(n)
-    keep = i < n - lags
-    head = np.where(keep, y, 0.0)
-    tail = np.where(keep, y[np.minimum(i + lags, n - 1)], 0.0)
-    count = n - lags
-    head = np.where(keep, head - head.sum(axis=1, keepdims=True) / count, 0.0)
-    tail = np.where(keep, tail - tail.sum(axis=1, keepdims=True) / count, 0.0)
-    cov = (head * tail).sum(axis=1)
-    rho = cov / np.sqrt((head * head).sum(axis=1) * (tail * tail).sum(axis=1))
+    head = z.copy()
+    padded = np.zeros((r, 2 * n))
+    padded[:, :n] = z
+    rho = np.empty((r, max_lag))
+    for k in range(1, max_lag + 1):
+        count = n - k
+        head[:, count] = 0.0
+        tail = padded[:, k : k + n]
+        hc = head - head.sum(axis=1, keepdims=True) / count
+        tc = tail - tail.sum(axis=1, keepdims=True) / count
+        hc[:, count:] = 0.0
+        tc[:, count:] = 0.0
+        cov = (hc * tc).sum(axis=1)
+        rho[:, k - 1] = cov / np.sqrt((hc * hc).sum(axis=1) * (tc * tc).sum(axis=1))
     rho = np.clip(rho, -1.0, 1.0)
     ami = -0.5 * np.log(1.0 - rho * rho)
-    # first strict interior minimum; ami[j] belongs to lag j + 1
-    mid = ami[1:-1]
-    hits = np.flatnonzero((mid < ami[:-2]) & (mid < ami[2:]))
-    return float(hits[0] + 2) if hits.size else float(max_lag)
+    # first strict interior minimum; ami[:, j] belongs to lag j + 1
+    mid = ami[:, 1:-1]
+    hit, first = _first((mid < ami[:, :-2]) & (mid < ami[:, 2:]))
+    return np.where(hit, first + 2, max_lag).astype(float)
 
 
 # ---------------------------------------------------------------------------
 # simple forecasting
 
 
-def forecast_mean1_decorrelation_ratio(y: np.ndarray) -> float:
+def forecast_mean1_decorrelation_ratio(block: SeriesBlock) -> np.ndarray:
     """Change in decorrelation lag after removing lag-1 persistence.
 
     Ratio of the autocorrelation first-zero lag of the differenced series to
     that of the original.
     """
-    y = np.asarray(y, dtype=float)
-    res = np.diff(y)
-    return first_zero_crossing_ac(res) / first_zero_crossing_ac(y)
+    residual_lag = first_zero_crossing(autocorrelation(np.diff(block.z, axis=1)))
+    return residual_lag / block.acf_zero
 
 
-def forecast_mean3_residual_spread(y: np.ndarray) -> float:
-    """Standard deviation (ddof=1) of rolling 3-sample-mean forecast errors."""
-    y = np.asarray(y, dtype=float)
-    window = 3
-    means = np.convolve(y, np.ones(window) / window, mode="valid")[:-1]
-    res = y[window:] - means
-    return float(res.std(ddof=1))
+def forecast_mean3_residual_spread(block: SeriesBlock) -> np.ndarray:
+    """Standard deviation (ddof=1) of rolling 3-sample-mean forecast errors.
+
+    The rolling means come from one convolution over the concatenated rows;
+    each output is the same 3-term dot product a row alone would give, and
+    the ones that straddle two rows are dropped.
+    """
+    z = block.z
+    window, n = 3, z.shape[1]
+    flat = np.convolve(z.ravel(), np.ones(window) / window, mode="valid")
+    means = np.append(flat, np.zeros(window - 1)).reshape(z.shape)[:, : n - window]
+    return np.std(z[:, window:] - means, axis=1, ddof=1)
 
 
 # ---------------------------------------------------------------------------
 # extreme-event timing
 
 
-def outlier_timing_positive(y: np.ndarray) -> float:
+def outlier_timing_positive(block: SeriesBlock) -> np.ndarray:
     """Median relative position of above-threshold events, swept over
     thresholds (positive deviations)."""
-    return _outlier_timing(np.asarray(y, dtype=float), +1.0)
+    return np.array([_outlier_timing(y, +1.0) for y in block.z])
 
 
-def outlier_timing_negative(y: np.ndarray) -> float:
+def outlier_timing_negative(block: SeriesBlock) -> np.ndarray:
     """As :func:`outlier_timing_positive` for negative deviations."""
-    return _outlier_timing(np.asarray(y, dtype=float), -1.0)
+    return np.array([_outlier_timing(y, -1.0) for y in block.z])
 
 
 def _outlier_timing(y: np.ndarray, sign: float) -> float:
@@ -433,34 +492,19 @@ def _outlier_timing(y: np.ndarray, sign: float) -> float:
 # power spectrum
 
 
-def _one_sided_power_spectrum(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rectangular-window periodogram, zero-padded to the next power of two.
-
-    Returns (angular frequencies, spectral density), one-sided with interior
-    bins doubled, normalized for unit sampling rate.
-    """
-    n = y.size
-    nfft = _next_pow2(n)
-    spec = np.abs(np.fft.rfft(y, nfft)) ** 2
-    pxx = spec / n
-    pxx[1:-1] *= 2.0
-    freqs = np.arange(pxx.size) / nfft
-    return 2.0 * np.pi * freqs, pxx / (2.0 * np.pi)
-
-
-def spectral_power_lowest_fifth(y: np.ndarray) -> float:
+def spectral_power_lowest_fifth(block: SeriesBlock) -> np.ndarray:
     """Integrated spectral density over the lowest fifth of frequencies."""
-    w, s = _one_sided_power_spectrum(np.asarray(y, dtype=float))
+    w, s = block.periodogram
     dw = w[1] - w[0]
-    return float(s[: s.size // 5].sum() * dw)
+    return s[:, : s.shape[1] // 5].sum(axis=1) * dw
 
 
-def spectral_centroid_welch(y: np.ndarray) -> float:
+def spectral_centroid_welch(block: SeriesBlock) -> np.ndarray:
     """Angular frequency splitting the spectral density mass in half."""
-    w, s = _one_sided_power_spectrum(np.asarray(y, dtype=float))
-    cumulative = np.cumsum(s)
-    idx = np.flatnonzero(cumulative > 0.5 * cumulative[-1])
-    return float(w[idx[0]]) if idx.size else 0.0
+    w, s = block.periodogram
+    cumulative = np.cumsum(s, axis=1)
+    hit, first = _first(cumulative > 0.5 * cumulative[:, -1:])
+    return np.where(hit, w[first], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +574,11 @@ def _masked_line_residual_norm(x: np.ndarray, y: np.ndarray, mask: np.ndarray) -
     return np.sqrt((resid * resid).sum(axis=-1))
 
 
-def dfa_scaling_split(block: np.ndarray) -> np.ndarray:
+def dfa_scaling_split(block: SeriesBlock) -> np.ndarray:
     """Fluctuation-scaling breakpoint for DFA at decimation lag 2, per row."""
-    return _fluctuation_split_fraction(np.asarray(block, dtype=float), 2, "dfa")
+    return _fluctuation_split_fraction(block.z, 2, "dfa")
 
 
-def range_fit_scaling_split(block: np.ndarray) -> np.ndarray:
+def range_fit_scaling_split(block: SeriesBlock) -> np.ndarray:
     """Fluctuation-scaling breakpoint for rescaled-range fits at lag 1, per row."""
-    return _fluctuation_split_fraction(np.asarray(block, dtype=float), 1, "rsrangefit")
+    return _fluctuation_split_fraction(block.z, 1, "rsrangefit")

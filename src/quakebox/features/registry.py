@@ -9,6 +9,7 @@ four W1..W4 surrogate features for 26 inputs in total.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -21,22 +22,62 @@ from . import catalog, surrogates
 class FeatureDef:
     """One registered feature.
 
-    ``func`` maps a (traces x samples) block to one value per row, each
-    independent of the other rows; a one-series kernel is lifted with
-    :func:`per_row`.  ``standardize_input``
-    marks features defined on z-scored series (sample std, ddof=1); the
-    registry applies the transform before dispatch.
+    ``func`` is a block kernel: it maps a :class:`SeriesBlock` to one value
+    per row, each independent of the other rows, and reads the block's raw
+    or z-scored rows and whichever shared intermediates it needs.
     ``affine_invariant`` declares whether the value is unchanged under
     x -> a*x + b with a > 0, which the property suite asserts.
     """
 
     code: str
     name: str
-    func: Callable[[np.ndarray], np.ndarray]
+    func: Callable[[SeriesBlock], np.ndarray]
     min_length: int
-    standardize_input: bool
     affine_invariant: bool
     description: str
+
+
+class SeriesBlock:
+    """The rows of nonzero variance of one :meth:`FeatureRegistry.extract_block`
+    call, as every kernel of that call sees them.
+
+    ``raw`` holds the rows as given and ``z`` the same rows z-scored (sample
+    std, ddof=1).  The intermediates that several features share are
+    computed on first use, once per block, and only if a requested feature
+    reads them.  Every array is read-only, so no kernel can change what
+    another one reads.
+    """
+
+    def __init__(self, raw: np.ndarray, z: np.ndarray):
+        self.raw = _read_only(raw)
+        self.z = _read_only(z)
+
+    @cached_property
+    def acf(self) -> np.ndarray:
+        """Autocorrelation of each z-scored row at lags 0..n-1 (C3, C4, C9, C11, C13)."""
+        return _read_only(catalog.autocorrelation(self.z))
+
+    @cached_property
+    def acf_zero(self) -> np.ndarray:
+        """First lag where :attr:`acf` is <= 0, per row; n if none (C9, C11, C13)."""
+        return _read_only(catalog.first_zero_crossing(self.acf))
+
+    @cached_property
+    def power(self) -> np.ndarray:
+        """Power spectrum of each demeaned raw row (W2, W3)."""
+        return _read_only(surrogates.demeaned_power_spectrum(self.raw))
+
+    @cached_property
+    def periodogram(self) -> tuple[np.ndarray, np.ndarray]:
+        """(angular frequencies, one-sided spectral density per z-scored row) (C16, C21)."""
+        w, s = catalog.one_sided_power_spectrum(self.z)
+        return _read_only(w), _read_only(s)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 class FeatureRegistry:
@@ -84,12 +125,12 @@ class FeatureRegistry:
         or a series shorter than a feature's documented minimum.  A failed
         row holds NaN from its failing code on.  The block's length,
         variance and finiteness are each checked once, and it is z-scored
-        once (read-only: every standardized feature shares it).  Each
-        kernel before the first code the series is too short for runs once,
-        on the rows of nonzero variance.
+        once.  Each kernel before the first code the series is too short
+        for runs once, on one :class:`SeriesBlock` of the rows of nonzero
+        variance, which the kernels of this call share.
         """
         defs = [self.get(code) for code in codes]
-        x = np.asarray(block, dtype=float)
+        x = np.ascontiguousarray(block, dtype=float)
         values = np.full((len(x), len(defs)), np.nan)
         failures: dict[int, str] = {}
         cut = next((j for j, d in enumerate(defs) if x.ndim != 2 or x.shape[1] < d.min_length), len(defs))
@@ -105,11 +146,10 @@ class FeatureRegistry:
                 failures = dict.fromkeys(np.flatnonzero(~(sd > 0)).tolist(), message)
                 x, dev, sd = x[rows], dev[rows], sd[rows]
             if len(rows):
-                z = dev / sd[:, None]
-                z.flags.writeable = False
+                shared = SeriesBlock(x, dev / sd[:, None])
                 out = np.empty((len(rows), cut))
                 for j, d in enumerate(defs[:cut]):
-                    out[:, j] = d.func(z if d.standardize_input else x)
+                    out[:, j] = d.func(shared)
                 finite = np.isfinite(out)
                 for k in np.flatnonzero(~finite.all(axis=1)).tolist():
                     j = int(np.argmin(finite[k]))
@@ -123,60 +163,51 @@ class FeatureRegistry:
         return values, failures
 
 
-def per_row(kernel: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """The block kernel that applies a one-series ``kernel`` to each row."""
-
-    def block_kernel(block: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(kernel, block), float, len(block))
-
-    return block_kernel
-
-
 def _canonical_defs() -> list[FeatureDef]:
     entries = [
-        ("C1", "DN_HistogramMode_5", per_row(catalog.histogram_mode_5), 10,
+        ("C1", "DN_HistogramMode_5", catalog.histogram_mode_5, 10,
          "5-bin histogram mode of the standardized distribution"),
-        ("C2", "DN_HistogramMode_10", per_row(catalog.histogram_mode_10), 10,
+        ("C2", "DN_HistogramMode_10", catalog.histogram_mode_10, 10,
          "10-bin histogram mode of the standardized distribution"),
-        ("C3", "CO_f1ecac", per_row(catalog.acf_first_1e_crossing), 10,
+        ("C3", "CO_f1ecac", catalog.acf_first_1e_crossing, 10,
          "first 1/e crossing of the autocorrelation function"),
-        ("C4", "CO_FirstMin_ac", per_row(catalog.acf_first_minimum), 10,
+        ("C4", "CO_FirstMin_ac", catalog.acf_first_minimum, 10,
          "first local minimum of the autocorrelation function"),
-        ("C5", "CO_HistogramAMI_even_2_5", per_row(catalog.histogram_ami_even_2_5), 10,
+        ("C5", "CO_HistogramAMI_even_2_5", catalog.histogram_ami_even_2_5, 10,
          "automutual information at lag 2, 5 even bins"),
-        ("C6", "CO_trev_1_num", per_row(catalog.time_reversal_asymmetry), 4,
+        ("C6", "CO_trev_1_num", catalog.time_reversal_asymmetry, 4,
          "time-reversibility: mean cubed successive difference"),
-        ("C7", "MD_hrv_classic_pnn40", per_row(catalog.high_delta_fraction), 4,
+        ("C7", "MD_hrv_classic_pnn40", catalog.high_delta_fraction, 4,
          "fraction of successive differences exceeding 0.04"),
-        ("C8", "SB_BinaryStats_mean_longstretch1", per_row(catalog.longest_stretch_above_mean), 10,
+        ("C8", "SB_BinaryStats_mean_longstretch1", catalog.longest_stretch_above_mean, 10,
          "longest run above the mean"),
-        ("C9", "SB_TransitionMatrix_3ac_sumdiagcov", per_row(catalog.transition_matrix_trace_cov), 20,
+        ("C9", "SB_TransitionMatrix_3ac_sumdiagcov", catalog.transition_matrix_trace_cov, 20,
          "trace of covariance of the 3-symbol transition matrix"),
-        ("C10", "PD_PeriodicityWang_th0_01", per_row(catalog.periodicity_wang), 20,
+        ("C10", "PD_PeriodicityWang_th0_01", catalog.periodicity_wang, 20,
          "first significant autocorrelation peak after spline detrending"),
-        ("C11", "CO_Embed2_Dist_tau_d_expfit_meandiff", per_row(catalog.embedding_distance_expfit_diff), 20,
+        ("C11", "CO_Embed2_Dist_tau_d_expfit_meandiff", catalog.embedding_distance_expfit_diff, 20,
          "exponential-fit mismatch of embedding distance distribution"),
-        ("C12", "IN_AutoMutualInfoStats_40_gaussian_fmmi", per_row(catalog.ami_gaussian_first_minimum), 10,
+        ("C12", "IN_AutoMutualInfoStats_40_gaussian_fmmi", catalog.ami_gaussian_first_minimum, 10,
          "first minimum of Gaussian automutual information"),
-        ("C13", "FC_LocalSimple_mean1_tauresrat", per_row(catalog.forecast_mean1_decorrelation_ratio), 10,
+        ("C13", "FC_LocalSimple_mean1_tauresrat", catalog.forecast_mean1_decorrelation_ratio, 10,
          "decorrelation-lag ratio after lag-1 mean forecasting"),
-        ("C14", "DN_OutlierInclude_p_001_mdrmd", per_row(catalog.outlier_timing_positive), 10,
+        ("C14", "DN_OutlierInclude_p_001_mdrmd", catalog.outlier_timing_positive, 10,
          "median timing of positive deviations across thresholds"),
-        ("C15", "DN_OutlierInclude_n_001_mdrmd", per_row(catalog.outlier_timing_negative), 10,
+        ("C15", "DN_OutlierInclude_n_001_mdrmd", catalog.outlier_timing_negative, 10,
          "median timing of negative deviations across thresholds"),
-        ("C16", "SP_Summaries_welch_rect_area_5_1", per_row(catalog.spectral_power_lowest_fifth), 16,
+        ("C16", "SP_Summaries_welch_rect_area_5_1", catalog.spectral_power_lowest_fifth, 16,
          "spectral power in the lowest fifth of frequencies"),
-        ("C17", "SB_BinaryStats_diff_longstretch0", per_row(catalog.longest_stretch_decreasing), 10,
+        ("C17", "SB_BinaryStats_diff_longstretch0", catalog.longest_stretch_decreasing, 10,
          "longest run of successive decreases"),
-        ("C18", "SB_MotifThree_quantile_hh", per_row(catalog.motif_three_pair_entropy), 10,
+        ("C18", "SB_MotifThree_quantile_hh", catalog.motif_three_pair_entropy, 10,
          "entropy of consecutive pairs in a 3-letter quantile alphabet"),
         ("C19", "SC_FluctAnal_2_dfa_50_1_2_logi_prop_r1", catalog.dfa_scaling_split, 16,
          "DFA fluctuation-scaling breakpoint fraction"),
         ("C20", "SC_FluctAnal_2_rsrangefit_50_1_logi_prop_r1", catalog.range_fit_scaling_split, 16,
          "rescaled-range fluctuation-scaling breakpoint fraction"),
-        ("C21", "SP_Summaries_welch_rect_centroid", per_row(catalog.spectral_centroid_welch), 16,
+        ("C21", "SP_Summaries_welch_rect_centroid", catalog.spectral_centroid_welch, 16,
          "median-power angular frequency of the spectrum"),
-        ("C22", "FC_LocalSimple_mean3_stderr", per_row(catalog.forecast_mean3_residual_spread), 8,
+        ("C22", "FC_LocalSimple_mean3_stderr", catalog.forecast_mean3_residual_spread, 8,
          "spread of rolling 3-sample-mean forecast errors"),
     ]
     return [
@@ -185,7 +216,6 @@ def _canonical_defs() -> list[FeatureDef]:
             name=name,
             func=func,
             min_length=min_len,
-            standardize_input=True,
             affine_invariant=True,
             description=desc,
         )
@@ -195,17 +225,13 @@ def _canonical_defs() -> list[FeatureDef]:
 
 def _surrogate_defs() -> list[FeatureDef]:
     return [
-        FeatureDef("W1", "trace_rms", per_row(surrogates.root_mean_square), 4,
-                   standardize_input=False, affine_invariant=False,
+        FeatureDef("W1", "trace_rms", surrogates.root_mean_square, 4, affine_invariant=False,
                    description="RMS amplitude (surrogate for prior-model feature 1)"),
-        FeatureDef("W2", "dominant_frequency", per_row(surrogates.dominant_frequency), 8,
-                   standardize_input=False, affine_invariant=True,
+        FeatureDef("W2", "dominant_frequency", surrogates.dominant_frequency, 8, affine_invariant=True,
                    description="dominant frequency in cycles/sample (surrogate 2)"),
-        FeatureDef("W3", "spectral_centroid", per_row(surrogates.spectral_centroid), 8,
-                   standardize_input=False, affine_invariant=True,
+        FeatureDef("W3", "spectral_centroid", surrogates.spectral_centroid, 8, affine_invariant=True,
                    description="spectral centroid in cycles/sample (surrogate 3)"),
-        FeatureDef("W4", "short_long_energy_ratio", per_row(surrogates.short_long_energy_ratio), 10,
-                   standardize_input=False, affine_invariant=False,
+        FeatureDef("W4", "short_long_energy_ratio", surrogates.short_long_energy_ratio, 10, affine_invariant=False,
                    description="max short/long window energy ratio (surrogate 4)"),
     ]
 

@@ -6,57 +6,60 @@ spectral shape measures, and a transient-energy ratio.  Experiments
 parameterize the feature set, so these can be swapped for the real ones
 without touching the pipeline.
 
-Unlike the canonical catalog these operate on raw (not standardized)
-samples: amplitude and transient energy are exactly the information
-standardization would destroy.
+Each function is a block kernel over a
+:class:`~quakebox.features.registry.SeriesBlock`, one value per row.
+Unlike the canonical catalog these read the raw (not standardized) rows:
+amplitude and transient energy are exactly the information standardization
+would destroy.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
+if TYPE_CHECKING:
+    from .registry import SeriesBlock
 
-def root_mean_square(x: np.ndarray) -> float:
+
+def demeaned_power_spectrum(rows: np.ndarray) -> np.ndarray:
+    """|rfft|^2 of each row after removing the row's mean."""
+    # rows.sum(...) / n is rows.mean(...), bit for bit, without its Python overhead
+    return np.abs(np.fft.rfft(rows - rows.sum(axis=1, keepdims=True) / rows.shape[1])) ** 2
+
+
+def root_mean_square(block: SeriesBlock) -> np.ndarray:
     """RMS amplitude of the trace."""
-    x = np.asarray(x, dtype=float)
-    return float(np.sqrt(np.mean(x**2)))
+    return np.sqrt(np.mean(block.raw**2, axis=1))
 
 
-def _power_spectrum_demeaned(x: np.ndarray) -> np.ndarray:
-    return np.abs(np.fft.rfft(x - x.mean())) ** 2
-
-
-def dominant_frequency(x: np.ndarray) -> float:
+def dominant_frequency(block: SeriesBlock) -> np.ndarray:
     """Frequency (cycles/sample) of the largest nonzero spectral peak."""
-    x = np.asarray(x, dtype=float)
-    power = _power_spectrum_demeaned(x)
-    k = int(np.argmax(power[1:])) + 1
-    return k / x.size
+    return (block.power[:, 1:].argmax(axis=1) + 1) / block.raw.shape[1]
 
 
-def spectral_centroid(x: np.ndarray) -> float:
+def spectral_centroid(block: SeriesBlock) -> np.ndarray:
     """Power-weighted mean frequency (cycles/sample), DC excluded."""
-    x = np.asarray(x, dtype=float)
-    power = _power_spectrum_demeaned(x)[1:]
-    freqs = np.arange(1, power.size + 1) / x.size
-    return float((freqs * power).sum() / power.sum())
+    power = block.power[:, 1:]
+    freqs = np.arange(1, power.shape[1] + 1) / block.raw.shape[1]
+    return (freqs * power).sum(axis=1) / power.sum(axis=1)
 
 
-def short_long_energy_ratio(x: np.ndarray) -> float:
+def short_long_energy_ratio(block: SeriesBlock) -> np.ndarray:
     """Maximum short-window to long-window mean energy ratio (STA/LTA style).
 
     Both windows end at the same sample; the short window is n/20 samples
     (at least 2) and the long one n/5 (at least twice the short).  Positions
     whose long window carries no energy are skipped.
     """
-    x = np.asarray(x, dtype=float)
-    energy = x**2
-    n = x.size
+    x = block.raw
+    n = x.shape[1]
     short = max(2, n // 20)
     long = max(2 * short, n // 5)
-    cum = np.concatenate(([0.0], np.cumsum(energy)))
-    ends = np.arange(long, n + 1)
-    sta = (cum[ends] - cum[ends - short]) / short
-    lta = (cum[ends] - cum[ends - long]) / long
-    valid = lta > 0
-    return float((sta[valid] / lta[valid]).max())
+    cum = np.zeros((len(x), n + 1))
+    np.cumsum(x**2, axis=1, out=cum[:, 1:])
+    sta = (cum[:, long:] - cum[:, long - short : n + 1 - short]) / short
+    lta = (cum[:, long:] - cum[:, : n + 1 - long]) / long
+    ratio = np.divide(sta, lta, out=np.full_like(sta, -np.inf), where=lta > 0)
+    return ratio.max(axis=1)

@@ -79,10 +79,12 @@ def extract_vector(
     return extract_matrix([record], registry, selected)[0]
 
 
-# rows per block: bounds the memory of the kernels' temporaries (C19/C20's
-# split search holds a few rows x 39 x 50 arrays); a kernel call's fixed
-# cost is already spread thin over a few dozen rows
-_BLOCK_ROWS = 256
+# rows per block: bounds the memory of the kernels' temporaries (the block
+# autocorrelation's padded spectrum and its inverse hold up to 4n values a
+# row each, C19/C20's split search a few rows x 39 x 50 arrays); at 64 rows
+# a block of 512 samples peaks below what 256 rows of one-row kernels did,
+# and a kernel call's fixed cost is already spread thin over a few dozen rows
+_BLOCK_ROWS = 64
 
 
 def extract_matrix(

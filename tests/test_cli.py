@@ -650,6 +650,15 @@ def _malformed_cases():
                   "an event wavelet's phase overflows\n")
             for fs in (5e-324, 1e-305)
         ),
+        # a trace too long to allocate, or too long for numpy to shape at all
+        *(
+            _case(f"synth-window-len-{id}", "synth",
+                  lambda d, n=n: {"synthetic": {"n_events": 1, "traces_per_event": [1, 1], "n_noise": 0,
+                                                "window_len": n},
+                                  "output": d("w.jsonl")}, {},
+                  f"error: synthetic: window_len {n} is above the cap of 10000000 samples\n")
+            for id, n in (("1e15", 10**15), ("1e400", 10**400))
+        ),
         # a factor whose anti-alias low-pass has no stable design names the trace and the field
         *(
             _case(f"extract-downsample-factor-{id}", "extract",
