@@ -8,12 +8,17 @@ the fixture corpus are frozen into tests/fixtures/catch22_parity.json;
 regenerate with ``python tests/oracles/gen_fixtures.py``.
 
 Deliberately slow and boring: when this file and the production catalog
-disagree, one of them has a bug.
+disagree, one of them has a bug.  The O(n^2) intermediates (autocorrelation,
+spectrum) are memoized on the series' values, and the spectrum's cosines and
+sines are tabulated once per transform length; neither changes a single
+operation of the sums.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 
 import numpy as np
 from scipy.interpolate import LSQUnivariateSpline
@@ -59,16 +64,22 @@ def _quantile_hazen(x, q):
 
 def _acf_direct(y):
     """Autocorrelation at all lags by the direct definition sums."""
+    return _acf_of(tuple(y))
+
+
+@functools.lru_cache(maxsize=64)
+def _acf_of(y: tuple) -> tuple:
     n = len(y)
     m = _mean(y)
     c0 = sum((v - m) ** 2 for v in y)
+    dev = [v - m for v in y]
     out = []
     for lag in range(n):
         acc = 0.0
-        for t in range(n - lag):
-            acc += (y[t] - m) * (y[t + lag] - m)
+        for a, b in zip(dev, dev[lag:]):
+            acc += a * b
         out.append(acc / c0)
-    return out
+    return tuple(out)
 
 
 def _first_zero(y):
@@ -355,24 +366,39 @@ def _outlier_timing(y, sign):
 
 def _power_spectrum(y):
     """One-sided rectangular-window density by direct DFT sums (slow)."""
+    return _power_spectrum_of(tuple(y))
+
+
+@functools.lru_cache(maxsize=64)
+def _power_spectrum_of(y: tuple) -> tuple:
     n = len(y)
     nfft = 1
     while nfft < n:
         nfft *= 2
     nout = nfft // 2 + 1
     pxx = []
-    for k in range(nout):
+    for k, (cos_k, sin_k) in enumerate(_dft_twiddles(nfft)):
         re = im = 0.0
-        for t in range(n):  # zero padding contributes nothing
-            angle = -2.0 * math.pi * k * t / nfft
-            re += y[t] * math.cos(angle)
-            im += y[t] * math.sin(angle)
+        for v, c, s in zip(y, cos_k, sin_k):  # zero padding contributes nothing
+            re += v * c
+            im += v * s
         v = (re * re + im * im) / n
         if 0 < k < nout - 1:
             v *= 2.0
         pxx.append(v / (2.0 * math.pi))
     w = [2.0 * math.pi * k / nfft for k in range(nout)]
-    return w, pxx
+    return tuple(w), tuple(pxx)
+
+
+@functools.lru_cache(maxsize=8)
+def _dft_twiddles(nfft: int) -> tuple:
+    """cos and sin of the angle -2*pi*k*t/nfft for t < nfft, one pair of rows per k <= nfft / 2;
+    a series of n samples reads the first n of each row."""
+    rows = []
+    for k in range(nfft // 2 + 1):
+        angles = [-2.0 * math.pi * k * t / nfft for t in range(nfft)]
+        rows.append((array("d", map(math.cos, angles)), array("d", map(math.sin, angles))))
+    return tuple(rows)
 
 
 def spectral_power_lowest_fifth(y):

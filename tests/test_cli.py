@@ -751,6 +751,16 @@ def _malformed_cases():
                   "error: ratio 1e+308 needs more than the pool's 2 noise items\n")
             for n, text in ((2, MATRIX), (1, MATRIX.replace("e2\tevent\t2.0\t0.1\n", "")))
         ),
+        # a trace too short to detrend, after a valid one, is named
+        _case("extract-one-sample-trace", "extract",
+              lambda d: {"input": d("w.jsonl"), "output": d("o.tsv")},
+              {"w.jsonl": _waves(trace_id="n0") + json.dumps({**RECORD, "samples": [0.1]}) + "\n"},
+              "error: n1: linear detrend needs at least 2 samples\n"),
+        # finite samples whose detrend leaves the float range name the trace, not a traceback
+        _case("extract-samples-overflow-preprocessing", "extract",
+              lambda d: {"input": d("w.jsonl"), "output": d("o.tsv")},
+              {"w.jsonl": _waves(samples=[1.7e308, -1.7e308, 1.7e308])},
+              "error: n1: samples overflow the float range during preprocessing\n"),
         _case("extract-band-without-stable-design", "extract",
               lambda d: {"input": d("w.jsonl"), "output": d("o.tsv"), "preprocess": {"band_low_hz": 1e-10}},
               {"w.jsonl": _waves()},

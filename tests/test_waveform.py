@@ -15,6 +15,7 @@ from quakebox.waveform import (
     detrend_linear,
     downsample,
     preprocess,
+    preprocess_records,
 )
 
 from conftest import make_record
@@ -81,6 +82,15 @@ class TestDetrend:
     def test_too_short(self):
         with pytest.raises(DegenerateInput):
             detrend_linear([1.0])
+
+    def test_matches_polyfit_bit_for_bit(self, rng):
+        # the design matrix is cached per length; alternate lengths so each
+        # call follows one with another design
+        for n in (2, 3, 600, 7, 1201, 2, 600):
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-5, 5) * np.arange(n)
+            t = np.arange(n, dtype=float)
+            slope, intercept = np.polyfit(t, x, deg=1)
+            assert detrend_linear(x).tobytes() == (x - (slope * t + intercept)).tobytes()
 
 
 class TestIdempotenceAndLinearity:
@@ -255,6 +265,73 @@ class TestPreprocess:
         out = preprocess(rec, PreprocessConfig(band_low_hz=5.0, band_high_hz=25.0))
         # aliased image would appear at 8 Hz after halving; it must be attenuated
         assert tone_amplitude(out.samples, fs / 2, 8.0) < 0.3
+
+
+def _records(specs, rng):
+    """One record per (trace id, sample rate, length), with random samples on a random line."""
+    return [make_record(tid, samples=rng.standard_normal(n) + rng.uniform(-3, 3) * np.arange(n) / n, fs=fs)
+            for tid, fs, n in specs]
+
+
+def _outcome(call):
+    """The records ``call()`` returns as (id, sample rate, sample bytes), or its error's type and text."""
+    try:
+        return [(r.trace_id, r.sample_rate, r.samples.tobytes()) for r in call()]
+    except (DegenerateInput, InvalidBand, InvalidFactor) as exc:
+        return type(exc), str(exc)
+
+
+class TestPreprocessRecords:
+    """The list call equals one ``preprocess`` call per record, byte for byte."""
+
+    def _same_as_one_at_a_time(self, records, cfg):
+        together = _outcome(lambda: preprocess_records(records, cfg))
+        alone = _outcome(lambda: [preprocess(r, cfg) for r in records])
+        assert together == alone
+        return together
+
+    @pytest.mark.parametrize("window_len", [None, 128])
+    def test_interleaved_rates_and_lengths_keep_input_order(self, rng, window_len):
+        shapes = [(200.0, 600), (100.0, 1200), (200.0, 601), (200.0, 1200), (60.0, 400)]
+        specs = [(f"t{k}", *shapes[(k * 3) % len(shapes)]) for k in range(40)]
+        out = self._same_as_one_at_a_time(_records(specs, rng), PreprocessConfig(window_len=window_len))
+        assert [tid for tid, _, _ in out] == [tid for tid, _, _ in specs]
+        assert len({(fs, n) for _, fs, n in specs}) == len(shapes)
+
+    @pytest.mark.parametrize("window_len", [None, 100])
+    def test_block_antialias_branch(self, rng, window_len):
+        # the band reaches past the post-decimation Nyquist (100 / 2 / 3 and
+        # 60 / 2 / 3 Hz), so each block is low-passed before it is decimated
+        cfg = PreprocessConfig(band_low_hz=2.0, band_high_hz=29.0, downsample_factor=3,
+                               window_len=window_len)
+        specs = [(f"t{k}", (100.0, 60.0)[k % 2], (900, 700, 901)[k % 3]) for k in range(24)]
+        assert all(cfg.band_high_hz >= fs / 2 / cfg.downsample_factor for _, fs, _ in specs)
+        self._same_as_one_at_a_time(_records(specs, rng), cfg)
+
+    @pytest.mark.parametrize("odd,cfg,error,text", [
+        (("bad", 40.0, 600), PreprocessConfig(), InvalidBand,
+         "bad: band_high_hz 25.0 must lie below Nyquist 20.0 (fs=40.0)"),
+        (("bad", 2e10, 600), PreprocessConfig(band_low_hz=0.5), InvalidBand,
+         "bad: band [0.5, 25.0] has no order-4 Butterworth design at fs=20000000000.0 (Singular matrix)"),
+        (("bad", 200.0, 200), PreprocessConfig(window_len=128), DegenerateInput,
+         "bad: 100 samples after preprocessing, need 128"),
+        (("bad", 200.0, 1), PreprocessConfig(), DegenerateInput,
+         "bad: linear detrend needs at least 2 samples"),
+    ], ids=["nyquist", "no-stable-design", "short-for-window", "short-for-detrend"])
+    def test_error_names_the_offending_trace(self, rng, odd, cfg, error, text):
+        # the offending trace sits between valid traces of one shape, whose
+        # block starts before it and ends after it
+        valid = [(f"t{k}", 200.0, 600) for k in range(6)]
+        specs = valid[:3] + [odd] + valid[3:]
+        assert self._same_as_one_at_a_time(_records(specs, rng), cfg) == (error, text)
+
+    def test_first_offending_trace_in_input_order_is_named(self, rng):
+        specs = [("t0", 200.0, 600), ("late", 200.0, 200), ("t1", 200.0, 600), ("early", 200.0, 1),
+                 ("late2", 200.0, 200)]
+        records = _records(specs, rng)
+        cfg = PreprocessConfig(window_len=128)
+        assert self._same_as_one_at_a_time(records, cfg)[1].startswith("late: ")
+        assert self._same_as_one_at_a_time(records[2:], cfg)[1].startswith("early: ")
 
 
 class TestRecordInvariants:
