@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -367,6 +367,7 @@ def embedding_distance_expfit_diff(block: SeriesBlock) -> np.ndarray:
     return out
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def ami_gaussian_first_minimum(block: SeriesBlock) -> np.ndarray:
     """Lag of the first minimum of Gaussian automutual information.
 
@@ -374,7 +375,10 @@ def ami_gaussian_first_minimum(block: SeriesBlock) -> np.ndarray:
     the series and its k-lagged copy, over lags 1..min(40, ceil(n/2));
     returns the maximum lag when no interior minimum exists.  Lag k's pairs
     fill the first n - k entries of length-n rows padded with zeros, and
-    every sum runs over the whole padded row, one lag at a time.
+    every sum runs over the whole padded row, one lag at a time.  A lag
+    whose pairs are exactly (anti-)correlated has an infinite AMI, and one
+    with a constant side an undefined one (NaN, which compares false);
+    neither is worth a numpy warning.
     """
     z = block.z
     r, n = z.shape
@@ -511,6 +515,62 @@ def spectral_centroid_welch(block: SeriesBlock) -> np.ndarray:
 # scaling / fluctuation analysis
 
 
+# A window whose closed-form residual sum of squares is at most this share of
+# its own sum of squares about the mean fits its line to rounding level.
+_EXACT_FIT = 1e-9
+# at least this many sizes on each side of a split in the two-segment fit
+_MIN_SEGMENT = 6
+
+
+class _Scales(NamedTuple):
+    """The window layout and split-search constants of one series length and
+    decimation lag (read-only, cached by :func:`_scales`)."""
+
+    sizes: np.ndarray  # distinct window sizes, ascending
+    count: np.ndarray  # windows of each size: the lagged length // size
+    first: np.ndarray  # first index of every window, size by size
+    last: np.ndarray  # one past the last index of every window
+    width: np.ndarray  # size of every window, as float
+    centre: np.ndarray  # mid index of every window
+    sxx: np.ndarray  # sum of squares of a window's centred positions
+    groups: np.ndarray  # where each size's windows begin in ``first``
+    splits: np.ndarray  # candidate splits: sizes in the first segment
+    lo: np.ndarray  # first size of each segment, first segments then second ones
+    hi: np.ndarray  # one past the last size of each segment
+    k: np.ndarray  # sizes in each segment
+    x: np.ndarray  # log sizes, centred
+    sx: np.ndarray  # sum of ``x`` over each segment
+    sxx_seg: np.ndarray  # sum of squares of ``x`` about its segment mean
+
+
+@lru_cache(maxsize=64)
+def _scales(n: int, lag: int) -> _Scales:
+    grid = np.exp(np.linspace(np.log(5.0), np.log(n // 2), 50))
+    sizes = np.unique(np.round(grid).astype(np.int64))
+    count = len(range(0, n, lag)) // sizes
+    width = np.repeat(sizes, count)
+    first = np.concatenate([np.arange(c) * s for s, c in zip(sizes, count)])
+    w = width.astype(float)
+    ntt = sizes.size
+    splits = np.arange(_MIN_SEGMENT, ntt - _MIN_SEGMENT + 1)
+    lo = np.concatenate([np.zeros_like(splits), splits - 1])
+    hi = np.concatenate([splits, np.full_like(splits, ntt)])
+    log_t = np.log(sizes.astype(float))
+    x = log_t - log_t.mean()
+    cx = np.concatenate([[0.0], np.cumsum(x)])
+    cxx = np.concatenate([[0.0], np.cumsum(x * x)])
+    k = (hi - lo).astype(float)
+    sx = cx[hi] - cx[lo]
+    scales = _Scales(
+        sizes, count, first, first + width, w, first + (w - 1) / 2, w * (w * w - 1) / 12,
+        np.concatenate([[0], np.cumsum(count)[:-1]]), splits, lo, hi, k, x, sx,
+        cxx[hi] - cxx[lo] - sx * sx / k,
+    )
+    for a in scales:
+        a.flags.writeable = False
+    return scales
+
+
 def _fluctuation_split_fraction(block: np.ndarray, lag: int, mode: str) -> np.ndarray:
     """Self-similarity breakpoint of detrended fluctuations in log-log scale,
     for every row of a (traces x samples) block.
@@ -521,57 +581,118 @@ def _fluctuation_split_fraction(block: np.ndarray, lag: int, mode: str) -> np.nd
     residual range).  Two lines are fitted to log F vs log size around every
     split point with at least 6 sizes per side; the statistic is the
     fraction of sizes in the first segment at the split minimizing the
-    summed residual norms.  Fewer than 12 distinct sizes score 0.
+    summed residual norms.  Fewer than 12 distinct sizes score 0, and a row
+    with a zero fluctuation at some size (log F = -inf) scores the first
+    split, as every split's norm is then undefined.
 
-    Every row has the same window sizes, so each size is one reshape of the
-    whole block's windows into (traces * windows, size) rows.  Every sum runs
-    along one row of one array, which makes a row's value independent of the
-    other rows in its block; a BLAS matrix-vector product would not, as it
-    may sum a row differently depending on the row's position.
+    The statistic is a split index, so the fluctuations only have to rank
+    the splits as the direct computation does.  "dfa" takes each window's
+    residual sum of squares in closed form, from per-row cumulative sums of
+    y, i*y and y^2 differenced at the edges of every window of every size,
+    and sums the windows of each size with ``np.add.reduceat``
+    (:func:`_dfa_fluctuation`).  On a window that its line fits exactly (a
+    step's or a square wave's flat stretches make the lagged cumulative sum
+    exactly linear), both forms give rounding noise, but different noise,
+    and when every window of a size fits, that noise is the size's whole
+    fluctuation and decides the split.  So a size with any window whose
+    closed form is at or below the relative floor ``_EXACT_FIT`` of its own
+    sum of squares is recomputed for that row from direct residuals, summed
+    as one (windows x size) array is, which keeps those noise-level values
+    what the direct computation gives.  "rsrangefit" needs every residual
+    for its ranges, so it runs the same direct residuals size by size
+    (:func:`_range_fluctuation`), with each window's max and min taken
+    across the rows of the transposed residuals.
+
+    The split search fits both segments of every split from cumulative sums
+    of y, y^2 and x*y over the size axis (:func:`_split_fraction`), with
+    the sizes' own sums cached per length.
+
+    Every sum runs along one row of one array, which makes a row's value
+    independent of the other rows in its block; a BLAS matrix-vector product
+    would not, as it may sum a row differently depending on the row's
+    position.
     """
-    n_rows, n = block.shape
-    grid = np.exp(np.linspace(np.log(5.0), np.log(n // 2), 50))
-    sizes = np.unique(np.round(grid).astype(np.int64))
-    if sizes.size < 12:
-        return np.zeros(n_rows)
+    scales = _scales(block.shape[1], lag)
+    if scales.sizes.size < 12:
+        return np.zeros(block.shape[0])
     cs = np.cumsum(block[:, ::lag], axis=1)
-    fluct = np.empty((n_rows, sizes.size))
-    for i, tau in enumerate(sizes):
-        nwin = cs.shape[1] // tau
-        seg = cs[:, : nwin * tau].reshape(n_rows * nwin, tau)
-        x = np.arange(1, tau + 1, dtype=float)
-        xc = x - x.mean()
-        slope = (seg * xc).sum(axis=1) / (xc @ xc)
-        intercept = seg.mean(axis=1) - slope * x.mean()
-        resid = seg - (slope[:, None] * x[None, :] + intercept[:, None])
-        if mode == "dfa":
-            fluct[:, i] = np.sqrt((resid**2).reshape(n_rows, -1).sum(axis=1) / (nwin * tau))
-        else:
-            ranges = resid.max(axis=1) - resid.min(axis=1)
-            fluct[:, i] = np.sqrt((ranges**2).reshape(n_rows, nwin).sum(axis=1) / nwin)
-    log_t = np.log(sizes.astype(float))
-    log_f = np.log(fluct)[:, None, :]
-    ntt = sizes.size
-    min_points = 6
-    splits = np.arange(min_points, ntt - min_points + 1)[:, None]
-    i = np.arange(ntt)
-    err = _masked_line_residual_norm(log_t, log_f, i < splits) + _masked_line_residual_norm(
-        log_t, log_f, i >= splits - 1
-    )
-    return splits[np.argmin(err, axis=1), 0] / ntt
+    fluct = _dfa_fluctuation(cs, scales) if mode == "dfa" else _range_fluctuation(cs, scales)
+    with np.errstate(divide="ignore"):  # a zero fluctuation: see above
+        log_f = np.log(fluct)
+    return _split_fraction(log_f, scales)
 
 
-def _masked_line_residual_norm(x: np.ndarray, y: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per row of ``mask``: residual norm of the least-squares line through
-    the points (x, y) that the row selects; ``y`` may stack several series
-    on leading axes, and the result then has one row of norms per series."""
-    count = mask.sum(axis=-1, keepdims=True)
-    xm = np.where(mask, x, 0.0).sum(axis=-1, keepdims=True) / count
-    ym = np.where(mask, y, 0.0).sum(axis=-1, keepdims=True) / count
-    dx = np.where(mask, x - xm, 0.0)
-    slope = (dx * (y - ym)).sum(axis=-1, keepdims=True) / (dx * dx).sum(axis=-1, keepdims=True)
-    resid = np.where(mask, slope * x + (ym - slope * xm) - y, 0.0)
-    return np.sqrt((resid * resid).sum(axis=-1))
+@lru_cache(maxsize=256)
+def _line_basis(size: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Positions 1..size as a column, centred, their sum of squares and mean."""
+    x = np.arange(1, size + 1, dtype=float)
+    xc = x - x.mean()
+    x.flags.writeable = xc.flags.writeable = False
+    return x[:, None], xc, xc @ xc, x.mean()
+
+
+def _window_residuals(seg: np.ndarray) -> np.ndarray:
+    """Residuals of each row of ``seg`` (windows x size) from its
+    least-squares line at positions 1..size, transposed to (size x windows).
+
+    Each window's slope and mean are sums along its own row; the residuals
+    are then elementwise, and transposed so that a per-window max or min is
+    an elementwise reduction over contiguous rows (both are exact in any
+    order)."""
+    x, xc, sxx, x_mean = _line_basis(seg.shape[1])
+    slope = (seg * xc).sum(axis=1) / sxx
+    intercept = seg.sum(axis=1) / seg.shape[1] - slope * x_mean  # the mean, as np.mean divides
+    line = x * slope
+    line += intercept
+    return np.subtract(seg.T, line, out=line)
+
+
+def _dfa_fluctuation(cs: np.ndarray, scales: _Scales) -> np.ndarray:
+    """RMS residual of every window size, per row, from window sums."""
+    rows, m = cs.shape
+    y = cs - cs.mean(axis=1, keepdims=True)  # same residuals, smaller sums
+    sums = np.zeros((3, rows, m + 1))
+    np.cumsum(np.stack([y, y * np.arange(m), y * y]), axis=2, out=sums[:, :, 1:])
+    s0, s1, s2 = sums[:, :, scales.last] - sums[:, :, scales.first]
+    spread = s2 - s0 * s0 / scales.width  # sum of squares about the window mean
+    sxy = s1 - scales.centre * s0
+    ss = spread - sxy * sxy / scales.sxx
+    total = np.add.reduceat(ss, scales.groups, axis=1)
+    exact = np.logical_or.reduceat(ss <= _EXACT_FIT * spread, scales.groups, axis=1)
+    for r, i in zip(*np.nonzero(exact)):
+        size, count = int(scales.sizes[i]), int(scales.count[i])
+        resid = _window_residuals(cs[r, : count * size].reshape(count, size))
+        total[r, i] = np.square(resid.T).reshape(-1).sum()
+    return np.sqrt(total / (scales.count * scales.sizes))
+
+
+def _range_fluctuation(cs: np.ndarray, scales: _Scales) -> np.ndarray:
+    """RMS residual range of every window size, per row."""
+    rows = cs.shape[0]
+    fluct = np.empty((rows, scales.sizes.size))
+    for i, (size, count) in enumerate(zip(scales.sizes.tolist(), scales.count.tolist())):
+        resid = _window_residuals(cs[:, : count * size].reshape(rows * count, size))
+        ranges = resid.max(axis=0) - resid.min(axis=0)
+        fluct[:, i] = np.sqrt((ranges**2).reshape(rows, count).sum(axis=1) / count)
+    return fluct
+
+
+def _split_fraction(log_f: np.ndarray, scales: _Scales) -> np.ndarray:
+    """Fraction of sizes in the first segment at the split whose two line
+    fits to (log size, ``log_f``) have the least summed residual norm."""
+    rows, ntt = log_f.shape
+    defined = np.isfinite(log_f).all(axis=1)
+    y = np.where(defined[:, None], log_f, 0.0)
+    y -= y.mean(axis=1, keepdims=True)
+    sums = np.zeros((3, rows, ntt + 1))
+    np.cumsum(np.stack([y, y * y, scales.x * y]), axis=2, out=sums[:, :, 1:])
+    sy, syy, sxy = sums[:, :, scales.hi] - sums[:, :, scales.lo]
+    sxy -= scales.sx * sy / scales.k
+    ss = syy - sy * sy / scales.k - sxy * sxy / scales.sxx_seg
+    norm = np.sqrt(np.maximum(ss, 0.0))
+    half = scales.splits.size
+    best = np.where(defined, np.argmin(norm[:, :half] + norm[:, half:], axis=1), 0)
+    return scales.splits[best] / ntt
 
 
 def dfa_scaling_split(block: SeriesBlock) -> np.ndarray:

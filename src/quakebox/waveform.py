@@ -301,7 +301,10 @@ def preprocess_records(records: Sequence[WaveformRecord], cfg: PreprocessConfig)
     for (fs, _n), group in groups.items():
         for start in range(0, len(group), _BLOCK_ROWS):
             members = group[start : start + _BLOCK_ROWS]
-            block = _preprocess_block([records[i] for i in members], cfg)
+            # samples near the float maximum may leave the float range in the
+            # chain's arithmetic; that is reported below, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = _preprocess_block([records[i] for i in members], cfg)
             for i, row in zip(members, block):
                 try:
                     out[i] = replace(records[i], samples=row, sample_rate=fs / cfg.downsample_factor)

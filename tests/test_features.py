@@ -37,6 +37,7 @@ from conftest import make_record, make_vector
 from oracles.catch22_ref import REFERENCE_FUNCS, reference_all, zscore
 
 FIXTURES = Path(__file__).parent / "fixtures" / "catch22_parity.json"
+EXACT_FIT = Path(__file__).parent / "fixtures" / "fluctuation_exact_fit.json"
 
 
 def load_parity_cases():
@@ -82,6 +83,26 @@ def _oracle_series(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     if kind == "decaying":
         return np.exp(-t / (n / 5)) * rng.standard_normal(n)
     return np.round(3 * rng.standard_normal(n))  # "rounded": many tied values
+
+
+EXACT_FIT_KINDS = ("step-half", "step-100/256", "square-4", "square-10", "square-32",
+                   "alternating", "spike", "sawtooth", "ramp", "quadratic")
+
+
+def _exact_fit_series(kind: str, n: int) -> np.ndarray:
+    """Series whose (lagged) cumulative sums hold exactly linear stretches."""
+    t = np.arange(n, dtype=float)
+    if kind.startswith("step"):
+        return (t >= (n // 2 if kind == "step-half" else n * 100 // 256)).astype(float)
+    if kind.startswith("square"):
+        return np.where(t // int(kind[7:]) % 2 == 0, 1.0, -1.0)
+    if kind == "alternating":
+        return np.where(t % 2 == 0, 1.0, -1.0)
+    if kind == "spike":
+        return (t == n // 3).astype(float)
+    if kind == "sawtooth":
+        return t % 16
+    return t if kind == "ramp" else (t - n / 3) ** 2
 
 
 class TestArrayKernelsAgainstOracle:
@@ -142,20 +163,44 @@ class TestArrayKernelsAgainstOracle:
 
     @pytest.mark.parametrize("n", [20, 97, 256, 513])
     def test_every_code_is_row_independent(self, n):
-        # a 64-row block of mixed series with one constant row: every row
-        # holds, bit for bit, the values and the failure it has alone
+        # a 64-row block of mixed series with one constant row and two with
+        # exactly linear windows: every row holds, bit for bit, the values
+        # and the failure it has alone
         registry = reproduction_registry()
         codes = registry.codes()
         rng = np.random.default_rng(n)
         kinds = ("white", "random_walk", "sinusoid", "rounded")
         block = np.stack([_oracle_series(kinds[i % 4], n, rng) for i in range(64)])
         block[17] = 2.5
+        block[30] = _exact_fit_series("step-half", n)  # exactly linear windows (C19, C20)
+        block[45] = _exact_fit_series("square-4", n)
         values, failures = registry.extract_block(codes, block)
         assert failures == {17: "W1 is undefined on a constant series"}
         for k, row in enumerate(block):
             one, failed = registry.extract_block(codes, row[None])
             assert values[k].tobytes() == one[0].tobytes(), k
             assert failed.get(0) == failures.get(k), k
+
+    def test_fluctuation_codes_on_exactly_linear_windows(self):
+        # frozen values (see the fixture's description), alone and inside
+        # 64-row blocks of one length beside random rows
+        registry = canonical_registry()
+        rng = np.random.default_rng(19)
+        frozen = json.loads(EXACT_FIT.read_text())["series"]
+        assert {(e["kind"], e["n"]) for e in frozen} == {
+            (kind, n) for kind in EXACT_FIT_KINDS for n in (256, 97)}
+        for n in (256, 97):
+            entries = [e for e in frozen if e["n"] == n]
+            block = np.stack([_oracle_series(self.KINDS[i % 5], n, rng) for i in range(64)])
+            at = rng.choice(64, size=len(entries), replace=False)
+            for i, e in zip(at, entries):
+                block[i] = _exact_fit_series(e["kind"], n)
+            values, failures = registry.extract_block(("C19", "C20"), block)
+            assert failures == {}
+            for i, e in zip(at, entries):
+                alone = [registry.extract(code, block[i]) for code in ("C19", "C20")]
+                assert alone == [e["C19"], e["C20"]], (e["kind"], n)
+                assert values[i].tolist() == alone, (e["kind"], n)
 
     @pytest.mark.parametrize("n", [20, 256, 513])
     def test_every_code_is_independent_of_the_codes_beside_it(self, n):
