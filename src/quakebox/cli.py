@@ -217,6 +217,8 @@ def cmd_select(cfg: dict, master: int, out_dir: str | None) -> None:
     for i, code in enumerate(base):
         if code not in train_matrix.codes:
             raise ConfigError(f"base_features[{i}]", f"{code} is not a column of train_input")
+        if base.index(code) < i:
+            raise ConfigError(f"base_features[{i}]", f"{code} repeats base_features[{base.index(code)}]")
     report_obj = selection.discover_features(train_matrix, val_matrix, ecfg, rule, base=base)
     selection.save_selection_report(out, report_obj)
     unconverged = [r.run_id for r in report_obj.runs if not r.converged]

@@ -9,12 +9,12 @@ invariant to affine transforms ``x -> a*x + b`` with ``a > 0``.  Constant
 series are rejected by the registry before dispatch, so kernels here may
 assume nonzero variance.
 
-Intermediates that several features share (the autocorrelation and its
-first zero crossing, the one-sided periodogram) are computed once per block
-by the block object, with the functions at the top of this module.  Every
-reduction runs along one row, never across rows, so a row's value does not
-depend on the rows beside it; where a statistic sums a per-row selection of
-entries (a compressed array whose length varies by row), the kernel sums
+Intermediates that several features share (the successive differences and
+sort order, the autocorrelation and its first zero crossing, the periodogram)
+are computed once per block by the block object, which kernels read them from.
+Every reduction runs along one row, never across rows, so a row's value does
+not depend on the rows beside it; where a statistic sums a per-row selection
+of entries (a compressed array whose length varies by row), the kernel sums
 that row alone.  Formula notes live on each kernel.
 """
 
@@ -194,7 +194,7 @@ def histogram_ami_even_2_5(block: SeriesBlock) -> np.ndarray:
 
 def time_reversal_asymmetry(block: SeriesBlock) -> np.ndarray:
     """Mean cubed successive difference, a time-reversibility statistic."""
-    return np.mean(np.diff(block.z, axis=1) ** 3, axis=1)
+    return np.mean(block.diff**3, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def time_reversal_asymmetry(block: SeriesBlock) -> np.ndarray:
 
 def high_delta_fraction(block: SeriesBlock) -> np.ndarray:
     """Fraction of successive differences exceeding 0.04 in magnitude (pNN40)."""
-    return np.mean(np.abs(np.diff(block.z, axis=1)) * 1000.0 > 40.0, axis=1)
+    return np.mean(np.abs(block.diff) * 1000.0 > 40.0, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +218,7 @@ def longest_stretch_above_mean(block: SeriesBlock) -> np.ndarray:
 
 def longest_stretch_decreasing(block: SeriesBlock) -> np.ndarray:
     """Longest run of consecutive strict decreases."""
-    return _longest_run(np.diff(block.z, axis=1) < 0).astype(float)
+    return _longest_run(block.diff < 0).astype(float)
 
 
 def motif_three_pair_entropy(block: SeriesBlock) -> np.ndarray:
@@ -415,7 +415,7 @@ def forecast_mean1_decorrelation_ratio(block: SeriesBlock) -> np.ndarray:
     Ratio of the autocorrelation first-zero lag of the differenced series to
     that of the original.
     """
-    residual_lag = first_zero_crossing(autocorrelation(np.diff(block.z, axis=1)))
+    residual_lag = first_zero_crossing(autocorrelation(block.diff))
     return residual_lag / block.acf_zero
 
 
@@ -440,33 +440,35 @@ def forecast_mean3_residual_spread(block: SeriesBlock) -> np.ndarray:
 def outlier_timing_positive(block: SeriesBlock) -> np.ndarray:
     """Median relative position of above-threshold events, swept over
     thresholds (positive deviations)."""
-    return np.array([_outlier_timing(y, +1.0) for y in block.z])
+    return np.array([_outlier_timing(block.z[k, o], o[::-1]) for k, o in enumerate(block.order)])
 
 
 def outlier_timing_negative(block: SeriesBlock) -> np.ndarray:
     """As :func:`outlier_timing_positive` for negative deviations."""
-    return np.array([_outlier_timing(y, -1.0) for y in block.z])
+    return np.array([_outlier_timing(-block.z[k, o[::-1]], o) for k, o in enumerate(block.order)])
 
 
-def _outlier_timing(y: np.ndarray, sign: float) -> float:
-    """Sweep thresholds 0, 0.01, 0.02, ... over sign*y and, per threshold,
-    locate the median timing of exceedances relative to the series center.
+def _outlier_timing(ascending: np.ndarray, descending: np.ndarray) -> float:
+    """Sweep thresholds 0, 0.01, 0.02, ... over a row w (z for C14, -z for
+    C15), given as its values in ``ascending`` order and its positions by
+    ``descending`` value, and per threshold locate the median timing of
+    exceedances relative to the series center.
 
     Thresholds are trimmed to those keeping more than 2% exceedances and at
     least two exceedances (gap statistics defined); the statistic is the
     median over kept thresholds of median(position)/(n/2) - 1.
 
     The exceedance sets are nested as the threshold rises, so the medians
-    for every kept threshold come from one pass of prefix medians over the
-    positions ordered by descending value, run only as far as the largest
-    kept exceedance count.
+    for every kept threshold come from one pass of prefix medians over
+    ``descending``, run only as far as the largest kept exceedance count.
+    Ties may come in any order: a threshold's exceedances are a whole prefix
+    of any descending order, and only medians at those prefix lengths count.
     """
     inc = 0.01
-    w = sign * y
-    n = w.size
-    n_thresh = int(w.max() / inc + 1)
+    n = ascending.size
+    n_thresh = int(ascending[-1] / inc + 1)
     thresholds = np.arange(n_thresh) * inc
-    counts = n - np.searchsorted(np.sort(w), thresholds, side="left")
+    counts = n - np.searchsorted(ascending, thresholds, side="left")
     # cap at the last threshold any sample still exceeds
     nonempty = counts >= 1
     if not nonempty.all():
@@ -481,7 +483,7 @@ def _outlier_timing(y: np.ndarray, sign: float) -> float:
     kept = counts[: min(mj, fbi) + 1]
 
     # counts fall as the threshold rises, so kept[0] is the longest prefix
-    order = np.argsort(-w, kind="stable")[: kept[0]] + 1
+    order = descending[: kept[0]] + 1
     prefix: list[int] = []
     prefix_median = np.empty(kept[0])
     for k, pos in enumerate(order.tolist()):

@@ -23,8 +23,8 @@ class FeatureDef:
     """One registered feature.
 
     ``func`` is a block kernel: it maps a :class:`SeriesBlock` to one value
-    per row, each independent of the other rows, and reads the block's raw
-    or z-scored rows and whichever shared intermediates it needs.
+    per row, each independent of the other rows, and reads the block's raw,
+    demeaned or z-scored rows and whichever shared intermediates it needs.
     ``affine_invariant`` declares whether the value is unchanged under
     x -> a*x + b with a > 0, which the property suite asserts.
     """
@@ -41,16 +41,25 @@ class SeriesBlock:
     """The rows of nonzero variance of one :meth:`FeatureRegistry.extract_block`
     call, as every kernel of that call sees them.
 
-    ``raw`` holds the rows as given and ``z`` the same rows z-scored (sample
-    std, ddof=1).  The intermediates that several features share are
-    computed on first use, once per block, and only if a requested feature
-    reads them.  Every array is read-only, so no kernel can change what
-    another one reads.
+    ``raw`` holds the rows as given, ``dev`` less their means and ``z``
+    z-scored (``dev`` over the sample std, ddof=1).  The intermediates that
+    several features share are computed on first use, once per block, and
+    only if a requested feature reads them; no kernel computes its own.
+    Every array is read-only, so no kernel can change what another reads.
     """
 
-    def __init__(self, raw: np.ndarray, z: np.ndarray):
-        self.raw = _read_only(raw)
-        self.z = _read_only(z)
+    def __init__(self, raw: np.ndarray, dev: np.ndarray, z: np.ndarray):
+        self.raw, self.dev, self.z = map(_read_only, (raw, dev, z))
+
+    @cached_property
+    def diff(self) -> np.ndarray:
+        """Successive differences of each z-scored row (C6, C7, C13, C17)."""
+        return _read_only(np.diff(self.z, axis=1))
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Stable ascending argsort of each z-scored row (C14, C15)."""
+        return _read_only(np.argsort(self.z, axis=1, kind="stable"))
 
     @cached_property
     def acf(self) -> np.ndarray:
@@ -64,8 +73,8 @@ class SeriesBlock:
 
     @cached_property
     def power(self) -> np.ndarray:
-        """Power spectrum of each demeaned raw row (W2, W3)."""
-        return _read_only(surrogates.demeaned_power_spectrum(self.raw))
+        """|rfft|^2 of each demeaned raw row (W2, W3)."""
+        return _read_only(np.abs(np.fft.rfft(self.dev)) ** 2)
 
     @cached_property
     def periodogram(self) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +155,7 @@ class FeatureRegistry:
                 failures = dict.fromkeys(np.flatnonzero(~(sd > 0)).tolist(), message)
                 x, dev, sd = x[rows], dev[rows], sd[rows]
             if len(rows):
-                shared = SeriesBlock(x, dev / sd[:, None])
+                shared = SeriesBlock(x, dev, dev / sd[:, None])
                 out = np.empty((len(rows), cut))
                 for j, d in enumerate(defs[:cut]):
                     out[:, j] = d.func(shared)

@@ -10,7 +10,8 @@ Each function is a block kernel over a
 :class:`~quakebox.features.registry.SeriesBlock`, one value per row.
 Unlike the canonical catalog these read the raw (not standardized) rows:
 amplitude and transient energy are exactly the information standardization
-would destroy.
+would destroy.  The two spectral measures share the block's power spectrum
+of its demeaned raw rows (``block.power``), computed once per block.
 """
 
 from __future__ import annotations
@@ -21,12 +22,6 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .registry import SeriesBlock
-
-
-def demeaned_power_spectrum(rows: np.ndarray) -> np.ndarray:
-    """|rfft|^2 of each row after removing the row's mean."""
-    # rows.sum(...) / n is rows.mean(...), bit for bit, without its Python overhead
-    return np.abs(np.fft.rfft(rows - rows.sum(axis=1, keepdims=True) / rows.shape[1])) ** 2
 
 
 def root_mean_square(block: SeriesBlock) -> np.ndarray:

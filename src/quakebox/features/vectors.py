@@ -36,7 +36,7 @@ from ..errors import (
     ZeroVariance,
 )
 from ..fields import text_file
-from ..waveform import LABELS, WaveformRecord, check_role
+from ..waveform import LABELS, WaveformRecord, blocks, check_role
 from .registry import FeatureRegistry
 
 
@@ -79,14 +79,6 @@ def extract_vector(
     return extract_matrix([record], registry, selected)[0]
 
 
-# rows per block: bounds the memory of the kernels' temporaries (the block
-# autocorrelation's padded spectrum and its inverse hold up to 4n values a
-# row each, C19's window sums about 10n); at 64 rows
-# a block of 512 samples peaks below what 256 rows of one-row kernels did,
-# and a kernel call's fixed cost is already spread thin over a few dozen rows
-_BLOCK_ROWS = 64
-
-
 def extract_matrix(
     records: Iterable[WaveformRecord],
     registry: FeatureRegistry,
@@ -94,9 +86,9 @@ def extract_matrix(
 ) -> List[FeatureVector]:
     """Extract vectors for many records, in record order; all-or-nothing.
 
-    Records of one sample count are stacked into (traces x samples) blocks
-    of up to ``_BLOCK_ROWS`` rows, and each block goes through one
-    :meth:`FeatureRegistry.extract_block` call: one length, variance and
+    Records of one sample count are stacked into the (traces x samples)
+    blocks of :func:`~quakebox.waveform.blocks`, and each block goes through
+    one :meth:`FeatureRegistry.extract_block` call: one length, variance and
     finiteness check, one z-score, and one kernel call per feature.  A
     trace's values and failure message do not depend on the records beside
     it.  Degenerate traces are collected and reported together, in record
@@ -104,21 +96,16 @@ def extract_matrix(
     """
     records = list(records)
     codes = _registry_codes(registry, selected)
-    by_length: dict[int, list[int]] = {}
-    for i, rec in enumerate(records):
-        by_length.setdefault(rec.samples.size, []).append(i)
     vectors: List[FeatureVector | None] = [None] * len(records)
     failures: dict[int, str] = {}
-    for group in by_length.values():
-        for start in range(0, len(group), _BLOCK_ROWS):
-            rows = group[start : start + _BLOCK_ROWS]
-            values, failed = registry.extract_block(codes, np.stack([records[i].samples for i in rows]))
-            for k, i in enumerate(rows):
-                rec = records[i]
-                if k in failed:
-                    failures[i] = f"trace {rec.trace_id}: {failed[k]}"
-                else:
-                    vectors[i] = FeatureVector(rec.trace_id, dict(zip(codes, values[k].tolist())), rec.label)
+    for rows in blocks(rec.samples.size for rec in records):
+        values, failed = registry.extract_block(codes, np.stack([records[i].samples for i in rows]))
+        for k, i in enumerate(rows):
+            rec = records[i]
+            if k in failed:
+                failures[i] = f"trace {rec.trace_id}: {failed[k]}"
+            else:
+                vectors[i] = FeatureVector(rec.trace_id, dict(zip(codes, values[k].tolist())), rec.label)
     if failures:
         raise DegenerateSeries(
             f"{len(failures)} trace(s) failed feature extraction: "

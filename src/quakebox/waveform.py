@@ -2,18 +2,17 @@
 
 A trace enters as a :class:`WaveformRecord` and is detrended, demeaned,
 band-pass filtered (zero phase), and decimated, in that order.
-:func:`preprocess_records` runs the chain over a list of records: those that
-share a sample rate and a length are stacked into one (traces x samples)
-block, the line fit and the mean are removed row by row, and the two
-filter passes, the decimation and the window crop each run once on the
-whole block.  Every row is bit-identical to the chain on that record alone;
-:func:`preprocess` is the same path on one record.  All operations are pure
-functions: they never mutate their inputs and are safe to run concurrently.
-The only module state is a cache of Butterworth designs (sections and
-initial filter state) keyed by (order, corners, btype, fs) and a cache of
-line-fit design matrices keyed by length; each depends on nothing else, the
-cached arrays are read-only, and each filter call gets its own copy of the
-sections, so the functions stay pure.
+:func:`preprocess_records` runs the chain over the (traces x samples) blocks
+of :func:`blocks`, which feature extraction uses too: the line fit and the
+mean are removed row by row, and the filter passes, the decimation and the
+window crop each run once per block.  Every row is bit-identical to the chain
+on that record alone; :func:`preprocess` is the same path on one record.  All
+operations are pure functions: they never mutate their inputs and are safe to
+run concurrently.  The only module state is a cache of Butterworth designs
+(sections and initial filter state) keyed by (order, corners, btype, fs) and a
+cache of line-fit design matrices keyed by length; each depends on nothing
+else, the cached arrays are read-only, and each filter call gets its own copy
+of the sections, so the functions stay pure.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import signal
@@ -245,34 +244,38 @@ def downsample(
     return x[..., ::factor].copy()
 
 
-# rows per filtered block: a block's padded copies stay a few times one
-# block's size, whatever the size of the file, and the filter's per-call cost
-# is already spread over a few dozen rows
-_BLOCK_ROWS = 64
+# rows per block, in preprocessing and extraction alike: a block's temporaries (the
+# filter's padded copies, the autocorrelation's padded spectrum at up to 4n values a
+# row, C19's window sums at about 10n) stay a few times one block's size, and a
+# call's fixed cost is already spread over a few dozen rows
+BLOCK_ROWS = 64
+
+
+def blocks(keys: Iterable[Hashable]) -> Iterator[list[int]]:
+    """Runs of at most BLOCK_ROWS positions of ``keys`` that share a key, in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    for group in groups.values():
+        yield from (group[s : s + BLOCK_ROWS] for s in range(0, len(group), BLOCK_ROWS))
 
 
 def _preprocess_block(group: Sequence[WaveformRecord], cfg: PreprocessConfig) -> np.ndarray:
     """The chain on records of one sample rate and one length, as one
-    (traces x samples) block; an error names the group's first trace."""
-    first = group[0]
-    fs = first.sample_rate
-    try:
-        # row by row: one line fit over the whole block rounds differently
-        x = np.stack([demean(detrend_linear(r.samples)) for r in group])
-        x = bandpass(x, fs, cfg)
-    except (DegenerateInput, InvalidBand) as exc:
-        raise type(exc)(f"{first.trace_id}: {exc}") from None
+    (traces x samples) block; the caller names the trace an error applies to."""
+    fs = group[0].sample_rate
+    # row by row: one line fit over the whole block rounds differently
+    x = bandpass(np.stack([demean(detrend_linear(r.samples)) for r in group]), fs, cfg)
     factor = cfg.downsample_factor
     bandlimited = cfg.band_high_hz < fs / 2 / factor  # 2 * factor may pass the float range
     try:
         x = downsample(x, factor, assume_bandlimited=bandlimited)
     except InvalidFactor as exc:
-        raise InvalidFactor(f"{first.trace_id}: preprocess.downsample_factor: {exc}") from None
+        raise InvalidFactor(f"preprocess.downsample_factor: {exc}") from None
     if cfg.window_len is not None:
         n = x.shape[1]
         if n < cfg.window_len:
-            raise DegenerateInput(f"{first.trace_id}: {n} samples after preprocessing, "
-                                  f"need {cfg.window_len}")
+            raise DegenerateInput(f"{n} samples after preprocessing, need {cfg.window_len}")
         start = (n - cfg.window_len) // 2
         x = x[:, start : start + cfg.window_len]
     return x
@@ -281,36 +284,37 @@ def _preprocess_block(group: Sequence[WaveformRecord], cfg: PreprocessConfig) ->
 def preprocess_records(records: Sequence[WaveformRecord], cfg: PreprocessConfig) -> list[WaveformRecord]:
     """Detrend, demean, band-pass and decimate each record; results in input order.
 
-    Records that share a sample rate and a length are filtered together as
-    one (traces x samples) block, and every row is bit-identical to the
-    chain run on that record alone.  An output's sample rate is its input's
-    divided by ``cfg.downsample_factor``.  Decimation skips its own
-    anti-alias filter only when the band-pass has already confined the
-    signal below the post-decimation Nyquist.  When the config fixes a
-    window length, each result is center-cropped to it.  Every error names
-    the first trace, in input order, that it applies to: a trace too short
-    to detrend or for the window (:class:`DegenerateInput`), a band at or
-    above the trace's Nyquist frequency or without a stable design
+    Records that share a sample rate and a length are filtered together in
+    the blocks of :func:`blocks`; every row is bit-identical to the chain on
+    that record alone.  An output's sample rate is its input's divided by
+    ``cfg.downsample_factor``.  Decimation skips its own anti-alias filter
+    only when the band-pass has already confined the signal below the
+    post-decimation Nyquist.  When the config fixes a window length, each
+    result is center-cropped to it.  Every error names the first trace, in
+    input order, that it applies to: a trace too short to detrend or for the
+    window, or whose samples overflow (:class:`DegenerateInput`), a band at
+    or above its Nyquist frequency or without a stable design
     (:class:`InvalidBand`), and a factor without an anti-alias design
     (:class:`InvalidFactor`).
     """
-    groups: dict[tuple[float, int], list[int]] = {}
-    for i, r in enumerate(records):
-        groups.setdefault((r.sample_rate, r.samples.size), []).append(i)
     out: list = [None] * len(records)
-    for (fs, _n), group in groups.items():
-        for start in range(0, len(group), _BLOCK_ROWS):
-            members = group[start : start + _BLOCK_ROWS]
-            # samples near the float maximum may leave the float range in the
-            # chain's arithmetic; that is reported below, not warned about
+    errors: dict[int, Exception] = {}  # each error, by the position of the trace it names
+    for members in blocks((r.sample_rate, r.samples.size) for r in records):
+        group = [records[i] for i in members]
+        try:
+            # samples near the float maximum may leave the float range: reported below, not warned about
             with np.errstate(over="ignore", invalid="ignore"):
-                block = _preprocess_block([records[i] for i in members], cfg)
-            for i, row in zip(members, block):
-                try:
-                    out[i] = replace(records[i], samples=row, sample_rate=fs / cfg.downsample_factor)
-                except SamplesError:  # finite input, but the chain's arithmetic left the float range
-                    raise DegenerateInput(f"{records[i].trace_id}: samples overflow the float range "
-                                          "during preprocessing") from None
+                block = _preprocess_block(group, cfg)
+        except (DegenerateInput, InvalidBand, InvalidFactor) as exc:  # it applies to every trace of the block
+            errors[members[0]] = type(exc)(f"{group[0].trace_id}: {exc}")
+            continue
+        for i, r, row in zip(members, group, block):
+            try:
+                out[i] = replace(r, samples=row, sample_rate=r.sample_rate / cfg.downsample_factor)
+            except SamplesError:  # finite input, but the chain's arithmetic left the float range
+                errors[i] = DegenerateInput(f"{r.trace_id}: samples overflow the float range during preprocessing")
+    if errors:
+        raise errors[min(errors)]
     return out
 
 

@@ -483,6 +483,10 @@ def _malformed_cases():
               lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
                          "base_features": ["W9"]}, {m: MATRIX},
               "base_features[0]: W9 is not a column of train_input"),
+        _case("select-base-feature-repeated", "select",
+              lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
+                         "base_features": ["f", "f"]}, {m: MATRIX},
+              "error: base_features[1]: f repeats base_features[0]\n"),
         _case("eval-significance-level-7", "eval",
               lambda d: {"input": d(m), "predictions": {"x": d("p.tsv")}, "output": d("o.json"),
                          "significance_level": 7}, {m: MATRIX}, "significance_level: must lie in (0, 1)"),

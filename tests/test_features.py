@@ -32,6 +32,7 @@ from quakebox.features import (
     standardize_fit,
     write_matrix,
 )
+from quakebox.waveform import BLOCK_ROWS
 
 from conftest import make_record, make_vector
 from oracles.catch22_ref import REFERENCE_FUNCS, reference_all, zscore
@@ -417,6 +418,44 @@ class TestExtractVector:
     def test_vector_rejects_non_finite(self):
         with pytest.raises(ValueError):
             FeatureVector(trace_id="t", values={"C1": float("nan")}, label="noise")
+
+
+class TestBlockBoundaries:
+    """``extract_matrix`` where one length spans three blocks."""
+
+    @staticmethod
+    def _records(rng, flat=()):
+        # 134 of 160 records have 200 samples (blocks of 64, 64 and 6 rows);
+        # every sixth has 256 or 97; the ``flat`` positions are constant
+        lengths = [200 if k % 6 != 5 else (256, 97)[k // 6 % 2] for k in range(160)]
+        assert lengths.count(200) == 2 * BLOCK_ROWS + 6
+        return [make_record(f"t{k}", samples=np.full(n, 1.5) if k in flat else rng.standard_normal(n))
+                for k, n in enumerate(lengths)]
+
+    def test_values_equal_one_record_at_a_time_in_record_order(self, rng):
+        records, reg = self._records(rng), reproduction_registry()
+        together = extract_matrix(records, reg)
+        assert [v.trace_id for v in together] == [r.trace_id for r in records]
+        for vec, rec in zip(together, records):
+            alone = extract_vector(rec, reg)
+            assert vec.values.keys() == alone.values.keys()
+            assert np.array(list(vec.values.values())).tobytes() == np.array(list(alone.values.values())).tobytes()
+
+    def test_every_failure_is_named_in_record_order(self, rng):
+        # 156 and 158 lie in the third 200-sample block, 155 (97 samples)
+        # in a block that runs after it, and 3 in the first one
+        records, reg = self._records(rng, flat=(3, 155, 156, 158)), reproduction_registry()
+        prefix = "1 trace(s) failed feature extraction: "
+        alone = []
+        for rec in records:
+            try:
+                extract_vector(rec, reg)
+            except DegenerateSeries as exc:
+                alone.append(str(exc).removeprefix(prefix))
+        with pytest.raises(DegenerateSeries) as err:
+            extract_matrix(records, reg)
+        assert str(err.value) == "4 trace(s) failed feature extraction: " + "; ".join(alone)
+        assert [m.split(":")[0] for m in alone] == ["trace t3", "trace t155", "trace t156", "trace t158"]
 
 
 class TestStandardization:

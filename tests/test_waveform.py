@@ -8,9 +8,11 @@ from scipy import signal
 
 from quakebox.errors import DegenerateInput, InvalidBand, InvalidFactor
 from quakebox.waveform import (
+    BLOCK_ROWS,
     PreprocessConfig,
     WaveformRecord,
     bandpass,
+    blocks,
     demean,
     detrend_linear,
     downsample,
@@ -332,6 +334,67 @@ class TestPreprocessRecords:
         cfg = PreprocessConfig(window_len=128)
         assert self._same_as_one_at_a_time(records, cfg)[1].startswith("late: ")
         assert self._same_as_one_at_a_time(records[2:], cfg)[1].startswith("early: ")
+
+
+def _overflowing(n):
+    """Finite samples whose linear detrend leaves the float range."""
+    return np.where(np.arange(n) % 2, -1.7e308, 1.7e308)
+
+
+class TestBlocks:
+    """The one block layout of preprocessing and extraction."""
+
+    def test_runs_of_one_key_in_order_of_first_appearance(self):
+        keys = ["c" if k % 7 == 6 else "b" if k % 5 == 4 else "a" for k in range(200)]
+        runs = list(blocks(keys))
+        assert sorted(i for run in runs for i in run) == list(range(len(keys)))
+        run_keys = [keys[run[0]] for run in runs]
+        for key, run in zip(run_keys, runs):
+            assert 0 < len(run) <= BLOCK_ROWS and run == sorted(run)
+            assert {keys[i] for i in run} == {key}
+        # one key's runs are adjacent, keys come in order of first appearance,
+        # and every run but a key's last is full
+        assert run_keys == sorted(run_keys, key=keys.index)
+        for key in "abc":
+            sizes = [len(run) for k, run in zip(run_keys, runs) if k == key]
+            assert sizes[:-1] == [BLOCK_ROWS] * (len(sizes) - 1)
+        assert run_keys.count("a") == 3
+        assert list(blocks([])) == []
+
+    @staticmethod
+    def _specs():
+        # 134 of 160 records share one shape, in blocks of 64, 64 and 6 rows;
+        # every sixth record has one of two other shapes
+        other = [(100.0, 500), (200.0, 601)]
+        specs = [(f"t{k}", *(other[k // 6 % 2] if k % 6 == 5 else (200.0, 600))) for k in range(160)]
+        main = [k for k, (_, fs, n) in enumerate(specs) if (fs, n) == (200.0, 600)]
+        assert len(main) == 2 * BLOCK_ROWS + 6
+        return specs, main
+
+    def test_a_group_across_three_blocks_equals_one_record_at_a_time(self, rng):
+        specs, _ = self._specs()
+        records = _records(specs, rng)
+        cfg = PreprocessConfig(window_len=128)
+        together = _outcome(lambda: preprocess_records(records, cfg))
+        assert together == _outcome(lambda: [preprocess(r, cfg) for r in records])
+        assert [tid for tid, _, _ in together] == [tid for tid, _, _ in specs]
+
+    @pytest.mark.parametrize("before", [False, True], ids=["third-block", "earlier-trace-of-another-shape"])
+    def test_first_overflowing_trace_in_input_order_is_named(self, rng, before):
+        # two traces in the third block of the large group overflow, and maybe
+        # a trace of another shape just before them, whose block runs later
+        specs, main = self._specs()
+        third = main[2 * BLOCK_ROWS :]
+        bad = [third[2], third[4]] + [third[2] - 1] * before
+        assert specs[third[2] - 1][1:] != (200.0, 600)
+        records = _records(specs, rng)
+        for k in bad:
+            tid, fs, n = specs[k]
+            records[k] = make_record(tid, samples=_overflowing(n), fs=fs)
+        expected = (DegenerateInput, f"{specs[min(bad)][0]}: samples overflow the float range during preprocessing")
+        cfg = PreprocessConfig()
+        assert _outcome(lambda: preprocess_records(records, cfg)) == expected
+        assert _outcome(lambda: [preprocess(r, cfg) for r in records]) == expected
 
 
 class TestRecordInvariants:
