@@ -4,7 +4,8 @@ Every subcommand checks its whole JSON config, refusing unknown keys,
 before it opens a file; honors ``--seed`` as a master-seed override and
 ``--out-dir`` as an output prefix; and writes byte-deterministic artifacts:
 the same config and seed always reproduce the same files.  Training and
-selection refuse inputs tagged with the test role; evaluation commands take anything.
+selection refuse inputs tagged with the test role; evaluation commands take
+anything, but warn on stderr about an input tagged train or validation.
 
     quakebox synth    -c synth.json        waveform corpus from a generator spec
     quakebox split    -c split.json        event-wise train/validation/test files
@@ -126,6 +127,12 @@ def _forbid_test_role(field: str, role: str) -> None:
         raise ConfigError(field, "refuses test-partition data during training/selection")
 
 
+def _warn_on_fitting_role(field: str, source: str, role: str) -> None:
+    if role in ("train", "validation"):
+        print(f"warning: {field}: {source} is tagged role={role}, so its scores are not held out",
+              file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # subcommands: each reads and checks its whole config before it opens a file
 
@@ -229,6 +236,10 @@ def cmd_select(cfg: dict, master: int, out_dir: str | None) -> None:
             f"ensemble.max_iters={ecfg.max_iters} unconverged ({tied} in the tie-set)",
             file=sys.stderr,
         )
+    if len(report_obj.runs) > 1 and len(report_obj.tie_set_ids) == len(report_obj.runs):
+        top = max(r.val_mcc for r in report_obj.runs)
+        print(f"warning: all {len(report_obj.runs)} runs tie at validation MCC {top:.4f}: "
+              "the validation split does not rank them", file=sys.stderr)
     if dist_out:
         _write_distribution_table(_resolve(out_dir, dist_out), report_obj)
     print(
@@ -252,7 +263,8 @@ def cmd_eval(cfg: dict, master: int, out_dir: str | None) -> None:
     paths = _source_paths(cfg)
     out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
     _known(cfg, "significance_level", "input", "models", "predictions", "output")
-    matrix, _role = read_matrix(source)
+    matrix, role = read_matrix(source)
+    _warn_on_fitting_role("input", source, role)
     labels = matrix.labels
     models, predictions = _load_sources(paths, matrix.trace_ids)
     per_source_preds = {name: art.predict_labels(matrix) for name, art in models.items()}
@@ -285,8 +297,10 @@ def cmd_sweep(cfg: dict, master: int, out_dir: str | None) -> None:
     text_out = fields.get(cfg, "text_output", str, ConfigError, None)
     _known(cfg, "ratios", "positives_input", "noise_pool_input", "models", "predictions", "output",
            "text_output")
-    positives, _prole = read_matrix(positives_source)
-    pool, _nrole = read_matrix(pool_source)
+    positives, positives_role = read_matrix(positives_source)
+    pool, pool_role = read_matrix(pool_source)
+    _warn_on_fitting_role("positives_input", positives_source, positives_role)
+    _warn_on_fitting_role("noise_pool_input", pool_source, pool_role)
     positives = positives.take(positives.is_event)
     pool = pool.take(~pool.is_event)
     if not positives:

@@ -10,8 +10,9 @@ series are rejected by the registry before dispatch, so kernels here may
 assume nonzero variance.
 
 Intermediates that several features share (the successive differences and
-sort order, the autocorrelation and its first zero crossing, the periodogram)
-are computed once per block by the block object, which kernels read them from.
+sort order, the thresholds C14 and C15 keep, the autocorrelation and its
+first zero crossing, the periodogram) are computed once per block by the
+block object, which kernels read them from.
 Every reduction runs along one row, never across rows, so a row's value does
 not depend on the rows beside it; where a statistic sums a per-row selection
 of entries (a compressed array whose length varies by row), the kernel sums
@@ -437,61 +438,93 @@ def forecast_mean3_residual_spread(block: SeriesBlock) -> np.ndarray:
 # extreme-event timing
 
 
+def threshold_exceedances(z: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The thresholds that C14 and C15 keep, counted by exceedances.
+
+    C14 sweeps a row w = z, and C15 the row w = -z, with the thresholds 0,
+    0.01, 0.02, ..., ``int(max(w) / 0.01 + 1)`` of them.  Each keeps the
+    thresholds that more than 2% of the samples reach (are at or above), or
+    threshold 0 alone if none does; the kept thresholds are a prefix of the
+    sweep, and for n >= 10 each has at least two exceedances.
+
+    Returns a (2 x rows x n) count: entry [s, r, k - 1] is how many kept
+    thresholds exactly k samples of row r reach, for s = 0 (C14) and s = 1
+    (C15).  Its last nonzero entry in a row is at k = the number of samples
+    at or above 0, which threshold 0 always keeps.  ``order`` is the stable
+    ascending argsort of each row of ``z``.
+
+    Every row's thresholds are a prefix of one grid, so one searchsorted of
+    all values into it counts the thresholds each value reaches; exactly k
+    samples reach the thresholds that the k-th largest value reaches and the
+    (k+1)-th does not.
+    """
+    rows, n = z.shape
+    step = 0.01
+    # each row's values, largest first: z for C14, and -z (by ascending z) for C15
+    descending = np.empty((2, rows, n))
+    descending[1] = z[np.arange(rows)[:, None], order]
+    descending[0] = descending[1, :, ::-1]
+    np.negative(descending[1], out=descending[1])
+    descending = descending.reshape(2 * rows, n)
+    n_thresh = (descending[:, 0] / step + 1).astype(int)
+    reached = np.searchsorted(np.arange(n_thresh.max()) * step, descending, side="right")
+    del descending  # freed before the subtract below copies its overlapping operand
+    # a kept threshold has at least `fewest` exceedances: (count - 1) * 100 / n > 2
+    fewest = 2
+    while (fewest - 1) * 100.0 / n <= 2.0:
+        fewest += 1
+    n_kept = np.maximum(np.minimum(n_thresh, reached[:, fewest - 1]), 1)
+    np.minimum(reached, n_kept[:, None], out=reached)
+    reached[:, :-1] -= reached[:, 1:]
+    return reached.reshape(2, rows, n)
+
+
 def outlier_timing_positive(block: SeriesBlock) -> np.ndarray:
-    """Median relative position of above-threshold events, swept over
-    thresholds (positive deviations)."""
-    return np.array([_outlier_timing(block.z[k, o], o[::-1]) for k, o in enumerate(block.order)])
+    """Median timing of positive deviations across thresholds: for each
+    threshold kept by :func:`threshold_exceedances` on z, the median
+    position (counted from 1) of the samples that reach it, relative to the
+    series center, median / (n/2) - 1; then the median of that over the
+    kept thresholds."""
+    return _outlier_timing(block.order[:, ::-1], block.exceedances[0])
 
 
 def outlier_timing_negative(block: SeriesBlock) -> np.ndarray:
-    """As :func:`outlier_timing_positive` for negative deviations."""
-    return np.array([_outlier_timing(-block.z[k, o[::-1]], o) for k, o in enumerate(block.order)])
+    """As :func:`outlier_timing_positive` for negative deviations (on -z)."""
+    return _outlier_timing(block.order, block.exceedances[1])
 
 
-def _outlier_timing(ascending: np.ndarray, descending: np.ndarray) -> float:
-    """Sweep thresholds 0, 0.01, 0.02, ... over a row w (z for C14, -z for
-    C15), given as its values in ``ascending`` order and its positions by
-    ``descending`` value, and per threshold locate the median timing of
-    exceedances relative to the series center.
+def _outlier_timing(descending: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """C14 or C15 of each row, from its positions by descending value and
+    its counts from :func:`threshold_exceedances`.
 
-    Thresholds are trimmed to those keeping more than 2% exceedances and at
-    least two exceedances (gap statistics defined); the statistic is the
-    median over kept thresholds of median(position)/(n/2) - 1.
-
-    The exceedance sets are nested as the threshold rises, so the medians
-    for every kept threshold come from one pass of prefix medians over
-    ``descending``, run only as far as the largest kept exceedance count.
-    Ties may come in any order: a threshold's exceedances are a whole prefix
-    of any descending order, and only medians at those prefix lengths count.
+    The samples that reach a threshold kept with k exceedances are the first
+    k of ``descending`` (ties may come in any order: a threshold never splits
+    them).  So one pass of prefix medians, inserting each position into a
+    sorted list, serves every threshold; it runs as far as the largest
+    count.  The median over thresholds is the middle one, or the mean of the
+    middle two, as ``np.median`` takes it.
     """
-    inc = 0.01
-    n = ascending.size
-    n_thresh = int(ascending[-1] / inc + 1)
-    thresholds = np.arange(n_thresh) * inc
-    counts = n - np.searchsorted(ascending, thresholds, side="left")
-    # cap at the last threshold any sample still exceeds
-    nonempty = counts >= 1
-    if not nonempty.all():
-        n_thresh = int(np.flatnonzero(~nonempty)[0])
-        counts = counts[:n_thresh]
-
-    pct_kept = (counts - 1) * 100.0 / n
-    above = np.flatnonzero(pct_kept > 2.0)
-    mj = int(above[-1]) if above.size else 0
-    undefined = np.flatnonzero(counts < 2)
-    fbi = int(undefined[0]) if undefined.size else n_thresh - 1
-    kept = counts[: min(mj, fbi) + 1]
-
-    # counts fall as the threshold rises, so kept[0] is the longest prefix
-    order = descending[: kept[0]] + 1
-    prefix: list[int] = []
-    prefix_median = np.empty(kept[0])
-    for k, pos in enumerate(order.tolist()):
-        bisect.insort(prefix, pos)
-        prefix_median[k] = 0.5 * (prefix[k // 2] + prefix[(k + 1) // 2])
-
-    rel_pos = prefix_median[kept - 1] / (n / 2) - 1
-    return float(np.median(rel_pos))
+    n = descending.shape[1]
+    longest = n - np.argmax(kept[:, ::-1] > 0, axis=1)
+    out = np.empty(len(descending))
+    for k, length in enumerate(longest.tolist()):
+        positions = descending[k, :length].tolist()
+        prefix: list[int] = []
+        twice: list[int] = []  # per prefix length, twice its median position (0-based)
+        pairs = iter(positions)
+        for h, (p, q) in enumerate(zip(pairs, pairs)):  # prefix lengths 2h + 1 and 2h + 2
+            bisect.insort(prefix, p)
+            twice.append(2 * prefix[h])
+            bisect.insort(prefix, q)
+            twice.append(prefix[h] + prefix[h + 1])
+        if length % 2:
+            bisect.insort(prefix, positions[-1])
+            twice.append(2 * prefix[length // 2])
+        picks = np.sort(np.repeat(twice, kept[k, :length]))  # one per kept threshold
+        middle = picks[[(len(picks) - 1) // 2, len(picks) // 2]].tolist()
+        a, b = (0.5 * (t + 2) / (n / 2) - 1 for t in middle)
+        out[k] = (a + b) / 2
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,13 @@ class SeriesBlock:
         return _read_only(np.argsort(self.z, axis=1, kind="stable"))
 
     @cached_property
+    def exceedances(self) -> np.ndarray:
+        """Per row and count k, how many of the thresholds C14 keeps on z
+        ([0]) and C15 on -z ([1]) exactly k samples reach, as a (2 x rows x
+        n) count (C14, C15; see :func:`catalog.threshold_exceedances`)."""
+        return _read_only(catalog.threshold_exceedances(self.z, self.order))
+
+    @cached_property
     def acf(self) -> np.ndarray:
         """Autocorrelation of each z-scored row at lags 0..n-1 (C3, C4, C9, C11, C13)."""
         return _read_only(catalog.autocorrelation(self.z))

@@ -35,7 +35,7 @@ from quakebox.model import (
     train,
 )
 from quakebox.seeds import derive_rng
-from quakebox.waveform import PreprocessConfig, preprocess
+from quakebox.waveform import PreprocessConfig, preprocess_records
 
 FIXTURES = Path(__file__).parent / "fixtures" / "catch22_parity.json"
 
@@ -188,7 +188,7 @@ def _sweep_trend_one_corpus(seed: int):
     )
     records = bench.generate_synthetic(spec)
     pcfg = PreprocessConfig(window_len=192)
-    processed = [preprocess(r, pcfg) for r in records]
+    processed = preprocess_records(records, pcfg)
     split = bench.partition_by_event(processed, bench.SplitSpec(seed=seed + 1))
     registry = reproduction_registry()
     profile = selected_profile()
@@ -219,7 +219,7 @@ def _sweep_trend_one_corpus(seed: int):
     pool_records = bench.generate_noise_pool(
         50 * len(test_pos) + 30, fs=200.0, window_len=400, seed=seed + 3
     )
-    pool = extract_matrix([preprocess(r, pcfg) for r in pool_records], registry, profile)
+    pool = extract_matrix(preprocess_records(pool_records, pcfg), registry, profile)
 
     spec_ratios = bench.RatioSpec(seed=seed + 4)
     positives, noise_pool = FeatureMatrix.from_rows(test_pos), FeatureMatrix.from_rows(pool)

@@ -208,12 +208,38 @@ class TestPipeline:
             assert {key for r in report["runs"] for key in r} == {
                 "run_id", "val_mcc", "config_used", "weights", "iterations", "converged",
                 "objective", "kkt_residual", "nnz"}
+            tied = len(report["tie_set_ids"])
+            top = max(r["val_mcc"] for r in report["runs"])
+            expected = "" if tied < 6 else (  # see test_select_warns_when_every_run_ties
+                f"warning: all 6 runs tie at validation MCC {top:.4f}: "
+                "the validation split does not rank them\n")
             if max_iters == 1:
-                tied = len(report["tie_set_ids"])
-                assert err == (f"warning: 6 of 6 ensemble runs stopped at ensemble.max_iters=1 "
-                               f"unconverged ({tied} in the tie-set)\n")
-            else:
-                assert err == ""
+                expected = (f"warning: 6 of 6 ensemble runs stopped at ensemble.max_iters=1 "
+                            f"unconverged ({tied} in the tie-set)\n") + expected
+            assert err == expected
+
+    @pytest.mark.parametrize("lambda_grid,all_tie", [([0.05], True), ([0.05, 100.0], False)])
+    def test_select_warns_when_every_run_ties(self, tiny_pipeline, capsys, lambda_grid, all_tie):
+        # at lambda 100 every weight is zero, so those runs score below the
+        # others and the tie-set excludes them
+        wd = tiny_pipeline
+        select_cfg = write_config(wd, "select_ties.json", {
+            "master_seed": 7,
+            "train_input": str(wd / "train.tsv"),
+            "validation_input": str(wd / "validation.tsv"),
+            "output": str(wd / "selection_ties.json"),
+            "ensemble": {"n_runs": 4, "lambda_grid": lambda_grid},
+        })
+        capsys.readouterr()
+        assert run(["select", "-c", select_cfg]) == 0
+        err = capsys.readouterr().err
+        report = json.loads((wd / "selection_ties.json").read_text())
+        assert (len(report["tie_set_ids"]) == 4) == all_tie
+        scores = {r["val_mcc"] for r in report["runs"]}
+        assert len(scores) == (1 if all_tie else 2)
+        warning = (f"warning: all 4 runs tie at validation MCC {max(scores):.4f}: "
+                   "the validation split does not rank them\n")
+        assert err == (warning if all_tie else "")
 
     def test_sweep_with_all_noise_predictions(self, tiny_pipeline):
         wd = tiny_pipeline
@@ -295,6 +321,44 @@ class TestRoleEnforcement:
         )
         assert run(["select", "-c", cfg]) == 2
         assert "test-partition" in capsys.readouterr().err
+
+
+    def test_eval_and_sweep_warn_on_fitting_roles(self, tiny_pipeline, capsys):
+        # scores on a train or validation matrix are not held out; the
+        # artifact is the same either way, only stderr says so
+        wd = tiny_pipeline
+        cfg = write_config(wd, "extract_all.json", {
+            "input": str(wd / "waves.jsonl"), "output": str(wd / "all.tsv"), "features": "selected8",
+            "preprocess": {"window_len": 192}})
+        assert run(["extract", "-c", cfg]) == 0
+        with open(wd / "lazy.tsv", "w") as fh:
+            fh.write("trace_id\tlabel\n")
+            for trace_id in read_matrix(wd / "all.tsv")[0].trace_ids:
+                fh.write(f"{trace_id}\tnoise\n")
+        lazy = {"lazy": str(wd / "lazy.tsv")}
+
+        def warning(field, part):
+            path = wd / f"{part}.tsv"
+            return f"warning: {field}: {path} is tagged role={part}, so its scores are not held out\n"
+
+        for part in ("train", "validation", "test", "all"):
+            cfg = write_config(wd, "eval_role.json", {
+                "input": str(wd / f"{part}.tsv"), "predictions": lazy,
+                "output": str(wd / "eval_role.json.out")})
+            capsys.readouterr()
+            assert run(["eval", "-c", cfg]) == 0
+            expected = warning("input", part) if part in ("train", "validation") else ""
+            assert capsys.readouterr().err == expected
+        for positives, pool in (("test", "all"), ("train", "validation"), ("test", "train")):
+            cfg = write_config(wd, "sweep_role.json", {
+                "master_seed": 7, "positives_input": str(wd / f"{positives}.tsv"),
+                "noise_pool_input": str(wd / f"{pool}.tsv"), "predictions": lazy, "ratios": [1.0],
+                "output": str(wd / "sweep_role.json.out")})
+            capsys.readouterr()
+            assert run(["sweep", "-c", cfg]) == 0
+            inputs = (("positives_input", positives), ("noise_pool_input", pool))
+            expected = [warning(field, part) for field, part in inputs if part in ("train", "validation")]
+            assert capsys.readouterr().err == "".join(expected)
 
 
 class TestErrors:

@@ -2,11 +2,12 @@
 and the block layout is decided in one module.
 
 A kernel in ``catalog.py`` or ``surrogates.py`` reads the successive
-differences, the sort order and the autocorrelation from its
-``SeriesBlock`` (``block.diff``, ``block.order``, ``block.acf``).  One that
-calls ``np.diff``, ``np.sort``, ``np.argsort`` or ``autocorrelation`` on the
-block's rows (``block.z``, ``block.raw``, a name bound to them or a row of
-them) computes the intermediate again, so here it fails the suite.
+differences, the sort order, C14's and C15's threshold exceedances and the
+autocorrelation from its ``SeriesBlock`` (``block.diff``, ``block.order``,
+``block.exceedances``, ``block.acf``).  One that calls ``np.diff``,
+``np.sort``, ``np.argsort``, ``np.searchsorted`` or ``autocorrelation`` on
+the block's rows (``block.z``, ``block.raw``, a name bound to them or a row
+of them) computes the intermediate again, so here it fails the suite.
 ``BLOCK_ROWS`` is assigned in ``waveform.py`` alone, whose ``blocks`` both
 preprocessing and extraction use.
 """
@@ -19,7 +20,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "quakebox"
 KERNELS = [SRC / "features" / "catalog.py", SRC / "features" / "surrogates.py"]
-SHARED = {"diff", "sort", "argsort", "autocorrelation"}
+SHARED = {"diff", "sort", "argsort", "searchsorted", "autocorrelation"}
 ROWS = {"z", "raw"}
 
 
@@ -109,6 +110,13 @@ def recomputed(source: str) -> list[tuple[int, str]]:
     ("return np.diff(acf, axis=1)", []),
     ("return np.take_along_axis(block.z, block.order, axis=1)", []),
     ("return np.abs(np.fft.rfft(block.dev)) ** 2", []),
+    ("return np.searchsorted(grid, block.z[0], side='right')", ["searchsorted"]),
+    ("return block.z[0].searchsorted(grid)", ["searchsorted"]),
+    ("return [helper(block.z[k, o]) for k, o in enumerate(block.order)]\n"
+     "def helper(ascending):\n    return np.searchsorted(ascending, grid)", ["searchsorted"]),
+    ("return [helper(-block.z[k, o[::-1]]) for k, o in enumerate(block.order)]\n"
+     "def helper(ascending):\n    return len(ascending) - ascending.searchsorted(grid)", ["searchsorted"]),
+    ("return np.searchsorted(grid, np.flatnonzero(block.exceedances[0]))", []),
 ])
 def test_the_scan_sees_each_kind_of_recompute(body, expected):
     # the body is the kernel's; a "def" line in it starts a module-level helper

@@ -39,6 +39,7 @@ from oracles.catch22_ref import REFERENCE_FUNCS, reference_all, zscore
 
 FIXTURES = Path(__file__).parent / "fixtures" / "catch22_parity.json"
 EXACT_FIT = Path(__file__).parent / "fixtures" / "fluctuation_exact_fit.json"
+OUTLIER_EDGES = Path(__file__).parent / "fixtures" / "outlier_timing_edges.json"
 
 
 def load_parity_cases():
@@ -202,6 +203,29 @@ class TestArrayKernelsAgainstOracle:
                 alone = [registry.extract(code, block[i]) for code in ("C19", "C20")]
                 assert alone == [e["C19"], e["C20"]], (e["kind"], n)
                 assert values[i].tolist() == alone, (e["kind"], n)
+
+    def test_outlier_timing_bit_for_bit_on_edge_rows(self):
+        # frozen C14/C15 values (see tests/oracles/gen_outlier_fixtures.py),
+        # alone and inside 64-row blocks of one length beside random rows;
+        # compared as bytes, as the oracle's tolerance cannot see a last bit
+        registry = canonical_registry()
+        codes = ("C14", "C15")
+        rng = np.random.default_rng(14)
+        by_length: dict[int, list] = {}
+        for e in json.loads(OUTLIER_EDGES.read_text())["series"]:
+            x, expected = np.array(e["values"]), np.array([e[code] for code in codes])
+            alone, failures = registry.extract_block(codes, x[None])
+            assert failures == {} and alone[0].tobytes() == expected.tobytes(), e["name"]
+            by_length.setdefault(x.size, []).append((e["name"], x, expected))
+        for n, entries in by_length.items():
+            block = np.stack([_oracle_series(self.KINDS[i % 5], n, rng) for i in range(64)])
+            at = rng.choice(64, size=len(entries), replace=False)
+            for i, (_, x, _) in zip(at, entries):
+                block[i] = x
+            values, failures = registry.extract_block(codes, block)
+            assert failures == {}, n
+            for i, (name, _, expected) in zip(at, entries):
+                assert values[i].tobytes() == expected.tobytes(), name
 
     @pytest.mark.parametrize("n", [20, 256, 513])
     def test_every_code_is_independent_of_the_codes_beside_it(self, n):
