@@ -58,22 +58,12 @@ class FeatureVector:
         object.__setattr__(self, "values", clean)
 
 
-def _registry_codes(registry: FeatureRegistry, selected: Sequence[str] | None) -> tuple[str, ...]:
-    """The ``selected`` codes in registry order; ``None`` means the whole registry."""
-    if selected is None:
-        return registry.codes()
-    wanted = set(selected)
-    for code in wanted:
-        registry.get(code)  # UnknownFeature for unregistered codes
-    return tuple(c for c in registry.codes() if c in wanted)
-
-
 def extract_vector(
     record: WaveformRecord,
     registry: FeatureRegistry,
     selected: Sequence[str] | None = None,
 ) -> FeatureVector:
-    """Extract the selected features (registry order) from one record:
+    """Extract the selected features, in ``selected`` order, from one record:
     :func:`extract_matrix` on a list of one, failures included.
     ``selected=None`` means the whole registry."""
     return extract_matrix([record], registry, selected)[0]
@@ -84,7 +74,8 @@ def extract_matrix(
     registry: FeatureRegistry,
     selected: Sequence[str] | None = None,
 ) -> List[FeatureVector]:
-    """Extract vectors for many records, in record order; all-or-nothing.
+    """Extract vectors of the ``selected`` codes, in that order (``None``: the
+    whole registry), for many records, in record order; all-or-nothing.
 
     Records of one sample count are stacked into the (traces x samples)
     blocks of :func:`~quakebox.waveform.blocks`, and each block goes through
@@ -95,7 +86,7 @@ def extract_matrix(
     order, so a single bad trace cannot silently shrink a dataset.
     """
     records = list(records)
-    codes = _registry_codes(registry, selected)
+    codes = registry.codes() if selected is None else tuple(registry.get(c).code for c in selected)
     vectors: List[FeatureVector | None] = [None] * len(records)
     failures: dict[int, str] = {}
     for rows in blocks(rec.samples.size for rec in records):
@@ -224,20 +215,16 @@ def standardize_fit(data: Rows) -> StandardizationParams:
     )
 
 
-def zscore(X: np.ndarray, params: StandardizationParams, codes: Sequence[str]) -> np.ndarray:
-    """Z-score the columns of ``X``, which hold ``codes`` in order."""
-    missing = [c for c in codes if c not in params.means]
-    if missing:
-        raise MissingParams(f"no standardization params for {', '.join(missing)}")
-    means = np.array([params.means[c] for c in codes])
-    stds = np.array([params.stds[c] for c in codes])
-    return (X - means) / stds
-
-
 def standardize_apply(data: Rows, params: StandardizationParams) -> FeatureMatrix:
     """Z-score every row with previously fitted parameters."""
     m = FeatureMatrix.from_rows(data)
-    return replace(m, X=zscore(m.X, params, m.codes))
+    missing = [c for c in m.codes if c not in params.means or c not in params.stds]
+    if missing:
+        raise MissingParams(f"no standardization params for {', '.join(missing)}")
+    means = np.array([params.means[c] for c in m.codes])
+    stds = np.array([params.stds[c] for c in m.codes])
+    with np.errstate(over="ignore"):  # FeatureMatrix refuses a z-score beyond the float range
+        return replace(m, X=(m.X - means) / stds)
 
 
 # ---------------------------------------------------------------------------

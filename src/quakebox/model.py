@@ -28,8 +28,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import fields
-from .errors import DegenerateLabels
-from .features.vectors import FeatureMatrix, FeatureVector, StandardizationParams, zscore
+from .errors import DegenerateLabels, FormatError
+from .features.vectors import FeatureMatrix, FeatureVector, StandardizationParams, standardize_apply
 
 
 @dataclass(frozen=True)
@@ -97,28 +97,24 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
-def _proba(model: LinearModel, X: np.ndarray) -> np.ndarray:
-    """Event probabilities for a standardized matrix with columns in ``model.codes()`` order."""
+def predict_proba(model: LinearModel, rows: FeatureMatrix) -> np.ndarray:
+    """Event probability for each standardized row, in row order."""
+    X = rows.columns(model.codes()).X
     # summed column by column, each row's score is exactly the scalar
     # bias + w_1 x_1 + ... + w_p x_p; bias + X @ w may differ in the last bits
     z = np.full(X.shape[0], model.bias, dtype=float)
-    for j, w in enumerate(model.weights.values()):
-        z += w * X[:, j]
+    with np.errstate(over="ignore", invalid="ignore"):  # a score beyond the float range is refused below
+        for j, w in enumerate(model.weights.values()):
+            z += w * X[:, j]
+    if not np.isfinite(z).all():
+        i = int(np.argmin(np.isfinite(z)))
+        raise FormatError(f"trace {rows.trace_ids[i]}: score {z[i]} is beyond the float range")
     return _sigmoid(z)
-
-
-def _labels(probs: np.ndarray, threshold: float) -> list[str]:
-    return ["event" if hit else "noise" for hit in (probs >= threshold).tolist()]
-
-
-def predict_proba(model: LinearModel, rows: FeatureMatrix) -> np.ndarray:
-    """Event probability for each standardized row, in row order."""
-    return _proba(model, rows.columns(model.codes()).X)
 
 
 def classify(model: LinearModel, rows: FeatureMatrix) -> list[str]:
     """Label each standardized row; a probability exactly at the model's threshold counts as event."""
-    return _labels(predict_proba(model, rows), model.threshold)
+    return ["event" if hit else "noise" for hit in (predict_proba(model, rows) >= model.threshold).tolist()]
 
 
 _CLAMP = 1e-12
@@ -368,10 +364,7 @@ class ModelArtifact:
 
     def predict_labels(self, raws: FeatureMatrix) -> list[str]:
         """Standardize raw rows with the training-time params and classify them."""
-        codes = self.model.codes()
-        X = raws.columns(codes).X
-        probs = _proba(self.model, zscore(X, self.standardization, codes))
-        return _labels(probs, self.model.threshold)
+        return classify(self.model, standardize_apply(raws.columns(self.model.codes()), self.standardization))
 
     def predict_label(self, raw: FeatureVector) -> str:
         """Label one raw vector: ``predict_labels`` on a batch of one."""
@@ -407,18 +400,23 @@ def load_model(path: str | Path) -> ModelArtifact:
     if not 0.0 < threshold < 1.0:
         raise fail("threshold", f"must lie in (0, 1), got {threshold}")
     meta = fields.get(payload, "training_meta", dict, fail, {})
+    weights = fields.table(payload, "weights", float, fail)
+    means = fields.table(payload, "standardization.means", float, fail)
     stds = fields.table(payload, "standardization.stds", float, fail)
     for code, value in stds.items():
         if not value > 0:
             raise fail(f"standardization.stds.{code}", f"must be positive, got {value}")
+    for name, params in (("means", means), ("stds", stds)):  # keyed by exactly the weight codes
+        for code in {**weights, **params}:
+            if (code in weights) != (code in params):
+                why = "missing required field" if code in weights else "is not a code of weights"
+                raise fail(f"standardization.{name}.{code}", why)
     return ModelArtifact(
         model=LinearModel(
             bias=fields.get(payload, "bias", float, fail),
-            weights=fields.table(payload, "weights", float, fail),
+            weights=weights,
             threshold=threshold,
             training_meta=meta,
         ),
-        standardization=StandardizationParams(
-            means=fields.table(payload, "standardization.means", float, fail), stds=stds
-        ),
+        standardization=StandardizationParams(means=means, stds=stds),
     )

@@ -145,9 +145,8 @@ def run_ensemble(
     The draw's runs are fitted in run order, each starting from the previous
     run's fit on the same draw (the first from zero), so a run depends on
     the earlier runs of its draw; the default grid descends, from sparse
-    fits to dense ones.  A draw that keeps every training row repeats the
-    previous draw and reuses its fits.  A failed run aborts the ensemble
-    with the run id attached.
+    fits to dense ones.  A failed run aborts the ensemble with the run id
+    attached.
     """
     grid = cfg.lambda_grid or default_lambda_grid(train_data, cfg.alpha)
     opt = TrainOptions(max_iters=cfg.max_iters, tol=cfg.tol)
@@ -158,23 +157,19 @@ def run_ensemble(
         try:
             rng = derive_rng(cfg.seed, "ensemble-subsample", first // len(grid))
             subset = _stratified_subsample(train_data, cfg.subsample_fraction, rng)
-            if first == 0 or len(subset) < len(train_data):
-                params = standardize_fit(subset)
-                strain, sval = standardize_apply(subset, params), standardize_apply(val_data, params)
-                fits = {}  # grid index -> (model, validation MCC) on this draw
+            params = standardize_fit(subset)
+            strain, sval = standardize_apply(subset, params), standardize_apply(val_data, params)
+            start = None
             for k, lam in enumerate(grid[: cfg.n_runs - first]):
                 run_id = first + k
-                if k not in fits:
-                    start = (fits[k - 1][0].bias, *fits[k - 1][0].weights.values()) if k else None
-                    model = train(strain, PenaltyConfig(alpha=cfg.alpha, lam=lam), opt, start=start)
-                    fits[k] = model, mcc(confusion(val_data.labels, classify(model, sval)))
-                model, val_score = fits[k]
+                model = train(strain, PenaltyConfig(alpha=cfg.alpha, lam=lam), opt, start=start)
+                start = (model.bias, *model.weights.values())
                 meta = model.training_meta
                 results.append(
                     EnsembleRunResult(
                         run_id=run_id,
                         weights=dict(model.weights),
-                        val_mcc=val_score,
+                        val_mcc=mcc(confusion(val_data.labels, classify(model, sval))),
                         config_used={"lambda": lam, "n_train": len(subset)},
                         iterations=meta["iterations"],
                         converged=meta["converged"],

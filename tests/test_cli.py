@@ -122,6 +122,17 @@ class TestPipeline:
         assert role == "train"
         assert matrix.codes == ("W1", "W2", "W3", "W4", "C10", "C11", "C14", "C15")
 
+    def test_extract_keeps_the_features_list_order(self, tiny_pipeline):
+        wd = tiny_pipeline
+        cfg = write_config(wd, "extract_order.json", {
+            "input": str(wd / "splits" / "train.jsonl"), "output": str(wd / "order.tsv"),
+            "features": ["C15", "W1"], "preprocess": {"window_len": 192}})
+        assert run(["extract", "-c", cfg]) == 0
+        assert (wd / "order.tsv").read_text().splitlines()[1] == "trace_id\tlabel\tC15\tW1"
+        profiled, _ = read_matrix(wd / "train.tsv")
+        ordered, _ = read_matrix(wd / "order.tsv")
+        assert ordered.X.tolist() == profiled.columns(("C15", "W1")).X.tolist()
+
     def test_train_select_eval_sweep(self, tiny_pipeline):
         wd = tiny_pipeline
         train_cfg = write_config(
@@ -775,6 +786,22 @@ def _malformed_cases():
                 ("nan-std", _model_file(standardization={"means": MODEL["standardization"]["means"],
                                                          "stds": {"f": float("nan"), "g": 1.0}}),
                  "standardization.stds.f"),
+                # the standardization's keys must be exactly the weight codes
+                ("stds-lack-weight", _model_file(standardization={"means": MODEL["standardization"]["means"],
+                                                                  "stds": {"f": 1.8}}),
+                 "a.json: standardization.stds.g: missing required field\n"),
+                ("means-lack-weight", _model_file(standardization={"means": {"g": 0.45},
+                                                                   "stds": MODEL["standardization"]["stds"]}),
+                 "a.json: standardization.means.f: missing required field\n"),
+                ("means-extra-code", _model_file(standardization={"means": {"f": 0.0, "g": 0.45, "h": 0.0},
+                                                                  "stds": MODEL["standardization"]["stds"]}),
+                 "a.json: standardization.means.h: is not a code of weights\n"),
+                # finite parameters whose z-score or score leaves the float range name the trace
+                ("subnormal-std", _model_file(standardization={"means": MODEL["standardization"]["means"],
+                                                               "stds": {"f": 5e-324, "g": 0.35}}),
+                 "error: trace e1: feature f is not finite (inf)\n"),
+                ("score-overflow", _model_file(weights={"f": 1.7e308, "g": 0.5}),
+                 "error: trace e2: score inf is beyond the float range\n"),
                 ("threshold-1", _model_file(threshold=1.0), "threshold: must lie in (0, 1)"),
                 ("threshold-negative", _model_file(threshold=-0.2), "threshold"),
                 ("not-an-object", "[1, 2]", "not a quakebox-model-v1 file"),

@@ -369,10 +369,22 @@ class TestExtractVector:
         vec = extract_vector(rec, reproduction_registry(), ())
         assert tuple(vec.values) == ()
 
+    def test_selected_order_kept(self, rng):
+        records = [make_record(f"t{i}", samples=rng.standard_normal(300)) for i in range(3)]
+        reg = reproduction_registry()
+        in_registry_order = extract_matrix(records, reg, ("W1", "C15"))
+        for vec, ref in zip(extract_matrix(records, reg, ("C15", "W1")), in_registry_order):
+            assert list(vec.values.items()) == [("C15", ref.values["C15"]), ("W1", ref.values["W1"])]
+        assert tuple(extract_vector(records[0], reg, ("C15", "W1")).values) == ("C15", "W1")
+
     def test_unregistered_selection(self, rng):
         rec = make_record(samples=rng.standard_normal(300))
         with pytest.raises(UnknownFeature):
             extract_vector(rec, canonical_registry(), ("C1", "nope"))
+
+    def test_unregistered_selection_without_records(self):
+        with pytest.raises(UnknownFeature):
+            extract_matrix([], canonical_registry(), ("C1", "nope"))
 
     def test_failure_tagged_with_trace_and_code(self):
         rec = make_record(trace_id="flatliner", samples=np.full(300, 1.0))
@@ -539,6 +551,14 @@ class TestStandardization:
         params = StandardizationParams(means={"f": 0.0}, stds={"f": 1.0})
         with pytest.raises(MissingParams):
             standardize_apply([make_vector("c", "noise", g=1.0)], params)
+
+    def test_missing_scale(self):
+        from quakebox.features import StandardizationParams
+
+        # a code with a mean but no scale is missing too, not a KeyError
+        params = StandardizationParams(means={"f": 0.0, "g": 0.0}, stds={"f": 1.0})
+        with pytest.raises(MissingParams, match="for g$"):
+            standardize_apply([make_vector("c", "noise", f=1.0, g=1.0)], params)
 
     def test_apply_equals_per_row_zscore(self, rng):
         vecs = [

@@ -58,8 +58,8 @@ class TestRunEnsemble:
         assert -1.0 <= out[0].val_mcc <= 1.0
 
     def test_full_fraction_runs_equal_a_direct_train(self, monkeypatch):
-        # at subsample_fraction 1.0 every run fits the whole training set at its grid point,
-        # and every pass draws that same set, so each grid point is fitted once
+        # at subsample_fraction 1.0 every run fits the whole training set at its grid point;
+        # every pass draws that same set and refits it, one fit per run
         calls = []
 
         def counting_train(*args, **kwargs):
@@ -71,7 +71,7 @@ class TestRunEnsemble:
         grid = (0.05, 0.02)
         cfg = EnsembleConfig(n_runs=6, lambda_grid=grid, subsample_fraction=1.0, seed=5)
         out = run_ensemble(train_v, val_v, cfg)
-        assert calls == list(grid)
+        assert calls == list(grid) * 3
         assert [r.run_id for r in out] == list(range(cfg.n_runs))
         matrix = FeatureMatrix.from_rows(train_v)
         params = standardize_fit(matrix)
@@ -104,10 +104,10 @@ class TestRunEnsemble:
             assert seen[r] != seen[r + len(grid)]
             assert out[r].weights != out[r + len(grid)].weights
 
-    @pytest.mark.parametrize("fraction,n_fits", [(0.8, 3), (1.0, 1)])
+    @pytest.mark.parametrize("fraction,n_fits", [(0.8, 3), (1.0, 3)])
     def test_one_standardization_per_draw_equals_per_run_fits(self, monkeypatch, fraction, n_fits):
-        # 8 runs over a 3-point grid are 3 draws, the last one partial; a draw of
-        # every row repeats the first, so at fraction 1.0 only that one is fitted
+        # 8 runs over a 3-point grid are 3 draws, the last one partial; each draw,
+        # also one of every row at fraction 1.0, is standardized once
         fitted = []
 
         def counting_fit(data):
