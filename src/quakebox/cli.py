@@ -118,7 +118,7 @@ def _source_paths(cfg: Mapping[str, Any]) -> tuple[dict, dict]:
 
 
 def _load_sources(paths: tuple[dict, dict], trace_ids: Sequence[str]):
-    models = {name: load_model(path) for name, path in paths[0].items()}
+    models = {n: replace(load_model(p), source=f"models.{n}: {p}") for n, p in paths[0].items()}
     return models, {name: bench.ingest_predictions(path, trace_ids) for name, path in paths[1].items()}
 
 

@@ -300,9 +300,9 @@ def periodicity_wang(block: SeriesBlock) -> np.ndarray:
         sub -= (z * q).sum(axis=1)[:, None] * q
     acmax = int(np.ceil(n / 3))
     lags = np.arange(1, acmax + 1)
-    acf = np.stack([np.correlate(s, s, "full")[n : n + acmax] for s in sub]) / (n - lags)
+    acf = np.array([np.correlate(s, s, "full")[n : n + acmax] for s in sub]) / (n - lags)
 
-    slopes = np.diff(acf, axis=1)
+    slopes = acf[:, 1:] - acf[:, :-1]
     rise_in, rise_out = slopes[:, :-1], slopes[:, 1:]
     troughs = (rise_in < 0) & (rise_out > 0)
     peaks = (rise_in > 0) & (rise_out < 0)
@@ -311,7 +311,7 @@ def periodicity_wang(block: SeriesBlock) -> np.ndarray:
     trough = np.maximum.accumulate(np.where(troughs, pos, -1), axis=1)
     peak = acf[:, 1:-1]
     rise = peak - acf[np.arange(len(z))[:, None], trough]
-    hit, first = _first(peaks & (trough >= 0) & ~((rise < 0.01) | (peak < 0)))
+    hit, first = _first(peaks & (trough >= 0) & (rise >= 0.01) & (peak >= 0))
     return np.where(hit, first + 2, 1).astype(float)
 
 
@@ -334,8 +334,8 @@ def embedding_distance_expfit_diff(block: SeriesBlock) -> np.ndarray:
     n = z.shape[1]
     lags = np.minimum(block.acf_zero, n // 10)
     out = np.zeros(len(z))
-    for tau in np.unique(lags).tolist():
-        rows = np.flatnonzero(lags == tau)
+    for tau in sorted(set(lags.tolist())):
+        rows = (lags == tau).nonzero()[0]
         y = z[rows]
         m = n - tau - 1
         d = np.sqrt((y[:, 1 : n - tau] - y[:, :m]) ** 2 + (y[:, tau + 1 :] - y[:, tau:-1]) ** 2)
@@ -353,11 +353,11 @@ def embedding_distance_expfit_diff(block: SeriesBlock) -> np.ndarray:
         width = (hi - lo) / nbins
         # (d - lo) / width is never negative, so only the top needs clipping
         idx = np.minimum(((d - lo[:, None]) / width[:, None]).astype(np.int64), nbins[:, None] - 1)
-        ends = np.cumsum(nbins)
+        ends = nbins.cumsum()
         starts = ends - nbins
         counts = np.bincount((idx + starts[:, None]).ravel(), minlength=ends[-1])
         # per bin: its row, and its index within the row
-        row = np.repeat(np.arange(len(d)), nbins)
+        row = np.arange(len(d)).repeat(nbins)
         k = np.arange(ends[-1]) - starts[row]
         lo_b, width_b, mean_b = lo[row], width[row], mean_d[row, 0]
         centers = 0.5 * ((lo_b + width_b * k) + (lo_b + width_b * (k + 1)))
@@ -438,7 +438,7 @@ def forecast_mean3_residual_spread(block: SeriesBlock) -> np.ndarray:
 # extreme-event timing
 
 
-def threshold_exceedances(z: np.ndarray, order: np.ndarray) -> np.ndarray:
+def threshold_exceedances(z: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The thresholds that C14 and C15 keep, counted by exceedances.
 
     C14 sweeps a row w = z, and C15 the row w = -z, with the thresholds 0,
@@ -447,11 +447,11 @@ def threshold_exceedances(z: np.ndarray, order: np.ndarray) -> np.ndarray:
     threshold 0 alone if none does; the kept thresholds are a prefix of the
     sweep, and for n >= 10 each has at least two exceedances.
 
-    Returns a (2 x rows x n) count: entry [s, r, k - 1] is how many kept
-    thresholds exactly k samples of row r reach, for s = 0 (C14) and s = 1
-    (C15).  Its last nonzero entry in a row is at k = the number of samples
-    at or above 0, which threshold 0 always keeps.  ``order`` is the stable
-    ascending argsort of each row of ``z``.
+    Returns ``(counts, longest)``: ``longest[s, r]`` samples of row r reach
+    threshold 0, which is always kept and has the most exceedances, for s = 0
+    (C14) and s = 1 (C15), and ``counts[s, r, k - 1]`` kept thresholds are
+    reached by exactly k samples, for k up to the block's largest ``longest``.
+    ``order`` is an ascending argsort of each row of ``z``, ties in any order.
 
     Every row's thresholds are a prefix of one grid, so one searchsorted of
     all values into it counts the thresholds each value reaches; exactly k
@@ -459,24 +459,21 @@ def threshold_exceedances(z: np.ndarray, order: np.ndarray) -> np.ndarray:
     (k+1)-th does not.
     """
     rows, n = z.shape
-    step = 0.01
     # each row's values, largest first: z for C14, and -z (by ascending z) for C15
     descending = np.empty((2, rows, n))
     descending[1] = z[np.arange(rows)[:, None], order]
     descending[0] = descending[1, :, ::-1]
     np.negative(descending[1], out=descending[1])
     descending = descending.reshape(2 * rows, n)
-    n_thresh = (descending[:, 0] / step + 1).astype(int)
-    reached = np.searchsorted(np.arange(n_thresh.max()) * step, descending, side="right")
+    n_thresh = (descending[:, 0] / 0.01 + 1).astype(int)
+    reached = np.searchsorted(np.arange(n_thresh.max()) * 0.01, descending, side="right")
     del descending  # freed before the subtract below copies its overlapping operand
-    # a kept threshold has at least `fewest` exceedances: (count - 1) * 100 / n > 2
-    fewest = 2
-    while (fewest - 1) * 100.0 / n <= 2.0:
-        fewest += 1
+    fewest = n // 50 + 2  # a kept threshold's least count: (count - 1) * 100 / n > 2
     n_kept = np.maximum(np.minimum(n_thresh, reached[:, fewest - 1]), 1)
+    longest = (reached > 0).sum(axis=1)  # the values at or above 0
     np.minimum(reached, n_kept[:, None], out=reached)
     reached[:, :-1] -= reached[:, 1:]
-    return reached.reshape(2, rows, n)
+    return reached[:, : longest.max()].reshape(2, rows, -1).copy(), longest.reshape(2, rows)
 
 
 def outlier_timing_positive(block: SeriesBlock) -> np.ndarray:
@@ -485,17 +482,19 @@ def outlier_timing_positive(block: SeriesBlock) -> np.ndarray:
     position (counted from 1) of the samples that reach it, relative to the
     series center, median / (n/2) - 1; then the median of that over the
     kept thresholds."""
-    return _outlier_timing(block.order[:, ::-1], block.exceedances[0])
+    counts, longest = block.exceedances
+    return _outlier_timing(block.order[:, ::-1], counts[0], longest[0])
 
 
 def outlier_timing_negative(block: SeriesBlock) -> np.ndarray:
     """As :func:`outlier_timing_positive` for negative deviations (on -z)."""
-    return _outlier_timing(block.order, block.exceedances[1])
+    counts, longest = block.exceedances
+    return _outlier_timing(block.order, counts[1], longest[1])
 
 
-def _outlier_timing(descending: np.ndarray, kept: np.ndarray) -> np.ndarray:
+def _outlier_timing(descending: np.ndarray, kept: np.ndarray, longest: np.ndarray) -> np.ndarray:
     """C14 or C15 of each row, from its positions by descending value and
-    its counts from :func:`threshold_exceedances`.
+    its counts and ``longest`` from :func:`threshold_exceedances`.
 
     The samples that reach a threshold kept with k exceedances are the first
     k of ``descending`` (ties may come in any order: a threshold never splits
@@ -505,7 +504,6 @@ def _outlier_timing(descending: np.ndarray, kept: np.ndarray) -> np.ndarray:
     middle two, as ``np.median`` takes it.
     """
     n = descending.shape[1]
-    longest = n - np.argmax(kept[:, ::-1] > 0, axis=1)
     out = np.empty(len(descending))
     for k, length in enumerate(longest.tolist()):
         positions = descending[k, :length].tolist()
@@ -520,7 +518,8 @@ def _outlier_timing(descending: np.ndarray, kept: np.ndarray) -> np.ndarray:
         if length % 2:
             bisect.insort(prefix, positions[-1])
             twice.append(2 * prefix[length // 2])
-        picks = np.sort(np.repeat(twice, kept[k, :length]))  # one per kept threshold
+        picks = np.fromiter(twice, np.int64, length).repeat(kept[k, :length])  # one per kept threshold
+        picks.sort()
         middle = picks[[(len(picks) - 1) // 2, len(picks) // 2]].tolist()
         a, b = (0.5 * (t + 2) / (n / 2) - 1 for t in middle)
         out[k] = (a + b) / 2

@@ -58,15 +58,15 @@ class SeriesBlock:
 
     @cached_property
     def order(self) -> np.ndarray:
-        """Stable ascending argsort of each z-scored row (C14, C15)."""
-        return _read_only(np.argsort(self.z, axis=1, kind="stable"))
+        """Ascending argsort of each z-scored row, ties in any order (C14, C15)."""
+        return _read_only(np.argsort(self.z, axis=1))
 
     @cached_property
-    def exceedances(self) -> np.ndarray:
+    def exceedances(self) -> tuple[np.ndarray, np.ndarray]:
         """Per row and count k, how many of the thresholds C14 keeps on z
-        ([0]) and C15 on -z ([1]) exactly k samples reach, as a (2 x rows x
-        n) count (C14, C15; see :func:`catalog.threshold_exceedances`)."""
-        return _read_only(catalog.threshold_exceedances(self.z, self.order))
+        ([0]) and C15 on -z ([1]) exactly k samples reach, and the largest k
+        of each row (C14, C15; see :func:`catalog.threshold_exceedances`)."""
+        return tuple(map(_read_only, catalog.threshold_exceedances(self.z, self.order)))
 
     @cached_property
     def acf(self) -> np.ndarray:
@@ -92,7 +92,7 @@ class SeriesBlock:
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
-    view.flags.writeable = False
+    view.setflags(write=False)
     return view
 
 
@@ -156,22 +156,25 @@ class FeatureRegistry:
             # order of operations, sharing the deviations between them
             dev = x - x.sum(axis=1, keepdims=True) / n
             sd = np.sqrt((dev * dev).sum(axis=1) / (n - 1))
-            rows = np.flatnonzero(sd > 0)
+            rows = (sd > 0).nonzero()[0]
+            # the kernels write straight into values unless a row is constant
+            out = values[:, :cut] if len(rows) == len(x) else np.empty((len(rows), cut))
             if len(rows) < len(x):
                 message = f"{defs[0].code} is undefined on a constant series"
                 failures = dict.fromkeys(np.flatnonzero(~(sd > 0)).tolist(), message)
                 x, dev, sd = x[rows], dev[rows], sd[rows]
             if len(rows):
                 shared = SeriesBlock(x, dev, dev / sd[:, None])
-                out = np.empty((len(rows), cut))
                 for j, d in enumerate(defs[:cut]):
                     out[:, j] = d.func(shared)
                 finite = np.isfinite(out)
-                for k in np.flatnonzero(~finite.all(axis=1)).tolist():
-                    j = int(np.argmin(finite[k]))
-                    failures[int(rows[k])] = f"{defs[j].code} produced a non-finite value"
-                    out[k, j:] = np.nan
-                values[rows, :cut] = out
+                if not finite.all():
+                    for k in np.flatnonzero(~finite.all(axis=1)).tolist():
+                        j = int(np.argmin(finite[k]))
+                        failures[int(rows[k])] = f"{defs[j].code} produced a non-finite value"
+                        out[k, j:] = np.nan
+                if len(rows) < len(values):
+                    values[rows, :cut] = out
         if cut < len(defs):
             d = defs[cut]
             message = f"{d.code} needs a 1-D series of at least {d.min_length} samples, got {x.shape[1:]}"

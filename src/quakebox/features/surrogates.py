@@ -26,7 +26,8 @@ if TYPE_CHECKING:
 
 def root_mean_square(block: SeriesBlock) -> np.ndarray:
     """RMS amplitude of the trace."""
-    return np.sqrt(np.mean(block.raw**2, axis=1))
+    # .sum(axis=1) / n is .mean(axis=1), bit for bit, without its Python overhead
+    return np.sqrt((block.raw**2).sum(axis=1) / block.raw.shape[1])
 
 
 def dominant_frequency(block: SeriesBlock) -> np.ndarray:

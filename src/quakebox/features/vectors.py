@@ -86,17 +86,17 @@ def extract_matrix(
     order, so a single bad trace cannot silently shrink a dataset.
     """
     records = list(records)
-    codes = registry.codes() if selected is None else tuple(registry.get(c).code for c in selected)
+    codes = registry.codes() if selected is None else tuple([registry.get(c).code for c in selected])
     vectors: List[FeatureVector | None] = [None] * len(records)
     failures: dict[int, str] = {}
     for rows in blocks(rec.samples.size for rec in records):
-        values, failed = registry.extract_block(codes, np.stack([records[i].samples for i in rows]))
-        for k, i in enumerate(rows):
+        values, failed = registry.extract_block(codes, np.array([records[i].samples for i in rows]))
+        for k, (i, row) in enumerate(zip(rows, values.tolist())):
             rec = records[i]
             if k in failed:
                 failures[i] = f"trace {rec.trace_id}: {failed[k]}"
             else:
-                vectors[i] = FeatureVector(rec.trace_id, dict(zip(codes, values[k].tolist())), rec.label)
+                vectors[i] = FeatureVector(rec.trace_id, dict(zip(codes, row)), rec.label)
     if failures:
         raise DegenerateSeries(
             f"{len(failures)} trace(s) failed feature extraction: "
@@ -123,7 +123,7 @@ class FeatureMatrix:
 
     def __post_init__(self) -> None:
         X = np.array(self.X, dtype=float, order="C")
-        X.flags.writeable = False
+        X.setflags(write=False)
         object.__setattr__(self, "X", X)
         if X.shape != (len(self.trace_ids), len(self.codes)) or len(self.labels) != len(X):
             raise ShapeMismatch(f"{X.shape} matrix for {len(self.trace_ids)} trace ids, "
@@ -215,6 +215,7 @@ def standardize_fit(data: Rows) -> StandardizationParams:
     )
 
 
+@np.errstate(over="ignore")  # a z-score beyond the float range is refused below, naming the std
 def standardize_apply(data: Rows, params: StandardizationParams) -> FeatureMatrix:
     """Z-score every row with previously fitted parameters."""
     m = FeatureMatrix.from_rows(data)
@@ -223,8 +224,14 @@ def standardize_apply(data: Rows, params: StandardizationParams) -> FeatureMatri
         raise MissingParams(f"no standardization params for {', '.join(missing)}")
     means = np.array([params.means[c] for c in m.codes])
     stds = np.array([params.stds[c] for c in m.codes])
-    with np.errstate(over="ignore"):  # FeatureMatrix refuses a z-score beyond the float range
-        return replace(m, X=(m.X - means) / stds)
+    z = (m.X - means) / stds
+    try:
+        return FeatureMatrix(z, m.codes, m.trace_ids, m.labels)
+    except FormatError:  # the one check FeatureMatrix makes of a matrix of the right shape
+        i, j = np.argwhere(~np.isfinite(z))[0]
+        raise FormatError(f"standardization.stds.{m.codes[j]}: {stds[j].item()!r} takes the z-score of trace "
+                          f"{m.trace_ids[i]} beyond the float range (value {m.X[i, j].item()!r}, "
+                          f"mean {means[j].item()!r})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import fields
-from .errors import DegenerateLabels, FormatError
+from .errors import DegenerateLabels, FormatError, QuakeboxError
 from .features.vectors import FeatureMatrix, FeatureVector, StandardizationParams, standardize_apply
 
 
@@ -94,18 +94,21 @@ def penalty(weights: Sequence[float], cfg: PenaltyConfig) -> float:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(-np.abs(z))  # never overflows: exp of a non-positive number
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    # 1 / (1 + ez) where z >= 0, else ez / (1 + ez): ez lies in [0, 1]
+    return np.maximum(ez, z >= 0) / (1.0 + ez)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a score beyond the float range is refused below
 def predict_proba(model: LinearModel, rows: FeatureMatrix) -> np.ndarray:
     """Event probability for each standardized row, in row order."""
     X = rows.columns(model.codes()).X
     # summed column by column, each row's score is exactly the scalar
     # bias + w_1 x_1 + ... + w_p x_p; bias + X @ w may differ in the last bits
-    z = np.full(X.shape[0], model.bias, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # a score beyond the float range is refused below
-        for j, w in enumerate(model.weights.values()):
-            z += w * X[:, j]
+    w = np.fromiter(model.weights.values(), float, X.shape[1])
+    terms = np.multiply(X.T, w[:, None], order="C")  # row j: w_j x_j of every row, contiguous
+    z = np.full(len(X), model.bias, dtype=float)
+    for term in terms:
+        z = z + term  # numpy adds a small array in place more slowly
     if not np.isfinite(z).all():
         i = int(np.argmin(np.isfinite(z)))
         raise FormatError(f"trace {rows.trace_ids[i]}: score {z[i]} is beyond the float range")
@@ -361,10 +364,17 @@ class ModelArtifact:
 
     model: LinearModel
     standardization: StandardizationParams
+    source: str = field(default="", compare=False)  # prefixed to a scoring error, e.g. "models.lr: lr.json"
 
     def predict_labels(self, raws: FeatureMatrix) -> list[str]:
         """Standardize raw rows with the training-time params and classify them."""
-        return classify(self.model, standardize_apply(raws.columns(self.model.codes()), self.standardization))
+        try:
+            standardized = standardize_apply(raws.columns(self.model.codes()), self.standardization)
+            return classify(self.model, standardized)
+        except QuakeboxError as exc:
+            if self.source:
+                exc.args = (f"{self.source}: {exc}",)
+            raise
 
     def predict_label(self, raw: FeatureVector) -> str:
         """Label one raw vector: ``predict_labels`` on a batch of one."""

@@ -265,7 +265,7 @@ def _preprocess_block(group: Sequence[WaveformRecord], cfg: PreprocessConfig) ->
     (traces x samples) block; the caller names the trace an error applies to."""
     fs = group[0].sample_rate
     # row by row: one line fit over the whole block rounds differently
-    x = bandpass(np.stack([demean(detrend_linear(r.samples)) for r in group]), fs, cfg)
+    x = bandpass(np.array([demean(detrend_linear(r.samples)) for r in group]), fs, cfg)
     factor = cfg.downsample_factor
     bandlimited = cfg.band_high_hz < fs / 2 / factor  # 2 * factor may pass the float range
     try:

@@ -551,6 +551,21 @@ def _malformed_cases():
                 ("noise", "n1\tnoise\t-1.0\t0.3\nn2\tnoise\t-2.0\t0.9\n", "noise_pool_input"),
             )
         ),
+        *(
+            # of several models, the one that cannot score the input is named with its file
+            _case(f"{command}-model-lacks-a-feature", command,
+                  lambda d, inputs=inputs: {**inputs(d), "models": {"ok": d("ok.json"), "miss": d("miss.json")},
+                                            "output": d("o.json")},
+                  {m: MATRIX, "ok.json": _model_file(),
+                   "miss.json": _model_file(weights={"f": 1.0, "h": -0.5},
+                                            standardization={"means": {"f": 0.0, "h": 0.45},
+                                                             "stds": {"f": 1.8, "h": 0.35}})},
+                  ("error: models.miss: ", "miss.json: feature matrix lacks feature(s) h\n"))
+            for command, inputs in (
+                ("eval", lambda d: {"input": d(m)}),
+                ("sweep", lambda d: {"positives_input": d(m), "noise_pool_input": d(m), "ratios": [1.0]}),
+            )
+        ),
         _case("select-base-feature-not-str", "select",
               lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
                          "base_features": ["f", 5]}, {m: MATRIX}, "base_features[1]: expected str"),
@@ -796,12 +811,14 @@ def _malformed_cases():
                 ("means-extra-code", _model_file(standardization={"means": {"f": 0.0, "g": 0.45, "h": 0.0},
                                                                   "stds": MODEL["standardization"]["stds"]}),
                  "a.json: standardization.means.h: is not a code of weights\n"),
-                # finite parameters whose z-score or score leaves the float range name the trace
+                # finite parameters whose z-score or score leaves the float range name the
+                # model, its file and field, and the trace
                 ("subnormal-std", _model_file(standardization={"means": MODEL["standardization"]["means"],
                                                                "stds": {"f": 5e-324, "g": 0.35}}),
-                 "error: trace e1: feature f is not finite (inf)\n"),
+                 ("error: models.a: ", "a.json: standardization.stds.f: 5e-324 takes the z-score of trace e1 "
+                                       "beyond the float range (value 1.0, mean 0.0)\n")),
                 ("score-overflow", _model_file(weights={"f": 1.7e308, "g": 0.5}),
-                 "error: trace e2: score inf is beyond the float range\n"),
+                 ("error: models.a: ", "a.json: trace e2: score inf is beyond the float range\n")),
                 ("threshold-1", _model_file(threshold=1.0), "threshold: must lie in (0, 1)"),
                 ("threshold-negative", _model_file(threshold=-0.2), "threshold"),
                 ("not-an-object", "[1, 2]", "not a quakebox-model-v1 file"),

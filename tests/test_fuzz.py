@@ -1,4 +1,4 @@
-"""Property-based fuzzing of the model and matrix readers through ``quakebox eval``.
+"""Property-based fuzzing of the model, matrix and prediction readers through ``quakebox eval``.
 
 Each input is a valid file broken one way: bytes replaced, deleted or
 inserted; a key deleted; or a value swapped for one of another JSON type.
@@ -41,13 +41,17 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def _eval(workdir, model: bytes, matrix: bytes) -> int:
-    """``quakebox eval`` of one model on one matrix; the exit code."""
+def _eval(workdir, model: bytes, matrix: bytes, predictions: bytes | None = None) -> int:
+    """``quakebox eval`` of one model, and a prediction file if given, on one
+    matrix; the exit code."""
     (workdir / "model.json").write_bytes(model)
     (workdir / "m.tsv").write_bytes(matrix)
+    sources = {"models": {"lr": str(workdir / "model.json")}}
+    if predictions is not None:
+        (workdir / "p.tsv").write_bytes(predictions)
+        sources["predictions"] = {"p": str(workdir / "p.tsv")}
     cfg = workdir / "cfg.json"
-    cfg.write_text(json.dumps({"input": str(workdir / "m.tsv"), "models": {"lr": str(workdir / "model.json")},
-                               "output": str(workdir / "eval.json")}))
+    cfg.write_text(json.dumps({"input": str(workdir / "m.tsv"), **sources, "output": str(workdir / "eval.json")}))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(["eval", "-c", str(cfg)])
 
@@ -95,6 +99,8 @@ def _changed(doc, path, value=...):
 
 
 MODEL_BYTES = json.dumps(MODEL, indent=2).encode()
+# a probability file for MATRIX's traces, with a threshold on every row
+PREDICTIONS = b"trace_id\tprobability\tthreshold\ne1\t0.9\t0.5\ne2\t0.25\t0.2\nn1\t0.1\t0.5\nn2\t0.5\t0.75\n"
 MODEL_PATHS = list(_paths(MODEL))
 JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-10**400, 10**400), st.floats(),
                         st.text(max_size=4), st.just([]), st.just([1.0]), st.just({}), st.just({"f": 1.0}))
@@ -102,6 +108,7 @@ JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-10**400, 10**400)
 
 def test_unbroken_files_evaluate(workdir):
     assert _eval(workdir, MODEL_BYTES, MATRIX.encode()) == 0
+    assert _eval(workdir, MODEL_BYTES, MATRIX.encode(), PREDICTIONS) == 0
 
 
 @FUZZ
@@ -126,3 +133,9 @@ def test_model_type_swaps(workdir, path, value):
 @given(matrix=_edits(MATRIX.encode()))
 def test_matrix_byte_mutations(workdir, matrix):
     assert _eval(workdir, MODEL_BYTES, matrix) in (0, 2)
+
+
+@FUZZ
+@given(predictions=_edits(PREDICTIONS))
+def test_prediction_byte_mutations(workdir, predictions):
+    assert _eval(workdir, MODEL_BYTES, MATRIX.encode(), predictions) in (0, 2)
