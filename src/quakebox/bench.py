@@ -23,7 +23,6 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DegenerateInput,
     IngestError,
     InsufficientNoise,
@@ -194,45 +193,31 @@ class SweepTable:
 
 
 def sweep(
-    models: Mapping[str, ModelArtifact],
+    sources: Mapping[str, ModelArtifact | Predictions],
     positives: FeatureMatrix,
     noise_pool: FeatureMatrix,
     spec: RatioSpec,
-    external_preds: Mapping[str, Mapping[str, str]] | None = None,
 ) -> SweepTable:
-    """Evaluate every model and prediction source at every ratio.
+    """Evaluate every source, a model or a predictions file, at every ratio.
 
     Models were trained once at the baseline ratio and are reused as-is;
     only the evaluation set composition changes.  The draws are nested, so
     each ratio is scored on its prefix of the largest ratio's dataset,
-    labelled once per source.  External sources must cover every trace id
-    the ladder can draw.
+    labelled once per source through its ``predict_labels``.  A predictions
+    file must cover every trace id the ladder draws.
     """
     if set(positives.labels) != {"event"}:
         raise DegenerateInput("positives must all carry the event label")
     if set(noise_pool.labels) != {"noise"}:
         raise DegenerateInput("noise pool must all carry the noise label")
-    external_preds = external_preds or {}
-    for name in external_preds:
-        if name in models:
-            raise ConfigError(f"external_preds.{name}", "names a source already in models")
-    sources = tuple(models) + tuple(external_preds)
     items = build_ratio_dataset(positives, noise_pool, max(spec.ratios), spec.seed).items
-    preds = {name: artifact.predict_labels(items) for name, artifact in models.items()}
-    for name, pred_map in external_preds.items():
-        missing = [tid for tid in items.trace_ids if tid not in pred_map]
-        if missing:
-            raise IngestError(
-                f"prediction source {name!r} missing {len(missing)} trace id(s): "
-                + ", ".join(sorted(missing)[:10])
-            )
-        preds[name] = [pred_map[tid] for tid in items.trace_ids]
+    preds = {name: source.predict_labels(items) for name, source in sources.items()}
     reports: Dict[Tuple[str, float], EvalReport] = {}
     for ratio in spec.ratios:
         n = len(positives) + _noise_count(ratio, len(positives), len(noise_pool))
         for name in sources:
             reports[(name, ratio)] = report(items.labels[:n], preds[name][:n])
-    return SweepTable(sources=sources, ratios=tuple(spec.ratios), reports=reports)
+    return SweepTable(sources=tuple(sources), ratios=tuple(spec.ratios), reports=reports)
 
 
 SWEEP_FORMAT = "quakebox-sweep-v1"
@@ -463,9 +448,25 @@ def _unit_interval(cell: str, column: str, path: str | Path, lineno: int) -> flo
     return value
 
 
+class Predictions(dict):
+    """An external detector's trace_id -> label map, read from ``path``: it
+    labels a feature matrix's rows as a :class:`ModelArtifact` does."""
+
+    def __init__(self, labels: Mapping[str, str], path: str | Path) -> None:
+        super().__init__(labels)
+        self.path = path
+
+    def predict_labels(self, rows: FeatureMatrix) -> List[str]:
+        """Each row's label, looked up by its trace id; an id the file lacks is refused."""
+        missing = sorted({tid for tid in rows.trace_ids if tid not in self})
+        if missing:
+            raise IngestError(f"{self.path}: missing {len(missing)} trace id(s): " + ", ".join(missing[:10]))
+        return [self[tid] for tid in rows.trace_ids]
+
+
 def ingest_predictions(
     path: str | Path, expected_trace_ids: Iterable[str]
-) -> Dict[str, str]:
+) -> Predictions:
     """Read a predictions file and return a complete trace_id -> label map.
 
     The TSV needs a ``trace_id`` column and either ``label`` or
@@ -508,4 +509,4 @@ def ingest_predictions(
         raise IngestError(
             f"{path}: missing {len(missing)} trace id(s): " + ", ".join(sorted(missing)[:10])
         )
-    return {tid: out[tid] for tid in out if tid in expected}
+    return Predictions({tid: out[tid] for tid in out if tid in expected}, path)

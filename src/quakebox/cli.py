@@ -30,6 +30,7 @@ from . import bench, fields, selection
 from .errors import ConfigError, QuakeboxError
 from .features import (
     BASE_FEATURES,
+    FeatureMatrix,
     FeatureRegistry,
     canonical_registry,
     extract_matrix,
@@ -101,9 +102,24 @@ def _feature_codes(cfg: Mapping[str, Any], registry: FeatureRegistry):
     for i, code in enumerate(codes):
         if code not in registry:
             raise ConfigError(f"features[{i}]", f"{code} is not a registered feature code")
-        if codes.index(code) < i:
-            raise ConfigError(f"features[{i}]", f"{code} repeats features[{codes.index(code)}]")
+    _refuse_repeats("features", codes)
     return codes
+
+
+def _refuse_repeats(field: str, values: Sequence) -> None:
+    """Refuses the first entry of the list ``field`` that repeats an earlier one."""
+    for i, value in enumerate(values):
+        if values.index(value) < i:
+            raise ConfigError(f"{field}[{i}]", f"{value} repeats {field}[{values.index(value)}]")
+
+
+def _columns_of(field: str, path: str, matrix: FeatureMatrix, codes: Sequence[str], of: str) -> FeatureMatrix:
+    """The matrix read from ``path`` at ``field`` on ``codes``, the columns of
+    the input at ``of``: it may hold more columns, but none fewer."""
+    missing = [code for code in codes if code not in matrix.codes]
+    if missing:
+        raise ConfigError(field, f"{path} lacks feature(s) {', '.join(missing)} of {of}")
+    return matrix.columns(codes)
 
 
 def _source_paths(cfg: Mapping[str, Any]) -> tuple[dict, dict]:
@@ -117,9 +133,9 @@ def _source_paths(cfg: Mapping[str, Any]) -> tuple[dict, dict]:
     return models, predictions
 
 
-def _load_sources(paths: tuple[dict, dict], trace_ids: Sequence[str]):
-    models = {n: replace(load_model(p), source=f"models.{n}: {p}") for n, p in paths[0].items()}
-    return models, {name: bench.ingest_predictions(path, trace_ids) for name, path in paths[1].items()}
+def _load_sources(paths: tuple[dict, dict], trace_ids: Sequence[str]) -> dict:
+    return {**{n: replace(load_model(p), source=f"models.{n}: {p}") for n, p in paths[0].items()},
+            **{n: bench.ingest_predictions(p, trace_ids) for n, p in paths[1].items()}}
 
 
 def _forbid_test_role(field: str, role: str) -> None:
@@ -224,8 +240,8 @@ def cmd_select(cfg: dict, master: int, out_dir: str | None) -> None:
     for i, code in enumerate(base):
         if code not in train_matrix.codes:
             raise ConfigError(f"base_features[{i}]", f"{code} is not a column of train_input")
-        if base.index(code) < i:
-            raise ConfigError(f"base_features[{i}]", f"{code} repeats base_features[{base.index(code)}]")
+    _refuse_repeats("base_features", base)
+    val_matrix = _columns_of("validation_input", val_source, val_matrix, train_matrix.codes, "train_input")
     report_obj = selection.discover_features(train_matrix, val_matrix, ecfg, rule, base=base)
     selection.save_selection_report(out, report_obj)
     unconverged = [r.run_id for r in report_obj.runs if not r.converged]
@@ -266,10 +282,8 @@ def cmd_eval(cfg: dict, master: int, out_dir: str | None) -> None:
     matrix, role = read_matrix(source)
     _warn_on_fitting_role("input", source, role)
     labels = matrix.labels
-    models, predictions = _load_sources(paths, matrix.trace_ids)
-    per_source_preds = {name: art.predict_labels(matrix) for name, art in models.items()}
-    for name, pred_map in predictions.items():
-        per_source_preds[name] = [pred_map[tid] for tid in matrix.trace_ids]
+    sources = _load_sources(paths, matrix.trace_ids)
+    per_source_preds = {name: src.predict_labels(matrix) for name, src in sources.items()}
     results = {name: report(labels, preds).to_dict() for name, preds in per_source_preds.items()}
     names = list(per_source_preds)
     comparisons = []
@@ -290,6 +304,7 @@ def cmd_eval(cfg: dict, master: int, out_dir: str | None) -> None:
 
 def cmd_sweep(cfg: dict, master: int, out_dir: str | None) -> None:
     spec = fields.spec(bench.RatioSpec, cfg, "", ConfigError, seed=derive_seed(master, "sweep"))
+    _refuse_repeats("ratios", spec.ratios)
     positives_source = fields.get(cfg, "positives_input", str, ConfigError)
     pool_source = fields.get(cfg, "noise_pool_input", str, ConfigError)
     paths = _source_paths(cfg)
@@ -301,14 +316,15 @@ def cmd_sweep(cfg: dict, master: int, out_dir: str | None) -> None:
     pool, pool_role = read_matrix(pool_source)
     _warn_on_fitting_role("positives_input", positives_source, positives_role)
     _warn_on_fitting_role("noise_pool_input", pool_source, pool_role)
+    pool = _columns_of("noise_pool_input", pool_source, pool, positives.codes, "positives_input")
     positives = positives.take(positives.is_event)
     pool = pool.take(~pool.is_event)
     if not positives:
         raise ConfigError("positives_input", f"{positives_source} holds no event rows")
     if not pool:
         raise ConfigError("noise_pool_input", f"{pool_source} holds no noise rows")
-    models, predictions = _load_sources(paths, positives.trace_ids + pool.trace_ids)
-    table = bench.sweep(models, positives, pool, spec, external_preds=predictions)
+    sources = _load_sources(paths, positives.trace_ids + pool.trace_ids)
+    table = bench.sweep(sources, positives, pool, spec)
     bench.save_sweep(out, table)
     if text_out:
         Path(_resolve(out_dir, text_out)).write_text(table.render_text(), encoding="utf-8")

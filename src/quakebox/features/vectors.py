@@ -35,7 +35,7 @@ from ..errors import (
     ShapeMismatch,
     ZeroVariance,
 )
-from ..fields import text_file
+from ..fields import text_file, unique_ids
 from ..waveform import LABELS, WaveformRecord, blocks, check_role
 from .registry import FeatureRegistry
 
@@ -284,7 +284,8 @@ def read_table(path: str | Path, fh: TextIO, lineno: int) -> Tuple[List[str], It
 
 
 def read_matrix(path: str | Path) -> Tuple[FeatureMatrix, str]:
-    """Read a TSV feature matrix; returns (matrix, role)."""
+    """Read a TSV feature matrix; returns (matrix, role).  A bad row, or one
+    that repeats an earlier row's trace id, fails naming the file and line."""
     with text_file(path) as fh:
         tokens = fh.readline().split()
         if tokens[:2] != FORMAT_LINE_PREFIX.split():
@@ -313,6 +314,7 @@ def read_matrix(path: str | Path) -> Tuple[FeatureMatrix, str]:
             linenos.append(lineno)
     if not trace_ids:
         raise FormatError(f"{path}: no data rows")
+    unique_ids(path, trace_ids, linenos)
     X = np.array(cells).reshape(len(trace_ids), len(codes))
     try:
         return FeatureMatrix(X, codes, tuple(trace_ids), tuple(labels)), role

@@ -14,6 +14,8 @@ a key that names no field refused as ``section.key: unknown field``.
 
 A waveform record's samples are read by :func:`numbers` (a v1 JSON
 array) or :func:`float64le` (v2 base64 of float64 bytes).
+:func:`unique_ids` refuses a trace id that repeats in a waveform or
+matrix file.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 import re
 import typing
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, TextIO
+from typing import Any, Callable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -166,6 +168,16 @@ def table(doc: Mapping[str, Any], field: str, kind: type, fail: Fail, default=_R
 def in_file(path: str | Path, line: int | None = None) -> Fail:
     """``fail`` for a data file: a FormatError naming the file (and the line)."""
     return lambda field, why: FormatError(f"{path}: {field}: {why}", line=line)
+
+
+def unique_ids(path: str | Path, ids: Sequence[str], lines: Sequence[int]) -> None:
+    """Refuses the first trace id of a data file that repeats an earlier one,
+    naming its line and the line that first holds it."""
+    if len(set(ids)) < len(ids):
+        first: dict = {}
+        for tid, line in zip(ids, lines):
+            if first.setdefault(tid, line) != line:
+                raise FormatError(f"{path}: trace_id {tid} repeats line {first[tid]}", line=line)
 
 
 def under(prefix: str, fail: Fail) -> Fail:

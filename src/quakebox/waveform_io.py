@@ -61,9 +61,10 @@ def read_waveforms(path: str | Path) -> Tuple[List[WaveformRecord], str]:
     """Read a waveform file of either format version; returns (records, role).
 
     Raises :class:`FormatError` with the offending line number on any
-    malformed line, mistyped field or invariant violation.
+    malformed line, mistyped field, invariant violation or repeated trace id.
     """
     records: List[WaveformRecord] = []
+    linenos: List[int] = []
     with fields.text_file(path) as fh:
         header_line = fh.readline()
         if not header_line:
@@ -95,4 +96,6 @@ def read_waveforms(path: str | Path) -> Tuple[List[WaveformRecord], str]:
             except (ValueError, TypeError) as exc:
                 raise FormatError(f"{path}: {exc}", line=lineno) from exc
             records.append(rec)
+            linenos.append(lineno)
+    fields.unique_ids(path, [rec.trace_id for rec in records], linenos)
     return records, role

@@ -234,7 +234,7 @@ def _sweep_trend_one_corpus(seed: int):
     flagged = set(np.array(ids)[rng.permutation(len(ids))[: max(1, int(0.75 * len(ids)))]])
     preds = {tid: ("event" if tid in flagged else "noise") for tid in ids}
     preds.update({v.trace_id: "noise" for v in pool})
-    table2 = bench.sweep({}, positives, noise_pool, spec_ratios, external_preds={"fp0": preds})
+    table2 = bench.sweep({"fp0": bench.Predictions(preds, "fp0")}, positives, noise_pool, spec_ratios)
     fp0_row = table2.mcc_row("fp0")
 
     lr_monotone_down = all(b <= a + 1e-12 for a, b in zip(lr_row, lr_row[1:]))

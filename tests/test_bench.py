@@ -8,7 +8,6 @@ import pytest
 
 from quakebox import bench
 from quakebox.errors import (
-    ConfigError,
     DegenerateInput,
     FormatError,
     IngestError,
@@ -154,9 +153,9 @@ class TestSweep:
         return positives, pool
 
     @staticmethod
-    def sweep(models, positives, pool, spec, **kw):
+    def sweep(sources, positives, pool, spec):
         positives, pool = FeatureMatrix.from_rows(positives), FeatureMatrix.from_rows(pool)
-        return bench.sweep(models, positives, pool, spec, **kw)
+        return bench.sweep(sources, positives, pool, spec)
 
     def artifact(self):
         from quakebox.features import StandardizationParams
@@ -180,7 +179,8 @@ class TestSweep:
         preds = {v.trace_id: "event" if hit else "noise" for v, hit in zip(positives + pool, coin)}
         artifact = replace(self.artifact(), model=LinearModel(bias=-7.5, weights={"f": 5.0}))
         spec = bench.RatioSpec(ratios=(5.0, 1.73, 50.0, 3.0), seed=8)
-        table = self.sweep({"lr": artifact}, positives, pool, spec, external_preds={"coin": preds})
+        sources = {"lr": artifact, "coin": bench.Predictions(preds, "coin.tsv")}
+        table = self.sweep(sources, positives, pool, spec)
         P, N = FeatureMatrix.from_rows(positives), FeatureMatrix.from_rows(pool)
         for ratio in spec.ratios:
             items = bench.build_ratio_dataset(P, N, ratio, spec.seed).items
@@ -188,55 +188,46 @@ class TestSweep:
             assert table.reports[("coin", ratio)] == report(items.labels, [preds[t] for t in items.trace_ids])
         assert 0 < table.mcc_row("lr")[0] < 1
 
-    def test_source_named_by_a_model_and_a_prediction_file_refused(self):
-        # the file's predictions would replace the model's under the one name
-        positives, pool = self.setup_case()
-        preds = {v.trace_id: "noise" for v in positives + pool}
-        with pytest.raises(ConfigError, match=r"^external_preds.lr: names a source already in models$"):
-            self.sweep({"lr": self.artifact()}, positives, pool, bench.RatioSpec(seed=1),
-                       external_preds={"lr": preds})
-
     def test_all_noise_predictor_scores_zero_everywhere(self):
         positives, pool = self.setup_case()
         preds = {v.trace_id: "noise" for v in positives + pool}
-        table = self.sweep({}, positives, pool, bench.RatioSpec(seed=2),
-                           external_preds={"lazy": preds})
+        table = self.sweep({"lazy": bench.Predictions(preds, "lazy.tsv")}, positives, pool,
+                           bench.RatioSpec(seed=2))
         assert table.mcc_row("lazy") == [0.0] * 5
 
     def test_oracle_predictor_scores_one_everywhere(self):
         positives, pool = self.setup_case()
         preds = {v.trace_id: v.label for v in positives + pool}
-        table = self.sweep({}, positives, pool, bench.RatioSpec(seed=3),
-                           external_preds={"oracle": preds})
+        table = self.sweep({"oracle": bench.Predictions(preds, "oracle.tsv")}, positives, pool,
+                           bench.RatioSpec(seed=3))
         assert table.mcc_row("oracle") == [pytest.approx(1.0)] * 5
 
     def test_fp_free_fixed_fn_predictor_non_decreasing(self):
         positives, pool = self.setup_case()
         preds = {v.trace_id: "noise" for v in pool}
         preds.update({v.trace_id: ("event" if i % 4 else "noise") for i, v in enumerate(positives)})
-        table = self.sweep({}, positives, pool, bench.RatioSpec(seed=4),
-                           external_preds={"cnnish": preds})
+        table = self.sweep({"cnnish": bench.Predictions(preds, "cnnish.tsv")}, positives, pool,
+                           bench.RatioSpec(seed=4))
         row = table.mcc_row("cnnish")
         assert all(b >= a - 1e-12 for a, b in zip(row, row[1:]))
 
     def test_missing_external_id_fails(self):
         positives, pool = self.setup_case()
         preds = {v.trace_id: "noise" for v in pool}
-        with pytest.raises(IngestError, match="p0"):
-            self.sweep({}, positives, pool, bench.RatioSpec(seed=5),
-                       external_preds={"partial": preds})
+        with pytest.raises(IngestError, match=r"^partial.tsv: missing 10 trace id\(s\): p0, p1, "):
+            self.sweep({"partial": bench.Predictions(preds, "partial.tsv")}, positives, pool,
+                       bench.RatioSpec(seed=5))
 
     def test_label_hygiene(self):
         positives, pool = self.setup_case()
         with pytest.raises(DegenerateInput):
-            self.sweep({}, pool[:3], pool, bench.RatioSpec(seed=6),
-                       external_preds={"x": {}})
+            self.sweep({"x": bench.Predictions({}, "x.tsv")}, pool[:3], pool, bench.RatioSpec(seed=6))
 
     def test_render_text_table(self):
         positives, pool = self.setup_case()
         preds = {v.trace_id: v.label for v in positives + pool}
-        table = self.sweep({}, positives, pool, bench.RatioSpec(ratios=(1.0, 2.0), seed=7),
-                           external_preds={"oracle": preds})
+        table = self.sweep({"oracle": bench.Predictions(preds, "oracle.tsv")}, positives, pool,
+                           bench.RatioSpec(ratios=(1.0, 2.0), seed=7))
         text = table.render_text()
         assert "oracle" in text and "1.0000" in text
 

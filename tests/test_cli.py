@@ -9,6 +9,7 @@ import pytest
 
 from quakebox.cli import main
 from quakebox.features import read_matrix
+from quakebox.model import load_model
 from quakebox.selection import load_selection_report
 
 
@@ -439,6 +440,65 @@ def _model_file(**changes):
     return json.dumps({k: v for k, v in model.items() if v is not None})
 
 
+def test_a_predictions_file_of_a_models_labels_scores_as_the_model(workdir):
+    # a model and a file holding its labels are one kind of source: eval and
+    # sweep label both through predict_labels, so their metrics and cells agree
+    rng = np.random.default_rng(11)
+    lines = ["# quakebox-features-v1 role=test", "trace_id\tlabel\tf\tg"]
+    for i in range(60):
+        label = "event" if i < 12 else "noise"
+        f, g = rng.normal(0.8 if label == "event" else -0.4, 1.0, 2).tolist()
+        lines.append(f"t{i:02d}\t{label}\t{f!r}\t{g!r}")
+    (workdir / "m.tsv").write_text("\n".join(lines) + "\n")
+    (workdir / "lr.json").write_text(_model_file())
+    matrix, _ = read_matrix(workdir / "m.tsv")
+    labels = load_model(workdir / "lr.json").predict_labels(matrix)
+    assert 0 < labels.count("event") < len(labels) and labels != list(matrix.labels)
+    (workdir / "lr.tsv").write_text(
+        "trace_id\tlabel\n" + "".join(f"{t}\t{lab}\n" for t, lab in zip(matrix.trace_ids, labels)))
+    sources = {"models": {"lr": str(workdir / "lr.json")}, "predictions": {"file": str(workdir / "lr.tsv")}}
+
+    cfg = write_config(workdir, "eval.json", {"input": str(workdir / "m.tsv"), **sources,
+                                              "output": str(workdir / "eval.out")})
+    assert run(["eval", "-c", cfg]) == 0
+    payload = json.loads((workdir / "eval.out").read_text())
+    assert payload["sources"]["file"] == payload["sources"]["lr"]
+    assert (payload["mcnemar"][0]["b"], payload["mcnemar"][0]["c"]) == (0, 0)
+
+    cfg = write_config(workdir, "sweep.json", {
+        "positives_input": str(workdir / "m.tsv"), "noise_pool_input": str(workdir / "m.tsv"), **sources,
+        "ratios": [1.0, 2.5, 4.0], "output": str(workdir / "sweep.out")})
+    assert run(["sweep", "-c", cfg]) == 0
+    cells = json.loads((workdir / "sweep.out").read_text())["cells"]
+    by_source = {name: [{k: v for k, v in c.items() if k != "source"} for c in cells if c["source"] == name]
+                 for name in ("lr", "file")}
+    assert len(by_source["lr"]) == 3 and by_source["file"] == by_source["lr"]
+
+
+def test_select_reads_validation_input_on_the_columns_of_train_input(workdir):
+    # extra columns, in any order, are dropped: the report equals the one on
+    # a validation matrix with exactly train_input's columns
+    rng = np.random.default_rng(5)
+    rows = {part: [(f"{part}{i}", "event" if i % 2 else "noise", rng.normal(0.6 * (i % 2), 1.0, 3).tolist())
+                   for i in range(30)] for part in ("t", "v")}
+
+    def write(name, part, header, pick):
+        lines = ["# quakebox-features-v1 role=validation", "trace_id\tlabel\t" + "\t".join(header)]
+        lines += [f"{tid}\t{label}\t" + "\t".join(repr(vals[j]) for j in pick)
+                  for tid, label, vals in rows[part]]
+        (workdir / name).write_text("\n".join(lines) + "\n")
+
+    write("t.tsv", "t", ["f", "g"], [0, 1])
+    write("v.tsv", "v", ["f", "g"], [0, 1])
+    write("vx.tsv", "v", ["h", "g", "f"], [2, 1, 0])
+    for name in ("v", "vx"):
+        cfg = write_config(workdir, f"{name}.json", {
+            "train_input": str(workdir / "t.tsv"), "validation_input": str(workdir / f"{name}.tsv"),
+            "output": str(workdir / f"{name}.out"), "base_features": [], "ensemble": {"n_runs": 4}})
+        assert run(["select", "-c", cfg]) == 0
+    assert (workdir / "vx.out").read_bytes() == (workdir / "v.out").read_bytes()
+
+
 MATRIX = (
     "# quakebox-features-v1 role=train\n"
     "trace_id\tlabel\tf\tg\n"
@@ -448,6 +508,8 @@ MATRIX = (
     "n2\tnoise\t-2.0\t0.9\n"
 )
 
+MATRIX_WITHOUT_G = "".join(line.rsplit("\t", 1)[0] + "\n" if "\t" in line else line
+                           for line in MATRIX.splitlines(keepends=True))
 
 WAVES_HEADER = '{"format": "quakebox-waveforms-v1", "role": "all"}\n'
 RECORD = {"trace_id": "n1", "event_id": None, "station": "s01", "channel": "GPZ",
@@ -521,6 +583,37 @@ def _malformed_cases():
               lambda d: {"train_input": d(m), "validation_input": d("v.tsv"), "output": d("o.json")},
               {m: MATRIX, "v.tsv": MATRIX.replace("n1\tnoise", "n1\tquake")},
               ("error: line 5: ", "v.tsv: label must be one of")),
+        *(
+            # a second matrix must hold every column of the first, and is named with its file
+            _case(f"{command}-{field}-lacks-a-column", command,
+                  lambda d, c=config: {**c(d), "output": d("o.json")},
+                  {m: MATRIX, "v.tsv": MATRIX_WITHOUT_G},
+                  (f"error: {field}: ", f"v.tsv lacks feature(s) g of {first}\n"))
+            for command, field, first, config in (
+                ("select", "validation_input", "train_input",
+                 lambda d: {"train_input": d(m), "validation_input": d("v.tsv"), "base_features": []}),
+                ("sweep", "noise_pool_input", "positives_input",
+                 lambda d: {"positives_input": d(m), "noise_pool_input": d("v.tsv"),
+                            "predictions": {"x": d("p.tsv")}}),
+            )
+        ),
+        _case("sweep-repeated-ratio", "sweep",
+              lambda d: {"positives_input": d(m), "noise_pool_input": d(m), "ratios": [1.0, 1.0],
+                         "predictions": {"x": d("p.tsv")}, "output": d("o.json")},
+              {m: MATRIX, "p.tsv": PREDICTIONS}, "error: ratios[1]: 1.0 repeats ratios[0]\n"),
+        *(
+            # a trace id names one row of a data file: a repeat names its line and the first
+            _case(f"{id}-repeated-trace-id", command, build, files, named)
+            for id, command, build, files, named in (
+                ("matrix", "eval",
+                 lambda d: {"input": d(m), "predictions": {"x": d("p.tsv")}, "output": d("o.json")},
+                 {m: MATRIX.replace("n2\tnoise", "n1\tnoise"), "p.tsv": PREDICTIONS},
+                 ("error: line 6: ", f"{m}: trace_id n1 repeats line 5\n")),
+                ("waves", "extract", lambda d: {"input": d("w.jsonl"), "output": d("o.tsv")},
+                 {"w.jsonl": _waves() + json.dumps(RECORD) + "\n"},
+                 ("error: line 3: ", "w.jsonl: trace_id n1 repeats line 2\n")),
+            )
+        ),
         _case("select-tol-0", "select",
               lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
                          "ensemble": {"tol": 0}}, {m: MATRIX},
