@@ -30,10 +30,10 @@ from .errors import (
 )
 from .features.vectors import FeatureMatrix, FeatureVector, read_table, table_error
 from .fields import text_file
-from .metrics import EvalReport, report
+from .metrics import EVENT, ConfusionMatrix, EvalReport, summarize
 from .model import ModelArtifact
 from .seeds import derive_rng
-from .waveform import LABELS, WaveformRecord
+from .waveform import BLOCK_ROWS, LABELS, WaveformRecord
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +203,25 @@ def sweep(
     Models were trained once at the baseline ratio and are reused as-is;
     only the evaluation set composition changes.  The draws are nested, so
     each ratio is scored on its prefix of the largest ratio's dataset,
-    labelled once per source through its ``predict_labels``.  A predictions
+    labelled once per source through its ``predict_labels`` and tallied
+    once, as a running count along the ladder.  A predictions
     file must cover every trace id the ladder draws.
     """
     if set(positives.labels) != {"event"}:
         raise DegenerateInput("positives must all carry the event label")
     if set(noise_pool.labels) != {"noise"}:
         raise DegenerateInput("noise pool must all carry the noise label")
+    n_pos = len(positives)
+    ends = sorted((n_pos + _noise_count(ratio, n_pos, len(noise_pool)), ratio) for ratio in spec.ratios)
     items = build_ratio_dataset(positives, noise_pool, max(spec.ratios), spec.seed).items
-    preds = {name: source.predict_labels(items) for name, source in sources.items()}
     reports: Dict[Tuple[str, float], EvalReport] = {}
-    for ratio in spec.ratios:
-        n = len(positives) + _noise_count(ratio, len(positives), len(noise_pool))
-        for name in sources:
-            reports[(name, ratio)] = report(items.labels[:n], preds[name][:n])
+    for name, source in sources.items():
+        preds = source.predict_labels(items)
+        tp, fp, start = preds[:n_pos].count(EVENT), 0, n_pos
+        for end, ratio in ends:
+            fp += preds[start:end].count(EVENT)
+            start = end
+            reports[(name, ratio)] = summarize(ConfusionMatrix(tp=tp, tn=end - n_pos - fp, fp=fp, fn=n_pos - tp))
     return SweepTable(sources=tuple(sources), ratios=tuple(spec.ratios), reports=reports)
 
 
@@ -285,14 +290,15 @@ class SyntheticSpec:
             raise ValueError(f"snr_range invalid: {self.snr_range}")
 
 
-def _colored_noise(n: int, fs: float, rng: np.random.Generator) -> np.ndarray:
-    """Unit-RMS noise with low-frequency emphasis (knee at 10 Hz)."""
-    white = rng.standard_normal(n)
+def _colored_noise(white: np.ndarray, fs: float) -> np.ndarray:
+    """Unit-RMS noise with low-frequency emphasis (knee at 10 Hz) from white
+    noise, row by row; a stack's row equals that row filtered alone."""
+    n = white.shape[-1]
     spec = np.fft.rfft(white)
     freqs = np.fft.rfftfreq(n, d=1.0 / fs)
     spec *= 1.0 / (1.0 + freqs / 10.0)
     x = np.fft.irfft(spec, n)
-    return x / np.sqrt(np.mean(x**2))
+    return x / np.sqrt(np.mean(x**2, axis=-1, keepdims=True))
 
 
 def _event_wavelet(
@@ -310,19 +316,25 @@ def _event_wavelet(
     return w / rms if rms > 0 else w
 
 
-def _noise_record(
-    trace_id: str, fs: float, window_len: int, rng: np.random.Generator
-) -> WaveformRecord:
-    """A pure-noise trace at a random station (the station is drawn first)."""
-    return WaveformRecord(
-        trace_id=trace_id,
-        event_id=None,
-        station=f"st{int(rng.integers(0, 100)):03d}",
-        channel="GPZ",
-        sample_rate=fs,
-        samples=_colored_noise(window_len, fs, rng),
-        label="noise",
-    )
+def _noise_records(
+    trace_ids: Sequence[str], seed: int, stream: str, fs: float, window_len: int
+) -> List[WaveformRecord]:
+    """Pure-noise traces, the i-th drawn from ``derive_rng(seed, stream, i)``
+    at a random station (drawn before its white samples); the traces of each
+    block of ``BLOCK_ROWS`` are coloured together, which bounds the
+    transforms' size."""
+    records: List[WaveformRecord] = []
+    for start in range(0, len(trace_ids), BLOCK_ROWS):
+        ids = trace_ids[start : start + BLOCK_ROWS]
+        stations, white = [], np.empty((len(ids), window_len))
+        for k in range(len(ids)):
+            rng = derive_rng(seed, stream, start + k)
+            stations.append(f"st{int(rng.integers(0, 100)):03d}")
+            white[k] = rng.standard_normal(window_len)
+        records += [WaveformRecord(trace_id=trace_id, event_id=None, station=station, channel="GPZ",
+                                   sample_rate=fs, samples=samples, label="noise")
+                    for trace_id, station, samples in zip(ids, stations, _colored_noise(white, fs))]
+    return records
 
 
 def generate_synthetic(spec: SyntheticSpec) -> List[WaveformRecord]:
@@ -342,7 +354,7 @@ def generate_synthetic(spec: SyntheticSpec) -> List[WaveformRecord]:
         magnitude = round(max(0.2, 0.2 + np.log10(1.0 + event_snr)), 2)
         n_traces = int(rng.integers(spec.traces_per_event[0], spec.traces_per_event[1] + 1))
         for s in range(n_traces):
-            noise = _colored_noise(spec.window_len, spec.fs, rng)
+            noise = _colored_noise(rng.standard_normal(spec.window_len), spec.fs)
             wavelet = _event_wavelet(spec.window_len, spec.fs, rng, dominant)
             snr = event_snr * rng.uniform(0.8, 1.25)
             records.append(
@@ -357,10 +369,8 @@ def generate_synthetic(spec: SyntheticSpec) -> List[WaveformRecord]:
                     magnitude=magnitude,
                 )
             )
-    records.extend(
-        _noise_record(f"noise{i:05d}", spec.fs, spec.window_len, derive_rng(spec.seed, "noise", i))
-        for i in range(spec.n_noise)
-    )
+    records += _noise_records([f"noise{i:05d}" for i in range(spec.n_noise)], spec.seed, "noise",
+                              spec.fs, spec.window_len)
     return records
 
 
@@ -375,10 +385,7 @@ def generate_noise_pool(
     Mirrors drawing extra negatives from a separate collection period; ids
     get their own prefix, ``xnoise``, so they cannot collide with a corpus' noise traces.
     """
-    return [
-        _noise_record(f"xnoise{i:06d}", fs, window_len, derive_rng(seed, "pool", i))
-        for i in range(n_noise)
-    ]
+    return _noise_records([f"xnoise{i:06d}" for i in range(n_noise)], seed, "pool", fs, window_len)
 
 
 def generate_planted_features(

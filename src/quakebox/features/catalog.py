@@ -374,32 +374,30 @@ def ami_gaussian_first_minimum(block: SeriesBlock) -> np.ndarray:
 
     AMI(k) = -ln(1 - rho_k^2)/2 with rho_k the Pearson correlation between
     the series and its k-lagged copy, over lags 1..min(40, ceil(n/2));
-    returns the maximum lag when no interior minimum exists.  Lag k's pairs
-    fill the first n - k entries of length-n rows padded with zeros, and
-    every sum runs over the whole padded row, one lag at a time.  A lag
-    whose pairs are exactly (anti-)correlated has an infinite AMI, and one
-    with a constant side an undefined one (NaN, which compares false);
-    neither is worth a numpy warning.
+    returns the maximum lag when no interior minimum exists.  All lags come
+    at once: the pairs' product sum is the autocorrelation times the row's
+    sum of squares, and each side's sums are differences of prefix sums of
+    z and z^2.  An exactly (anti-)correlated lag has an infinite AMI and one
+    with a constant side an undefined one (NaN, which compares false); as
+    the closed form leaves rounding noise there, 1 - rho^2 <= 1e-12 counts
+    as exact, and a side's variance at most 1e-12 of its sum of squares as
+    constant, which gives exact arithmetic's value on integer-valued rows.
     """
     z = block.z
     r, n = z.shape
     max_lag = min(40, int(np.ceil(n / 2)))
-    head = z.copy()
-    padded = np.zeros((r, 2 * n))
-    padded[:, :n] = z
-    rho = np.empty((r, max_lag))
-    for k in range(1, max_lag + 1):
-        count = n - k
-        head[:, count] = 0.0
-        tail = padded[:, k : k + n]
-        hc = head - head.sum(axis=1, keepdims=True) / count
-        tc = tail - tail.sum(axis=1, keepdims=True) / count
-        hc[:, count:] = 0.0
-        tc[:, count:] = 0.0
-        cov = (hc * tc).sum(axis=1)
-        rho[:, k - 1] = cov / np.sqrt((hc * hc).sum(axis=1) * (tc * tc).sum(axis=1))
-    rho = np.clip(rho, -1.0, 1.0)
-    ami = -0.5 * np.log(1.0 - rho * rho)
+    lags = np.arange(1, max_lag + 1)
+    count = n - lags
+    sums = np.zeros((2, r, n + 1))
+    np.cumsum(np.stack([z, z * z]), axis=2, out=sums[:, :, 1:])
+    s_head, q_head = sums[:, :, count]
+    s_tail, q_tail = sums[:, :, n:] - sums[:, :, lags]
+    cov = block.acf[:, lags] * sums[1, :, n:] - s_head * s_tail / count
+    var_head = q_head - s_head * s_head / count
+    var_tail = q_tail - s_tail * s_tail / count
+    gap = 1.0 - cov * cov / (var_head * var_tail)
+    ami = np.where(gap <= 1e-12, np.inf, -0.5 * np.log(gap))
+    ami[(var_head <= 1e-12 * q_head) | (var_tail <= 1e-12 * q_tail)] = np.nan
     # first strict interior minimum; ami[:, j] belongs to lag j + 1
     mid = ami[:, 1:-1]
     hit, first = _first((mid < ami[:, :-2]) & (mid < ami[:, 2:]))
@@ -550,7 +548,9 @@ def spectral_centroid_welch(block: SeriesBlock) -> np.ndarray:
 
 
 # A window whose closed-form residual sum of squares is at most this share of
-# its own sum of squares about the mean fits its line to rounding level.
+# its own sum of squares about the mean fits its line to rounding level, and
+# one whose sum of squares about the mean is at most this share of its sum of
+# squares is constant to rounding level.
 _EXACT_FIT = 1e-9
 # at least this many sizes on each side of a split in the two-segment fit
 _MIN_SEGMENT = 6
@@ -620,31 +620,37 @@ def _fluctuation_split_fraction(block: np.ndarray, lag: int, mode: str) -> np.nd
     split, as every split's norm is then undefined.
 
     The statistic is a split index, so the fluctuations only have to rank
-    the splits as the direct computation does.  "dfa" takes each window's
-    residual sum of squares in closed form, from per-row cumulative sums of
-    y, i*y and y^2 differenced at the edges of every window of every size,
-    and sums the windows of each size with ``np.add.reduceat``
-    (:func:`_dfa_fluctuation`).  On a window that its line fits exactly (a
+    the splits as the direct computation does.  Both modes fit every
+    window's line in closed form, from cumulative sums of y, i*y and y^2
+    differenced at the edges of every window of every size
+    (:func:`_window_fits`).  "dfa" takes each window's residual sum of
+    squares from them and sums the windows of each size with
+    ``np.add.reduceat`` (:func:`_dfa_fluctuation`).  "rsrangefit" takes
+    each window's slope from them; its residuals less the intercept have the
+    same range, so each size needs one multiply-subtract and a max and a min
+    (:func:`_range_fluctuation`).  On a window that its line fits exactly (a
     step's or a square wave's flat stretches make the lagged cumulative sum
-    exactly linear), both forms give rounding noise, but different noise,
-    and when every window of a size fits, that noise is the size's whole
-    fluctuation and decides the split.  So a size with any window whose
-    closed form is at or below the relative floor ``_EXACT_FIT`` of its own
-    sum of squares is recomputed for that row from direct residuals, summed
-    as one (windows x size) array is, which keeps those noise-level values
-    what the direct computation gives.  "rsrangefit" needs every residual
-    for its ranges, so it runs the same direct residuals size by size
-    (:func:`_range_fluctuation`), with each window's max and min taken
-    across the rows of the transposed residuals.
+    exactly linear), the closed and the direct form both give rounding
+    noise, but different noise, and when every window of a size fits, that
+    noise is the size's whole fluctuation and decides the split.  The same
+    holds where z is exactly 0 for a stretch, whose windows are constant and
+    have a fluctuation of exactly 0 in the direct form.  So in both modes a
+    size with any window whose closed-form residual sum of squares is at or
+    below the relative floor ``_EXACT_FIT`` of its own sum of squares, or
+    whose sum of squares about its mean is at or below that floor of its sum
+    of squares, is recomputed for that row from direct residuals
+    (:func:`_window_residuals`), summed as one (windows x size) array is,
+    which keeps those values what the direct computation gives.
 
     The split search fits both segments of every split from cumulative sums
     of y, y^2 and x*y over the size axis (:func:`_split_fraction`), with
     the sizes' own sums cached per length.
 
-    Every sum runs along one row of one array, which makes a row's value
-    independent of the other rows in its block; a BLAS matrix-vector product
-    would not, as it may sum a row differently depending on the row's
-    position.
+    Every sum runs over one row's values alone (a cumulative sum adds in
+    order in any layout, every other sum runs along one row of one array),
+    which makes a row's value independent of the other rows in its block; a
+    BLAS matrix-vector product would not, as it may sum a row differently
+    depending on the row's position.
     """
     scales = _scales(block.shape[1], lag)
     if scales.sizes.size < 12:
@@ -665,17 +671,47 @@ def _line_basis(size: int) -> tuple[np.ndarray, np.ndarray, float, float]:
     return x[:, None], xc, xc @ xc, x.mean()
 
 
-def _window_residuals(seg: np.ndarray) -> np.ndarray:
-    """Residuals of each row of ``seg`` (windows x size) from its
-    least-squares line at positions 1..size, transposed to (size x windows).
+def _window_fits(cs: np.ndarray, scales: _Scales) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every window's least-squares line, from window sums: ``y``, the rows
+    less their means, as (samples x rows); per window (in ``scales.first``
+    order) x rows, its slope and its residual sum of squares; and per row
+    and size, whether a window fits its line or is constant to rounding
+    level (``_EXACT_FIT``)."""
+    rows, m = cs.shape
+    y = np.ascontiguousarray((cs - cs.mean(axis=1, keepdims=True)).T)
+
+    def window_sums(v: np.ndarray) -> np.ndarray:
+        total = np.zeros((m + 1, rows))
+        np.cumsum(v, axis=0, out=total[1:])
+        sums = total[scales.last]
+        sums -= total[scales.first]
+        return sums
+
+    # the largest arrays of an extraction, so each is freed once it is read
+    s0, s2 = window_sums(y), window_sums(y * y)
+    spread = s2 - s0 * s0 / scales.width[:, None]  # sum of squares about the window mean
+    constant = spread <= _EXACT_FIT * s2
+    del s2
+    sxy = window_sums(y * np.arange(m)[:, None]) - scales.centre[:, None] * s0
+    del s0
+    ss = spread - sxy * sxy / scales.sxx[:, None]
+    exact = np.logical_or.reduceat(constant | (ss <= _EXACT_FIT * spread), scales.groups).T
+    sxy /= scales.sxx[:, None]  # the slope
+    return y, sxy, ss, exact
+
+
+def _window_residuals(row: np.ndarray, size: int, count: int) -> np.ndarray:
+    """Residuals of one row's ``count`` windows of ``size`` samples from
+    their least-squares lines at positions 1..size, as (size x windows).
 
     Each window's slope and mean are sums along its own row; the residuals
     are then elementwise, and transposed so that a per-window max or min is
     an elementwise reduction over contiguous rows (both are exact in any
     order)."""
-    x, xc, sxx, x_mean = _line_basis(seg.shape[1])
+    seg = row[: count * size].reshape(count, size)
+    x, xc, sxx, x_mean = _line_basis(size)
     slope = (seg * xc).sum(axis=1) / sxx
-    intercept = seg.sum(axis=1) / seg.shape[1] - slope * x_mean  # the mean, as np.mean divides
+    intercept = seg.sum(axis=1) / size - slope * x_mean  # the mean, as np.mean divides
     line = x * slope
     line += intercept
     return np.subtract(seg.T, line, out=line)
@@ -683,31 +719,30 @@ def _window_residuals(seg: np.ndarray) -> np.ndarray:
 
 def _dfa_fluctuation(cs: np.ndarray, scales: _Scales) -> np.ndarray:
     """RMS residual of every window size, per row, from window sums."""
-    rows, m = cs.shape
-    y = cs - cs.mean(axis=1, keepdims=True)  # same residuals, smaller sums
-    sums = np.zeros((3, rows, m + 1))
-    np.cumsum(np.stack([y, y * np.arange(m), y * y]), axis=2, out=sums[:, :, 1:])
-    s0, s1, s2 = sums[:, :, scales.last] - sums[:, :, scales.first]
-    spread = s2 - s0 * s0 / scales.width  # sum of squares about the window mean
-    sxy = s1 - scales.centre * s0
-    ss = spread - sxy * sxy / scales.sxx
-    total = np.add.reduceat(ss, scales.groups, axis=1)
-    exact = np.logical_or.reduceat(ss <= _EXACT_FIT * spread, scales.groups, axis=1)
-    for r, i in zip(*np.nonzero(exact)):
-        size, count = int(scales.sizes[i]), int(scales.count[i])
-        resid = _window_residuals(cs[r, : count * size].reshape(count, size))
+    _, _, ss, exact = _window_fits(cs, scales)
+    total = np.add.reduceat(np.ascontiguousarray(ss.T), scales.groups, axis=1)
+    for r, i in np.argwhere(exact).tolist():
+        resid = _window_residuals(cs[r], int(scales.sizes[i]), int(scales.count[i]))
         total[r, i] = np.square(resid.T).reshape(-1).sum()
     return np.sqrt(total / (scales.count * scales.sizes))
 
 
 def _range_fluctuation(cs: np.ndarray, scales: _Scales) -> np.ndarray:
-    """RMS residual range of every window size, per row."""
+    """RMS residual range of every window size, per row, from each window's
+    closed-form slope: y - slope * position has the residuals' range."""
     rows = cs.shape[0]
-    fluct = np.empty((rows, scales.sizes.size))
-    for i, (size, count) in enumerate(zip(scales.sizes.tolist(), scales.count.tolist())):
-        resid = _window_residuals(cs[:, : count * size].reshape(rows * count, size))
-        ranges = resid.max(axis=0) - resid.min(axis=0)
-        fluct[:, i] = np.sqrt((ranges**2).reshape(rows, count).sum(axis=1) / count)
+    y, slope, _, exact = _window_fits(cs, scales)
+    ranges = np.empty_like(slope)
+    for size, count, start in zip(*(a.tolist() for a in (scales.sizes, scales.count, scales.groups))):
+        resid = _line_basis(size)[0][:, :, None] * slope[start : start + count]
+        np.subtract(y[: count * size].reshape(count, size, rows).transpose(1, 0, 2), resid, out=resid)
+        np.subtract(resid.max(axis=0), resid.min(axis=0), out=ranges[start : start + count])
+    ranges *= ranges
+    fluct = np.sqrt(np.add.reduceat(np.ascontiguousarray(ranges.T), scales.groups, axis=1) / scales.count)
+    for r, i in np.argwhere(exact).tolist():
+        size, count = int(scales.sizes[i]), int(scales.count[i])
+        resid = _window_residuals(cs[r], size, count)
+        fluct[r, i] = np.sqrt(((resid.max(axis=0) - resid.min(axis=0)) ** 2).sum() / count)
     return fluct
 
 

@@ -70,7 +70,7 @@ class SeriesBlock:
 
     @cached_property
     def acf(self) -> np.ndarray:
-        """Autocorrelation of each z-scored row at lags 0..n-1 (C3, C4, C9, C11, C13)."""
+        """Autocorrelation of each z-scored row at lags 0..n-1 (C3, C4, C9, C11, C12, C13)."""
         return _read_only(catalog.autocorrelation(self.z))
 
     @cached_property

@@ -114,7 +114,11 @@ def accuracy(m: ConfusionMatrix) -> float:
 
 def report(labels: Sequence[str], preds: Sequence[str]) -> EvalReport:
     """Confusion matrix plus derived metrics for one labeled evaluation set."""
-    m = confusion(labels, preds)
+    return summarize(confusion(labels, preds))
+
+
+def summarize(m: ConfusionMatrix) -> EvalReport:
+    """A confusion matrix with its derived metrics."""
     n_pos = m.tp + m.fn
     n_neg = m.tn + m.fp
     return EvalReport(

@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy import signal
 
 from .errors import DegenerateInput, FormatError, InvalidBand, InvalidFactor
 
@@ -170,6 +169,7 @@ def _butter_sos(
     scipy's ``sosfilt`` refuses read-only coefficients, so filter with a
     ``.copy()``.
     """
+    from scipy import signal  # imported here, so only commands that filter pay its import time
     sos = signal.butter(order, corners, btype=btype, fs=fs, output="sos")
     zi = signal.sosfilt_zi(sos)
     sos.flags.writeable = zi.flags.writeable = False
@@ -182,6 +182,7 @@ def _filtfilt(design: tuple[np.ndarray, np.ndarray], x: np.ndarray, padlen: int)
     with the cached initial state broadcast over the rows instead of a fresh
     ``sosfilt_zi`` on every call; every row is bit-identical to
     ``sosfiltfilt`` on that row alone."""
+    from scipy import signal
     sos, zi = design
     sos, zi = sos.copy(), zi[:, None, :]
     shape, x = x.shape, x.reshape(-1, x.shape[-1])

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
+from fractions import Fraction
 
 import numpy as np
 from scipy.interpolate import LSQUnivariateSpline
@@ -313,6 +314,39 @@ def ami_gaussian_first_minimum(y):
         ami.append(-0.5 * math.log(1.0 - rho * rho))
     for i in range(1, max_lag - 1):
         if ami[i] < ami[i - 1] and ami[i] < ami[i + 1]:
+            return float(i + 1)
+    return float(max_lag)
+
+
+def ami_gaussian_first_minimum_exact(y):
+    """C12 of an integer-valued series in exact arithmetic.
+
+    A lag's AMI increases with its squared correlation, so the squared
+    correlations, as fractions of integer sums, decide every comparison.  A
+    lag with a constant side has no correlation (NaN in floating point), so
+    it is neither below nor above a neighbour; an exactly (anti)correlated
+    lag (squared correlation 1, infinite AMI) is never below one.  On such
+    series the floating-point oracle above fails or is decided by rounding.
+    """
+    x = [int(v) for v in y]
+    if x != list(y):
+        raise ValueError("the exact oracle takes integer-valued series")
+    n = len(x)
+    max_lag = min(40, int(math.ceil(n / 2)))
+    r2 = []
+    for k in range(1, max_lag + 1):
+        a, b, m = x[: n - k], x[k:], n - k
+        sa, sb = sum(a), sum(b)
+        cov = m * sum(p * q for p, q in zip(a, b)) - sa * sb
+        va = m * sum(p * p for p in a) - sa * sa
+        vb = m * sum(q * q for q in b) - sb * sb
+        r2.append(Fraction(cov * cov, va * vb) if va and vb else None)
+
+    def below(i, j):
+        return r2[i] is not None and r2[j] is not None and r2[i] < r2[j]
+
+    for i in range(1, max_lag - 1):
+        if below(i, i - 1) and below(i, i + 1):
             return float(i + 1)
     return float(max_lag)
 

@@ -1,5 +1,6 @@
 """Benchmark harness: splits, ratio datasets, sweeps, generators, ingestion."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -173,20 +174,32 @@ class TestSweep:
 
     def test_each_ratio_scored_as_its_own_dataset(self):
         # the sweep scores prefixes of the largest ratio's draw: each cell
-        # equals the report on that ratio's own dataset, in any ladder order
+        # equals the report on that ratio's own dataset, in any ladder order;
+        # "edges" is wrong on one positive and on the first and last noise
+        # row of every stretch the ladder adds, so every ratio's counts differ
         positives, pool = self.setup_case()
         coin = np.random.default_rng(8).random(len(positives) + len(pool)) < 0.5
         preds = {v.trace_id: "event" if hit else "noise" for v, hit in zip(positives + pool, coin)}
         artifact = replace(self.artifact(), model=LinearModel(bias=-7.5, weights={"f": 5.0}))
         spec = bench.RatioSpec(ratios=(5.0, 1.73, 50.0, 3.0), seed=8)
-        sources = {"lr": artifact, "coin": bench.Predictions(preds, "coin.tsv")}
-        table = self.sweep(sources, positives, pool, spec)
         P, N = FeatureMatrix.from_rows(positives), FeatureMatrix.from_rows(pool)
-        for ratio in spec.ratios:
-            items = bench.build_ratio_dataset(P, N, ratio, spec.seed).items
+        datasets = {ratio: bench.build_ratio_dataset(P, N, ratio, spec.seed).items for ratio in spec.ratios}
+        largest = datasets[max(spec.ratios)]
+        starts = sorted({len(P), *(len(items) for items in datasets.values())})
+        wrong = {3} | {i for s, e in zip(starts, starts[1:]) for i in (s, e - 1)}
+        flipped = {"event": "noise", "noise": "event"}
+        edges = {t: flipped[label] if i in wrong else label
+                 for i, (t, label) in enumerate(zip(largest.trace_ids, largest.labels))}
+        sources = {"lr": artifact, "coin": bench.Predictions(preds, "coin.tsv"),
+                   "edges": bench.Predictions(edges, "edges.tsv")}
+        table = self.sweep(sources, positives, pool, spec)
+        for ratio, items in datasets.items():
             assert table.reports[("lr", ratio)] == report(items.labels, artifact.predict_labels(items))
-            assert table.reports[("coin", ratio)] == report(items.labels, [preds[t] for t in items.trace_ids])
+            for name in ("coin", "edges"):
+                labels = [sources[name][t] for t in items.trace_ids]
+                assert table.reports[(name, ratio)] == report(items.labels, labels), (name, ratio)
         assert 0 < table.mcc_row("lr")[0] < 1
+        assert len({table.reports[("edges", ratio)].matrix for ratio in spec.ratios}) == len(spec.ratios)
 
     def test_all_noise_predictor_scores_zero_everywhere(self):
         positives, pool = self.setup_case()
@@ -269,6 +282,24 @@ class TestSyntheticGenerator:
         pool = bench.generate_noise_pool(10, window_len=64, seed=12)
         assert all(r.trace_id.startswith("xnoise") for r in pool)
         assert all(r.label == "noise" for r in pool)
+
+    @pytest.mark.parametrize("make,expected", [
+        (lambda: bench.generate_noise_pool(40, 200.0, 600, seed=7),
+         "f74b28e04b4905ac5070e69cec25f167d898cdd4fdb84b1014e8ad0d02883ecf"),
+        (lambda: bench.generate_noise_pool(9, 150.0, 97, seed=3),
+         "486b092579518a0ddb8575ad862811008c972873cb517ace33e266c6cdf3ea6b"),
+        (lambda: bench.generate_synthetic(bench.SyntheticSpec(
+            n_events=3, traces_per_event=(2, 3), n_noise=5, window_len=128, seed=11)),
+         "86c5d7f25d847d8e6aa342480f60333225c6b860b5bb38730d49233860782eea"),
+    ], ids=["pool", "pool-odd-length", "corpus"])
+    def test_records_are_frozen(self, make, expected):
+        # every id, station, label and sample, pinned to the values written
+        # when each noise trace was coloured on its own
+        h = hashlib.sha256()
+        for r in make():
+            h.update(f"{r.trace_id}|{r.station}|{r.event_id}|{r.sample_rate}|{r.label}|{r.magnitude}|".encode())
+            h.update(r.samples.tobytes())
+        assert h.hexdigest() == expected
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,15 @@
 import base64
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quakebox
 from quakebox.cli import main
 from quakebox.features import read_matrix
 from quakebox.model import load_model
@@ -115,6 +120,28 @@ class TestSynth:
         assert run(["synth", "-c", cfg]) == 2
         err = capsys.readouterr().err
         assert "synthetic" in err and "fs" in err
+
+
+def test_commands_that_do_not_filter_never_import_scipy(workdir):
+    # importing scipy.signal is most of a fresh process's start-up, and only
+    # extract filters: synth and split, run in a fresh interpreter, leave
+    # scipy unimported
+    synth = write_config(workdir, "synth.json", {
+        "synthetic": {"n_events": 3, "traces_per_event": [2, 2], "n_noise": 6, "window_len": 64},
+        "output": str(workdir / "w.jsonl")})
+    split = write_config(workdir, "split.json", {"input": str(workdir / "w.jsonl"),
+                                                 "output_dir": str(workdir / "splits")})
+    probe = ("import sys\n"
+             "from quakebox.cli import main\n"
+             "for command, config in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+             "    print('probe', command, main([command, '-c', config]), 'scipy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(quakebox.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe, "synth", synth, "split", split],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    probed = [line for line in done.stdout.splitlines() if line.startswith("probe ")]
+    assert probed == ["probe synth 0 False", "probe split 0 False"]
+    assert (workdir / "splits" / "test.jsonl").exists()
 
 
 class TestPipeline:

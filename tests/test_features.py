@@ -1,5 +1,6 @@
 """Feature catalog: reference parity, registry contracts, standardization."""
 
+import base64
 import json
 import math
 from pathlib import Path
@@ -32,14 +33,16 @@ from quakebox.features import (
     standardize_fit,
     write_matrix,
 )
+from quakebox.features import catalog
 from quakebox.waveform import BLOCK_ROWS
 
 from conftest import make_record, make_vector
-from oracles.catch22_ref import REFERENCE_FUNCS, reference_all, zscore
+from oracles.catch22_ref import REFERENCE_FUNCS, ami_gaussian_first_minimum_exact, reference_all, zscore
 
 FIXTURES = Path(__file__).parent / "fixtures" / "catch22_parity.json"
 EXACT_FIT = Path(__file__).parent / "fixtures" / "fluctuation_exact_fit.json"
 OUTLIER_EDGES = Path(__file__).parent / "fixtures" / "outlier_timing_edges.json"
+AMI_RANGE = Path(__file__).parent / "fixtures" / "ami_range_frozen.json"
 
 
 def load_parity_cases():
@@ -204,6 +207,24 @@ class TestArrayKernelsAgainstOracle:
                 assert alone == [e["C19"], e["C20"]], (e["kind"], n)
                 assert values[i].tolist() == alone, (e["kind"], n)
 
+    @pytest.mark.parametrize("n,zeros", [(64, 40), (64, 48), (97, 73), (128, 96), (256, 192), (512, 384)])
+    def test_fluctuation_codes_on_a_stretch_of_exact_zeros(self, n, zeros):
+        # zeros and then an alternating tail of mean 0: z is exactly 0 on the
+        # zeros, so every window there is constant and can leave a size with
+        # a fluctuation of exactly 0 (the oracle's log fails), which scores
+        # the first split; otherwise the oracle's value
+        tail = np.where(np.arange(n - zeros) % 2 == 0, 1.0, -1.0)
+        if tail.size % 2:
+            tail[-1] = 0.0  # as many +1 as -1, so the mean is exactly 0
+        x = np.concatenate([np.zeros(zeros), tail])
+        for code, lag in (("C19", 2), ("C20", 1)):
+            got = canonical_registry().extract(code, x)
+            try:
+                expected = REFERENCE_FUNCS[code](zscore(x.tolist()))
+            except ValueError:  # math domain error: a zero fluctuation
+                expected = 6 / catalog._scales(n, lag).sizes.size
+            assert got == pytest.approx(expected, rel=1e-6, abs=1e-10), code
+
     def test_outlier_timing_bit_for_bit_on_edge_rows(self):
         # frozen C14/C15 values (see tests/oracles/gen_outlier_fixtures.py),
         # alone and inside 64-row blocks of one length beside random rows;
@@ -226,6 +247,59 @@ class TestArrayKernelsAgainstOracle:
             assert failures == {}, n
             for i, (name, _, expected) in zip(at, entries):
                 assert values[i].tobytes() == expected.tobytes(), name
+
+    def test_ami_and_range_codes_bit_for_bit_on_frozen_rows(self):
+        # frozen C12/C20 values (see tests/oracles/gen_ami_range_fixture.py):
+        # alone, in the campaign-shaped blocks of 40, 12 and 12 rows, and
+        # inside 64-row blocks of one length beside random rows
+        registry = canonical_registry()
+        frozen = json.loads(AMI_RANGE.read_text())
+        codes = tuple(frozen["codes"])
+        rows = [(e["name"], np.frombuffer(base64.b64decode(e["samples"]), "<f8"),
+                 np.array([float.fromhex(e[code]) for code in codes])) for e in frozen["series"]]
+        for name, x, expected in rows:
+            alone, failures = registry.extract_block(codes, x[None])
+            assert failures == {} and alone[0].tobytes() == expected.tobytes(), name
+        campaign = [row for row in rows if row[0].startswith("campaign-")]
+        assert len(campaign) == sum(frozen["campaign_blocks"])
+        blocks, start = [], 0
+        for size in frozen["campaign_blocks"]:
+            blocks.append(campaign[start : start + size])
+            start += size
+        rng = np.random.default_rng(26)
+        by_length: dict[int, list] = {}
+        for row in rows:
+            by_length.setdefault(row[1].size, []).append(row)
+        for n, entries in by_length.items():
+            for s in range(0, len(entries), 32):
+                chunk = entries[s : s + 32]
+                padding = [(None, _oracle_series(self.KINDS[i % 5], n, rng), None) for i in range(64)]
+                for i, row in zip(rng.choice(64, size=len(chunk), replace=False), chunk):
+                    padding[i] = row
+                blocks.append(padding)
+        for block in blocks:
+            values, failures = registry.extract_block(codes, np.stack([x for _, x, _ in block]))
+            assert failures == {}
+            for (name, _, expected), got in zip(block, values):
+                if name is not None:
+                    assert got.tobytes() == expected.tobytes(), name
+
+    def test_ami_range_fixture_is_what_its_generator_writes(self):
+        from oracles.gen_ami_range_fixture import build
+
+        assert build() == json.loads(AMI_RANGE.read_text())
+
+    def test_ami_first_minimum_is_exact_on_integer_tie_rows(self):
+        # every integer-valued exact-fit kind holds lags whose pairs are
+        # exactly (anti)correlated or have a constant side, where rounding
+        # would decide a floating-point comparison; C12 gives the value of
+        # exact arithmetic there
+        registry = canonical_registry()
+        for kind in EXACT_FIT_KINDS[:-1]:  # all but "quadratic", which is not integer-valued
+            for n in [*range(10, 81), 97, 100, 256, 257, 512]:
+                x = _exact_fit_series(kind, n)
+                if x.min() < x.max():  # square-32 is constant up to n = 32
+                    assert registry.extract("C12", x) == ami_gaussian_first_minimum_exact(x), (kind, n)
 
     @pytest.mark.parametrize("n", [20, 256, 513])
     def test_every_code_is_independent_of_the_codes_beside_it(self, n):
