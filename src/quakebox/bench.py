@@ -23,13 +23,14 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateInput,
     IngestError,
     InsufficientNoise,
     TooFewEvents,
 )
 from .features.vectors import FeatureMatrix, FeatureVector, read_table, table_error
-from .fields import text_file
+from .fields import refuse_repeats, text_file
 from .metrics import EVENT, ConfusionMatrix, EvalReport, summarize
 from .model import ModelArtifact
 from .seeds import derive_rng
@@ -125,6 +126,7 @@ class RatioSpec:
     def __post_init__(self) -> None:
         if not self.ratios or not all(0 < r < math.inf for r in self.ratios):
             raise ValueError(f"ratios must be positive and finite, got {self.ratios}")
+        refuse_repeats("ratios", self.ratios, ConfigError)  # a sweep has one column per ratio
 
 
 @dataclass(frozen=True)

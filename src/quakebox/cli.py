@@ -102,15 +102,8 @@ def _feature_codes(cfg: Mapping[str, Any], registry: FeatureRegistry):
     for i, code in enumerate(codes):
         if code not in registry:
             raise ConfigError(f"features[{i}]", f"{code} is not a registered feature code")
-    _refuse_repeats("features", codes)
+    fields.refuse_repeats("features", codes, ConfigError)
     return codes
-
-
-def _refuse_repeats(field: str, values: Sequence) -> None:
-    """Refuses the first entry of the list ``field`` that repeats an earlier one."""
-    for i, value in enumerate(values):
-        if values.index(value) < i:
-            raise ConfigError(f"{field}[{i}]", f"{value} repeats {field}[{values.index(value)}]")
 
 
 def _columns_of(field: str, path: str, matrix: FeatureMatrix, codes: Sequence[str], of: str) -> FeatureMatrix:
@@ -240,7 +233,7 @@ def cmd_select(cfg: dict, master: int, out_dir: str | None) -> None:
     for i, code in enumerate(base):
         if code not in train_matrix.codes:
             raise ConfigError(f"base_features[{i}]", f"{code} is not a column of train_input")
-    _refuse_repeats("base_features", base)
+    fields.refuse_repeats("base_features", base, ConfigError)
     val_matrix = _columns_of("validation_input", val_source, val_matrix, train_matrix.codes, "train_input")
     report_obj = selection.discover_features(train_matrix, val_matrix, ecfg, rule, base=base)
     selection.save_selection_report(out, report_obj)
@@ -252,10 +245,15 @@ def cmd_select(cfg: dict, master: int, out_dir: str | None) -> None:
             f"ensemble.max_iters={ecfg.max_iters} unconverged ({tied} in the tie-set)",
             file=sys.stderr,
         )
-    if len(report_obj.runs) > 1 and len(report_obj.tie_set_ids) == len(report_obj.runs):
+    n_tied = len(report_obj.tie_set_ids)
+    if len(report_obj.runs) > 1 and n_tied == len(report_obj.runs):
         top = max(r.val_mcc for r in report_obj.runs)
         print(f"warning: all {len(report_obj.runs)} runs tie at validation MCC {top:.4f}: "
               "the validation split does not rank them", file=sys.stderr)
+    if selection.demands_unanimity(rule, n_tied):
+        print(f"warning: the tie-set holds {n_tied} of {len(report_obj.runs)} runs, so "
+              f"rule.min_fraction_nonzero={rule.min_fraction_nonzero} keeps only the codes "
+              f"nonzero in all {n_tied}", file=sys.stderr)
     if dist_out:
         _write_distribution_table(_resolve(out_dir, dist_out), report_obj)
     print(
@@ -304,7 +302,6 @@ def cmd_eval(cfg: dict, master: int, out_dir: str | None) -> None:
 
 def cmd_sweep(cfg: dict, master: int, out_dir: str | None) -> None:
     spec = fields.spec(bench.RatioSpec, cfg, "", ConfigError, seed=derive_seed(master, "sweep"))
-    _refuse_repeats("ratios", spec.ratios)
     positives_source = fields.get(cfg, "positives_input", str, ConfigError)
     pool_source = fields.get(cfg, "noise_pool_input", str, ConfigError)
     paths = _source_paths(cfg)

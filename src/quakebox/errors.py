@@ -78,5 +78,5 @@ class ConfigError(QuakeboxError):
     """A run configuration field is missing or invalid."""
 
     def __init__(self, field: str, message: str):
-        self.field = field
+        self.field, self.reason = field, message
         super().__init__(f"{field}: {message}")

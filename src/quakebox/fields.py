@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .errors import FormatError, QuakeboxError
+from .errors import ConfigError, FormatError, QuakeboxError
 
 Fail = Callable[[str, str], Exception]
 _REQUIRED = object()
@@ -191,8 +191,9 @@ def spec(cls, doc: Mapping[str, Any], section: str, fail: Fail, **fixed):
     Each field is read by its type hint under its JSON name (its
     ``metadata["json"]``, else its own) and a missing one keeps its
     default.  ``fixed`` fields (the command's seeds) are the caller's and
-    cannot be read.  The dataclass's own check fails naming ``section``;
-    a key that names no field fails after that.  An empty ``section``
+    cannot be read.  The dataclass's own check fails naming ``section``,
+    or the field within it that a ConfigError of the check names; a key
+    that names no field fails after that.  An empty ``section``
     reads the fields from ``doc`` itself and leaves its other keys to the
     caller.
     """
@@ -207,6 +208,8 @@ def spec(cls, doc: Mapping[str, Any], section: str, fail: Fail, **fixed):
                 values[f.name] = _hinted(node, names[-1], hints[f.name], at)
     try:
         made = cls(**values, **fixed)
+    except ConfigError as exc:
+        raise at(exc.field, exc.reason) from exc
     except (ValueError, QuakeboxError) as exc:
         raise fail(section or ", ".join(names), str(exc)) from exc
     if section:
@@ -222,6 +225,13 @@ def _hinted(node: Mapping[str, Any], name: str, hint, fail: Fail):
     if typing.get_origin(hint) is tuple:
         return listed(node, name, args[0], fail, length=None if args[-1] is Ellipsis else len(args))
     return get(node, name, hint, fail)
+
+
+def refuse_repeats(field: str, values: Sequence, fail: Fail) -> None:
+    """Refuses the first entry of the list ``field`` that repeats an earlier one."""
+    for i, value in enumerate(values):
+        if values.index(value) < i:
+            raise fail(f"{field}[{i}]", f"{value} repeats {field}[{values.index(value)}]")
 
 
 def known(node: Mapping[str, Any], names, fail: Fail) -> None:

@@ -208,9 +208,21 @@ def weight_distributions(tie_set: Sequence[EnsembleRunResult]) -> WeightDistribu
             median=float(np.median(w)),
             median_abs=float(np.median(np.abs(w))),
             mean_abs=float(np.abs(w).mean()),
-            fraction_nonzero=float(np.mean(w != 0.0)),
+            fraction_nonzero=_fraction_nonzero(w),
         )
     return WeightDistribution(stats=stats, n_models=len(tie_set))
+
+
+def _fraction_nonzero(weights: np.ndarray) -> float:
+    """The share of ``weights`` that are nonzero, as a distribution reports it."""
+    return float(np.mean(weights != 0.0))
+
+
+def demands_unanimity(rule: SelectionRule, n_tied: int) -> bool:
+    """Whether ``rule`` keeps only the codes that are nonzero in every one
+    of ``n_tied`` > 1 tied runs: a code that one of them zeroes falls below
+    ``min_fraction_nonzero``."""
+    return n_tied > 1 and _fraction_nonzero(np.arange(n_tied, dtype=float)) < rule.min_fraction_nonzero
 
 
 def select_features(

@@ -166,7 +166,8 @@ def _butter_sos(
     state (``sosfilt_zi``), designed once per argument set.
 
     The cached arrays are read-only so that no caller can change them;
-    scipy's ``sosfilt`` refuses read-only coefficients, so filter with a
+    scipy's compiled kernel ``scipy.signal._sosfilt._sosfilt`` (behind
+    ``sosfilt``) refuses read-only coefficients, so filter with a
     ``.copy()``.
     """
     from scipy import signal  # imported here, so only commands that filter pay its import time
@@ -178,18 +179,28 @@ def _butter_sos(
 
 def _filtfilt(design: tuple[np.ndarray, np.ndarray], x: np.ndarray, padlen: int) -> np.ndarray:
     """``signal.sosfiltfilt(sos, x, padtype="even", padlen=padlen)`` along
-    the last axis of a trace or of a (traces x samples) block, step for step,
-    with the cached initial state broadcast over the rows instead of a fresh
-    ``sosfilt_zi`` on every call; every row is bit-identical to
-    ``sosfiltfilt`` on that row alone."""
-    from scipy import signal
+    the last axis of a float trace or of a (traces x samples) block, step for
+    step, with the cached initial state broadcast over the rows instead of a
+    fresh ``sosfilt_zi`` on every call; every row is bit-identical to
+    ``sosfiltfilt`` on that row alone.
+
+    Both passes call ``_sosfilt``, the compiled kernel behind
+    ``signal.sosfilt``, on the arrays that wrapper would build: its
+    dispatch and axis handling cost about twice the filtering at one trace.
+    The kernel filters its samples and state in place, so it only ever gets
+    fresh C-contiguous arrays made here, never the caller's.
+    """
+    from scipy.signal._sosfilt import _sosfilt  # imported here, as in _butter_sos
     sos, zi = design
-    sos, zi = sos.copy(), zi[:, None, :]
+    sos, zi = sos.copy(), zi[None]  # the kernel needs writable sections
     shape, x = x.shape, x.reshape(-1, x.shape[-1])
     if padlen > 0:  # mirror ``padlen`` samples at each end, edge samples not repeated
         x = np.concatenate((x[:, padlen:0:-1], x, x[:, -2 : -(padlen + 2) : -1]), axis=1)
-    y, _ = signal.sosfilt(sos, x, zi=zi * x[None, :, :1])
-    y, _ = signal.sosfilt(sos, y[:, ::-1], zi=zi * y[None, :, -1:])
+    else:
+        x = x.copy()
+    _sosfilt(sos, x, zi * x[:, None, :1])  # state: (traces x sections x 2)
+    y = x[:, ::-1].copy()
+    _sosfilt(sos, y, zi * y[:, None, :1])
     y = y[:, ::-1]
     return (y[:, padlen:-padlen] if padlen > 0 else y).reshape(shape)
 

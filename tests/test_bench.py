@@ -9,6 +9,7 @@ import pytest
 
 from quakebox import bench
 from quakebox.errors import (
+    ConfigError,
     DegenerateInput,
     FormatError,
     IngestError,
@@ -243,6 +244,17 @@ class TestSweep:
                            bench.RatioSpec(ratios=(1.0, 2.0), seed=7))
         text = table.render_text()
         assert "oracle" in text and "1.0000" in text
+
+    @pytest.mark.parametrize("ratios,message", [
+        ((1.0, 1.0), "ratios[1]: 1.0 repeats ratios[0]"),
+        ((2.0, 5.0, 3.0, 5.0), "ratios[3]: 5.0 repeats ratios[1]"),
+        ((1, 2.0, 1.0), "ratios[2]: 1.0 repeats ratios[0]"),
+    ])
+    def test_repeated_ratio_refused(self, ratios, message):
+        # one ratio is one column of the table: a repeat would render it twice
+        with pytest.raises(ConfigError) as err:
+            bench.RatioSpec(ratios=ratios)
+        assert str(err.value) == message
 
 
 class TestSyntheticGenerator:

@@ -33,6 +33,13 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def unanimity_warning(tied, runs, fraction=0.9):
+    """select's warning that ``rule.min_fraction_nonzero`` keeps only the codes
+    nonzero in every tied run; at 0.9 it is due for 2 to 9 tied runs."""
+    return (f"warning: the tie-set holds {tied} of {runs} runs, so rule.min_fraction_nonzero="
+            f"{fraction} keeps only the codes nonzero in all {tied}\n")
+
+
 @pytest.fixture
 def tiny_pipeline(workdir):
     """synth -> split -> extract(train/validation/test) on a small corpus."""
@@ -255,7 +262,7 @@ class TestPipeline:
             if max_iters == 1:
                 expected = (f"warning: 6 of 6 ensemble runs stopped at ensemble.max_iters=1 "
                             f"unconverged ({tied} in the tie-set)\n") + expected
-            assert err == expected
+            assert err == expected + (unanimity_warning(tied, 6) if tied > 1 else "")
 
     @pytest.mark.parametrize("lambda_grid,all_tie", [([0.05], True), ([0.05, 100.0], False)])
     def test_select_warns_when_every_run_ties(self, tiny_pipeline, capsys, lambda_grid, all_tie):
@@ -278,7 +285,33 @@ class TestPipeline:
         assert len(scores) == (1 if all_tie else 2)
         warning = (f"warning: all 4 runs tie at validation MCC {max(scores):.4f}: "
                    "the validation split does not rank them\n")
-        assert err == (warning if all_tie else "")
+        tied = len(report["tie_set_ids"])
+        assert err == (warning if all_tie else "") + (unanimity_warning(tied, 4) if tied > 1 else "")
+
+    @pytest.mark.parametrize("n_runs,lambda_grid,fraction,warned", [
+        (4, [0.05, 100.0], 0.9, True),  # a tie-set of 2: both runs must agree
+        (20, [0.05], 0.9, False),  # every run ties, and 19 of 20 is enough
+        (20, [0.05], 0.95, False),  # 19 of 20 is 0.95, as the distribution computes it
+        (20, [0.05], 0.96, True),
+    ])
+    def test_select_warns_when_the_rule_demands_unanimity(self, tiny_pipeline, capsys, n_runs,
+                                                          lambda_grid, fraction, warned):
+        wd = tiny_pipeline
+        select_cfg = write_config(wd, "select_unanimity.json", {
+            "master_seed": 7,
+            "train_input": str(wd / "train.tsv"),
+            "validation_input": str(wd / "validation.tsv"),
+            "output": str(wd / "selection_unanimity.json"),
+            "ensemble": {"n_runs": n_runs, "lambda_grid": lambda_grid},
+            "rule": {"min_fraction_nonzero": fraction},
+        })
+        capsys.readouterr()
+        assert run(["select", "-c", select_cfg]) == 0
+        err = capsys.readouterr().err
+        tied = len(json.loads((wd / "selection_unanimity.json").read_text())["tie_set_ids"])
+        assert tied == (2 if n_runs == 4 else n_runs)
+        assert (unanimity_warning(tied, n_runs, fraction) in err) == warned
+        assert ("tie-set holds" in err) == warned
 
     def test_sweep_with_all_noise_predictions(self, tiny_pipeline):
         wd = tiny_pipeline

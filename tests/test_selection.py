@@ -17,6 +17,7 @@ from quakebox.selection import (
     EnsembleRunResult,
     SelectionRule,
     best_models,
+    demands_unanimity,
     discover_features,
     load_selection_report,
     run_ensemble,
@@ -247,6 +248,15 @@ class TestSelectFeatures:
         loose = set(select_features(dist, SelectionRule(0.9, 0.05)))
         for rule in (SelectionRule(0.95, 0.05), SelectionRule(0.9, 0.1), SelectionRule(0.99, 0.5)):
             assert set(select_features(dist, rule)) <= loose
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.9, 0.95, 0.96, 1.0])
+    def test_unanimity_is_what_the_rule_does_to_one_zero(self, fraction):
+        # a code zero in one of n tied runs fails the rule exactly when the rule demands unanimity
+        rule = SelectionRule(fraction, 0.05)
+        for n in range(1, 41):
+            dist = weight_distributions([result(i, 1.0, f=0.8 if i else 0.0) for i in range(n)])
+            assert demands_unanimity(rule, n) == (n > 1 and select_features(dist, rule) == ())
+        assert demands_unanimity(rule, 20) == (fraction > 0.95)  # 19 of 20 is 0.95
 
 
 class TestWorkflow:

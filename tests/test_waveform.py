@@ -199,6 +199,37 @@ class TestBandpass:
                 expected = signal.sosfiltfilt(sos, x, padtype="even", padlen=padlen)[::factor]
                 assert downsample(x, factor).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 119, 120, 121, 1200])  # the settling length is 120
+    def test_block_rows_match_sosfiltfilt(self, rng, n):
+        # rows of scales 1e-3 to 1e5, filtered as one block, against scipy on each row
+        block = rng.standard_normal((9, n)) * np.logspace(-3, 5, 9)[:, None]
+        fs, cfg, factor = 200.0, PreprocessConfig(), 3
+        bandpass_sos = signal.butter(4, [5.0, 25.0], btype="bandpass", fs=fs, output="sos")
+        lowpass_sos = signal.butter(8, 0.8 / factor, btype="lowpass", output="sos")
+        filtered = bandpass(block, fs, cfg) if n > 1 else None  # bandpass refuses one sample
+        decimated = downsample(block, factor)
+        for i, row in enumerate(block):
+            if filtered is not None:
+                expected = signal.sosfiltfilt(bandpass_sos, row, padtype="even", padlen=min(n - 1, 120))
+                assert filtered[i].tobytes() == expected.tobytes()
+            expected = signal.sosfiltfilt(lowpass_sos, row, padtype="even", padlen=min(n - 1, 30 * factor))
+            assert decimated[i].tobytes() == expected[::factor].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 600])  # at one sample the low-pass pads nothing
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_filters_leave_the_callers_array_unchanged(self, rng, n, rows):
+        # the compiled filter works in place, so it must only ever see private copies
+        x = rng.standard_normal(n if rows is None else (rows, n))
+        before = x.tobytes()
+        cfg = PreprocessConfig(band_low_hz=2.0, band_high_hz=29.0, downsample_factor=3)
+        downsample(x, 3)
+        if n > 1:  # the band-pass and the line fit need two samples
+            bandpass(x, 100.0, cfg)
+            # the band reaches past the new Nyquist, so both filters run
+            preprocess_records([make_record(f"t{i}", samples=row, fs=100.0)
+                                for i, row in enumerate(np.atleast_2d(x))], cfg)
+        assert x.flags.writeable and x.tobytes() == before
+
 
 class TestDownsample:
     def test_factor_one_identity(self, rng):
