@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -29,7 +30,7 @@ from .errors import (
     InsufficientNoise,
     TooFewEvents,
 )
-from .features.vectors import FeatureMatrix, FeatureVector, read_table, table_error
+from .features.vectors import FeatureMatrix, FeatureVector, number, read_header, read_table, table_error
 from .fields import refuse_repeats, text_file
 from .metrics import EVENT, ConfusionMatrix, EvalReport, summarize
 from .model import ModelArtifact
@@ -447,14 +448,27 @@ def generate_planted_features(
 # external prediction ingestion
 
 
-def _unit_interval(cell: str, column: str, path: str | Path, lineno: int) -> float:
-    try:
-        value = float(cell)
-    except ValueError as exc:
-        raise table_error(path, lineno, f"{column}: {exc}") from exc
-    if not 0.0 <= value <= 1.0:
-        raise table_error(path, lineno, f"{column} {value} outside [0, 1]")
-    return value
+def _prediction_row(header: List[str], numeric: List[str]):
+    """The check of a row; one whose id an earlier row holds is passed, and
+    the repeat reported once every row is read."""
+    seen = set()
+
+    def check(cells: List[str]) -> None:
+        tid = cells[header.index("trace_id")]
+        if tid in seen:
+            return
+        seen.add(tid)
+        if "label" in header and cells[header.index("label")] not in LABELS:
+            raise ValueError(f"bad label {cells[header.index('label')]!r}")
+        for column in numeric:
+            try:
+                value = number(cells[header.index(column)])
+            except ValueError as exc:
+                raise ValueError(f"{column}: {exc}") from None
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{column} {value} outside [0, 1]")
+
+    return check
 
 
 class Predictions(dict):
@@ -485,37 +499,39 @@ def ingest_predictions(
     """
     expected = set(expected_trace_ids)
     with text_file(path) as fh:
-        header, rows = read_table(path, fh, 1)
+        header = read_header(path, fh, 1)
         if "trace_id" not in header:
             raise table_error(path, 1, "header lacks a trace_id column")
         if "label" not in header and "probability" not in header:
             raise table_error(path, 1, "need a label or probability column")
-        idx = {name: header.index(name) for name in header}
-        out: Dict[str, str] = {}
-        duplicates: List[str] = []
-        for lineno, parts in rows:
-            tid = parts[idx["trace_id"]]
-            if tid in out:
-                duplicates.append(tid)
-                continue
-            if "label" in idx:
-                label = parts[idx["label"]]
-                if label not in LABELS:
-                    raise table_error(path, lineno, f"bad label {label!r}")
-            else:
-                prob = _unit_interval(parts[idx["probability"]], "probability", path, lineno)
-                threshold = 0.5
-                if "threshold" in idx:
-                    threshold = _unit_interval(parts[idx["threshold"]], "threshold", path, lineno)
-                label = "event" if prob >= threshold else "noise"
-            out[tid] = label
-    if duplicates:
-        raise IngestError(
-            f"{path}: duplicate trace id(s): " + ", ".join(sorted(set(duplicates))[:10])
-        )
-    missing = expected - set(out)
+        # a label column wins: probability and threshold are then never read
+        text = ["trace_id", "label"] if "label" in header else ["trace_id"]
+        numeric = [] if "label" in header else [c for c in ("probability", "threshold") if c in header]
+        table = read_table(path, fh, header, 1, text, numeric)
+    values = table.values
+    if values is None:
+        valid = False
+    elif "label" in header:
+        valid = set(table.text["label"]) <= set(LABELS)
+    else:
+        valid = bool(np.all((0.0 <= values) & (values <= 1.0)))  # NaN fails too
+    if not valid:
+        table.walk(_prediction_row(header, numeric))
+    ids = table.text["trace_id"]
+    if len(set(ids)) < len(ids):
+        duplicates = sorted(tid for tid, n in Counter(ids).items() if n > 1)
+        raise IngestError(f"{path}: duplicate trace id(s): " + ", ".join(duplicates[:10]))
+    if "label" in header:
+        labels = table.text["label"]
+    else:
+        threshold = values[:, 1] if "threshold" in header else 0.5
+        labels = ["event" if e else "noise" for e in (values[:, 0] >= threshold).tolist()]
+    out = dict(zip(ids, labels))
+    missing = expected.difference(out)
     if missing:
         raise IngestError(
             f"{path}: missing {len(missing)} trace id(s): " + ", ".join(sorted(missing)[:10])
         )
-    return Predictions({tid: out[tid] for tid in out if tid in expected}, path)
+    if len(out) > len(expected):
+        out = {tid: label for tid, label in out.items() if tid in expected}
+    return Predictions(out, path)

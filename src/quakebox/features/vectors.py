@@ -13,16 +13,20 @@ Records reach feature values by one path: :func:`extract_matrix` stacks
 them into blocks for :meth:`FeatureRegistry.extract_block`, and
 :func:`extract_vector` is :func:`extract_matrix` on one record.
 
-:func:`read_table`, beside :func:`read_matrix`, reads every tab-separated
-input, matrices and ``bench.ingest_predictions``' files alike.
+:func:`read_header` and :func:`read_table` read every tab-separated input,
+matrices and ``bench.ingest_predictions``' files alike, a column block at a
+time: the numeric columns of all rows in one ``np.loadtxt`` call.  Callers
+check whole columns; only a file that fails a check is walked line by line,
+to name its first bad line.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress, count, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, List, Mapping, Sequence, TextIO, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -259,28 +263,87 @@ def table_error(path: str | Path, line: int, message: str) -> FormatError:
     return FormatError(f"{path}: {message}", line=line)
 
 
-def read_table(path: str | Path, fh: TextIO, lineno: int) -> Tuple[List[str], Iterator[Tuple[int, List[str]]]]:
-    """The header at line ``lineno`` of ``fh``, and a lazy iterator over the
-    ``(line number, cells)`` of each non-blank line after it.  An empty or
-    repeated column name is refused now and a wrong cell count when its row
-    is reached, so the caller's header checks come before any row error."""
+def number(cell: str) -> float:
+    """``cell`` as a number of the grammar ``np.loadtxt`` reads: an ASCII literal
+    ``float`` parses, padded with any whitespace ``str.strip`` removes; else
+    (an underscore, a non-ASCII digit) a ValueError worded as ``float``'s."""
+    core = cell.strip()
+    if core.isascii() and "_" not in core:
+        try:
+            return float(core)
+        except ValueError:
+            pass
+    raise ValueError(f"could not convert string to float: {cell!r}")
+
+
+def read_header(path: str | Path, fh: TextIO, lineno: int) -> List[str]:
+    """The header at line ``lineno`` of ``fh``; an empty or repeated column
+    name is refused before the caller's own header checks."""
     header = fh.readline().rstrip("\n").split("\t")
     if "" in header:
         raise table_error(path, lineno, f"header column {header.index('') + 1} has an empty name")
     repeated = sorted({c for c in header if header.count(c) > 1})
     if repeated:
         raise table_error(path, lineno, f"column(s) repeated in header: {', '.join(repeated)}")
+    return header
 
-    def rows() -> Iterator[Tuple[int, List[str]]]:
-        for n, line in enumerate(fh, start=lineno + 1):
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split("\t")
-            if len(cells) != len(header):
-                raise table_error(path, n, f"expected {len(header)} columns, found {len(cells)}")
-            yield n, cells
 
-    return header, rows()
+@dataclass(frozen=True)
+class Table:
+    """The non-blank rows below a header: row ``i`` is ``lines[i]``, on line
+    ``linenos[i]``.  ``text`` holds the text columns asked for, and ``values``
+    the numeric ones as a (rows x columns) array, or None when a cell is not a
+    :func:`number`; a wrong column count leaves both empty (``values`` None)."""
+
+    path: str | Path
+    header: List[str]
+    linenos: List[int]
+    lines: List[str]
+    text: Dict[str, List[str]]
+    values: np.ndarray | None
+
+    def walk(self, check: Callable[[List[str]], None]) -> None:
+        """Refuse, naming its line, the first row with the wrong column count
+        or whose cells ``check`` refuses with a ValueError."""
+        for n, line in zip(self.linenos, self.lines):
+            cells = line.split("\t")
+            try:
+                if len(cells) != len(self.header):
+                    raise ValueError(f"expected {len(self.header)} columns, found {len(cells)}")
+                check(cells)
+            except ValueError as exc:
+                raise table_error(self.path, n, str(exc)) from None
+
+
+def read_table(path: str | Path, fh: TextIO, header: List[str], lineno: int,
+               text: Sequence[str], numeric: Sequence[str]) -> Table:
+    """The rows below the header at line ``lineno`` of ``fh``; ``np.loadtxt``
+    reads the ``numeric`` columns and rounds as ``float`` does."""
+    body = fh.read().split("\n")
+    keep = list(map(str.strip, body))  # a blank line is skipped but counted
+    linenos, lines = list(compress(count(lineno + 1), keep)), list(compress(body, keep))
+    columns: Dict[str, List[str]] = {}
+    values = None
+    # loadtxt(usecols=...) would drop an extra column silently
+    if set(map(str.count, lines, repeat("\t"))) <= {len(header) - 1}:
+        # one column at a time, so that no list of rows is kept for the collector to walk
+        columns = {name: [line.split("\t", j + 1)[j] for line in lines]
+                   for name, j in zip(text, map(header.index, text))}
+        values = np.empty((len(lines), len(numeric)))
+        if lines and numeric:
+            try:
+                values = np.loadtxt(lines, delimiter="\t", usecols=[header.index(c) for c in numeric],
+                                    ndmin=2, comments=None, quotechar=None)
+            except ValueError:
+                values = None
+    return Table(path, header, linenos, lines, columns, values)
+
+
+def _matrix_row(cells: List[str]) -> None:
+    if cells[1] not in LABELS:
+        raise ValueError(f"label must be one of {LABELS}, got {cells[1]!r}")
+    for cell in cells[2:]:
+        number(cell)
 
 
 def read_matrix(path: str | Path) -> Tuple[FeatureMatrix, str]:
@@ -295,28 +358,20 @@ def read_matrix(path: str | Path) -> Tuple[FeatureMatrix, str]:
             if token.startswith("role="):
                 role = token.split("=", 1)[1]
         check_role(path, role)
-        header, rows = read_table(path, fh, 2)
+        header = read_header(path, fh, 2)
         if header[:2] != ["trace_id", "label"]:
             raise table_error(path, 2, "header must start with trace_id<TAB>label")
         codes = tuple(header[2:])
         if not codes:
             raise table_error(path, 2, "header has no feature columns")
-        trace_ids, labels, linenos, cells = [], [], [], []
-        for lineno, parts in rows:
-            if parts[1] not in LABELS:
-                raise table_error(path, lineno, f"label must be one of {LABELS}, got {parts[1]!r}")
-            try:
-                cells.extend(map(float, parts[2:]))
-            except ValueError as exc:
-                raise table_error(path, lineno, str(exc)) from exc
-            trace_ids.append(parts[0])
-            labels.append(parts[1])
-            linenos.append(lineno)
+        table = read_table(path, fh, header, 2, ("trace_id", "label"), codes)
+    if table.values is None or not set(table.text["label"]) <= set(LABELS):
+        table.walk(_matrix_row)
+    trace_ids, X = table.text["trace_id"], table.values
     if not trace_ids:
         raise FormatError(f"{path}: no data rows")
-    unique_ids(path, trace_ids, linenos)
-    X = np.array(cells).reshape(len(trace_ids), len(codes))
+    unique_ids(path, trace_ids, table.linenos)
     try:
-        return FeatureMatrix(X, codes, tuple(trace_ids), tuple(labels)), role
+        return FeatureMatrix(X, codes, tuple(trace_ids), tuple(table.text["label"])), role
     except FormatError as exc:  # a non-finite cell: name its line too
-        raise table_error(path, linenos[np.argwhere(~np.isfinite(X))[0, 0]], str(exc)) from None
+        raise table_error(path, table.linenos[np.argwhere(~np.isfinite(X))[0, 0]], str(exc)) from None

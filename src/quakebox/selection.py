@@ -31,7 +31,7 @@ from typing import List, Mapping, Sequence, Tuple
 import numpy as np
 
 from . import fields
-from .errors import DegenerateInput, QuakeboxError
+from .errors import ConfigError, DegenerateInput, QuakeboxError
 from .features.vectors import FeatureMatrix, standardize_apply, standardize_fit
 from .metrics import confusion, mcc
 from .model import PenaltyConfig, TrainOptions, classify, lambda_max, train
@@ -107,6 +107,12 @@ class SelectionRule:
 
     min_fraction_nonzero: float = 0.9
     min_median_abs: float = 0.05
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.min_fraction_nonzero <= 1.0:
+            raise ConfigError("min_fraction_nonzero", f"must lie in [0, 1], got {self.min_fraction_nonzero}")
+        if not self.min_median_abs >= 0.0:
+            raise ConfigError("min_median_abs", f"must be nonnegative, got {self.min_median_abs}")
 
 
 def default_lambda_grid(train_data: FeatureMatrix, alpha: float) -> Tuple[float, ...]:
@@ -351,8 +357,15 @@ def load_selection_report(path: str | Path) -> SelectionReport:
         tie_set_ids=list(fields.listed(payload, "tie_set_ids", int, fail)),
         distribution=WeightDistribution(stats=stats, n_models=n_models),
         selected=fields.listed(payload, "selected", str, fail),
-        rule=SelectionRule(
+        rule=_read_rule(payload, fail),
+    )
+
+
+def _read_rule(payload: Mapping[str, object], fail: fields.Fail) -> SelectionRule:
+    try:
+        return SelectionRule(
             min_fraction_nonzero=fields.get(payload, "rule.min_fraction_nonzero", float, fail),
             min_median_abs=fields.get(payload, "rule.min_median_abs", float, fail),
-        ),
-    )
+        )
+    except ConfigError as exc:  # the rule's own check, named as a field of the file
+        raise fail(f"rule.{exc.field}", exc.reason) from None

@@ -430,6 +430,40 @@ class TestIngestPredictions:
             bench.ingest_predictions(path, ["a"])
         assert str(err.value) == f"line 1: {path}: {named}"
 
+    @pytest.mark.parametrize("cell", ["1_0", "１", "#3", '"4"'],
+                             ids=["underscore", "fullwidth-digit", "hash", "quoted"])
+    def test_probability_outside_the_number_grammar_names_its_line(self, tmp_path, cell):
+        path = self.write(tmp_path, f"trace_id\tprobability\na\t0.5\nb\t{cell}\n")
+        with pytest.raises(FormatError) as err:
+            bench.ingest_predictions(path, ["a", "b"])
+        assert str(err.value) == f"line 3: {path}: probability: could not convert string to float: {cell!r}"
+
+    def test_extra_column_after_the_last_read_column_refused(self, tmp_path):
+        path = self.write(tmp_path, "trace_id\tprobability\na\t0.5\nb\t0.5\t0.9\n")
+        with pytest.raises(FormatError) as err:
+            bench.ingest_predictions(path, ["a", "b"])
+        assert str(err.value) == f"line 3: {path}: expected 2 columns, found 3"
+
+    def test_nan_probability_refused(self, tmp_path):
+        path = self.write(tmp_path, "trace_id\tprobability\tthreshold\na\t0.5\t0.5\nb\t0.5\tnan\n")
+        with pytest.raises(FormatError) as err:
+            bench.ingest_predictions(path, ["a", "b"])
+        assert str(err.value) == f"line 3: {path}: threshold nan outside [0, 1]"
+
+    def test_bad_probability_ignored_beside_a_label_column(self, tmp_path):
+        path = self.write(tmp_path, "trace_id\tlabel\tprobability\tthreshold\na\tevent\thigh\t7\nb\tnoise\t1_0\t\n")
+        assert bench.ingest_predictions(path, ["a", "b"]) == {"a": "event", "b": "noise"}
+
+    def test_repeated_id_with_a_bad_probability_reports_the_repeat(self, tmp_path):
+        path = self.write(tmp_path, "trace_id\tprobability\na\t0.7\nb\t0.2\na\thigh\nb\t7\n")
+        with pytest.raises(IngestError) as err:
+            bench.ingest_predictions(path, ["a", "b"])
+        assert str(err.value) == f"{path}: duplicate trace id(s): a, b"
+
+    def test_padded_probability_reads_as_float(self, tmp_path):
+        path = self.write(tmp_path, "trace_id\tprobability\tthreshold\na\t 0.5\t0.5 \nb\t 0.25\t1\n")
+        assert bench.ingest_predictions(path, ["a", "b"]) == {"a": "event", "b": "noise"}
+
     def test_extra_ids_tolerated(self, tmp_path):
         path = self.write(tmp_path, "trace_id\tlabel\na\tevent\nzz\tnoise\n")
         out = bench.ingest_predictions(path, ["a"])

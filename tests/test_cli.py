@@ -674,6 +674,15 @@ def _malformed_cases():
                  ("error: line 3: ", "w.jsonl: trace_id n1 repeats line 2\n")),
             )
         ),
+        # the rule's own check names its field
+        _case("select-rule-fraction-above-1", "select",
+              lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
+                         "rule": {"min_fraction_nonzero": 1.5}}, {m: MATRIX},
+              "error: rule.min_fraction_nonzero: must lie in [0, 1], got 1.5\n"),
+        _case("select-rule-negative-median-abs", "select",
+              lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
+                         "rule": {"min_median_abs": -1.0}}, {m: MATRIX},
+              "error: rule.min_median_abs: must be nonnegative, got -1.0\n"),
         _case("select-tol-0", "select",
               lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
                          "ensemble": {"tol": 0}}, {m: MATRIX},

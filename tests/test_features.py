@@ -762,6 +762,64 @@ class TestMatrixFile:
             read_matrix(path)
         assert str(err.value) == named.format(path=path)
 
+    def test_extra_column_after_the_last_feature_refused(self, tmp_path):
+        # np.loadtxt(usecols=...) drops an extra column: the reader counts every row's tabs
+        path = tmp_path / "m.tsv"
+        path.write_text("# quakebox-features-v1 role=train\ntrace_id\tlabel\tf\tg\n"
+                        "e1\tevent\t1.0\t2.0\nn1\tnoise\t3.0\t4.0\t5.0\n")
+        with pytest.raises(FormatError) as err:
+            read_matrix(path)
+        assert str(err.value) == f"line 4: {path}: expected 4 columns, found 5"
+
+    @pytest.mark.parametrize("cell", ["1_0", "１", "#3", '"4"', "1.0.0", "", " "],
+                             ids=["underscore", "fullwidth-digit", "hash", "quoted", "two-points", "empty", "space"])
+    def test_cell_outside_the_number_grammar_names_its_line(self, tmp_path, cell):
+        path = tmp_path / "m.tsv"
+        path.write_text(f"# quakebox-features-v1 role=train\ntrace_id\tlabel\tf\tg\n"
+                        f"e1\tevent\t1.0\t2.0\nn1\tnoise\t3.0\t{cell}\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            read_matrix(path)
+        assert str(err.value) == f"line 4: {path}: could not convert string to float: {cell!r}"
+
+    def test_first_bad_line_named_whatever_its_fault(self, tmp_path):
+        # a bad cell on line 3 comes before a wrong column count on line 4
+        path = tmp_path / "m.tsv"
+        path.write_text("# quakebox-features-v1 role=train\ntrace_id\tlabel\tf\n"
+                        "e1\tevent\t1_0\nn1\tnoise\n")
+        with pytest.raises(FormatError) as err:
+            read_matrix(path)
+        assert str(err.value) == f"line 3: {path}: could not convert string to float: '1_0'"
+
+    @pytest.mark.parametrize("cell,value", [
+        ("7", 7.0), (" 2.5 ", 2.5), (" -0.25 ", -0.25), ("1e3", 1000.0), ("+.5", 0.5), ("5.", 5.0),
+        ("-0", -0.0), ("1E-2", 0.01), ("\u00a02.5", 2.5),
+    ])
+    def test_number_grammar_reads_as_float(self, tmp_path, cell, value):
+        path = tmp_path / "m.tsv"
+        path.write_text(f"# quakebox-features-v1 role=train\ntrace_id\tlabel\tf\ne1\tevent\t{cell}\n",
+                        encoding="utf-8")
+        got = read_matrix(path)[0].X[0, 0]
+        assert np.array(got).tobytes() == np.array(value).tobytes() == np.array(float(cell)).tobytes()
+
+    def test_awkward_values_round_trip_bit_for_bit(self, tmp_path):
+        values = [5e-324, -0.0, 1.7976931348623157e308, -1.7976931348623157e308, 0.30000000000000004,
+                  2.2250738585072014e-308, 1.0000000000000002, 123456789.12345679, 3.0, -42.0, 1e22, 0.0]
+        vecs = [make_vector(f"t{i}", "event" if i % 2 else "noise", f=v) for i, v in enumerate(values)]
+        path = tmp_path / "m.tsv"
+        write_matrix(path, vecs)
+        back, _ = read_matrix(path)
+        assert back.X[:, 0].tobytes() == np.array(values).tobytes()
+
+    def test_stress_pool_size_round_trips_bit_for_bit(self, tmp_path, rng):
+        values = rng.standard_normal((15000, 8)) * 10.0 ** rng.integers(-20, 20, (15000, 8))
+        matrix = FeatureMatrix(values, tuple(f"F{j}" for j in range(8)), tuple(f"t{i}" for i in range(15000)),
+                               tuple("event" if i % 7 else "noise" for i in range(15000)))
+        path = tmp_path / "m.tsv"
+        write_matrix(path, matrix)
+        back, _ = read_matrix(path)
+        assert back.X.tobytes() == values.tobytes()
+        assert (back.trace_ids, back.labels, back.codes) == (matrix.trace_ids, matrix.labels, matrix.codes)
+
     @pytest.mark.parametrize("first", [
         "# quakebox-features-v12 role=train", "# quakebox-features-v1role=train",
         "#quakebox-features-v1 role=train", "# quakebox-features role=train", "",

@@ -3,7 +3,9 @@
 Each input is a valid file broken one way: bytes replaced, deleted or
 inserted; a key deleted; or a value swapped for one of another JSON type.
 Whatever the input, ``cli.main`` returns 0 (the file still reads) or 2 (it
-was refused with an error), and no exception escapes it.  The runs are
+was refused with an error), and no exception escapes it.  The matrix and
+prediction readers are also fuzzed directly, against a reading of the same
+text cell by cell with ``float``.  The runs are
 derandomized and keep no example database, so the suite stays
 reproducible and writes no ``.hypothesis/`` directory.
 """
@@ -13,12 +15,17 @@ import io
 import json
 import tempfile
 
+import numpy as np
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from quakebox.bench import ingest_predictions
 from quakebox.cli import main
+from quakebox.errors import FormatError, IngestError
+from quakebox.features import read_matrix
 from test_cli import MATRIX, MODEL as CLI_MODEL
 
 # the CLI tests' valid files, the model with its optional training_meta
@@ -139,3 +146,71 @@ def test_matrix_byte_mutations(workdir, matrix):
 @given(predictions=_edits(PREDICTIONS))
 def test_prediction_byte_mutations(workdir, predictions):
     assert _eval(workdir, MODEL_BYTES, MATRIX.encode(), predictions) in (0, 2)
+
+
+# text that puts a cell at the edge of the number grammar: an underscore after
+# a digit (which float() reads), padding (a space, the file separator \x1c that
+# str.strip removes, a no-break space), a full-width digit, non-finite words, a
+# sign, an exponent, and a new column or line
+SPLICES = [b"_0", b" ", b"\x1c", "\u00a0".encode(), "\uff11".encode(), b"nan", b"inf", b"-", b"e", b"\t", b"\n",
+           b"\r", b"#", b'"', b"0"]
+
+
+def _splices(text: bytes):
+    """``text`` with up to three of the SPLICES inserted into its rows (after its first ``e1``)."""
+    splice = st.tuples(st.integers(text.index(b"e1"), len(text)), st.sampled_from(SPLICES))
+    return st.lists(splice, min_size=1, max_size=3).map(lambda edits: _insert(text, edits))
+
+
+def _insert(text: bytes, edits) -> bytes:
+    for pos, piece in edits:
+        text = text[:pos] + piece + text[pos:]
+    return text
+
+
+def _rows(text: bytes, skip: int) -> list:
+    """The cells of every non-blank line after the first ``skip``, read as
+    the one opener reads text (a leading byte-order mark and universal newlines)."""
+    lines = io.StringIO(text.decode("utf-8-sig"), newline=None).read().split("\n")
+    return [line.split("\t") for line in lines[skip:] if line.strip()]
+
+
+def _float(cell: str) -> float:
+    # the reader strips what str.strip strips; float() alone keeps \x1c-\x1f and refuses the cell
+    return float(cell.strip())
+
+
+@FUZZ
+@given(matrix=st.one_of(_edits(MATRIX.encode()), _splices(MATRIX.encode())))
+def test_matrix_reads_as_float_per_cell(workdir, matrix):
+    path = workdir / "direct.tsv"
+    path.write_bytes(matrix)
+    try:
+        back, _ = read_matrix(path)
+    except FormatError:
+        return
+    rows = _rows(matrix, 2)
+    assert [(r[0], r[1]) for r in rows] == list(zip(back.trace_ids, back.labels))
+    assert back.X.tobytes() == np.array([[_float(c) for c in r[2:]] for r in rows]).tobytes()
+
+
+@FUZZ
+@given(predictions=st.one_of(_edits(PREDICTIONS), _splices(PREDICTIONS)))
+def test_predictions_read_as_float_per_cell(workdir, predictions):
+    path = workdir / "direct.tsv"
+    path.write_bytes(predictions)
+    expected = ["e1", "e2", "n1", "n2"]
+    try:
+        got = ingest_predictions(path, expected)
+    except (FormatError, IngestError):
+        return
+    header, *rows = _rows(predictions, 0)
+    at = {name: header.index(name) for name in ("trace_id", "label", "probability", "threshold") if name in header}
+    want = {}
+    for r in rows:
+        if "label" in at:
+            want[r[at["trace_id"]]] = r[at["label"]]
+        else:
+            threshold = _float(r[at["threshold"]]) if "threshold" in at else 0.5
+            want[r[at["trace_id"]]] = "event" if _float(r[at["probability"]]) >= threshold else "noise"
+    assert got == {tid: label for tid, label in want.items() if tid in expected}

@@ -7,7 +7,7 @@ import pytest
 
 import quakebox.selection
 from quakebox.bench import generate_planted_features
-from quakebox.errors import DegenerateInput, FormatError
+from quakebox.errors import ConfigError, DegenerateInput, FormatError
 from quakebox.features import FeatureMatrix, standardize_apply, standardize_fit
 from quakebox.metrics import confusion, mcc
 from quakebox.model import PenaltyConfig, TrainOptions, classify, train
@@ -249,6 +249,19 @@ class TestSelectFeatures:
         for rule in (SelectionRule(0.95, 0.05), SelectionRule(0.9, 0.1), SelectionRule(0.99, 0.5)):
             assert set(select_features(dist, rule)) <= loose
 
+    @pytest.mark.parametrize("build,named", [
+        (lambda: SelectionRule(1.5, 0.05), "min_fraction_nonzero: must lie in [0, 1], got 1.5"),
+        (lambda: SelectionRule(-0.1, 0.05), "min_fraction_nonzero: must lie in [0, 1], got -0.1"),
+        (lambda: SelectionRule(float("nan"), 0.05), "min_fraction_nonzero: must lie in [0, 1], got nan"),
+        (lambda: SelectionRule(0.9, -1.0), "min_median_abs: must be nonnegative, got -1.0"),
+        (lambda: SelectionRule(0.9, float("nan")), "min_median_abs: must be nonnegative, got nan"),
+    ])
+    def test_rule_thresholds_checked(self, build, named):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert str(err.value) == named
+        assert SelectionRule(0.0, 0.0) and SelectionRule(1.0, 0.0)  # both ends of the range
+
     @pytest.mark.parametrize("fraction", [0.5, 0.9, 0.95, 0.96, 1.0])
     def test_unanimity_is_what_the_rule_does_to_one_zero(self, fraction):
         # a code zero in one of n tied runs fails the rule exactly when the rule demands unanimity
@@ -345,6 +358,19 @@ class TestReportFile:
         path.write_text(json.dumps(broken))
         with pytest.raises(FormatError, match=f"selection.json: {re.escape(named)}"):
             load_selection_report(path)
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("min_fraction_nonzero", 1.5, "rule.min_fraction_nonzero: must lie in [0, 1], got 1.5"),
+        ("min_median_abs", -1.0, "rule.min_median_abs: must be nonnegative, got -1.0"),
+    ])
+    def test_rule_outside_its_range_named(self, tmp_path, payload, field, value, named):
+        broken = json.loads(json.dumps(payload))
+        broken["rule"][field] = value
+        path = tmp_path / "selection.json"
+        path.write_text(json.dumps(broken))
+        with pytest.raises(FormatError) as err:
+            load_selection_report(path)
+        assert str(err.value) == f"{path}: {named}"
 
     @pytest.mark.parametrize("text", ["[1]", '"quakebox-selection-v1"'])
     def test_top_level_not_a_report(self, tmp_path, text):
