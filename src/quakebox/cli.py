@@ -33,6 +33,7 @@ from .features import (
     FeatureMatrix,
     FeatureRegistry,
     canonical_registry,
+    constant_codes,
     extract_matrix,
     read_matrix,
     reproduction_registry,
@@ -235,6 +236,10 @@ def cmd_select(cfg: dict, master: int, out_dir: str | None) -> None:
             raise ConfigError(f"base_features[{i}]", f"{code} is not a column of train_input")
     fields.refuse_repeats("base_features", base, ConfigError)
     val_matrix = _columns_of("validation_input", val_source, val_matrix, train_matrix.codes, "train_input")
+    constant = constant_codes(train_matrix)
+    if constant:
+        print(f"warning: train_input: {', '.join(constant)} constant in all {len(train_matrix)} rows of "
+              f"{train_source}; set aside, weight 0.0 in every run", file=sys.stderr)
     report_obj = selection.discover_features(train_matrix, val_matrix, ecfg, rule, base=base)
     selection.save_selection_report(out, report_obj)
     unconverged = [r.run_id for r in report_obj.runs if not r.converged]
@@ -255,18 +260,11 @@ def cmd_select(cfg: dict, master: int, out_dir: str | None) -> None:
               f"rule.min_fraction_nonzero={rule.min_fraction_nonzero} keeps only the codes "
               f"nonzero in all {n_tied}", file=sys.stderr)
     if dist_out:
-        _write_distribution_table(_resolve(out_dir, dist_out), report_obj)
+        selection.save_distribution_table(_resolve(out_dir, dist_out), report_obj.distribution)
     print(
         f"wrote selection report to {out} "
         f"(tie-set={len(report_obj.tie_set_ids)}, selected={','.join(report_obj.selected)})"
     )
-
-
-def _write_distribution_table(path: Path, rep: selection.SelectionReport) -> None:
-    lines = ["\t".join(("code",) + selection._STAT_KEYS)]
-    for row in rep.distribution.table():
-        lines.append("\t".join([row[0]] + [repr(v) for v in row[1:]]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_eval(cfg: dict, master: int, out_dir: str | None) -> None:

@@ -13,6 +13,7 @@ from .vectors import (
     FeatureMatrix,
     FeatureVector,
     StandardizationParams,
+    constant_codes,
     extract_matrix,
     extract_vector,
     read_matrix,
@@ -30,6 +31,7 @@ __all__ = [
     "FeatureVector",
     "StandardizationParams",
     "canonical_registry",
+    "constant_codes",
     "extract_matrix",
     "extract_vector",
     "read_matrix",

@@ -200,6 +200,17 @@ class StandardizationParams:
     stds: Mapping[str, float]
 
 
+def _stds(m: FeatureMatrix) -> np.ndarray:
+    return m.X.std(axis=0, ddof=1) if len(m) > 1 else np.zeros(len(m.codes))
+
+
+def constant_codes(data: Rows) -> List[str]:
+    """The codes whose column is constant across ``data`` (a sample standard
+    deviation that is not positive): those :func:`standardize_fit` refuses."""
+    m = FeatureMatrix.from_rows(data)
+    return [c for c, s in zip(m.codes, _stds(m)) if not s > 0]
+
+
 def standardize_fit(data: Rows) -> StandardizationParams:
     """Fit per-feature mean and standard deviation (ddof=1).
 
@@ -208,14 +219,12 @@ def standardize_fit(data: Rows) -> StandardizationParams:
     standardize anything.
     """
     m = FeatureMatrix.from_rows(data)
-    means = m.X.mean(axis=0)
-    stds = m.X.std(axis=0, ddof=1) if len(m) > 1 else np.zeros(len(m.codes))
-    constant = [c for c, s in zip(m.codes, stds) if not s > 0]
+    constant = constant_codes(m)
     if constant:
         raise ZeroVariance(f"feature(s) constant across collection: {', '.join(constant)}")
     return StandardizationParams(
-        means={c: float(v) for c, v in zip(m.codes, means)},
-        stds={c: float(s) for c, s in zip(m.codes, stds)},
+        means={c: float(v) for c, v in zip(m.codes, m.X.mean(axis=0))},
+        stds={c: float(s) for c, s in zip(m.codes, _stds(m))},
     )
 
 

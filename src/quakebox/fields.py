@@ -9,8 +9,9 @@ Each caller passes ``fail(field, why)``, which builds the error it raises:
 the file, and the line) for a data file.
 
 :func:`spec` reads a whole config section into its frozen dataclass:
-each field by its type hint, a missing one at the dataclass default, and
-a key that names no field refused as ``section.key: unknown field``.
+each field by its type hint, a missing one at its default (if it has one),
+and a key that names no field refused as ``section.key: unknown field``.
+:func:`record` writes a dataclass under the same names.
 
 A waveform record's samples are read by :func:`numbers` (a v1 JSON
 array) or :func:`float64le` (v2 base64 of float64 bytes).
@@ -21,6 +22,7 @@ matrix file.
 from __future__ import annotations
 
 import base64
+import collections.abc
 import contextlib
 import dataclasses
 import json
@@ -188,9 +190,9 @@ def under(prefix: str, fail: Fail) -> Fail:
 def spec(cls, doc: Mapping[str, Any], section: str, fail: Fail, **fixed):
     """The dataclass ``cls`` read from the object at ``section`` of ``doc``.
 
-    Each field is read by its type hint under its JSON name (its
-    ``metadata["json"]``, else its own) and a missing one keeps its
-    default.  ``fixed`` fields (the command's seeds) are the caller's and
+    Each field is read by its type hint under its :func:`json_name`, and a
+    missing one keeps its default or, without one, fails as required.
+    ``fixed`` fields (the command's seeds) are the caller's and
     cannot be read.  The dataclass's own check fails naming ``section``,
     or the field within it that a ConfigError of the check names; a key
     that names no field fails after that.  An empty ``section``
@@ -203,8 +205,9 @@ def spec(cls, doc: Mapping[str, Any], section: str, fail: Fail, **fixed):
     names, values = [], {}
     for f in dataclasses.fields(cls):
         if f.name not in fixed:
-            names.append(f.metadata.get("json", f.name))
-            if names[-1] in node:
+            names.append(json_name(f))
+            required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+            if names[-1] in node or required:
                 values[f.name] = _hinted(node, names[-1], hints[f.name], at)
     try:
         made = cls(**values, **fixed)
@@ -224,7 +227,19 @@ def _hinted(node: Mapping[str, Any], name: str, hint, fail: Fail):
         return _hinted(node, name, args[0], fail)
     if typing.get_origin(hint) is tuple:
         return listed(node, name, args[0], fail, length=None if args[-1] is Ellipsis else len(args))
+    if typing.get_origin(hint) is collections.abc.Mapping:  # Mapping[str, X]
+        return table(node, name, args[1], fail)
     return get(node, name, hint, fail)
+
+
+def json_name(f: dataclasses.Field) -> str:
+    """A dataclass field's name in JSON: its ``metadata["json"]``, else its own."""
+    return f.metadata.get("json", f.name)
+
+
+def record(obj) -> dict:
+    """The dataclass ``obj`` as a JSON object, its fields in order under their :func:`json_name`."""
+    return {json_name(f): getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def refuse_repeats(field: str, values: Sequence, fail: Fail) -> None:

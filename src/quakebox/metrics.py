@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DegenerateInput, ShapeMismatch
+from .fields import record
 
 EVENT = "event"
 NOISE = "noise"
@@ -50,18 +51,8 @@ class EvalReport:
     noise_ratio: float
 
     def to_dict(self) -> dict:
-        m = self.matrix
-        return {
-            "tp": m.tp,
-            "tn": m.tn,
-            "fp": m.fp,
-            "fn": m.fn,
-            "mcc": self.mcc,
-            "accuracy": self.accuracy,
-            "n_pos": self.n_pos,
-            "n_neg": self.n_neg,
-            "noise_ratio": self.noise_ratio,
-        }
+        cell = record(self)
+        return {**record(cell.pop("matrix")), **cell}
 
 
 def confusion(labels: Sequence[str], preds: Sequence[str]) -> ConfusionMatrix:

@@ -24,7 +24,8 @@ every run on the whole training set.
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import List, Mapping, Sequence, Tuple
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import fields
 from .errors import ConfigError, DegenerateInput, QuakeboxError
-from .features.vectors import FeatureMatrix, standardize_apply, standardize_fit
+from .features.vectors import FeatureMatrix, constant_codes, standardize_apply, standardize_fit
 from .metrics import confusion, mcc
 from .model import PenaltyConfig, TrainOptions, classify, lambda_max, train
 from .seeds import derive_rng
@@ -65,10 +66,11 @@ class EnsembleConfig:
 
 @dataclass(frozen=True)
 class EnsembleRunResult:
+    # a report's run object holds these fields, in this order
     run_id: int
-    weights: Mapping[str, float]
     val_mcc: float
     config_used: Mapping[str, object]
+    weights: Mapping[str, float]
     # the fit's certificate: its outer steps, whether it met its tolerance
     # within ``max_iters``, its penalized objective and optimality residual
     # (as in a model's ``training_meta``) and its count of nonzero weights
@@ -81,8 +83,8 @@ class EnsembleRunResult:
 
 @dataclass(frozen=True)
 class FeatureWeightStats:
-    minimum: float
-    maximum: float
+    minimum: float = field(metadata={"json": "min"})
+    maximum: float = field(metadata={"json": "max"})
     median: float
     median_abs: float
     mean_abs: float
@@ -119,10 +121,21 @@ def default_lambda_grid(train_data: FeatureMatrix, alpha: float) -> Tuple[float,
     """Ten log-spaced values below the all-zero threshold ``lambda_max``.
 
     Spans half of lambda_max down two decades, which brackets the useful
-    sparsity range for standardized inputs.
+    sparsity range for standardized inputs; a constant column is left out.
     """
-    top = lambda_max(standardize_apply(train_data, standardize_fit(train_data)), alpha)
+    (varying,) = _varying(train_data)
+    top = lambda_max(standardize_apply(varying, standardize_fit(varying)), alpha)
     return tuple(float(v) for v in np.geomspace(0.5 * top, 0.005 * top, 10))
+
+
+def _varying(fit: FeatureMatrix, *others: FeatureMatrix) -> List[FeatureMatrix]:
+    """``fit`` and ``others`` without the columns constant in ``fit``, which
+    standardization cannot scale; when no column varies, all are kept, for
+    :func:`standardize_fit` to refuse."""
+    constant = constant_codes(fit)
+    if len(constant) == len(fit.codes):
+        constant = []
+    return [m.columns([c for c in m.codes if c not in constant]) for m in (fit, *others)]
 
 
 def _stratified_subsample(
@@ -151,7 +164,9 @@ def run_ensemble(
     The draw's runs are fitted in run order, each starting from the previous
     run's fit on the same draw (the first from zero), so a run depends on
     the earlier runs of its draw; the default grid descends, from sparse
-    fits to dense ones.  A failed run aborts the ensemble with the run id
+    fits to dense ones.  A column constant in the draw is set aside: its
+    runs fit the other columns and give it weight 0.0.  A failed run, or a
+    draw in which no column varies, aborts the ensemble with the run id
     attached.
     """
     grid = cfg.lambda_grid or default_lambda_grid(train_data, cfg.alpha)
@@ -162,9 +177,9 @@ def run_ensemble(
         run_id = first
         try:
             rng = derive_rng(cfg.seed, "ensemble-subsample", first // len(grid))
-            subset = _stratified_subsample(train_data, cfg.subsample_fraction, rng)
+            subset, val = _varying(_stratified_subsample(train_data, cfg.subsample_fraction, rng), val_data)
             params = standardize_fit(subset)
-            strain, sval = standardize_apply(subset, params), standardize_apply(val_data, params)
+            strain, sval = standardize_apply(subset, params), standardize_apply(val, params)
             start = None
             for k, lam in enumerate(grid[: cfg.n_runs - first]):
                 run_id = first + k
@@ -174,7 +189,7 @@ def run_ensemble(
                 results.append(
                     EnsembleRunResult(
                         run_id=run_id,
-                        weights=dict(model.weights),
+                        weights={c: model.weights.get(c, 0.0) for c in train_data.codes},
                         val_mcc=mcc(confusion(val_data.labels, classify(model, sval))),
                         config_used={"lambda": lam, "n_train": len(subset)},
                         iterations=meta["iterations"],
@@ -289,39 +304,27 @@ def discover_features(
 
 
 REPORT_FORMAT = "quakebox-selection-v1"
-# a report's names for the FeatureWeightStats fields, in field order
-_STAT_KEYS = ("min", "max", "median", "median_abs", "mean_abs", "fraction_nonzero")
 
 
 def save_selection_report(path: str | Path, report: SelectionReport) -> None:
     payload = {
         "format": REPORT_FORMAT,
-        "rule": {
-            "min_fraction_nonzero": report.rule.min_fraction_nonzero,
-            "min_median_abs": report.rule.min_median_abs,
-        },
+        "rule": fields.record(report.rule),
         "selected": list(report.selected),
         "tie_set_ids": report.tie_set_ids,
         "n_tie_models": report.distribution.n_models,
-        "distribution": {
-            c: dict(zip(_STAT_KEYS, astuple(s))) for c, s in report.distribution.stats.items()
-        },
-        "runs": [
-            {
-                "run_id": r.run_id,
-                "val_mcc": r.val_mcc,
-                "config_used": dict(r.config_used),
-                "weights": dict(r.weights),
-                "iterations": r.iterations,
-                "converged": r.converged,
-                "objective": r.objective,
-                "kkt_residual": r.kkt_residual,
-                "nnz": r.nnz,
-            }
-            for r in report.runs
-        ],
+        "distribution": {c: fields.record(s) for c, s in report.distribution.stats.items()},
+        "runs": [fields.record(r) for r in report.runs],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def save_distribution_table(path: str | Path, dist: WeightDistribution) -> None:
+    """The tie-set's weight statistics as a TSV table, one row per code, its
+    columns headed by the report's names for them."""
+    lines = ["\t".join(["code", *map(fields.json_name, dataclass_fields(FeatureWeightStats))])]
+    lines += ["\t".join([code, *map(repr, values)]) for code, *values in dist.table()]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_selection_report(path: str | Path) -> SelectionReport:
@@ -331,26 +334,10 @@ def load_selection_report(path: str | Path) -> SelectionReport:
         payload = fields.document(fh.read(), path, REPORT_FORMAT)
 
     fail = fields.in_file(path)
-    runs = []
-    for i, r in enumerate(fields.listed(payload, "runs", dict, fail)):
-        at = fields.under(f"runs[{i}]", fail)
-        runs.append(
-            EnsembleRunResult(
-                run_id=fields.get(r, "run_id", int, at),
-                weights=fields.table(r, "weights", float, at),
-                val_mcc=fields.get(r, "val_mcc", float, at),
-                config_used=fields.get(r, "config_used", dict, at),
-                iterations=fields.get(r, "iterations", int, at),
-                converged=fields.get(r, "converged", bool, at),
-                objective=fields.get(r, "objective", float, at),
-                kkt_residual=fields.get(r, "kkt_residual", float, at),
-                nnz=fields.get(r, "nnz", int, at),
-            )
-        )
-    stats = {}
-    for code, s in fields.table(payload, "distribution", dict, fail).items():
-        at = fields.under(f"distribution.{code}", fail)
-        stats[code] = FeatureWeightStats(*(fields.get(s, key, float, at) for key in _STAT_KEYS))
+    runs = [fields.spec(EnsembleRunResult, r, "", fields.under(f"runs[{i}]", fail))
+            for i, r in enumerate(fields.listed(payload, "runs", dict, fail))]
+    stats = {code: fields.spec(FeatureWeightStats, s, "", fields.under(f"distribution.{code}", fail))
+             for code, s in fields.table(payload, "distribution", dict, fail).items()}
     n_models = fields.get(payload, "n_tie_models", int, fail)
     return SelectionReport(
         runs=runs,

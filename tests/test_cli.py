@@ -1053,3 +1053,37 @@ def test_malformed_input_exits_2_naming_field(workdir, capsys, command, build, f
         assert text in err
     assert "Traceback" not in err
 
+
+
+def _select_on_columns(workdir, extra, **ensemble):
+    """select on a 30-row matrix of two varying columns and ``extra``'s
+    (code, per-row values) column: (exit code, report payload, stderr lines)."""
+    rng = np.random.default_rng(5)
+    code, values = extra
+    for part in ("t", "v"):
+        lines = ["# quakebox-features-v1 role=train", f"trace_id\tlabel\tf\tg\t{code}"]
+        lines += [f"{part}{i}\t{'event' if i % 2 else 'noise'}\t" + "\t".join(map(repr, [
+            *rng.normal(0.6 * (i % 2), 1.0, 2).tolist(), values[i]])) for i in range(30)]
+        (workdir / f"{part}.tsv").write_text("\n".join(lines) + "\n")
+    cfg = write_config(workdir, "select.json", {
+        "train_input": str(workdir / "t.tsv"), "validation_input": str(workdir / "v.tsv"),
+        "output": str(workdir / "selection.json"), "base_features": [],
+        "ensemble": {"n_runs": 20, **ensemble}})
+    return run(["select", "-c", cfg]), json.loads((workdir / "selection.json").read_text())
+
+
+def test_select_sets_aside_a_column_constant_in_train_input(workdir, capsys):
+    code, payload = _select_on_columns(workdir, ("k", [2.0] * 30))
+    assert code == 0
+    assert (f"warning: train_input: k constant in all 30 rows of {workdir / 't.tsv'}; "
+            "set aside, weight 0.0 in every run\n") in capsys.readouterr().err
+    assert [r["weights"]["k"] for r in payload["runs"]] == [0.0] * 20
+    assert payload["distribution"]["k"]["fraction_nonzero"] == 0.0 and "k" not in payload["selected"]
+
+
+def test_select_sets_aside_a_column_constant_only_within_a_draw(workdir, capsys):
+    code, payload = _select_on_columns(workdir, ("r", [1.0] + [0.0] * 29), subsample_fraction=0.5)
+    assert code == 0
+    assert "set aside" not in capsys.readouterr().err  # r varies across train_input
+    weights = [r["weights"]["r"] for r in payload["runs"]]
+    assert weights.count(0.0) >= 10  # the draws without the one row where r is 1

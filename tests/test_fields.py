@@ -1,6 +1,7 @@
 """The shared input opener, JSON document parser and field reader: paths,
 types, finiteness, and the caller's error."""
 
+import json
 import math
 
 import pytest
@@ -9,7 +10,7 @@ from quakebox import fields
 from quakebox.bench import RatioSpec, SplitSpec, SyntheticSpec
 from quakebox.errors import ConfigError, FormatError
 from quakebox.model import PenaltyConfig, TrainOptions
-from quakebox.selection import EnsembleConfig, SelectionRule
+from quakebox.selection import EnsembleConfig, EnsembleRunResult, FeatureWeightStats, SelectionRule
 from quakebox.waveform import PreprocessConfig
 
 
@@ -323,3 +324,42 @@ class TestDocument:
     def test_line_is_named(self):
         with pytest.raises(FormatError, match=r"^line 7: d.jsonl: not a JSON object$"):
             fields.document("3", "d.jsonl", line=7)
+
+
+RUN = EnsembleRunResult(run_id=3, val_mcc=0.5, config_used={"lambda": 0.1, "n_train": 8},
+                        weights={"C1": 0.25, "C2": 0.0}, iterations=7, converged=False,
+                        objective=0.625, kkt_residual=1e-7, nnz=1)
+STATS = FeatureWeightStats(minimum=-0.5, maximum=0.75, median=0.125, median_abs=0.25,
+                           mean_abs=0.375, fraction_nonzero=0.5)
+
+
+class TestRecord:
+    def test_keys_are_json_names_in_field_order(self):
+        assert list(fields.record(RUN)) == ["run_id", "val_mcc", "config_used", "weights", "iterations",
+                                            "converged", "objective", "kkt_residual", "nnz"]
+        assert fields.record(STATS) == {"min": -0.5, "max": 0.75, "median": 0.125, "median_abs": 0.25,
+                                        "mean_abs": 0.375, "fraction_nonzero": 0.5}
+        assert fields.record(PenaltyConfig(alpha=0.5, lam=0.25)) == {"alpha": 0.5, "lambda": 0.25}
+
+    @pytest.mark.parametrize("made", [RUN, STATS, SelectionRule(min_fraction_nonzero=0.75, min_median_abs=0.5)],
+                             ids=lambda made: type(made).__name__)
+    def test_record_json_spec_round_trip(self, made):
+        doc = json.loads(json.dumps({"x": fields.record(made)}))
+        assert spec(type(made), doc, "x") == made
+
+    def test_a_field_without_default_is_required(self):
+        with pytest.raises(ConfigError, match=r"^d.max: missing required field$"):
+            spec(FeatureWeightStats, {"d": {"min": 0.0, "median": 0.0}}, "d")
+        run = fields.record(RUN)
+        del run["nnz"]
+        with pytest.raises(FormatError, match=r"^doc.json: runs\[2\].nnz: missing required field$"):
+            fields.spec(EnsembleRunResult, run, "", fields.under("runs[2]", fail))
+
+    def test_a_mapping_field_names_its_bad_entry(self):
+        run = {**fields.record(RUN), "weights": {"C1": 0.25, "C2": "x"}}
+        with pytest.raises(ConfigError, match=r"^r.weights.C2: expected float, got str$"):
+            spec(EnsembleRunResult, {"r": run}, "r")
+        with pytest.raises(ConfigError, match=r"^r.weights.C1: must be finite, got nan$"):
+            spec(EnsembleRunResult, {"r": {**run, "weights": {"C1": math.nan}}}, "r")
+        with pytest.raises(ConfigError, match=r"^r.weights: expected dict, got list$"):
+            spec(EnsembleRunResult, {"r": {**run, "weights": [0.25]}}, "r")

@@ -3,11 +3,12 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 import quakebox.selection
 from quakebox.bench import generate_planted_features
-from quakebox.errors import ConfigError, DegenerateInput, FormatError
+from quakebox.errors import ConfigError, DegenerateInput, FormatError, ZeroVariance
 from quakebox.features import FeatureMatrix, standardize_apply, standardize_fit
 from quakebox.metrics import confusion, mcc
 from quakebox.model import PenaltyConfig, TrainOptions, classify, train
@@ -17,6 +18,7 @@ from quakebox.selection import (
     EnsembleRunResult,
     SelectionRule,
     best_models,
+    default_lambda_grid,
     demands_unanimity,
     discover_features,
     load_selection_report,
@@ -400,3 +402,62 @@ class TestReportFile:
         back = load_selection_report(path)
         save_selection_report(tmp_path / "again.json", back)
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def with_column(matrix, code, values):
+    return FeatureMatrix(np.column_stack([matrix.X, values]), matrix.codes + (code,),
+                         matrix.trace_ids, matrix.labels)
+
+
+class TestConstantColumns:
+    def test_a_column_constant_in_training_is_set_aside_in_every_run(self):
+        train_v, val_v, _ = planted_split(seed=5)
+        k_train = with_column(train_v, "K", np.full(len(train_v), 2.0))
+        k_val = with_column(val_v, "K", np.linspace(0.0, 1.0, len(val_v)))
+        cfg = EnsembleConfig(n_runs=12, seed=3)
+        assert default_lambda_grid(k_train, cfg.alpha) == default_lambda_grid(train_v, cfg.alpha)
+        got, plain = run_ensemble(k_train, k_val, cfg), run_ensemble(train_v, val_v, cfg)
+        for r, p in zip(got, plain, strict=True):
+            assert list(r.weights) == list(k_train.codes)
+            assert r.weights == {**p.weights, "K": 0.0}
+            assert (r.val_mcc, r.objective, r.nnz, r.config_used) == (p.val_mcc, p.objective, p.nnz, p.config_used)
+        report = discover_features(k_train, k_val, cfg)
+        assert report.distribution.stats["K"].fraction_nonzero == 0.0
+        assert "K" not in report.selected
+
+    def test_a_column_constant_only_within_a_draw_is_set_aside_in_its_runs(self):
+        train_v, val_v, _ = planted_split(seed=5)
+        only_row_0 = np.zeros(len(train_v))
+        only_row_0[0] = 1.0
+        r_train = with_column(train_v, "R", only_row_0)
+        r_val = with_column(val_v, "R", np.zeros(len(val_v)))
+        grid = (0.05, 0.02)
+        cfg = EnsembleConfig(n_runs=8, lambda_grid=grid, subsample_fraction=0.5, seed=3)
+        out = run_ensemble(r_train, r_val, cfg)
+        holds_row_0 = []
+        for draw in range(4):
+            rng = derive_rng(cfg.seed, "ensemble-subsample", draw)
+            subset = quakebox.selection._stratified_subsample(r_train, cfg.subsample_fraction, rng)
+            holds_row_0.append(r_train.trace_ids[0] in subset.trace_ids)
+            fit, val = (subset, r_val) if holds_row_0[-1] else (subset.columns(train_v.codes), val_v)
+            params = standardize_fit(fit)
+            sval = standardize_apply(val, params)
+            for k, direct in enumerate(warm_path(standardize_apply(fit, params), grid, cfg)):
+                run = out[draw * len(grid) + k]
+                assert list(run.weights) == list(r_train.codes)
+                assert run.weights == {"R": 0.0, **direct.weights}
+                assert run.val_mcc == mcc(confusion(val.labels, classify(direct, sval)))
+        assert holds_row_0.count(True) and holds_row_0.count(False)  # both kinds of draw
+
+    def test_a_draw_in_which_no_column_varies_aborts_with_its_run_id(self):
+        train_v, val_v, _ = planted_split(seed=5)
+        only_row_0 = np.zeros(len(train_v))
+        only_row_0[0] = 1.0
+        r_train = with_column(train_v, "R", only_row_0).columns(["R"])
+        r_val = with_column(val_v, "R", np.zeros(len(val_v))).columns(["R"])
+        cfg = EnsembleConfig(n_runs=8, lambda_grid=(0.05, 0.02), subsample_fraction=0.5, seed=3)
+        draw = next(d for d in range(4) if r_train.trace_ids[0] not in quakebox.selection._stratified_subsample(
+            r_train, cfg.subsample_fraction, derive_rng(cfg.seed, "ensemble-subsample", d)).trace_ids)
+        with pytest.raises(ZeroVariance, match=rf"^ensemble run {2 * draw}: feature\(s\) constant across "
+                                               r"collection: R$"):
+            run_ensemble(r_train, r_val, cfg)
