@@ -207,6 +207,9 @@ def cmd_train(cfg: dict, master: int, out_dir: str | None) -> None:
     if threshold is not None:
         model = replace(model, threshold=threshold)
     save_model(out, ModelArtifact(model=model, standardization=params))
+    if not model.training_meta["converged"]:
+        print(f"warning: training stopped at optimizer.max_iters={opt.max_iters} outer steps "
+              f"unconverged: its last step moved more than optimizer.tol={opt.tol}", file=sys.stderr)
     nonzero = sum(1 for w in model.weights.values() if w != 0)
     print(
         f"wrote model to {out} "
@@ -240,7 +243,10 @@ def cmd_select(cfg: dict, master: int, out_dir: str | None) -> None:
     if constant:
         print(f"warning: train_input: {', '.join(constant)} constant in all {len(train_matrix)} rows of "
               f"{train_source}; set aside, weight 0.0 in every run", file=sys.stderr)
-    report_obj = selection.discover_features(train_matrix, val_matrix, ecfg, rule, base=base)
+    try:
+        report_obj = selection.discover_features(train_matrix, val_matrix, ecfg, rule, base=base)
+    except ConfigError as exc:  # the default grid's own check, named as the config's fields
+        raise ConfigError("train_input", f"{train_source}: {exc.reason}; set ensemble.{exc.field}") from None
     selection.save_selection_report(out, report_obj)
     unconverged = [r.run_id for r in report_obj.runs if not r.converged]
     if unconverged:

@@ -10,6 +10,17 @@ increase.  ``TrainOptions.max_iters`` counts these outer steps.  The
 soft-threshold produces exact zeros, which downstream feature discovery
 reads as "this input was deselected"; :func:`kkt_residual` certifies a fit.
 
+A fit's problems are small (tens of rows and columns in a campaign), so
+the cost of a step is mostly the count of numpy calls, not arithmetic.
+What a fit reuses ([1, X], the penalty scales, 1 - y) is made once per
+fit; each step tries the exact solve on its start's sign pattern before
+it builds any sweep state; and the Cholesky factor and the solve call
+numpy's LAPACK gufuncs directly (``numpy.linalg._umath_linalg``, a
+private module whose names are the same from numpy 1.23 on).  Each of
+these keeps the floating-point operations and their order, so fits are
+the same bits as those of the plainer form they replace
+(``tests/fixtures/solver_frozen.json`` holds such fits).
+
 Objective, for labels y in {0, 1} and mixing alpha in [0, 1]:
 
     mean_i NLL_i  +  lambda * (alpha * sum|w_j| + (1 - alpha) * sum w_j^2)
@@ -26,6 +37,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import fields
 from .errors import DegenerateLabels, FormatError, QuakeboxError
@@ -89,7 +101,7 @@ def soft_threshold(z: float, gamma: float) -> float:
 def penalty(weights: Sequence[float], cfg: PenaltyConfig) -> float:
     """Elastic net penalty value for a weight vector (bias not included)."""
     w = np.asarray(weights, dtype=float)
-    return float(cfg.lam * (cfg.alpha * np.abs(w).sum() + (1.0 - cfg.alpha) * (w**2).sum()))
+    return float(cfg.lam * (cfg.alpha * np.add.reduce(np.abs(w)) + (1.0 - cfg.alpha) * np.add.reduce(w * w)))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -123,20 +135,29 @@ def classify(model: LinearModel, rows: FeatureMatrix) -> list[str]:
 _CLAMP = 1e-12
 
 
-def _nll(y: np.ndarray, p: np.ndarray) -> float:
-    p = np.clip(p, _CLAMP, 1.0 - _CLAMP)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+def _objective_of(X: np.ndarray, y: np.ndarray, cfg: PenaltyConfig):
+    """The penalized objective on rows ``X`` and 0/1 labels ``y``, as a
+    function of theta = (bias, w_1, ..., w_p).
+
+    1 - y is made once, for every point the trainer evaluates.  The mean
+    NLL is the sum over n, which is how ``np.mean`` computes it.
+    """
+    n, not_y = len(y), 1.0 - y
+
+    def objective(theta: np.ndarray) -> float:
+        w = theta[1:]
+        # np.clip's order: the floor, then the ceiling
+        p = np.minimum(np.maximum(_sigmoid(theta[0] + X @ w), _CLAMP), 1.0 - _CLAMP)
+        nll = -(np.add.reduce(y * np.log(p) + not_y * np.log(1.0 - p)) / n)
+        return float(nll) + penalty(w, cfg)
+
+    return objective
 
 
 def loss(model: LinearModel, data: FeatureMatrix, cfg: PenaltyConfig) -> float:
     """Mean negative log-likelihood plus the elastic net penalty."""
     m = data.columns(model.codes())
-    w = np.array(list(model.weights.values()))
-    return _objective(m.X, m.is_event.astype(float), w, model.bias, cfg)
-
-
-def _objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, cfg: PenaltyConfig) -> float:
-    return _nll(y, _sigmoid(b + X @ w)) + penalty(w, cfg)
+    return _objective_of(m.X, m.is_event.astype(float), cfg)(np.array([model.bias, *model.weights.values()]))
 
 
 # Floor on the IRLS weights p(1 - p): the quadratic model keeps a positive
@@ -145,6 +166,11 @@ _MIN_CURVATURE = 1e-5
 _MAX_SWEEPS = 500  # coordinate sweeps on one quadratic model when no exact solve fits
 _MAX_HALVINGS = 60
 _KKT_SLACK = 1e-12  # an inactive coordinate may exceed its L1 threshold by roundoff
+
+# numpy's LAPACK gufuncs, called without the ``np.linalg`` wrappers' checks
+# and dispatch: the minimiser builds every system square, float64 and 2-D.
+# The module is private, but it has had these names since numpy 1.x.
+_cholesky, _solve = _umath_linalg.cholesky_lo, _umath_linalg.solve1
 
 
 def _penalty_weights(cfg: PenaltyConfig, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -182,58 +208,61 @@ def kkt_residual(model: LinearModel, data: FeatureMatrix, cfg: PenaltyConfig) ->
     return _kkt(_with_bias(m.X), m.is_event.astype(float), theta, l1, l2)
 
 
-def _active_solve(G, c, l1, l2, theta) -> Optional[np.ndarray]:
+def _active_solve(G, M, c, l1, free, theta) -> Optional[np.ndarray]:
     """Exact minimiser of the quadratic model on the support of ``theta``.
 
-    None when the system is singular, a penalized coordinate leaves its sign,
-    or a coordinate held at zero would move.
+    ``M`` is ``G`` with the L2 curvature 2 l2 added to its diagonal, and
+    ``free`` marks the coordinates with no L1 penalty.  None when the system
+    is singular, a penalized coordinate leaves its sign, or a coordinate
+    held at zero would move.
     """
-    active = (theta != 0) | (l1 == 0)
-    idx = np.flatnonzero(active)
-    sign = np.sign(theta[idx])
-    out = np.zeros_like(theta)
+    active = (theta != 0.0) | free
+    idx = active.nonzero()[0]
+    out = np.zeros(theta.size)
     if idx.size:
-        M = G[np.ix_(idx, idx)] + np.diag(2.0 * l2[idx])
-        try:
-            pivots = np.linalg.cholesky(M).diagonal() ** 2
-        except np.linalg.LinAlgError:
+        sign = np.sign(theta[idx])
+        M = M.take(idx, 0).take(idx, 1)
+        # a matrix that is not positive definite comes back as NaNs, silently
+        with np.errstate(invalid="ignore"):
+            L = _cholesky(M)
+        # the pivots are the squares of L's positive diagonal, so the smallest
+        # is the square of its smallest entry; a failed factor's NaN fails too
+        pivot = np.minimum.reduce(L.diagonal())
+        if not pivot * pivot > 1e-12 * np.maximum.reduce(M.diagonal()):
             return None
-        if pivots.min() <= 1e-12 * M.diagonal().max():
+        x = _solve(M, c[idx] - l1[idx] * sign)
+        if np.count_nonzero((x * sign <= 0) & ~free[idx]):
             return None
-        out[idx] = np.linalg.solve(M, c[idx] - l1[idx] * sign)
-        held = l1[idx] > 0
-        if np.any(out[idx][held] * sign[held] <= 0):
+        out[idx] = x
+    if idx.size < theta.size:
+        rest = ~active
+        if np.count_nonzero(np.abs(c[rest] - G.compress(rest, 0) @ out) > l1[rest] + _KKT_SLACK):
             return None
-    rest = ~active
-    if np.any(np.abs(c[rest] - G[rest] @ out) > l1[rest] + _KKT_SLACK):
-        return None
     return out
 
 
 def _quadratic_minimiser(G, c, l1, l2, theta, tol) -> np.ndarray:
     """Minimise 1/2 t'Gt - c't + sum_j (l1_j |t_j| + l2_j t_j^2), starting at ``theta``.
 
-    Cyclic coordinate sweeps find the active set and its signs; an exact
+    An exact solve on the start's sign pattern is tried first, and it ends
+    most searches.  Only when it fails are the sweep state (the residual
+    c - Gt, the diagonal and Python lists of both scales) built: cyclic
+    coordinate sweeps then find the active set and its signs, and an exact
     solve on each new sign pattern ends the search once it passes its
     checks.  Without one the sweeps run until no coordinate moves more than
     ``tol``.
     """
+    M = G + np.diag(2.0 * l2)
+    free = l1 == 0.0
+    exact = _active_solve(G, M, c, l1, free, theta)
+    if exact is not None:
+        return exact
+    tried = {np.sign(theta).tobytes()}
     theta = theta.copy()
     residual = c - G @ theta  # kept current as coordinates move
-    diag = np.diag(G)
-    denom = (diag + 2.0 * l2).tolist()
-    diag, thresholds = diag.tolist(), l1.tolist()
+    diag, denom, thresholds = G.diagonal().tolist(), M.diagonal().tolist(), l1.tolist()
     copysign = math.copysign
-    tried = set()
-    for sweep in range(_MAX_SWEEPS + 1):
-        support = np.sign(theta).tobytes()
-        if support not in tried:
-            tried.add(support)
-            exact = _active_solve(G, c, l1, l2, theta)
-            if exact is not None:
-                return exact
-        if sweep == _MAX_SWEEPS:
-            break
+    for _ in range(_MAX_SWEEPS):
         max_change = 0.0
         for j, old in enumerate(theta.tolist()):
             z = float(residual[j]) + diag[j] * old
@@ -247,6 +276,12 @@ def _quadratic_minimiser(G, c, l1, l2, theta, tol) -> np.ndarray:
                 max_change = max(max_change, abs(new - old))
         if max_change <= tol:
             break
+        support = np.sign(theta).tobytes()
+        if support not in tried:
+            tried.add(support)
+            exact = _active_solve(G, M, c, l1, free, theta)
+            if exact is not None:
+                return exact
     return theta
 
 
@@ -278,6 +313,11 @@ def train(
     ``sweep_callback(objective)`` is invoked once per outer step (used by
     the monotonicity property suite).
 
+    What does not change between steps is made once per fit: the design
+    [1, X] and its transpose, the per-coordinate penalty scales and the
+    objective's constants.  A step evaluates the full step first, and forms
+    the step vector only when a halving must run.
+
     ``start`` is the point the first step starts from: p + 1 finite values,
     the bias first, then the weights in ``data.codes`` order (a neighbouring
     penalty's fit, for a warm-started path).  None starts from zero.  The
@@ -289,10 +329,10 @@ def train(
         raise DegenerateLabels("training data contains a single class")
     n, p = X.shape
     A = _with_bias(X)
+    AT = A.T
     l1, l2 = _penalty_weights(cfg, p)
-
-    def objective_at(theta: np.ndarray) -> float:
-        return _objective(X, y, theta[1:], theta[0], cfg)
+    objective_at = _objective_of(X, y, cfg)
+    inner_tol = 0.1 * opt.tol
 
     theta = np.zeros(p + 1) if start is None else _start_point(start, p)
     objective = objective_at(theta)
@@ -301,20 +341,24 @@ def train(
     for steps in range(1, opt.max_iters + 1):
         probs = _sigmoid(A @ theta)
         h = np.maximum(probs * (1.0 - probs), _MIN_CURVATURE)
-        G = (A.T * h) @ A / n
-        c = G @ theta - A.T @ (probs - y) / n
-        target = _quadratic_minimiser(G, c, l1, l2, theta, 0.1 * opt.tol)
-        step = target - theta
-        taken = 0.0  # no move when every halving raises the objective (the roundoff floor)
-        scale = 1.0
-        for _ in range(_MAX_HALVINGS):
-            candidate = target if scale == 1.0 else theta + scale * step
-            value = objective_at(candidate)
-            if value <= objective:
-                taken = float(np.abs(candidate - theta).max())
-                theta, objective = candidate, value
-                break
-            scale *= 0.5
+        G = (AT * h) @ A / n
+        c = G @ theta - AT @ (probs - y) / n
+        target = _quadratic_minimiser(G, c, l1, l2, theta, inner_tol)
+        # the full step, then halvings; no move when every halving raises
+        # the objective (the roundoff floor)
+        candidate, value = target, objective_at(target)
+        if not value <= objective:
+            step, scale = target - theta, 0.5
+            for _ in range(_MAX_HALVINGS - 1):
+                candidate = theta + scale * step
+                value = objective_at(candidate)
+                if value <= objective:
+                    break
+                scale *= 0.5
+        taken = 0.0
+        if value <= objective:
+            taken = float(np.maximum.reduce(np.abs(candidate - theta)))
+            theta, objective = candidate, value
 
         if sweep_callback is not None:
             sweep_callback(objective)

@@ -122,9 +122,14 @@ def default_lambda_grid(train_data: FeatureMatrix, alpha: float) -> Tuple[float,
 
     Spans half of lambda_max down two decades, which brackets the useful
     sparsity range for standardized inputs; a constant column is left out.
+    Raises :class:`ConfigError` on ``lambda_grid`` when lambda_max is 0: no
+    column is correlated with the label, so every penalty zeroes every weight.
     """
     (varying,) = _varying(train_data)
     top = lambda_max(standardize_apply(varying, standardize_fit(varying)), alpha)
+    if not top > 0:
+        raise ConfigError("lambda_grid", "lambda_max is 0 (no column is correlated with the label), "
+                                         "so there is no default grid")
     return tuple(float(v) for v in np.geomspace(0.5 * top, 0.005 * top, 10))
 
 

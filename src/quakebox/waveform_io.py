@@ -51,10 +51,11 @@ def write_waveforms(path: str | Path, records: Iterable[WaveformRecord], role: s
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps({"format": FORMAT_NAME, "role": role}) + "\n")
         for rec in records:
-            row = {f: getattr(rec, f) for f in RECORD_FIELDS}
-            raw = rec.samples.astype("<f8", copy=False).tobytes()
-            row["samples_f64le"] = base64.b64encode(raw).decode("ascii")
-            fh.write(json.dumps(row) + "\n")
+            # the base64 alphabet never needs escaping, so the samples are
+            # spliced in after the other fields, bytes as json.dumps writes them
+            head = json.dumps({f: getattr(rec, f) for f in RECORD_FIELDS})
+            samples = base64.b64encode(rec.samples.astype("<f8", copy=False).tobytes()).decode("ascii")
+            fh.write(f'{head[:-1]}, "samples_f64le": "{samples}"}}\n')
 
 
 def read_waveforms(path: str | Path) -> Tuple[List[WaveformRecord], str]:

@@ -264,6 +264,21 @@ class TestPipeline:
                             f"unconverged ({tied} in the tie-set)\n") + expected
             assert err == expected + (unanimity_warning(tied, 6) if tied > 1 else "")
 
+    def test_train_warns_when_it_stops_unconverged(self, tiny_pipeline, capsys):
+        # stderr says so; the model file records converged=false either way
+        wd = tiny_pipeline
+        for max_iters in (1, 10_000):
+            cfg = write_config(wd, "train_iters.json", {
+                "input": str(wd / "train.tsv"), "output": str(wd / f"model{max_iters}.json"),
+                "optimizer": {"max_iters": max_iters}})
+            capsys.readouterr()
+            assert run(["train", "-c", cfg]) == 0
+            meta = json.loads((wd / f"model{max_iters}.json").read_text())["training_meta"]
+            assert meta["converged"] is (max_iters > 1)
+            assert capsys.readouterr().err == ("" if meta["converged"] else (
+                "warning: training stopped at optimizer.max_iters=1 outer steps unconverged: "
+                "its last step moved more than optimizer.tol=1e-08\n"))
+
     @pytest.mark.parametrize("lambda_grid,all_tie", [([0.05], True), ([0.05, 100.0], False)])
     def test_select_warns_when_every_run_ties(self, tiny_pipeline, capsys, lambda_grid, all_tie):
         # at lambda 100 every weight is zero, so those runs score below the
@@ -687,6 +702,14 @@ def _malformed_cases():
               lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
                          "ensemble": {"tol": 0}}, {m: MATRIX},
               "error: ensemble.tol: must be positive, got 0.0\n"),
+        # no column is correlated with the label, so the default penalty grid is empty
+        _case("select-lambda-max-0", "select",
+              lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
+                         "base_features": []},
+              {m: "# quakebox-features-v1 role=train\ntrace_id\tlabel\tf\n"
+                  "e1\tevent\t1.0\ne2\tevent\t-1.0\nn1\tnoise\t1.0\nn2\tnoise\t-1.0\n"},
+              ("error: train_input: ", f"{m}: lambda_max is 0 (no column is correlated with the label), "
+               "so there is no default grid; set ensemble.lambda_grid\n")),
         *(
             # an empty matrix file is refused where it is read, naming the file
             _case(f"matrix-{id}-{command}", command, config, {m: text}, named)

@@ -1,4 +1,5 @@
-"""``model.train`` against frozen fits, bit for bit.
+"""``model.train`` against frozen fits, bit for bit, and the solver's
+silent refusal of a singular system.
 
 The expectations in ``fixtures/solver_frozen.json`` were written by
 ``oracles/gen_solver_fixture.py``, whose docstring describes the fits.  A
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quakebox import model
 from quakebox.features import FeatureMatrix
 from quakebox.model import PenaltyConfig, TrainOptions, train
 
@@ -59,3 +61,12 @@ def test_fixture_covers_every_kind_of_fit():
     assert {case["alpha"] for case in fits if case["name"].startswith("cold-")} == {0.0, 0.5, 0.9, 1.0}
     assert any(case["lam"] == (0.0).hex() for case in fits)
     assert any(not case["converged"] and case["iterations"] == case["max_iters"] for case in fits)
+
+
+def test_a_singular_system_is_refused_silently():
+    # the exact solve's Cholesky fails on this singular system, and the sweeps
+    # take over; pytest turns a RuntimeWarning into an error, so the failure
+    # must make none
+    G, zero = np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros(2)
+    got = model._quadratic_minimiser(G, np.array([1.0, 1.0]), zero, zero, zero, 1e-12)
+    assert got.tolist() == [1.0, 0.0]  # the first coordinate's sweep solves G t = c

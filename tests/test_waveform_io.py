@@ -194,6 +194,25 @@ def test_v2_samples_round_trip_bit_for_bit(tmp_path, samples):
     assert back[0].samples.tobytes() == samples.astype("<f8").tobytes()  # -0.0 keeps its sign bit
 
 
+def test_v2_lines_are_json_dumps_of_the_whole_record(tmp_path):
+    # the writer splices the samples in after the other fields; each line
+    # must still be the bytes of json.dumps of the full row
+    records = [
+        make_record("ev1.st0", label="event", event_id="ev1", magnitude=2.5, samples=np.array([1.5, -0.0])),
+        make_record("n1", samples=np.array([5e-324])),  # event_id and magnitude null
+        make_record("séisme·Ω", station="stä", samples=np.arange(7.0)),  # escaped as \\u....
+    ]
+    path = tmp_path / "waves.jsonl"
+    write_waveforms(path, records)
+    lines = path.read_bytes().decode("ascii").splitlines(keepends=True)
+    assert lines[0] == json.dumps({"format": "quakebox-waveforms-v2", "role": "all"}) + "\n"
+    for line, rec in zip(lines[1:], records, strict=True):
+        row = {f: getattr(rec, f) for f in META}
+        row["samples_f64le"] = base64.b64encode(rec.samples.astype("<f8").tobytes()).decode("ascii")
+        assert line == json.dumps(row) + "\n"
+    assert [r.trace_id for r in read_waveforms(path)[0]] == [r.trace_id for r in records]
+
+
 def _f64le(*values):
     return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
 
