@@ -290,17 +290,23 @@ def periodicity_wang(block: SeriesBlock) -> np.ndarray:
     autocovariance (mean lagged product) is scanned up to n/3 lags for the
     first peak that follows a trough, rises at least 0.01 above it, and is
     positive; its lag is returned (1 when no peak qualifies).  The
-    projection's coefficients are row sums, not a matrix product, so that a
-    row's value does not depend on its block.
+    projection's five coefficients come from one product summed along each
+    row, not a matrix product, so that a row's value does not depend on its
+    block; they are subtracted one basis row at a time.  The lagged products
+    are the lags 1..ceil(n/3) of ``np.correlate(s, s, "same")``, the same
+    dot products as those of the "full" correlation without its longest
+    lags.
     """
     z = block.z
     n = z.shape[1]
+    basis = _spline_basis(n)
+    coef = (z[:, None, :] * basis).sum(axis=2)
     sub = z.copy()
-    for q in _spline_basis(n):
-        sub -= (z * q).sum(axis=1)[:, None] * q
+    for c, q in zip(coef.T, basis):
+        sub -= c[:, None] * q
     acmax = int(np.ceil(n / 3))
     lags = np.arange(1, acmax + 1)
-    acf = np.array([np.correlate(s, s, "full")[n : n + acmax] for s in sub]) / (n - lags)
+    acf = np.array([np.correlate(s, s, "same")[n // 2 + 1 : n // 2 + 1 + acmax] for s in sub]) / (n - lags)
 
     slopes = acf[:, 1:] - acf[:, :-1]
     rise_in, rise_out = slopes[:, :-1], slopes[:, 1:]

@@ -225,30 +225,26 @@ def weight_distributions(tie_set: Sequence[EnsembleRunResult]) -> WeightDistribu
     if not tie_set:
         raise DegenerateInput("empty tie-set")
     codes = tuple(tie_set[0].weights)
-    stats = {}
-    for code in codes:
-        w = np.array([r.weights[code] for r in tie_set])
-        stats[code] = FeatureWeightStats(
-            minimum=float(w.min()),
-            maximum=float(w.max()),
-            median=float(np.median(w)),
-            median_abs=float(np.median(np.abs(w))),
-            mean_abs=float(np.abs(w).mean()),
-            fraction_nonzero=_fraction_nonzero(w),
-        )
+    # (codes x runs): each statistic reduces a contiguous row, in the order
+    # it would reduce that code's weights alone
+    w = np.array([[r.weights[code] for r in tie_set] for code in codes]).reshape(len(codes), len(tie_set))
+    mag = np.abs(w)
+    columns = (w.min(axis=1), w.max(axis=1), np.median(w, axis=1), np.median(mag, axis=1),
+               mag.mean(axis=1), _fraction_nonzero(w))
+    stats = {code: FeatureWeightStats(*row) for code, row in zip(codes, zip(*(c.tolist() for c in columns)))}
     return WeightDistribution(stats=stats, n_models=len(tie_set))
 
 
-def _fraction_nonzero(weights: np.ndarray) -> float:
-    """The share of ``weights`` that are nonzero, as a distribution reports it."""
-    return float(np.mean(weights != 0.0))
+def _fraction_nonzero(weights: np.ndarray) -> np.ndarray:
+    """The share of each row of ``weights`` that is nonzero, as a distribution reports it."""
+    return np.mean(weights != 0.0, axis=-1)
 
 
 def demands_unanimity(rule: SelectionRule, n_tied: int) -> bool:
     """Whether ``rule`` keeps only the codes that are nonzero in every one
     of ``n_tied`` > 1 tied runs: a code that one of them zeroes falls below
     ``min_fraction_nonzero``."""
-    return n_tied > 1 and _fraction_nonzero(np.arange(n_tied, dtype=float)) < rule.min_fraction_nonzero
+    return n_tied > 1 and float(_fraction_nonzero(np.arange(n_tied, dtype=float))) < rule.min_fraction_nonzero
 
 
 def select_features(

@@ -3,10 +3,10 @@
 A trace enters as a :class:`WaveformRecord` and is detrended, demeaned,
 band-pass filtered (zero phase), and decimated, in that order.
 :func:`preprocess_records` runs the chain over the (traces x samples) blocks
-of :func:`blocks`, which feature extraction uses too: the line fit and the
-mean are removed row by row, and the filter passes, the decimation and the
-window crop each run once per block.  Every row is bit-identical to the chain
-on that record alone; :func:`preprocess` is the same path on one record.  All
+of :func:`blocks`, which feature extraction uses too: every step runs once
+per block, the line fits as one LAPACK call that solves each row on its own.
+Every row is bit-identical to the chain on that record alone;
+:func:`preprocess` is the same path on one record.  All
 operations are pure functions: they never mutate their inputs and are safe to
 run concurrently.  The only module state is a cache of Butterworth designs
 (sections and initial filter state) keyed by (order, corners, btype, fs) and a
@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DegenerateInput, FormatError, InvalidBand, InvalidFactor
 
@@ -123,11 +124,11 @@ class PreprocessConfig:
 
 
 def demean(samples: np.ndarray) -> np.ndarray:
-    """Remove the arithmetic mean."""
+    """Remove the arithmetic mean of a trace, or of each row of a (traces x samples) block."""
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise DegenerateInput("cannot demean an empty sequence")
-    return x - x.mean()
+    return x - x.sum(axis=-1, keepdims=True) / x.shape[-1]  # x.mean(), bit for bit
 
 
 @lru_cache(maxsize=64)
@@ -143,19 +144,28 @@ def _line_design(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     return t, lhs, scale, n * np.finfo(float).eps
 
 
-def detrend_linear(samples: np.ndarray) -> np.ndarray:
-    """Remove the least-squares straight line.
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
-    The fit is ``np.polyfit(t, x, deg=1)`` step for step, with the design
+
+def detrend_linear(samples: np.ndarray) -> np.ndarray:
+    """Remove the least-squares straight line from a trace, or from each
+    row of a (traces x samples) block.
+
+    Each fit is ``np.polyfit(t, x, deg=1)`` step for step, with the design
     matrix cached per length instead of rebuilt on every call; the result is
-    bit-identical.
+    bit-identical.  ``np.linalg.lstsq``'s LAPACK gufunc (numpy 2's private
+    ``_umath_linalg.lstsq``, under that wrapper's error state) is called
+    once on all rows: it makes a separate ``dgelsd`` call for each.
     """
     x = np.asarray(samples, dtype=float)
-    if x.size < 2:
+    if x.size < 2 or x.shape[-1] < 2:
         raise DegenerateInput("linear detrend needs at least 2 samples")
-    t, lhs, scale, rcond = _line_design(x.size)
-    slope, intercept = np.linalg.lstsq(lhs, x + 0.0, rcond)[0] / scale
-    return x - (slope * t + intercept)
+    t, lhs, scale, rcond = _line_design(x.shape[-1])
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        fit = _umath_linalg.lstsq(lhs, (x + 0.0)[..., None], rcond, signature="ddd->ddid")[0]
+    coef = fit[..., 0] / scale  # (slope, intercept) of each row
+    return x - (coef[..., :1] * t + coef[..., 1:])
 
 
 @lru_cache(maxsize=64)
@@ -276,8 +286,8 @@ def _preprocess_block(group: Sequence[WaveformRecord], cfg: PreprocessConfig) ->
     """The chain on records of one sample rate and one length, as one
     (traces x samples) block; the caller names the trace an error applies to."""
     fs = group[0].sample_rate
-    # row by row: one line fit over the whole block rounds differently
-    x = bandpass(np.array([demean(detrend_linear(r.samples)) for r in group]), fs, cfg)
+    # each step takes the whole block; the line fits are one LAPACK call, one dgelsd a row
+    x = bandpass(demean(detrend_linear(np.array([r.samples for r in group]))), fs, cfg)
     factor = cfg.downsample_factor
     bandlimited = cfg.band_high_hz < fs / 2 / factor  # 2 * factor may pass the float range
     try:

@@ -322,6 +322,17 @@ class TestArrayKernelsAgainstOracle:
             assert failures == {}
             assert alone[:, 0].tobytes() == column[code].tobytes(), code
 
+    def test_periodicity_lags_of_same_equal_those_of_full(self):
+        # C10 reads lags 1..ceil(n/3) of np.correlate's "same" output, which
+        # holds the same dot products as those lags of the "full" one; a
+        # numpy release that computed the two modes apart would show here
+        rng = np.random.default_rng(10)
+        for n in range(20, 1101):
+            s = rng.standard_normal(n) if n % 2 else np.round(rng.standard_normal(n) * 8.0)
+            acmax = int(np.ceil(n / 3))
+            same = np.correlate(s, s, "same")[n // 2 + 1 : n // 2 + 1 + acmax]
+            assert same.tobytes() == np.correlate(s, s, "full")[n : n + acmax].tobytes(), n
+
     def test_embedding_distances_without_spread_score_zero(self):
         # two alternating values: every embedding distance is the same, so
         # C11 scores 0, alone and beside rows whose distances do spread

@@ -1,5 +1,6 @@
 """Ensemble feature discovery: runs, tie-sets, distributions, the rule."""
 
+import hashlib
 import json
 import re
 
@@ -16,6 +17,7 @@ from quakebox.seeds import derive_rng
 from quakebox.selection import (
     EnsembleConfig,
     EnsembleRunResult,
+    SelectionReport,
     SelectionRule,
     best_models,
     default_lambda_grid,
@@ -221,6 +223,53 @@ class TestWeightDistributions:
         rows = weight_distributions(tie).table()
         assert [r[0] for r in rows] == ["a", "b"]
         assert len(rows[0]) == 7
+
+    @staticmethod
+    def synthetic_runs(n_runs, n_codes=26, seed=0):
+        """Runs over weights of many magnitudes, a third of them +0.0 or -0.0;
+        every fourth run scores lower and falls out of the tie-set."""
+        rng = np.random.default_rng(seed)
+        runs = []
+        for r in range(n_runs):
+            w = rng.standard_normal(n_codes) * 10.0 ** rng.uniform(-6, 1, n_codes)
+            w[rng.random(n_codes) < 0.3] = 0.0
+            w[rng.random(n_codes) < 0.1] = -0.0
+            weights = {f"C{j + 1}": float(v) for j, v in enumerate(w)}
+            runs.append(EnsembleRunResult(run_id=r, weights=weights, val_mcc=0.5 + 0.5 * (r % 4 != 3),
+                                          config_used={}, iterations=1, converged=True, objective=0.5,
+                                          kkt_residual=0.0, nnz=int(np.count_nonzero(w))))
+        return runs
+
+    @pytest.mark.parametrize("n_runs", [*range(1, 20), 33, 64, 257])
+    def test_each_statistic_is_that_codes_own_reduction(self, n_runs):
+        # bit for bit, signed zeros included: above 8 runs numpy sums a
+        # contiguous row pairwise, so the order of reduction shows in the bits
+        tie = self.synthetic_runs(n_runs, seed=n_runs)
+        for code, s in weight_distributions(tie).stats.items():
+            w = np.array([r.weights[code] for r in tie])
+            expected = (w.min(), w.max(), np.median(w), np.median(np.abs(w)), np.abs(w).mean(),
+                        np.mean(w != 0.0))
+            got = (s.minimum, s.maximum, s.median, s.median_abs, s.mean_abs, s.fraction_nonzero)
+            assert [float.hex(float(v)) for v in got] == [float.hex(float(v)) for v in expected]
+            assert all(type(v) is float for v in got)
+
+    def test_report_bytes_are_frozen(self, tmp_path):
+        # a 36-run tie-set of 26 codes, pinned to the report written when
+        # each code's statistics were reduced one code at a time
+        runs = self.synthetic_runs(48)
+        tie = best_models(runs)
+        assert len(tie) == 36
+        dist = weight_distributions(tie)
+        rule = SelectionRule(0.6, 0.001)
+        save_selection_report(tmp_path / "selection.json", SelectionReport(
+            runs=runs, tie_set_ids=[r.run_id for r in tie], distribution=dist,
+            selected=select_features(dist, rule), rule=rule))
+        digest = hashlib.sha256((tmp_path / "selection.json").read_bytes()).hexdigest()
+        assert digest == "ba991ed9559e9b70cfb97a1cfdbd1a0e3db5aac012db48397006a912cd7f820e"
+
+    def test_no_codes(self):
+        dist = weight_distributions([result(i, 0.9) for i in range(3)])
+        assert dist.stats == {} and dist.n_models == 3
 
 
 class TestSelectFeatures:

@@ -1,6 +1,7 @@
 """Preprocessing chain: demean, detrend, band-pass, decimation."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -93,6 +94,56 @@ class TestDetrend:
             t = np.arange(n, dtype=float)
             slope, intercept = np.polyfit(t, x, deg=1)
             assert detrend_linear(x).tobytes() == (x - (slope * t + intercept)).tobytes()
+
+
+class TestBlockForms:
+    """detrend_linear and demean of a (traces x samples) block: each row is
+    the one-trace result, bit for bit."""
+
+    @staticmethod
+    def _block(rng, rows, n):
+        # row k is of kind k % 4: noise of any scale on a line, integer
+        # values, a random walk, or samples near the float maximum
+        t = np.arange(n)
+        kinds = [
+            lambda: rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-5, 5) * t,
+            lambda: np.round(rng.standard_normal(n) * 100.0),
+            lambda: np.cumsum(rng.standard_normal(n) * 1e3),
+            lambda: rng.uniform(-1.0, 1.0, n) * 1.7e308,
+        ]
+        return np.array([kinds[k % 4]() for k in range(rows)])
+
+    @pytest.mark.parametrize("rows", [1, 64])
+    @pytest.mark.parametrize("n", [*range(2, 18), 31, 64, 255, 256, 600, 1199, 1200])
+    def test_block_equals_stacked_traces_bit_for_bit(self, rng, rows, n):
+        for kind in range(4 if rows == 1 else 1):  # a block of one of each kind, or of all kinds
+            block = self._block(rng, rows + kind, n)[kind:]
+            # near the float maximum the fit leaves the float range, as preprocess_records allows
+            with np.errstate(over="ignore", invalid="ignore"):
+                for step in (detrend_linear, demean):
+                    together = step(block)
+                    assert together.shape == block.shape
+                    assert together.tobytes() == np.array([step(row) for row in block]).tobytes(), step
+
+    def test_a_failed_fit_raises_as_np_linalg_lstsq_does(self, monkeypatch):
+        # the gufunc reports a dgelsd that did not converge by raising the
+        # invalid flag; detrend_linear turns it into np.linalg.lstsq's error
+        import quakebox.waveform as waveform
+
+        def failing(*args, **kwargs):
+            np.subtract(np.inf, np.inf)
+            return np.zeros((2, 1)), None, None, None
+
+        monkeypatch.setattr(waveform, "_umath_linalg", SimpleNamespace(lstsq=failing))
+        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge in Linear Least Squares$"):
+            detrend_linear(np.arange(5.0))
+
+    def test_block_rows_too_short(self):
+        for shape in ((1, 1), (64, 1), (3, 0)):
+            with pytest.raises(DegenerateInput, match="linear detrend needs at least 2 samples"):
+                detrend_linear(np.zeros(shape))
+        with pytest.raises(DegenerateInput, match="cannot demean an empty sequence"):
+            demean(np.zeros((3, 0)))
 
 
 class TestIdempotenceAndLinearity:
