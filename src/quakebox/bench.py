@@ -133,8 +133,6 @@ class RatioSpec:
 @dataclass(frozen=True)
 class RatioDataset:
     items: FeatureMatrix  # every positive, then the drawn noise rows
-    requested_ratio: float
-    achieved_ratio: float
 
 
 def _noise_count(ratio: float, n_pos: int, pool: int) -> int:
@@ -168,11 +166,7 @@ def build_ratio_dataset(
     drawn = noise_pool.take(rng.permutation(len(noise_pool))[:need])
     items = replace(positives, X=np.concatenate([positives.X, drawn.X]),
                     trace_ids=positives.trace_ids + drawn.trace_ids, labels=positives.labels + drawn.labels)
-    return RatioDataset(
-        items=items,
-        requested_ratio=float(ratio),
-        achieved_ratio=need / len(positives),
-    )
+    return RatioDataset(items)
 
 
 @dataclass(frozen=True)
@@ -246,7 +240,7 @@ def save_sweep(path: str | Path, table: SweepTable) -> None:
             for r in table.ratios
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Command-line front door.
 
 Every subcommand checks its whole JSON config, refusing unknown keys,
-before it opens a file; honors ``--seed`` as a master-seed override and
-``--out-dir`` as an output prefix; and writes byte-deterministic artifacts:
-the same config and seed always reproduce the same files.  Training and
-selection refuse inputs tagged with the test role; evaluation commands take
-anything, but warn on stderr about an input tagged train or validation.
+before it opens a file; honors ``--seed`` as a master-seed override; and
+writes byte-deterministic artifacts: the same config and seed always
+reproduce the same files.  Training and selection refuse inputs tagged
+with the test role; evaluation commands take anything, but warn on stderr
+about an input tagged train or validation.
 
     quakebox synth    -c synth.json        waveform corpus from a generator spec
     quakebox split    -c split.json        event-wise train/validation/test files
@@ -69,23 +69,13 @@ FEATURE_PROFILES = {
 
 
 def _load_config(path: str) -> dict:
-    try:
-        with fields.text_file(path) as fh:
-            return fields.document(fh.read(), path)
-    except FileNotFoundError:
-        raise ConfigError("config", f"file not found: {path}") from None
+    with fields.text_file(path) as fh:
+        return fields.document(fh.read(), path)
 
 
 def _known(cfg: Mapping[str, Any], *keys: str) -> None:
     """Refuses a top-level key the command does not read; every command takes ``master_seed``."""
     fields.known(cfg, {"master_seed", *keys}, ConfigError)
-
-
-def _resolve(out_dir: str | None, path: str) -> Path:
-    p = Path(path)
-    if out_dir and not p.is_absolute():
-        return Path(out_dir) / p
-    return p
 
 
 def _feature_codes(cfg: Mapping[str, Any], registry: FeatureRegistry):
@@ -147,20 +137,20 @@ def _warn_on_fitting_role(field: str, source: str, role: str) -> None:
 # subcommands: each reads and checks its whole config before it opens a file
 
 
-def cmd_synth(cfg: dict, master: int, out_dir: str | None) -> None:
+def cmd_synth(cfg: dict, master: int) -> None:
     spec = fields.spec(bench.SyntheticSpec, cfg, "synthetic", ConfigError,
                        seed=derive_seed(master, "synth"))
-    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
+    out = fields.get(cfg, "output", str, ConfigError)
     _known(cfg, "synthetic", "output")
     records = bench.generate_synthetic(spec)
     write_waveforms(out, records, role="all")
     print(f"wrote {len(records)} records to {out}")
 
 
-def cmd_split(cfg: dict, master: int, out_dir: str | None) -> None:
+def cmd_split(cfg: dict, master: int) -> None:
     spec = fields.spec(bench.SplitSpec, cfg, "", ConfigError, seed=derive_seed(master, "split"))
     source = fields.get(cfg, "input", str, ConfigError)
-    target = _resolve(out_dir, fields.get(cfg, "output_dir", str, ConfigError))
+    target = Path(fields.get(cfg, "output_dir", str, ConfigError))
     _known(cfg, "fractions", "input", "output_dir")
     records, _role = read_waveforms(source)
     split = bench.partition_by_event(records, spec)
@@ -174,12 +164,12 @@ def cmd_split(cfg: dict, master: int, out_dir: str | None) -> None:
         print(f"wrote {len(subset)} records to {target / (role + '.jsonl')}")
 
 
-def cmd_extract(cfg: dict, master: int, out_dir: str | None) -> None:
+def cmd_extract(cfg: dict, master: int) -> None:
     pcfg = fields.spec(PreprocessConfig, cfg, "preprocess", ConfigError)
     registry = reproduction_registry()
     codes = _feature_codes(cfg, registry)
     source = fields.get(cfg, "input", str, ConfigError)
-    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
+    out = fields.get(cfg, "output", str, ConfigError)
     _known(cfg, "preprocess", "features", "input", "output")
     records, role = read_waveforms(source)
     if not records:
@@ -189,7 +179,7 @@ def cmd_extract(cfg: dict, master: int, out_dir: str | None) -> None:
     print(f"wrote {len(vectors)} x {len(codes)} matrix to {out}")
 
 
-def cmd_train(cfg: dict, master: int, out_dir: str | None) -> None:
+def cmd_train(cfg: dict, master: int) -> None:
     pen = fields.spec(PenaltyConfig, cfg, "model", ConfigError)
     opt = fields.spec(TrainOptions, cfg, "optimizer", ConfigError)
     if not opt.tol > 0:
@@ -198,7 +188,7 @@ def cmd_train(cfg: dict, master: int, out_dir: str | None) -> None:
     if threshold is not None and not 0.0 < threshold < 1.0:
         raise ConfigError("threshold", f"must lie in (0, 1), got {threshold}")
     source = fields.get(cfg, "input", str, ConfigError)
-    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
+    out = fields.get(cfg, "output", str, ConfigError)
     _known(cfg, "model", "optimizer", "threshold", "input", "output")
     matrix, role = read_matrix(source)
     _forbid_test_role("input", role)
@@ -217,7 +207,7 @@ def cmd_train(cfg: dict, master: int, out_dir: str | None) -> None:
     )
 
 
-def cmd_select(cfg: dict, master: int, out_dir: str | None) -> None:
+def cmd_select(cfg: dict, master: int) -> None:
     ecfg = fields.spec(selection.EnsembleConfig, cfg, "ensemble", ConfigError,
                        seed=derive_seed(master, "select"))
     if not ecfg.tol > 0:
@@ -226,7 +216,7 @@ def cmd_select(cfg: dict, master: int, out_dir: str | None) -> None:
     base = fields.listed(cfg, "base_features", str, ConfigError, list(BASE_FEATURES))
     train_source = fields.get(cfg, "train_input", str, ConfigError)
     val_source = fields.get(cfg, "validation_input", str, ConfigError)
-    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
+    out = fields.get(cfg, "output", str, ConfigError)
     dist_out = fields.get(cfg, "distribution_output", str, ConfigError, None)
     _known(cfg, "ensemble", "rule", "base_features", "train_input", "validation_input", "output",
            "distribution_output")
@@ -266,20 +256,20 @@ def cmd_select(cfg: dict, master: int, out_dir: str | None) -> None:
               f"rule.min_fraction_nonzero={rule.min_fraction_nonzero} keeps only the codes "
               f"nonzero in all {n_tied}", file=sys.stderr)
     if dist_out:
-        selection.save_distribution_table(_resolve(out_dir, dist_out), report_obj.distribution)
+        selection.save_distribution_table(dist_out, report_obj.distribution)
     print(
         f"wrote selection report to {out} "
         f"(tie-set={len(report_obj.tie_set_ids)}, selected={','.join(report_obj.selected)})"
     )
 
 
-def cmd_eval(cfg: dict, master: int, out_dir: str | None) -> None:
+def cmd_eval(cfg: dict, master: int) -> None:
     level = fields.get(cfg, "significance_level", float, ConfigError, 0.05)
     if not 0.0 < level < 1.0:
         raise ConfigError("significance_level", f"must lie in (0, 1), got {level}")
     source = fields.get(cfg, "input", str, ConfigError)
     paths = _source_paths(cfg)
-    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
+    out = fields.get(cfg, "output", str, ConfigError)
     _known(cfg, "significance_level", "input", "models", "predictions", "output")
     matrix, role = read_matrix(source)
     _warn_on_fitting_role("input", source, role)
@@ -299,17 +289,17 @@ def cmd_eval(cfg: dict, master: int, out_dir: str | None) -> None:
         "sources": results,
         "mcnemar": comparisons,
     }
-    Path(out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    Path(out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n")
     summary = ", ".join(f"{n}: mcc={results[n]['mcc']:.4f}" for n in names)
     print(f"wrote evaluation to {out} ({summary})")
 
 
-def cmd_sweep(cfg: dict, master: int, out_dir: str | None) -> None:
+def cmd_sweep(cfg: dict, master: int) -> None:
     spec = fields.spec(bench.RatioSpec, cfg, "", ConfigError, seed=derive_seed(master, "sweep"))
     positives_source = fields.get(cfg, "positives_input", str, ConfigError)
     pool_source = fields.get(cfg, "noise_pool_input", str, ConfigError)
     paths = _source_paths(cfg)
-    out = _resolve(out_dir, fields.get(cfg, "output", str, ConfigError))
+    out = fields.get(cfg, "output", str, ConfigError)
     text_out = fields.get(cfg, "text_output", str, ConfigError, None)
     _known(cfg, "ratios", "positives_input", "noise_pool_input", "models", "predictions", "output",
            "text_output")
@@ -328,7 +318,7 @@ def cmd_sweep(cfg: dict, master: int, out_dir: str | None) -> None:
     table = bench.sweep(sources, positives, pool, spec)
     bench.save_sweep(out, table)
     if text_out:
-        Path(_resolve(out_dir, text_out)).write_text(table.render_text(), encoding="utf-8")
+        Path(text_out).write_text(table.render_text(), encoding="utf-8", newline="\n")
     print(f"wrote sweep grid to {out}")
     print(table.render_text(), end="")
 
@@ -356,7 +346,6 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=func.__doc__)
         p.add_argument("-c", "--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--out-dir", default=None, help="directory prefix for relative outputs")
     return parser
 
 
@@ -365,7 +354,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _load_config(args.config)
         master = fields.get(cfg, "master_seed", int, ConfigError, 0)
-        COMMANDS[args.command](cfg, master if args.seed is None else args.seed, args.out_dir)
+        COMMANDS[args.command](cfg, master if args.seed is None else args.seed)
     except QuakeboxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

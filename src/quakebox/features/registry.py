@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..errors import DegenerateSeries, UnknownFeature
+from ..errors import UnknownFeature
 from . import catalog, surrogates
 
 
@@ -123,14 +123,6 @@ class FeatureRegistry:
 
     def __iter__(self) -> Iterator[FeatureDef]:
         return iter(self._defs.values())
-
-    def extract(self, code: str, samples: np.ndarray) -> float:
-        """Compute one feature on one series, a block of one (see
-        :meth:`extract_block`); its failure is raised as :class:`DegenerateSeries`."""
-        values, failures = self.extract_block((code,), np.asarray(samples, dtype=float)[None])
-        if failures:
-            raise DegenerateSeries(failures[0])
-        return float(values[0, 0])
 
     def extract_block(self, codes: Sequence[str], block: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
         """Compute several features on every row of a (traces x samples) block.

@@ -204,10 +204,9 @@ def _stds(m: FeatureMatrix) -> np.ndarray:
     return m.X.std(axis=0, ddof=1) if len(m) > 1 else np.zeros(len(m.codes))
 
 
-def constant_codes(data: Rows) -> List[str]:
-    """The codes whose column is constant across ``data`` (a sample standard
+def constant_codes(m: FeatureMatrix) -> List[str]:
+    """The codes whose column is constant across ``m`` (a sample standard
     deviation that is not positive): those :func:`standardize_fit` refuses."""
-    m = FeatureMatrix.from_rows(data)
     return [c for c, s in zip(m.codes, _stds(m)) if not s > 0]
 
 
@@ -255,10 +254,14 @@ FORMAT_LINE_PREFIX = "# quakebox-features-v1"
 
 
 def write_matrix(path: str | Path, data: Rows, role: str = "all") -> None:
-    """Write a matrix as TSV at full float precision."""
+    """Write a matrix as TSV at full float precision; a trace id that holds a
+    tab, CR or LF, which would break its row, is refused before the file opens."""
     m = FeatureMatrix.from_rows(data)
     path = Path(path)
     check_role(path, role)
+    bad = [t for t in m.trace_ids if "\t" in t or "\r" in t or "\n" in t]
+    if bad:
+        raise FormatError(f"{path}: trace {bad[0]!r}: a trace_id with a tab, CR or LF would break its row")
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{FORMAT_LINE_PREFIX} role={role}\n")
         fh.write("\t".join(("trace_id", "label") + m.codes) + "\n")

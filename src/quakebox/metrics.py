@@ -16,7 +16,6 @@ from .errors import DegenerateInput, ShapeMismatch
 from .fields import record
 
 EVENT = "event"
-NOISE = "noise"
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,7 @@ class EvalReport:
     accuracy: float
     n_pos: int
     n_neg: int
-    noise_ratio: float
+    noise_ratio: float | None  # None (JSON null) without positives
 
     def to_dict(self) -> dict:
         cell = record(self)
@@ -118,7 +117,7 @@ def summarize(m: ConfusionMatrix) -> EvalReport:
         accuracy=accuracy(m),
         n_pos=n_pos,
         n_neg=n_neg,
-        noise_ratio=n_neg / n_pos if n_pos else math.inf,
+        noise_ratio=n_neg / n_pos if n_pos else None,
     )
 
 

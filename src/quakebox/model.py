@@ -440,7 +440,7 @@ def save_model(path: str | Path, artifact: ModelArtifact) -> None:
         },
         "training_meta": dict(artifact.model.training_meta),
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n")
 
 
 def load_model(path: str | Path) -> ModelArtifact:

@@ -317,7 +317,7 @@ def save_selection_report(path: str | Path, report: SelectionReport) -> None:
         "distribution": {c: fields.record(s) for c, s in report.distribution.stats.items()},
         "runs": [fields.record(r) for r in report.runs],
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n")
 
 
 def save_distribution_table(path: str | Path, dist: WeightDistribution) -> None:
@@ -325,7 +325,7 @@ def save_distribution_table(path: str | Path, dist: WeightDistribution) -> None:
     columns headed by the report's names for them."""
     lines = ["\t".join(["code", *map(fields.json_name, dataclass_fields(FeatureWeightStats))])]
     lines += ["\t".join([code, *map(repr, values)]) for code, *values in dist.table()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def load_selection_report(path: str | Path) -> SelectionReport:

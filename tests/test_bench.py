@@ -140,12 +140,12 @@ class TestRatioDataset:
             assert previous <= ids
             previous = ids
 
-    def test_achieved_ratio_accuracy(self, rng):
+    def test_drawn_noise_count_keeps_the_ratio(self, rng):
         pos = self.positives(17)
         pool = self.pool(2000)
         for ratio in (1.0, 1.73, 2.5, 7.3, 11.0):
             ds = bench.build_ratio_dataset(pos, pool, float(ratio), seed=5)
-            assert abs(ds.achieved_ratio - ratio) <= 1.0 / len(pos) + 1e-12
+            assert abs(ds.items.labels.count("noise") / len(pos) - ratio) <= 1.0 / len(pos) + 1e-12
 
 
 class TestSweep:

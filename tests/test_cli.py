@@ -4,8 +4,10 @@ import base64
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,8 @@ import pytest
 
 import quakebox
 from quakebox.cli import main
-from quakebox.features import read_matrix
-from quakebox.model import load_model
+from quakebox.features import read_matrix, standardize_apply
+from quakebox.model import load_model, predict_proba
 from quakebox.selection import load_selection_report
 
 
@@ -450,8 +452,9 @@ class TestRoleEnforcement:
 
 class TestErrors:
     def test_missing_config_file(self, capsys):
+        # named as every missing file is, by its path
         assert run(["train", "-c", "/nonexistent/cfg.json"]) == 2
-        assert "not found" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: /nonexistent/cfg.json: No such file or directory\n"
 
     def test_config_not_utf8_names_file_and_line(self, workdir, capsys):
         path = workdir / "cfg.json"
@@ -515,18 +518,23 @@ def _model_file(**changes):
     return json.dumps({k: v for k, v in model.items() if v is not None})
 
 
+def _random_matrix(path, role, n_events, n_noise, seed):
+    """A two-column matrix file of ``n_events`` event rows, then ``n_noise`` noise rows."""
+    rng = np.random.default_rng(seed)
+    lines = [f"# quakebox-features-v1 role={role}", "trace_id\tlabel\tf\tg"]
+    for i in range(n_events + n_noise):
+        label = "event" if i < n_events else "noise"
+        f, g = rng.normal(0.8 if label == "event" else -0.4, 1.0, 2).tolist()
+        lines.append(f"t{i:02d}\t{label}\t{f!r}\t{g!r}")
+    path.write_text("\n".join(lines) + "\n")
+    return read_matrix(path)[0]
+
+
 def test_a_predictions_file_of_a_models_labels_scores_as_the_model(workdir):
     # a model and a file holding its labels are one kind of source: eval and
     # sweep label both through predict_labels, so their metrics and cells agree
-    rng = np.random.default_rng(11)
-    lines = ["# quakebox-features-v1 role=test", "trace_id\tlabel\tf\tg"]
-    for i in range(60):
-        label = "event" if i < 12 else "noise"
-        f, g = rng.normal(0.8 if label == "event" else -0.4, 1.0, 2).tolist()
-        lines.append(f"t{i:02d}\t{label}\t{f!r}\t{g!r}")
-    (workdir / "m.tsv").write_text("\n".join(lines) + "\n")
+    matrix = _random_matrix(workdir / "m.tsv", "test", 12, 48, seed=11)
     (workdir / "lr.json").write_text(_model_file())
-    matrix, _ = read_matrix(workdir / "m.tsv")
     labels = load_model(workdir / "lr.json").predict_labels(matrix)
     assert 0 < labels.count("event") < len(labels) and labels != list(matrix.labels)
     (workdir / "lr.tsv").write_text(
@@ -548,6 +556,52 @@ def test_a_predictions_file_of_a_models_labels_scores_as_the_model(workdir):
     by_source = {name: [{k: v for k, v in c.items() if k != "source"} for c in cells if c["source"] == name]
                  for name in ("lr", "file")}
     assert len(by_source["lr"]) == 3 and by_source["file"] == by_source["lr"]
+
+
+def test_train_writes_its_threshold_and_eval_labels_at_it(workdir):
+    matrix = _random_matrix(workdir / "m.tsv", "train", 15, 25, seed=3)
+    base = {"input": str(workdir / "m.tsv"), "model": {"alpha": 0.5, "lambda": 0.01}}
+    assert run(["train", "-c", write_config(workdir, "t0.json", {**base, "output": str(workdir / "m0.json")})]) == 0
+    plain = load_model(workdir / "m0.json")
+    probs = np.sort(predict_proba(plain.model, standardize_apply(matrix, plain.standardization)))
+    threshold = float((probs[-6] + probs[-5]) / 2)  # five rows reach it, where 0.5 labels more
+    assert plain.model.threshold == 0.5 and (probs >= 0.5).sum() > 5
+    cfg = write_config(workdir, "t.json", {**base, "threshold": threshold, "output": str(workdir / "m.json")})
+    assert run(["train", "-c", cfg]) == 0
+    assert json.loads((workdir / "m.json").read_text())["threshold"] == threshold
+    assert load_model(workdir / "m.json") == replace(plain, model=replace(plain.model, threshold=threshold))
+    cfg = write_config(workdir, "e.json", {"input": str(workdir / "m.tsv"), "models": {"lr": str(workdir / "m.json")},
+                                           "output": str(workdir / "eval.out")})
+    assert run(["eval", "-c", cfg]) == 0
+    cell = json.loads((workdir / "eval.out").read_text())["sources"]["lr"]
+    assert cell["tp"] + cell["fp"] == 5
+
+
+def test_eval_writes_null_noise_ratio_without_event_rows(workdir):
+    # n_neg / n_pos has no value without positives; the file must stay JSON
+    # that a strict parser reads, as every other artifact is
+    matrix = _random_matrix(workdir / "m.tsv", "test", 0, 6, seed=4)
+    (workdir / "p.tsv").write_text("trace_id\tlabel\n" + "".join(f"{t}\tnoise\n" for t in matrix.trace_ids))
+    cfg = write_config(workdir, "e.json", {"input": str(workdir / "m.tsv"), "predictions": {"x": str(workdir / "p.tsv")},
+                                           "output": str(workdir / "eval.out")})
+    assert run(["eval", "-c", cfg]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    cell = json.loads((workdir / "eval.out").read_text(), parse_constant=refuse)["sources"]["x"]
+    assert (cell["n_pos"], cell["n_neg"], cell["noise_ratio"], cell["mcc"]) == (0, 6, None, 0.0)
+
+
+@pytest.mark.parametrize("command", ["synth", "split", "extract", "train", "select", "eval", "sweep"])
+def test_each_command_takes_only_a_config_and_a_seed(workdir, capsys, command):
+    with pytest.raises(SystemExit) as done:
+        run([command, "--help"])
+    assert done.value.code == 0
+    assert set(re.findall(r"--?\w[\w-]*", capsys.readouterr().out)) == {"-h", "--help", "-c", "--config", "--seed"}
+    with pytest.raises(SystemExit) as done:
+        run([command, "-c", "cfg.json", "--out-dir", str(workdir)])
+    assert done.value.code == 2 and "unrecognized arguments: --out-dir" in capsys.readouterr().err
 
 
 def test_select_reads_validation_input_on_the_columns_of_train_input(workdir):
@@ -698,6 +752,13 @@ def _malformed_cases():
               lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
                          "rule": {"min_median_abs": -1.0}}, {m: MATRIX},
               "error: rule.min_median_abs: must be nonnegative, got -1.0\n"),
+        _case("train-optimizer-tol-0", "train",
+              lambda d: {**inputs(d), "optimizer": {"tol": 0}}, {m: MATRIX},
+              "error: optimizer.tol: must be positive, got 0.0\n"),
+        _case("select-n-runs-0", "select",
+              lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
+                         "ensemble": {"n_runs": 0}}, {m: MATRIX},
+              "error: ensemble: n_runs must be at least 1\n"),
         _case("select-tol-0", "select",
               lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
                          "ensemble": {"tol": 0}}, {m: MATRIX},
@@ -765,6 +826,8 @@ def _malformed_cases():
         _case("eval-significance-level-7", "eval",
               lambda d: {"input": d(m), "predictions": {"x": d("p.tsv")}, "output": d("o.json"),
                          "significance_level": 7}, {m: MATRIX}, "significance_level: must lie in (0, 1)"),
+        _case("eval-no-sources", "eval", lambda d: {"input": d(m), "output": d("o.json")}, {m: MATRIX},
+              "error: models: need at least one model or prediction source\n"),
         _case("eval-missing-input", "eval",
               lambda d: {"input": d("absent.tsv"), "predictions": {"x": d("p.tsv")},
                          "output": d("o.json")}, {}, "absent.tsv: No such file or directory"),
@@ -789,6 +852,16 @@ def _malformed_cases():
         _case("train-output-dir-missing", "train",
               lambda d: {"input": d(m), "output": d("absent/o.json")}, {m: MATRIX},
               "absent/o.json: No such file or directory"),
+        _case("extract-no-records", "extract", lambda d: {"input": d("w.jsonl"), "output": d("o.tsv")},
+              {"w.jsonl": WAVES_HEADER}, "error: input: waveform file contains no records\n"),
+        *(
+            # a trace id a matrix row cannot hold is refused before the matrix is written
+            _case(f"extract-trace-id-with-{id}", "extract",
+                  lambda d: {"input": d("w.jsonl"), "output": d("o.tsv"), "features": ["W1"]},
+                  {"w.jsonl": _waves(trace_id=f"n{char}1", samples=np.linspace(-1.0, 1.0, 400).tolist())},
+                  ("error: ", f"o.tsv: trace {f'n{char}1'!r}: a trace_id with a tab, CR or LF would break its row\n"))
+            for id, char in (("tab", "\t"), ("cr", "\r"), ("lf", "\n"))
+        ),
         _case("extract-feature-code-not-str", "extract",
               lambda d: {"input": d("w.jsonl"), "output": d("o.tsv"), "features": ["W1", 5]},
               {"w.jsonl": _waves()}, "error: features[1]: expected str, got int\n"),

@@ -45,6 +45,13 @@ OUTLIER_EDGES = Path(__file__).parent / "fixtures" / "outlier_timing_edges.json"
 AMI_RANGE = Path(__file__).parent / "fixtures" / "ami_range_frozen.json"
 
 
+def one_value(registry, code, x):
+    """``code`` of the one series ``x``, a block of one; a failure fails the test."""
+    values, failures = registry.extract_block((code,), np.asarray(x, dtype=float)[None])
+    assert failures == {}, failures
+    return float(values[0, 0])
+
+
 def load_parity_cases():
     data = json.loads(FIXTURES.read_text())
     cases = []
@@ -65,7 +72,7 @@ class TestCatalogParity:
 
     @pytest.mark.parametrize("name,code,expected", load_parity_cases())
     def test_matches_reference(self, parity_series, name, code, expected):
-        got = canonical_registry().extract(code, parity_series[name])
+        got = one_value(canonical_registry(), code, parity_series[name])
         assert got == pytest.approx(expected, rel=1e-6, abs=1e-10)
 
     def test_corpus_is_ten_series(self, parity_series):
@@ -147,7 +154,7 @@ class TestArrayKernelsAgainstOracle:
             for n in lengths:
                 x = _oracle_series(kind, n, rng)
                 expected = reference(kind, x)
-                got = registry.extract(code, x)
+                got = one_value(registry, code, x)
                 if expected is not None:
                     assert got == pytest.approx(expected, rel=1e-6, abs=1e-10), (kind, n)
                 if kind == "white" or n == 97:  # blocks of one, and one block of five
@@ -156,7 +163,7 @@ class TestArrayKernelsAgainstOracle:
         block = []
         for i in range(64):
             x = _oracle_series(self.KINDS[i % 5], n, rng)
-            block.append((f"block-{i}", x, registry.extract(code, x), reference(self.KINDS[i % 5], x)))
+            block.append((f"block-{i}", x, one_value(registry, code, x), reference(self.KINDS[i % 5], x)))
         for series in (block, mixed):
             vectors = extract_matrix([make_record(name, samples=x) for name, x, _, _ in series],
                                      registry, (code,))
@@ -203,7 +210,7 @@ class TestArrayKernelsAgainstOracle:
             values, failures = registry.extract_block(("C19", "C20"), block)
             assert failures == {}
             for i, e in zip(at, entries):
-                alone = [registry.extract(code, block[i]) for code in ("C19", "C20")]
+                alone = [one_value(registry, code, block[i]) for code in ("C19", "C20")]
                 assert alone == [e["C19"], e["C20"]], (e["kind"], n)
                 assert values[i].tolist() == alone, (e["kind"], n)
 
@@ -218,7 +225,7 @@ class TestArrayKernelsAgainstOracle:
             tail[-1] = 0.0  # as many +1 as -1, so the mean is exactly 0
         x = np.concatenate([np.zeros(zeros), tail])
         for code, lag in (("C19", 2), ("C20", 1)):
-            got = canonical_registry().extract(code, x)
+            got = one_value(canonical_registry(), code, x)
             try:
                 expected = REFERENCE_FUNCS[code](zscore(x.tolist()))
             except ValueError:  # math domain error: a zero fluctuation
@@ -299,7 +306,7 @@ class TestArrayKernelsAgainstOracle:
             for n in [*range(10, 81), 97, 100, 256, 257, 512]:
                 x = _exact_fit_series(kind, n)
                 if x.min() < x.max():  # square-32 is constant up to n = 32
-                    assert registry.extract("C12", x) == ami_gaussian_first_minimum_exact(x), (kind, n)
+                    assert one_value(registry, "C12", x) == ami_gaussian_first_minimum_exact(x), (kind, n)
 
     @pytest.mark.parametrize("n", [20, 256, 513])
     def test_every_code_is_independent_of_the_codes_beside_it(self, n):
@@ -342,7 +349,7 @@ class TestArrayKernelsAgainstOracle:
         values, failures = registry.extract_block(("C11",), block)
         assert failures == {} and values[0, 0] == 0.0
         assert (values[1:, 0] > 0).all()
-        assert registry.extract("C11", x) == REFERENCE_FUNCS["C11"](zscore(x.tolist())) == 0.0
+        assert one_value(registry, "C11", x) == REFERENCE_FUNCS["C11"](zscore(x.tolist())) == 0.0
 
 
 class TestRegistry:
@@ -369,23 +376,23 @@ class TestRegistry:
 
     def test_unknown_code(self, rng):
         with pytest.raises(UnknownFeature):
-            reproduction_registry().extract("ZZ", rng.standard_normal(100))
+            reproduction_registry().extract_block(("ZZ",), rng.standard_normal((1, 100)))
 
     def test_constant_series_rejected(self):
         reg = reproduction_registry()
         for code in ("C1", "C11", "W1"):
-            with pytest.raises(DegenerateSeries):
-                reg.extract(code, np.full(100, 3.0))
+            values, failures = reg.extract_block((code,), np.full((1, 100), 3.0))
+            assert failures == {0: f"{code} is undefined on a constant series"} and np.isnan(values).all()
 
     def test_short_series_rejected(self):
-        with pytest.raises(DegenerateSeries):
-            canonical_registry().extract("C10", np.arange(5.0))
+        values, failures = canonical_registry().extract_block(("C10",), np.arange(5.0)[None])
+        assert failures == {0: "C10 needs a 1-D series of at least 20 samples, got (5,)"} and np.isnan(values).all()
 
     def test_determinism_bit_identical(self, rng):
         reg = reproduction_registry()
         x = rng.standard_normal(300)
-        first = {c: reg.extract(c, x) for c in reg.codes()}
-        second = {c: reg.extract(c, x) for c in reg.codes()}
+        first = {c: one_value(reg, c, x) for c in reg.codes()}
+        second = {c: one_value(reg, c, x) for c in reg.codes()}
         assert first == second  # exact equality, not approx
 
     def test_extract_values_matches_per_code_extract(self, rng):
@@ -394,7 +401,7 @@ class TestRegistry:
         codes = ("C15", "W1", "C10", "C1")
         values, failures = reg.extract_block(codes, x[None])
         assert failures == {}
-        assert values.tolist() == [[reg.extract(c, x) for c in codes]]
+        assert values.tolist() == [[one_value(reg, c, x) for c in codes]]
 
     def test_extract_values_errors_name_the_failing_code(self):
         reg = reproduction_registry()
@@ -403,7 +410,7 @@ class TestRegistry:
         assert np.isnan(values).all()
         values, failures = reg.extract_block(("W1", "C10"), np.arange(12.0)[None])
         assert failures == {0: "C10 needs a 1-D series of at least 20 samples, got (12,)"}
-        assert values[0, 0] == reg.extract("W1", np.arange(12.0)) and np.isnan(values[0, 1])
+        assert values[0, 0] == one_value(reg, "W1", np.arange(12.0)) and np.isnan(values[0, 1])
 
     def test_duplicate_codes_rejected(self):
         reg = canonical_registry()
@@ -422,9 +429,9 @@ class TestAffineInvarianceFlags:
         for d in reg:
             if not d.affine_invariant:
                 continue
-            base = reg.extract(d.code, x)
+            base = one_value(reg, d.code, x)
             for a, b in ((2.5, 0.0), (0.3, -7.0), (11.0, 4.2)):
-                moved = reg.extract(d.code, a * x + b)
+                moved = one_value(reg, d.code, a * x + b)
                 assert moved == pytest.approx(base, rel=1e-7, abs=1e-9), d.code
 
     def test_declared_sensitive_features(self, rng):
@@ -433,10 +440,10 @@ class TestAffineInvarianceFlags:
         for d in reg:
             if d.affine_invariant:
                 continue
-            base = reg.extract(d.code, x)
+            base = one_value(reg, d.code, x)
             changed = [
-                reg.extract(d.code, 2.0 * x),
-                reg.extract(d.code, x + 5.0),
+                one_value(reg, d.code, 2.0 * x),
+                one_value(reg, d.code, x + 5.0),
             ]
             assert any(abs(c - base) > 1e-6 * max(abs(base), 1e-12) for c in changed), d.code
 
@@ -841,6 +848,15 @@ class TestMatrixFile:
         with pytest.raises(FormatError) as err:
             read_matrix(path)
         assert str(err.value) == f"line 1: {path}: not a quakebox feature matrix"
+
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
+    def test_trace_id_that_would_break_its_row_refused_before_the_file_opens(self, tmp_path, char):
+        path = tmp_path / "m.tsv"
+        vecs = [make_vector("a", "noise", f=1.0), make_vector(f"b{char}c", "event", f=2.0)]
+        with pytest.raises(FormatError) as err:
+            write_matrix(path, vecs)
+        assert str(err.value) == f"{path}: trace {f'b{char}c'!r}: a trace_id with a tab, CR or LF would break its row"
+        assert not path.exists()
 
     def test_deterministic_bytes(self, tmp_path):
         vecs = [make_vector("a", "noise", f=1 / 3), make_vector("b", "event", f=2 / 7)]

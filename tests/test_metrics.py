@@ -1,5 +1,6 @@
 """Metrics: confusion tallies, MCC, accuracy, exact McNemar."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -125,6 +126,11 @@ class TestReport:
         assert r.n_pos == 1 and r.n_neg == 2
         assert r.noise_ratio == pytest.approx(2.0)
         assert r.accuracy == pytest.approx(2 / 3)
+
+    def test_no_positives_has_no_noise_ratio(self):
+        r = report(["noise", "noise"], ["event", "noise"])
+        assert (r.n_pos, r.n_neg, r.noise_ratio) == (0, 2, None)
+        assert json.dumps(r.to_dict(), allow_nan=False).endswith('"noise_ratio": null}')
 
 
 class TestMcnemar:
