@@ -16,8 +16,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -442,27 +442,22 @@ def generate_planted_features(
 # external prediction ingestion
 
 
-def _prediction_row(header: List[str], numeric: List[str]):
-    """The check of a row; one whose id an earlier row holds is passed, and
-    the repeat reported once every row is read."""
-    seen = set()
+def _prediction_row(header: List[str], numeric: List[str], cells: List[str]) -> None:
+    if "label" in header and cells[header.index("label")] not in LABELS:
+        raise ValueError(f"bad label {cells[header.index('label')]!r}")
+    for column in numeric:
+        try:
+            value = number(cells[header.index(column)])
+        except ValueError as exc:
+            raise ValueError(f"{column}: {exc}") from None
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{column} {value} outside [0, 1]")
 
-    def check(cells: List[str]) -> None:
-        tid = cells[header.index("trace_id")]
-        if tid in seen:
-            return
-        seen.add(tid)
-        if "label" in header and cells[header.index("label")] not in LABELS:
-            raise ValueError(f"bad label {cells[header.index('label')]!r}")
-        for column in numeric:
-            try:
-                value = number(cells[header.index(column)])
-            except ValueError as exc:
-                raise ValueError(f"{column}: {exc}") from None
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{column} {value} outside [0, 1]")
 
-    return check
+def _predictions_valid(text: Dict[str, List[str]], values: np.ndarray) -> bool:
+    if "label" in text:
+        return set(text["label"]) <= set(LABELS)
+    return bool(np.all((0.0 <= values) & (values <= 1.0)))  # NaN fails too
 
 
 class Predictions(dict):
@@ -488,8 +483,9 @@ def ingest_predictions(
 
     The TSV needs a ``trace_id`` column and either ``label`` or
     ``probability`` (optionally with a per-row ``threshold``, default 0.5), both in [0, 1].
-    A bad row names the file and line; duplicate and missing ids fail
-    loudly, each listed; ids beyond the expected set are dropped.
+    A bad row, or one whose trace id repeats an earlier row's, names the file
+    and line; missing ids fail listed, naming the file; ids beyond the
+    expected set are dropped.
     """
     expected = set(expected_trace_ids)
     with text_file(path) as fh:
@@ -501,20 +497,9 @@ def ingest_predictions(
         # a label column wins: probability and threshold are then never read
         text = ["trace_id", "label"] if "label" in header else ["trace_id"]
         numeric = [] if "label" in header else [c for c in ("probability", "threshold") if c in header]
-        table = read_table(path, fh, header, 1, text, numeric)
-    values = table.values
-    if values is None:
-        valid = False
-    elif "label" in header:
-        valid = set(table.text["label"]) <= set(LABELS)
-    else:
-        valid = bool(np.all((0.0 <= values) & (values <= 1.0)))  # NaN fails too
-    if not valid:
-        table.walk(_prediction_row(header, numeric))
-    ids = table.text["trace_id"]
-    if len(set(ids)) < len(ids):
-        duplicates = sorted(tid for tid, n in Counter(ids).items() if n > 1)
-        raise IngestError(f"{path}: duplicate trace id(s): " + ", ".join(duplicates[:10]))
+        table = read_table(path, fh, header, 1, text, numeric, partial(_prediction_row, header, numeric),
+                           _predictions_valid)
+    ids, values = table.text["trace_id"], table.values
     if "label" in header:
         labels = table.text["label"]
     else:

@@ -61,7 +61,7 @@ class InsufficientNoise(QuakeboxError):
 
 
 class IngestError(QuakeboxError):
-    """External prediction file is missing ids, has duplicates, or is malformed."""
+    """External prediction file lacks trace ids that the evaluation set holds."""
 
 
 class FormatError(QuakeboxError):

@@ -15,9 +15,9 @@ them into blocks for :meth:`FeatureRegistry.extract_block`, and
 
 :func:`read_header` and :func:`read_table` read every tab-separated input,
 matrices and ``bench.ingest_predictions``' files alike, a column block at a
-time: the numeric columns of all rows in one ``np.loadtxt`` call.  Callers
-check whole columns; only a file that fails a check is walked line by line,
-to name its first bad line.
+time: the numeric columns of all rows in one ``np.loadtxt`` call.  Whole
+columns are checked; only a file that fails a check is walked line by line,
+to name its first bad line, and a repeated trace id is refused naming both lines.
 """
 
 from __future__ import annotations
@@ -302,35 +302,27 @@ def read_header(path: str | Path, fh: TextIO, lineno: int) -> List[str]:
 
 @dataclass(frozen=True)
 class Table:
-    """The non-blank rows below a header: row ``i`` is ``lines[i]``, on line
-    ``linenos[i]``.  ``text`` holds the text columns asked for, and ``values``
-    the numeric ones as a (rows x columns) array, or None when a cell is not a
-    :func:`number`; a wrong column count leaves both empty (``values`` None)."""
+    """The checked non-blank rows below a header: row ``i`` is on line
+    ``linenos[i]``; ``text`` holds the text columns asked for, and ``values``
+    the numeric ones as a (rows x columns) array."""
 
-    path: str | Path
-    header: List[str]
     linenos: List[int]
-    lines: List[str]
     text: Dict[str, List[str]]
-    values: np.ndarray | None
-
-    def walk(self, check: Callable[[List[str]], None]) -> None:
-        """Refuse, naming its line, the first row with the wrong column count
-        or whose cells ``check`` refuses with a ValueError."""
-        for n, line in zip(self.linenos, self.lines):
-            cells = line.split("\t")
-            try:
-                if len(cells) != len(self.header):
-                    raise ValueError(f"expected {len(self.header)} columns, found {len(cells)}")
-                check(cells)
-            except ValueError as exc:
-                raise table_error(self.path, n, str(exc)) from None
+    values: np.ndarray
 
 
 def read_table(path: str | Path, fh: TextIO, header: List[str], lineno: int,
-               text: Sequence[str], numeric: Sequence[str]) -> Table:
+               text: Sequence[str], numeric: Sequence[str], check: Callable[[List[str]], None],
+               valid: Callable[[Dict[str, List[str]], np.ndarray], bool]) -> Table:
     """The rows below the header at line ``lineno`` of ``fh``; ``np.loadtxt``
-    reads the ``numeric`` columns and rounds as ``float`` does."""
+    reads the ``numeric`` columns and rounds as ``float`` does.
+
+    A row with the wrong column count, a cell that is not a :func:`number`, or
+    columns that ``valid(text, values)`` refuses make the rows be walked in line
+    order: the first with the wrong column count, or whose cells ``check``
+    refuses with a ValueError, is refused naming its line.  Then a ``trace_id``
+    that repeats an earlier row's is refused by :func:`~quakebox.fields.unique_ids`.
+    """
     body = fh.read().split("\n")
     keep = list(map(str.strip, body))  # a blank line is skipped but counted
     linenos, lines = list(compress(count(lineno + 1), keep)), list(compress(body, keep))
@@ -348,7 +340,17 @@ def read_table(path: str | Path, fh: TextIO, header: List[str], lineno: int,
                                     ndmin=2, comments=None, quotechar=None)
             except ValueError:
                 values = None
-    return Table(path, header, linenos, lines, columns, values)
+    if values is None or not valid(columns, values):
+        for n, line in zip(linenos, lines):
+            cells = line.split("\t")
+            try:
+                if len(cells) != len(header):
+                    raise ValueError(f"expected {len(header)} columns, found {len(cells)}")
+                check(cells)
+            except ValueError as exc:
+                raise table_error(path, n, str(exc)) from None
+    unique_ids(path, columns["trace_id"], linenos)
+    return Table(linenos, columns, values)
 
 
 def _matrix_row(cells: List[str]) -> None:
@@ -376,13 +378,11 @@ def read_matrix(path: str | Path) -> Tuple[FeatureMatrix, str]:
         codes = tuple(header[2:])
         if not codes:
             raise table_error(path, 2, "header has no feature columns")
-        table = read_table(path, fh, header, 2, ("trace_id", "label"), codes)
-    if table.values is None or not set(table.text["label"]) <= set(LABELS):
-        table.walk(_matrix_row)
+        table = read_table(path, fh, header, 2, ("trace_id", "label"), codes, _matrix_row,
+                           lambda text, values: set(text["label"]) <= set(LABELS))
     trace_ids, X = table.text["trace_id"], table.values
     if not trace_ids:
         raise FormatError(f"{path}: no data rows")
-    unique_ids(path, trace_ids, table.linenos)
     try:
         return FeatureMatrix(X, codes, tuple(trace_ids), tuple(table.text["label"])), role
     except FormatError as exc:  # a non-finite cell: name its line too

@@ -301,6 +301,39 @@ class TestByteOrderMark:
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes() == plain.read_bytes()
 
 
+def _record(trace_id, samples):
+    return json.dumps({"trace_id": trace_id, "event_id": None, "station": "s", "channel": "Z",
+                       "sample_rate": 100.0, "label": "noise", "magnitude": None, **samples})
+
+
+# each data file as its header lines and a row for a trace id
+REPEAT_READERS = {
+    "waveform-v1": ("w.jsonl", ['{"format": "quakebox-waveforms-v1"}'],
+                    lambda t: _record(t, {"samples": [0.5, -1.0, 2.0]})),
+    "waveform-v2": ("w.jsonl", ['{"format": "quakebox-waveforms-v2"}'],
+                    lambda t: _record(t, {"samples_f64le": "AAAAAAAA4D8AAAAAAADwvwAAAAAAAABA"})),
+    "matrix": ("m.tsv", ["# quakebox-features-v1", "trace_id\tlabel\tW1"], lambda t: f"{t}\tnoise\t0.5"),
+    "predictions": ("p.tsv", ["trace_id\tprobability"], lambda t: f"{t}\t0.5"),
+}
+
+
+@pytest.mark.parametrize("reader", REPEAT_READERS)
+def test_every_data_file_reader_refuses_a_repeated_trace_id_naming_both_lines(tmp_path, reader):
+    from quakebox.bench import ingest_predictions
+    from quakebox.features import read_matrix
+    from quakebox.waveform_io import read_waveforms
+
+    read = {"w.jsonl": read_waveforms, "m.tsv": read_matrix,
+            "p.tsv": lambda path: ingest_predictions(path, ["t0", "t1"])}
+    name, head, row = REPEAT_READERS[reader]
+    path = tmp_path / name
+    path.write_text("\n".join([*head, row("t0"), row("t1"), "", row("t0"), row("t1")]) + "\n")
+    first, repeat = len(head) + 1, len(head) + 4  # the blank line is counted
+    with pytest.raises(FormatError) as err:
+        read[name](path)
+    assert str(err.value) == f"line {repeat}: {path}: trace_id t0 repeats line {first}"
+
+
 class TestDocument:
     def test_object_returned(self):
         assert fields.document('{"format": "f-v1", "x": 1}', "d.json", "f-v1") == {"format": "f-v1", "x": 1}
