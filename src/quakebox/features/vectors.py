@@ -251,20 +251,31 @@ def standardize_apply(data: Rows, params: StandardizationParams) -> FeatureMatri
 
 
 FORMAT_LINE_PREFIX = "# quakebox-features-v1"
+_ROW_BREAKS = frozenset("\t\r\n")  # a name or cell holding one of these breaks its row
 
 
 def write_matrix(path: str | Path, data: Rows, role: str = "all") -> None:
-    """Write a matrix as TSV at full float precision; a trace id that holds a
-    tab, CR or LF, which would break its row, is refused before the file opens."""
+    """Write a matrix as TSV at full float precision; one that :func:`read_matrix`
+    would refuse is refused before the file opens, naming the code or trace at fault."""
     m = FeatureMatrix.from_rows(data)
     path = Path(path)
     check_role(path, role)
-    bad = [t for t in m.trace_ids if "\t" in t or "\r" in t or "\n" in t]
-    if bad:
-        raise FormatError(f"{path}: trace {bad[0]!r}: a trace_id with a tab, CR or LF would break its row")
+    header = ("trace_id", "label") + m.codes
+    for code in m.codes:
+        if not code or header.count(code) > 1 or not _ROW_BREAKS.isdisjoint(code):
+            raise FormatError(f"{path}: code {code!r}: a column needs a name of its own, with no tab, CR or LF")
+    seen = set()
+    for tid, label in zip(m.trace_ids, m.labels):
+        if not _ROW_BREAKS.isdisjoint(tid):
+            raise FormatError(f"{path}: trace {tid!r}: a trace_id with a tab, CR or LF would break its row")
+        if tid in seen:
+            raise FormatError(f"{path}: trace {tid!r}: trace_id repeats an earlier row's")
+        if label not in LABELS:
+            raise FormatError(f"{path}: trace {tid!r}: label must be one of {LABELS}, got {label!r}")
+        seen.add(tid)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{FORMAT_LINE_PREFIX} role={role}\n")
-        fh.write("\t".join(("trace_id", "label") + m.codes) + "\n")
+        fh.write("\t".join(header) + "\n")
         # repr of Python floats: repr(np.float64(x)) is "np.float64(x)" under numpy 2
         for trace_id, label, row in zip(m.trace_ids, m.labels, m.X.tolist()):
             fh.write("\t".join([trace_id, label, *map(repr, row)]) + "\n")

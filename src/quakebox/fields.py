@@ -146,7 +146,8 @@ def float64le(field: str, text, fail: Fail) -> np.ndarray:
     """``text`` checked to be a string of base64 (the standard alphabet,
     padded) and decoded as little-endian float64 values.
 
-    A character outside the alphabet, bad padding, or a byte count that is
+    A character outside the alphabet, bad or surplus padding (a length that
+    is not a multiple of 4, or more than two ``=``), or a byte count that is
     not a multiple of 8 fails naming ``field``; whether the values are
     finite, and that there is at least one, is left to the caller, as in
     :func:`numbers`.
@@ -154,6 +155,8 @@ def float64le(field: str, text, fail: Fail) -> np.ndarray:
     text = typed(field, text, str, fail)
     try:
         raw = base64.b64decode(text, validate=True)
+        if len(text) % 4 or text.endswith("==="):  # b64decode takes any '=' after a whole quantum
+            raise ValueError("surplus padding after a whole quantum")
     except ValueError as exc:  # binascii.Error, or a character that is not ASCII
         raise fail(field, f"invalid base64 ({exc})") from None
     if len(raw) % 8:

@@ -858,6 +858,27 @@ class TestMatrixFile:
         assert str(err.value) == f"{path}: trace {f'b{char}c'!r}: a trace_id with a tab, CR or LF would break its row"
         assert not path.exists()
 
+    @pytest.mark.parametrize("codes,ids,labels,named", [
+        (("f",), ("a", "b"), ("noise", "quake"), "trace 'b': label must be one of ('event', 'noise'), got 'quake'"),
+        (("f",), ("a", "a"), ("noise", "event"), "trace 'a': trace_id repeats an earlier row's"),
+        (("f", "g\th"), ("a", "b"), ("noise", "event"), "code 'g\\th': "),
+        (("f", "label"), ("a", "b"), ("noise", "event"), "code 'label': "),
+        (("f", ""), ("a", "b"), ("noise", "event"), "code '': "),
+        (("trace_id",), ("a", "b"), ("noise", "event"), "code 'trace_id': "),
+        (("f", "f"), ("a", "b"), ("noise", "event"), "code 'f': "),
+        (("f\r",), ("a", "b"), ("noise", "event"), "code 'f\\r': "),
+    ], ids=["label", "repeated-id", "code-tab", "code-label", "code-empty", "code-trace-id", "code-repeated",
+            "code-cr"])
+    def test_matrix_the_reader_would_refuse_is_refused_before_the_file_opens(self, tmp_path, codes, ids, labels,
+                                                                            named):
+        path = tmp_path / "m.tsv"
+        matrix = FeatureMatrix(np.ones((2, len(codes))), codes, ids, labels)
+        with pytest.raises(FormatError) as err:
+            write_matrix(path, matrix)
+        why = "a column needs a name of its own, with no tab, CR or LF" if named.startswith("code") else ""
+        assert str(err.value) == f"{path}: {named}{why}"
+        assert not path.exists()
+
     def test_deterministic_bytes(self, tmp_path):
         vecs = [make_vector("a", "noise", f=1 / 3), make_vector("b", "event", f=2 / 7)]
         p1, p2 = tmp_path / "1.tsv", tmp_path / "2.tsv"

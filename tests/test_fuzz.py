@@ -5,7 +5,8 @@ inserted; a key deleted; or a value swapped for one of another JSON type.
 Whatever the input, ``cli.main`` returns 0 (the file still reads) or 2 (it
 was refused with an error), and no exception escapes it.  The matrix and
 prediction readers are also fuzzed directly, against a reading of the same
-text cell by cell with ``float``.  The runs are
+text cell by cell with ``float``, and ``write_matrix`` either refuses a
+matrix or writes a file that ``read_matrix`` reads back as it was.  The runs are
 derandomized and keep no example database, so the suite stays
 reproducible and writes no ``.hypothesis/`` directory.
 """
@@ -25,7 +26,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from quakebox.bench import ingest_predictions
 from quakebox.cli import main
 from quakebox.errors import FormatError, IngestError
-from quakebox.features import read_matrix
+from quakebox.features import FeatureMatrix, read_matrix, write_matrix
 from test_cli import MATRIX, MODEL as CLI_MODEL
 
 # the CLI tests' valid files, the model with its optional training_meta
@@ -214,3 +215,42 @@ def test_predictions_read_as_float_per_cell(workdir, predictions):
             threshold = _float(r[at["threshold"]]) if "threshold" in at else 0.5
             want[r[at["trace_id"]]] = "event" if _float(r[at["probability"]]) >= threshold else "noise"
     assert got == {tid: label for tid, label in want.items() if tid in expected}
+
+
+# names near the matrix grammar's edges: the header's own names, the labels,
+# the empty name, characters that end a cell or a line, and short names that repeat
+NAMES = st.one_of(st.sampled_from(["trace_id", "label", "event", "noise", "", "a\tb", "\r", "a\n"]),
+                  st.text("ab", max_size=2),
+                  st.text(st.one_of(st.sampled_from("\t\r\n a"), st.characters()), max_size=3))
+# names the reader takes: distinct, not empty and not a header name, with no tab, CR or LF
+PLAIN = st.text(st.characters(exclude_characters="\t\r\n"), min_size=1, max_size=3).filter(
+    lambda name: name not in ("trace_id", "label"))
+
+
+@st.composite
+def _matrices(draw):
+    """A matrix whose trace ids, labels and codes are each drawn either plain or
+    from NAMES, so that most matrices break the file in at most one way."""
+    n, p = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    X = draw(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=p, max_size=p),
+                      min_size=n, max_size=n))
+    ids, codes = (st.lists(NAMES, min_size=k, max_size=k) if draw(st.booleans())
+                  else st.lists(PLAIN, min_size=k, max_size=k, unique=True) for k in (n, p))
+    labels = st.sampled_from(["event", "noise"])
+    labels = st.one_of(labels, NAMES) if draw(st.booleans()) else labels
+    return FeatureMatrix(X, tuple(draw(codes)), tuple(draw(ids)), tuple(draw(st.lists(labels, min_size=n, max_size=n))))
+
+
+@FUZZ
+@given(m=_matrices())
+def test_written_matrix_reads_back_or_is_refused_unwritten(workdir, m):
+    path = workdir / "written.tsv"
+    path.unlink(missing_ok=True)
+    try:
+        write_matrix(path, m)
+    except FormatError:
+        assert not path.exists()
+        return
+    back, role = read_matrix(path)
+    assert (back.trace_ids, back.labels, back.codes, role) == (m.trace_ids, m.labels, m.codes, "all")
+    assert back.X.tobytes() == m.X.tobytes()

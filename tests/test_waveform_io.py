@@ -246,6 +246,26 @@ def test_malformed_v2_samples_name_line_and_field(tmp_path, changes, named):
     assert str(err.value).startswith(f"line 3: {path}: samples_f64le: {named}")
 
 
+@pytest.mark.parametrize("pad", ["=", "==", "===", "===="])
+def test_surplus_padding_after_a_whole_quantum_is_refused(tmp_path, pad):
+    path = tmp_path / "waves.jsonl"
+    write_waveforms(path, [make_record("n0"), make_record("n1", samples=np.array([0.5, -1.0, 2.0]))])
+    canonical = _f64le(0.5, -1.0, 2.0)
+    assert len(canonical) % 4 == 0 and "=" not in canonical
+    path.write_text(path.read_text().replace(canonical, canonical + pad))
+    with pytest.raises(FormatError) as err:
+        read_waveforms(path)
+    assert str(err.value) == (f"line 3: {path}: samples_f64le: invalid base64 "
+                              "(surplus padding after a whole quantum)")
+
+
+@pytest.mark.parametrize("values", [(0.5,), (0.5, -1.0), (0.5, -1.0, 2.0), (0.25,) * 4])
+def test_canonical_padding_reads(tmp_path, values):
+    path = tmp_path / "waves.jsonl"
+    write_waveforms(path, [make_record("n0", samples=np.array(values))])
+    assert read_waveforms(path)[0][0].samples.tolist() == list(values)
+
+
 def test_v1_record_with_both_sample_keys_is_refused(tmp_path):
     path = tmp_path / "waves.jsonl"
     lines = V1_FIXTURE.read_text().splitlines()
