@@ -11,6 +11,14 @@ commits fails the suite.  The fixture also records the Python, numpy and
 scipy versions it was written on, since a float kernel of another release
 may move a last bit.
 
+Criterion 8's corpus is easy: all 40 runs tie at validation MCC 1.0, and
+its ``eval`` and every sweep ratio score 1.0, so a change to how runs are
+ranked, or to a label near the threshold, would move none of its bytes.  A
+second, ranked case runs a corpus of weak events (SNR 0.3 to 1) through
+synth, split, extract, select, train, eval and a sweep of the held-out test
+split; the generator asserts that its tie-set is smaller than its run count,
+that its eval MCC is below 1, and that its sweep MCC differs across ratios.
+
 A change that moves artifact bytes on purpose regenerates the fixture in
 the same commit.
 
@@ -54,14 +62,52 @@ def artifacts(base: Path) -> list[Path]:
     return [*written, base / "eval.json"]
 
 
+def ranked_artifacts(base: Path) -> list[Path]:
+    """Run the ranked case in ``base``, check that it ranks, and return every file it writes, in order."""
+    base.mkdir()
+
+    def run(command: str, config: dict) -> None:
+        path = base / f"{command}_config.json"
+        path.write_text(json.dumps({"master_seed": SEED, **config}))
+        assert cli_main([command, "-c", str(path)]) == 0, command
+
+    run("synth", {"output": str(base / "waves.jsonl"), "synthetic": {
+        "n_events": 10, "traces_per_event": [3, 4], "n_noise": 140, "fs": 200.0, "window_len": 400,
+        "snr_range": [0.3, 1.0]}})
+    run("split", {"input": str(base / "waves.jsonl"), "output_dir": str(base / "splits")})
+    for part in ("train", "validation", "test"):
+        run("extract", {"input": str(base / "splits" / f"{part}.jsonl"), "output": str(base / f"{part}26.tsv"),
+                        "features": "discovery26", "preprocess": {"window_len": 192}})
+    run("select", {"train_input": str(base / "train26.tsv"), "validation_input": str(base / "validation26.tsv"),
+                   "output": str(base / "selection.json"), "ensemble": {"n_runs": 40}})
+    run("train", {"input": str(base / "train26.tsv"), "output": str(base / "model.json"),
+                  "model": {"alpha": 0.5, "lambda": 0.002}})
+    models = {"models": {"lr": str(base / "model.json")}}
+    run("eval", {"input": str(base / "test26.tsv"), **models, "output": str(base / "eval.json")})
+    run("sweep", {"positives_input": str(base / "test26.tsv"), "noise_pool_input": str(base / "test26.tsv"),
+                  **models, "ratios": [1.0, 2.0, 3.0], "output": str(base / "sweep.json.out")})
+    report, evaluation, sweep = (json.loads((base / name).read_text())
+                                 for name in ("selection.json", "eval.json", "sweep.json.out"))
+    assert len(report["tie_set_ids"]) < len(report["runs"]), "every run ties"
+    assert evaluation["sources"]["lr"]["mcc"] < 1, "eval scores MCC 1"
+    assert len({cell["mcc"] for cell in sweep["cells"]}) > 1, "every sweep ratio scores one MCC"
+    return [base / name for name in ("waves.jsonl", "splits/train.jsonl", "splits/validation.jsonl",
+                                     "splits/test.jsonl", "train26.tsv", "validation26.tsv", "test26.tsv",
+                                     "selection.json", "model.json", "eval.json", "sweep.json.out")]
+
+
+def digests(base: Path, paths: list[Path]) -> dict:
+    return {p.relative_to(base).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
 def build(base: Path) -> dict:
     return {
-        "description": "sha256 of each file of criterion 8's recipe and an eval of its model; "
-                       "written by tests/oracles/gen_artifact_digests.py.",
+        "description": "sha256 of each file of criterion 8's recipe and an eval of its model, and of the "
+                       "ranked case; written by tests/oracles/gen_artifact_digests.py.",
         "seed": SEED,
         "versions": {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__},
-        "sha256": {p.relative_to(base).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in artifacts(base)},
+        "sha256": digests(base, artifacts(base)),
+        "ranked_sha256": digests(base / "ranked", ranked_artifacts(base / "ranked")),
     }
 
 
@@ -69,7 +115,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         payload = build(Path(tmp))
     OUT.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(payload['sha256'])} digests to {OUT}")
+    print(f"wrote {len(payload['sha256'])} + {len(payload['ranked_sha256'])} digests to {OUT}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """The CLI campaign's artifacts, frozen byte for byte.
 
 ``fixtures/artifact_digests.json`` holds the sha256 of every file that
-criterion 8's recipe and an ``eval`` of its model write at seed 424242
-(``oracles/gen_artifact_digests.py``).  Here the recipe runs once more, in
+criterion 8's recipe and an ``eval`` of its model write at seed 424242,
+and of every file of a ranked case, whose runs, eval and sweep do not all
+score MCC 1 (``oracles/gen_artifact_digests.py``).  Here the recipe runs once more, in
 process, and every file must hash as frozen.  A failure names each file
 whose bytes moved and the versions the fixture was written on.
 """
@@ -27,6 +28,13 @@ def test_every_artifact_keeps_its_frozen_bytes(rerun):
     moved = [name for name in frozen if got.get(name) != frozen[name]]
     assert (moved, list(got)) == ([], list(frozen)), (
         f"bytes moved in {moved}; frozen on {FROZEN['versions']}, run on {rerun['versions']}")
+
+
+def test_every_ranked_artifact_keeps_its_frozen_bytes(rerun):
+    got, frozen = rerun["ranked_sha256"], FROZEN["ranked_sha256"]
+    moved = [name for name in frozen if got.get(name) != frozen[name]]
+    assert (moved, list(got)) == ([], list(frozen)), (
+        f"bytes moved in ranked/{moved}; frozen on {FROZEN['versions']}, run on {rerun['versions']}")
 
 
 def test_fixture_is_what_its_generator_writes(rerun):
