@@ -94,6 +94,16 @@ class TestPartition:
             bench.SplitSpec(fractions=(0.6, 0.4, -0.0))
 
 
+def test_event_record_without_an_event_id_refused():
+    # a WaveformRecord cannot be such an event, so a stand-in carries the fields the split reads
+    from types import SimpleNamespace
+
+    records = [SimpleNamespace(trace_id="ev1.st0", label="event", event_id="")]
+    with pytest.raises(DegenerateInput) as err:
+        bench.partition_by_event(records, bench.SplitSpec(seed=1))
+    assert str(err.value) == "event record ev1.st0 lacks an event_id"
+
+
 class TestRatioDataset:
     def pool(self, n):
         return FeatureMatrix.from_rows([make_vector(f"n{i:05d}", "noise", f=float(i)) for i in range(n)])
@@ -148,6 +158,13 @@ class TestRatioDataset:
             assert abs(ds.items.labels.count("noise") / len(pos) - ratio) <= 1.0 / len(pos) + 1e-12
 
 
+def test_ratio_dataset_without_positives_refused():
+    pool = FeatureMatrix.from_rows([make_vector("n0", "noise", f=1.0)])
+    with pytest.raises(DegenerateInput) as err:
+        bench.build_ratio_dataset(pool.take([]), pool, 1.0, seed=1)
+    assert str(err.value) == "ratio dataset needs at least one positive"
+
+
 class TestSweep:
     def setup_case(self):
         positives = [make_vector(f"p{i}", "event", f=1.0 + 0.1 * i) for i in range(10)]
@@ -166,6 +183,12 @@ class TestSweep:
             model=LinearModel(bias=0.0, weights={"f": 5.0}),
             standardization=StandardizationParams(means={"f": 0.0}, stds={"f": 1.0}),
         )
+
+    def test_event_rows_in_the_pool_refused(self):
+        positives, pool = self.setup_case()
+        with pytest.raises(DegenerateInput) as err:
+            self.sweep({"lr": self.artifact()}, positives, pool + positives[:1], bench.RatioSpec(seed=1))
+        assert str(err.value) == "noise pool must all carry the noise label"
 
     def test_row_per_ratio(self):
         positives, pool = self.setup_case()

@@ -15,6 +15,7 @@ from quakebox.errors import (
     FormatError,
     MissingFeature,
     MissingParams,
+    ShapeMismatch,
     UnknownFeature,
     ZeroVariance,
 )
@@ -704,6 +705,17 @@ class TestFeatureMatrix:
         assert m.take(m.is_event).trace_ids == ("b",)
         with pytest.raises(MissingFeature, match="h"):
             m.columns(("f", "h"))
+
+
+@pytest.mark.parametrize("shape,ids,labels,codes,named", [
+    ((2, 1), ("a",), ("event",), ("f",), "(2, 1) matrix for 1 trace ids, 1 labels and 1 codes"),
+    ((1, 2), ("a",), ("event",), ("f",), "(1, 2) matrix for 1 trace ids, 1 labels and 1 codes"),
+    ((1, 1), ("a",), ("event", "noise"), ("f",), "(1, 1) matrix for 1 trace ids, 2 labels and 1 codes"),
+], ids=["rows", "columns", "labels"])
+def test_feature_matrix_shape_checked(shape, ids, labels, codes, named):
+    with pytest.raises(ShapeMismatch) as err:
+        FeatureMatrix(np.ones(shape), codes, ids, labels)
+    assert str(err.value) == named
 
 
 class TestMatrixFile:

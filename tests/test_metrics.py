@@ -105,6 +105,12 @@ class TestMcc:
         assert v == pytest.approx(mcc_fraction(m.tp, m.tn, m.fp, m.fn), rel=1e-12)
 
 
+def test_mcc_of_an_empty_matrix_refused():
+    with pytest.raises(DegenerateInput) as err:
+        mcc(ConfusionMatrix(0, 0, 0, 0))
+    assert str(err.value) == "confusion matrix is empty"
+
+
 class TestAccuracy:
     def test_perfect(self):
         assert accuracy(ConfusionMatrix(tp=3, tn=4, fp=0, fn=0)) == 1.0

@@ -74,6 +74,19 @@ class TestPenalty:
             PenaltyConfig(lam=-0.1)
 
 
+@pytest.mark.parametrize("threshold", [0.0, 1.0, math.nan])
+def test_linear_model_threshold_outside_the_open_unit_interval_refused(threshold):
+    with pytest.raises(ValueError) as err:
+        LinearModel(bias=0.0, weights={"f": 1.0}, threshold=threshold)
+    assert str(err.value) == f"threshold must lie in (0, 1), got {threshold}"
+
+
+def test_lambda_max_of_pure_ridge_is_the_largest_gradient():
+    m = matrix(np.array([[1.0, -2.0], [3.0, 0.5], [-1.0, 1.0], [0.0, 4.0]]), [True, False, True, False])
+    top = float(np.abs(m.X.T @ (0.5 - m.is_event)).max()) / len(m)
+    assert lambda_max(m, 0.0) == top == lambda_max(m, 1.0)
+
+
 class TestSoftThreshold:
     @pytest.mark.parametrize(
         "z,gamma,expected",

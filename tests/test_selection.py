@@ -197,6 +197,23 @@ class TestBestModels:
             best_models([])
 
 
+@pytest.mark.parametrize("fraction", [0.0, 1.5, float("nan")])
+def test_subsample_fraction_outside_its_range_refused(fraction):
+    with pytest.raises(ValueError) as err:
+        EnsembleConfig(subsample_fraction=fraction)
+    assert str(err.value) == "subsample_fraction must lie in (0, 1]"
+
+
+@pytest.mark.parametrize("call,named", [
+    (lambda: weight_distributions([]), "empty tie-set"),
+    (lambda: best_models([]), "no ensemble results to rank"),
+], ids=["empty-tie-set", "no-runs"])
+def test_nothing_to_rank_or_summarize_refused(call, named):
+    with pytest.raises(DegenerateInput) as err:
+        call()
+    assert str(err.value) == named
+
+
 class TestWeightDistributions:
     def test_single_model(self):
         dist = weight_distributions([result(0, 0.9, a=1.5, b=-0.5)])

@@ -41,6 +41,37 @@ def tone_amplitude(x, fs, freq):
     return 2 * math.hypot(seg @ s / n_take, seg @ c / n_take)
 
 
+def test_record_label_outside_labels_refused():
+    with pytest.raises(ValueError) as err:
+        make_record("tr9", label="quake")
+    assert str(err.value) == "tr9: label must be one of ('event', 'noise')"
+
+
+@pytest.mark.parametrize("changes,kind,named", [
+    ({"downsample_factor": 0}, InvalidFactor, "downsample_factor must be a positive integer, got 0"),
+    ({"downsample_factor": 2.0}, InvalidFactor, "downsample_factor must be a positive integer, got 2.0"),
+    ({"filter_order": 0}, ValueError, "filter_order must be a positive integer, got 0"),
+    ({"filter_order": 4.0}, ValueError, "filter_order must be a positive integer, got 4.0"),
+    ({"window_len": 0}, ValueError, "window_len must be positive, got 0"),
+], ids=["factor-0", "factor-float", "order-0", "order-float", "window-0"])
+def test_preprocess_config_checks(changes, kind, named):
+    with pytest.raises(kind) as err:
+        PreprocessConfig(**changes)
+    assert type(err.value) is kind and str(err.value) == named
+
+
+@pytest.mark.parametrize("call,named", [
+    (lambda: bandpass(np.array([1.0]), 200.0, PreprocessConfig()), "bandpass needs at least 2 samples"),
+    (lambda: bandpass(np.ones((3, 1)), 200.0, PreprocessConfig()), "bandpass needs at least 2 samples"),
+    (lambda: downsample(np.array([]), 2), "cannot downsample an empty sequence"),
+    (lambda: downsample(np.empty((2, 0)), 2), "cannot downsample an empty sequence"),
+], ids=["bandpass-1", "bandpass-block-1", "downsample-empty", "downsample-block-empty"])
+def test_too_short_input_refused(call, named):
+    with pytest.raises(DegenerateInput) as err:
+        call()
+    assert str(err.value) == named
+
+
 class TestDemean:
     def test_constant_goes_to_zero(self):
         assert np.allclose(demean([5.0, 5.0, 5.0, 5.0]), 0.0)

@@ -82,6 +82,26 @@ def test_invariant_violation_rejected(tmp_path, corpus):
         read_waveforms(path)
 
 
+def test_empty_file_refused_naming_it(tmp_path):
+    path = tmp_path / "waves.jsonl"
+    path.write_bytes(b"")
+    with pytest.raises(FormatError) as err:
+        read_waveforms(path)
+    assert str(err.value) == f"{path}: empty file"
+
+
+def test_blank_lines_are_skipped_but_counted(tmp_path, corpus):
+    path = tmp_path / "waves.jsonl"
+    write_waveforms(path, corpus[:2])
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], "", lines[1], "  \t", lines[2], "{}"]) + "\n")
+    with pytest.raises(FormatError) as err:
+        read_waveforms(path)
+    assert str(err.value).startswith(f"line 6: {path}: missing fields")
+    path.write_text("\n".join([lines[0], "", lines[1], "  \t", lines[2]]) + "\n")
+    assert [r.trace_id for r in read_waveforms(path)[0]] == [r.trace_id for r in corpus[:2]]
+
+
 def test_missing_field_listed(tmp_path):
     path = tmp_path / "waves.jsonl"
     path.write_text(
