@@ -279,13 +279,6 @@ def test_surplus_padding_after_a_whole_quantum_is_refused(tmp_path, pad):
                               "(surplus padding after a whole quantum)")
 
 
-@pytest.mark.parametrize("values", [(0.5,), (0.5, -1.0), (0.5, -1.0, 2.0), (0.25,) * 4])
-def test_canonical_padding_reads(tmp_path, values):
-    path = tmp_path / "waves.jsonl"
-    write_waveforms(path, [make_record("n0", samples=np.array(values))])
-    assert read_waveforms(path)[0][0].samples.tolist() == list(values)
-
-
 def test_v1_record_with_both_sample_keys_is_refused(tmp_path):
     path = tmp_path / "waves.jsonl"
     lines = V1_FIXTURE.read_text().splitlines()
