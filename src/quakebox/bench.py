@@ -91,8 +91,6 @@ def partition_by_event(records: Sequence, spec: SplitSpec) -> Split:
     noise_idx: List[int] = []
     for i, rec in enumerate(records):
         if rec.label == "event":
-            if not rec.event_id:
-                raise DegenerateInput(f"event record {rec.trace_id} lacks an event_id")
             if rec.event_id not in seen:
                 seen.add(rec.event_id)
                 event_ids.append(rec.event_id)
@@ -470,10 +468,10 @@ class Predictions(dict):
 
     def predict_labels(self, rows: FeatureMatrix) -> List[str]:
         """Each row's label, looked up by its trace id; an id the file lacks is refused."""
-        missing = sorted({tid for tid in rows.trace_ids if tid not in self})
+        missing = sorted(set(rows.trace_ids).difference(self))
         if missing:
             raise IngestError(f"{self.path}: missing {len(missing)} trace id(s): " + ", ".join(missing[:10]))
-        return [self[tid] for tid in rows.trace_ids]
+        return list(map(self.__getitem__, rows.trace_ids))
 
 
 def ingest_predictions(

@@ -14,8 +14,9 @@ them into blocks for :meth:`FeatureRegistry.extract_block`, and
 :func:`extract_vector` is :func:`extract_matrix` on one record.
 
 :func:`read_header` and :func:`read_table` read every tab-separated input,
-matrices and ``bench.ingest_predictions``' files alike, a column block at a
-time: the numeric columns of all rows in one ``np.loadtxt`` call.  Whole
+matrices and ``bench.ingest_predictions``' files alike.  The rows are read
+line by line, never as one string split afterwards, and parsed a column block
+at a time: the numeric columns of all rows in one ``np.loadtxt`` call.  Whole
 columns are checked; only a file that fails a check is walked line by line,
 to name its first bad line, and a repeated trace id is refused naming both lines.
 """
@@ -23,8 +24,9 @@ to name its first bad line, and a repeated trace id is refused naming both lines
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
-from itertools import compress, count, repeat
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, TextIO, Tuple, Union
 
@@ -142,7 +144,7 @@ class FeatureMatrix:
     @property
     def is_event(self) -> np.ndarray:
         """Boolean mask of the rows labelled ``event``."""
-        return np.array([label == "event" for label in self.labels], dtype=bool)
+        return np.fromiter(map("event".__eq__, self.labels), dtype=bool, count=len(self.labels))
 
     @classmethod
     def from_rows(cls, rows: Rows) -> FeatureMatrix:
@@ -179,10 +181,15 @@ class FeatureMatrix:
         return replace(self, X=self.X[:, [self.codes.index(c) for c in codes]], codes=codes)
 
     def take(self, index) -> FeatureMatrix:
-        """The rows picked by ``index``: integer positions or a boolean mask."""
-        rows = np.arange(len(self))[index].tolist()
-        return replace(self, X=self.X[rows], trace_ids=tuple(self.trace_ids[i] for i in rows),
-                       labels=tuple(self.labels[i] for i in rows))
+        """The rows picked by ``index``: integer positions or a boolean mask;
+        ``self`` when they are every row, in order."""
+        positions = np.arange(len(self))
+        rows = positions[index]
+        if np.array_equal(rows, positions):
+            return self
+        picked = rows.tolist()
+        return replace(self, X=self.X[rows], trace_ids=tuple(map(self.trace_ids.__getitem__, picked)),
+                       labels=tuple(map(self.labels.__getitem__, picked)))
 
 
 Rows = Union[FeatureMatrix, Sequence[FeatureVector]]
@@ -252,6 +259,7 @@ def standardize_apply(data: Rows, params: StandardizationParams) -> FeatureMatri
 
 FORMAT_LINE_PREFIX = "# quakebox-features-v1"
 _ROW_BREAKS = frozenset("\t\r\n")  # a name or cell holding one of these breaks its row
+_SURROGATE = re.compile("[\ud800-\udfff]")  # a name holding one has no UTF-8 form
 
 
 def write_matrix(path: str | Path, data: Rows, role: str = "all") -> None:
@@ -264,10 +272,14 @@ def write_matrix(path: str | Path, data: Rows, role: str = "all") -> None:
     for code in m.codes:
         if not code or header.count(code) > 1 or not _ROW_BREAKS.isdisjoint(code):
             raise FormatError(f"{path}: code {code!r}: a column needs a name of its own, with no tab, CR or LF")
+        if _SURROGATE.search(code):
+            raise FormatError(f"{path}: code {code!r}: a code with a surrogate has no UTF-8 form")
     seen = set()
     for tid, label in zip(m.trace_ids, m.labels):
         if not _ROW_BREAKS.isdisjoint(tid):
             raise FormatError(f"{path}: trace {tid!r}: a trace_id with a tab, CR or LF would break its row")
+        if not tid.isascii() and _SURROGATE.search(tid):
+            raise FormatError(f"{path}: trace {tid!r}: a trace_id with a surrogate has no UTF-8 form")
         if tid in seen:
             raise FormatError(f"{path}: trace {tid!r}: trace_id repeats an earlier row's")
         if label not in LABELS:
@@ -325,8 +337,10 @@ class Table:
 def read_table(path: str | Path, fh: TextIO, header: List[str], lineno: int,
                text: Sequence[str], numeric: Sequence[str], check: Callable[[List[str]], None],
                valid: Callable[[Dict[str, List[str]], np.ndarray], bool]) -> Table:
-    """The rows below the header at line ``lineno`` of ``fh``; ``np.loadtxt``
-    reads the ``numeric`` columns and rounds as ``float`` does.
+    """The rows below the header at line ``lineno`` of ``fh``, read line by line;
+    one ``np.loadtxt`` call reads the ``numeric`` columns and rounds as ``float``
+    does.  A line keeps its newline except in a cell of the header's last
+    column, and blank lines are skipped but counted.
 
     A row with the wrong column count, a cell that is not a :func:`number`, or
     columns that ``valid(text, values)`` refuses make the rows be walked in line
@@ -334,16 +348,20 @@ def read_table(path: str | Path, fh: TextIO, header: List[str], lineno: int,
     refuses with a ValueError, is refused naming its line.  Then a ``trace_id``
     that repeats an earlier row's is refused by :func:`~quakebox.fields.unique_ids`.
     """
-    body = fh.read().split("\n")
-    keep = list(map(str.strip, body))  # a blank line is skipped but counted
-    linenos, lines = list(compress(count(lineno + 1), keep)), list(compress(body, keep))
+    lines = fh.readlines()  # each keeps its newline, but a last one may lack it
+    linenos = list(range(lineno + 1, lineno + 1 + len(lines)))
+    if any(map(str.isspace, lines)):  # a blank line is skipped but counted
+        keep = [not line.isspace() for line in lines]
+        linenos, lines = list(compress(linenos, keep)), list(compress(lines, keep))
     columns: Dict[str, List[str]] = {}
     values = None
+    last = len(header) - 1
     # loadtxt(usecols=...) would drop an extra column silently
-    if set(map(str.count, lines, repeat("\t"))) <= {len(header) - 1}:
+    if set(map(str.count, lines, repeat("\t"))) <= {last}:
         # one column at a time, so that no list of rows is kept for the collector to walk
-        columns = {name: [line.split("\t", j + 1)[j] for line in lines]
-                   for name, j in zip(text, map(header.index, text))}
+        for name, j in zip(text, map(header.index, text)):
+            cells = [line.split("\t", j + 1)[j] for line in lines]
+            columns[name] = [cell.rstrip("\n") for cell in cells] if j == last else cells
         values = np.empty((len(lines), len(numeric)))
         if lines and numeric:
             try:
@@ -353,7 +371,7 @@ def read_table(path: str | Path, fh: TextIO, header: List[str], lineno: int,
                 values = None
     if values is None or not valid(columns, values):
         for n, line in zip(linenos, lines):
-            cells = line.split("\t")
+            cells = line.rstrip("\n").split("\t")
             try:
                 if len(cells) != len(header):
                     raise ValueError(f"expected {len(header)} columns, found {len(cells)}")

@@ -94,16 +94,6 @@ class TestPartition:
             bench.SplitSpec(fractions=(0.6, 0.4, -0.0))
 
 
-def test_event_record_without_an_event_id_refused():
-    # a WaveformRecord cannot be such an event, so a stand-in carries the fields the split reads
-    from types import SimpleNamespace
-
-    records = [SimpleNamespace(trace_id="ev1.st0", label="event", event_id="")]
-    with pytest.raises(DegenerateInput) as err:
-        bench.partition_by_event(records, bench.SplitSpec(seed=1))
-    assert str(err.value) == "event record ev1.st0 lacks an event_id"
-
-
 class TestRatioDataset:
     def pool(self, n):
         return FeatureMatrix.from_rows([make_vector(f"n{i:05d}", "noise", f=float(i)) for i in range(n)])
@@ -435,7 +425,15 @@ class TestIngestPredictions:
         ("trace_id\tprobability\na\thigh\n",
          "line 2: {path}: probability: could not convert string to float: 'high'"),
         ("trace_id\tprobability\tthreshold\na\t0.4\t7\n", "line 2: {path}: threshold 7.0 outside [0, 1]"),
-    ], ids=["label", "column-count", "text-probability", "threshold-7"])
+        # the last cell quoted without the newline, whether the line ends in LF, CRLF or nothing
+        ("trace_id\tlabel\na\tevent\nb\tquake", "line 3: {path}: bad label 'quake'"),
+        ("trace_id\tlabel\r\na\tevent\r\n \t\r\nb\tquake\r\n", "line 4: {path}: bad label 'quake'"),
+        ("trace_id\tprobability\na\t0.5\n\t\nb\thigh\n",
+         "line 4: {path}: probability: could not convert string to float: 'high'"),
+        ("probability\ttrace_id\n0.5\ta\nhigh\tb\n",
+         "line 3: {path}: probability: could not convert string to float: 'high'"),
+    ], ids=["label", "column-count", "text-probability", "threshold-7", "label-no-final-newline", "label-crlf",
+            "probability-last", "trace-id-last"])
     def test_bad_row_names_file_and_line(self, tmp_path, text, named):
         path = self.write(tmp_path, text)
         with pytest.raises(FormatError) as err:
@@ -487,6 +485,27 @@ class TestIngestPredictions:
     def test_padded_probability_reads_as_float(self, tmp_path):
         path = self.write(tmp_path, "trace_id\tprobability\tthreshold\na\t 0.5\t0.5 \nb\t 0.25\t1\n")
         assert bench.ingest_predictions(path, ["a", "b"]) == {"a": "event", "b": "noise"}
+
+    @pytest.mark.parametrize("text", [
+        "trace_id\tlabel\na\tevent\nb\tnoise",
+        "trace_id\tlabel\r\na\tevent\r\n\r\nb\tnoise\r\n",
+        "probability\ttrace_id\n0.7\ta\n \t \n0.2\tb\n",
+        "probability\ttrace_id\r\n0.7\ta\r\n0.2\tb",
+        "label\ttrace_id\nevent\ta\nnoise\tb\n",
+    ], ids=["no-final-newline", "crlf", "trace-id-last", "trace-id-last-crlf", "label-first"])
+    def test_line_endings_blank_lines_and_column_order_read_alike(self, tmp_path, text):
+        path = tmp_path / "preds.tsv"
+        path.write_bytes(text.encode())
+        assert bench.ingest_predictions(path, ["a", "b"]) == {"a": "event", "b": "noise"}
+
+    @pytest.mark.parametrize("text", ["probability\ttrace_id\n0.7\ta\n0.2\ta",
+                                      "label\ttrace_id\nevent\ta\r\nnoise\ta\n"], ids=["no-final-newline", "crlf"])
+    def test_repeated_id_in_the_last_column_rejected(self, tmp_path, text):
+        path = tmp_path / "preds.tsv"
+        path.write_bytes(text.encode())
+        with pytest.raises(FormatError) as err:
+            bench.ingest_predictions(path, ["a"])
+        assert str(err.value) == f"line 3: {path}: trace_id a repeats line 2"
 
     def test_extra_ids_tolerated(self, tmp_path):
         path = self.write(tmp_path, "trace_id\tlabel\na\tevent\nzz\tnoise\n")

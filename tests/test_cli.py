@@ -862,6 +862,11 @@ def _malformed_cases():
                   ("error: ", f"o.tsv: trace {f'n{char}1'!r}: a trace_id with a tab, CR or LF would break its row\n"))
             for id, char in (("tab", "\t"), ("cr", "\r"), ("lf", "\n"))
         ),
+        # "\ud800" is a valid JSON escape, but a lone surrogate has no UTF-8 form for the matrix
+        _case("extract-trace-id-with-a-lone-surrogate", "extract",
+              lambda d: {"input": d("w.jsonl"), "output": d("o.tsv"), "features": ["W1"]},
+              {"w.jsonl": _waves_v2(trace_id="n\ud8001", samples_f64le=_f64le(*np.linspace(-1.0, 1.0, 400)))},
+              ("error: ", "o.tsv: trace 'n\\ud8001': a trace_id with a surrogate has no UTF-8 form\n")),
         _case("extract-feature-code-not-str", "extract",
               lambda d: {"input": d("w.jsonl"), "output": d("o.tsv"), "features": ["W1", 5]},
               {"w.jsonl": _waves()}, "error: features[1]: expected str, got int\n"),

@@ -706,6 +706,14 @@ class TestFeatureMatrix:
         with pytest.raises(MissingFeature, match="h"):
             m.columns(("f", "h"))
 
+    def test_take_of_every_row_in_order_is_the_matrix_itself(self):
+        m = FeatureMatrix.from_rows([make_vector(tid, label, f=float(i))
+                                     for i, (tid, label) in enumerate([("a", "noise"), ("b", "event"), ("c", "noise")])])
+        assert m.take([True, True, True]) is m and m.take([0, 1, 2]) is m and m.take(slice(None)) is m
+        picked = m.take([2, 0])
+        assert (picked.trace_ids, picked.labels, picked.X.tolist()) == (("c", "a"), ("noise", "noise"), [[2.0], [0.0]])
+        assert m.take(~m.is_event).trace_ids == ("a", "c") and len(m.take([])) == 0
+
 
 @pytest.mark.parametrize("shape,ids,labels,codes,named", [
     ((2, 1), ("a",), ("event",), ("f",), "(2, 1) matrix for 1 trace ids, 1 labels and 1 codes"),
@@ -781,9 +789,17 @@ class TestMatrixFile:
              "line 4: {path}: trace n1: feature f is not finite (inf)"),
             # a bad header is reported before a bad row
             ("trace_id\tlab\tf\ne1\tquake\n", "line 2: {path}: header must start with trace_id<TAB>label"),
+            # whitespace-only lines 4 and 5 are blank, skipped but counted
+            ("trace_id\tlabel\tf\ne1\tevent\t1.0\n \t \n\t\nn1\tnoise\n",
+             "line 6: {path}: expected 3 columns, found 2"),
+            # the last cell quoted without the newline, whether the line ends in LF, CRLF or nothing
+            ("trace_id\tlabel\tf\ne1\tevent\t1.0\nn1\tnoise\t1_0",
+             "line 4: {path}: could not convert string to float: '1_0'"),
+            ("trace_id\tlabel\tf\r\ne1\tevent\t1.0\r\n\r\nn1\tnoise\tx\r\n",
+             "line 5: {path}: could not convert string to float: 'x'"),
         ],
         ids=["header-start", "repeated-column", "empty-column-name", "column-count", "label", "non-numeric",
-             "non-finite", "header-before-row"],
+             "non-finite", "header-before-row", "whitespace-only-lines", "no-final-newline", "crlf"],
     )
     def test_malformed_matrix_names_file_and_line(self, tmp_path, text, named):
         path = tmp_path / "m.tsv"
@@ -791,6 +807,18 @@ class TestMatrixFile:
         with pytest.raises(FormatError) as err:
             read_matrix(path)
         assert str(err.value) == named.format(path=path)
+
+    @pytest.mark.parametrize("text", [
+        "trace_id\tlabel\tf\tg\ne1\tevent\t1.0\t2.0\nn1\tnoise\t-0.5\t 3 ",
+        "trace_id\tlabel\tf\tg\r\ne1\tevent\t1.0\t2.0\r\nn1\tnoise\t-0.5\t 3 \r\n",
+        "trace_id\tlabel\tf\tg\n\ne1\tevent\t1.0\t2.0\n \t\nn1\tnoise\t-0.5\t 3 \n\n",
+    ], ids=["no-final-newline", "crlf", "blank-and-whitespace-only-lines"])
+    def test_line_endings_and_blank_lines_read_alike(self, tmp_path, text):
+        path = tmp_path / "m.tsv"
+        path.write_bytes(("# quakebox-features-v1 role=train\n" + text).encode())
+        back, _ = read_matrix(path)
+        assert (back.trace_ids, back.labels, back.codes) == (("e1", "n1"), ("event", "noise"), ("f", "g"))
+        assert back.X.tolist() == [[1.0, 2.0], [-0.5, 3.0]]
 
     def test_extra_column_after_the_last_feature_refused(self, tmp_path):
         # np.loadtxt(usecols=...) drops an extra column: the reader counts every row's tabs

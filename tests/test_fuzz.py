@@ -14,6 +14,7 @@ reproducible and writes no ``.hypothesis/`` directory.
 import contextlib
 import io
 import json
+import re
 import tempfile
 
 import numpy as np
@@ -218,10 +219,12 @@ def test_predictions_read_as_float_per_cell(workdir, predictions):
 
 
 # names near the matrix grammar's edges: the header's own names, the labels,
-# the empty name, characters that end a cell or a line, and short names that repeat
-NAMES = st.one_of(st.sampled_from(["trace_id", "label", "event", "noise", "", "a\tb", "\r", "a\n"]),
+# the empty name, characters that end a cell or a line, surrogates (which have
+# no UTF-8 form), and short names that repeat
+NAMES = st.one_of(st.sampled_from(["trace_id", "label", "event", "noise", "", "a\tb", "\r", "a\n", "a\ud800"]),
                   st.text("ab", max_size=2),
-                  st.text(st.one_of(st.sampled_from("\t\r\n a"), st.characters()), max_size=3))
+                  st.text(st.one_of(st.sampled_from("\t\r\n a"), st.characters(),
+                                    st.characters(categories=["Cs"])), max_size=3))
 # names the reader takes: distinct, not empty and not a header name, with no tab, CR or LF
 PLAIN = st.text(st.characters(exclude_characters="\t\r\n"), min_size=1, max_size=3).filter(
     lambda name: name not in ("trace_id", "label"))
@@ -251,6 +254,7 @@ def test_written_matrix_reads_back_or_is_refused_unwritten(workdir, m):
     except FormatError:
         assert not path.exists()
         return
+    assert not re.search("[\ud800-\udfff]", "".join(m.trace_ids + m.codes))  # refused above, never written
     back, role = read_matrix(path)
     assert (back.trace_ids, back.labels, back.codes, role) == (m.trace_ids, m.labels, m.codes, "all")
     assert back.X.tobytes() == m.X.tobytes()

@@ -9,6 +9,10 @@ for itself would bring the traceback back, so here it fails the suite.
 A text write without ``newline="\n"`` turns each ``\n`` into the
 platform's line separator, so an artifact's bytes would depend on the
 platform; each such write fails the suite too.
+
+A data file is read line by line (``readlines`` or iteration), never as
+one string split afterwards: ``read().split`` holds the file twice and
+pays for the second copy in page faults, so it fails the suite as well.
 """
 
 import ast
@@ -123,5 +127,44 @@ def test_every_text_write_uses_newline_lf():
         f"{path.relative_to(SRC)}:{line}: {call}"
         for path in sorted(SRC.rglob("*.py"))
         for line, call in platform_newlines(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+def whole_file_splits(source: str) -> list[tuple[int, str]]:
+    """(line, call) of each ``.read().split(...)`` or ``.read().splitlines(...)``
+    in ``source``: a whole file read as one string, then cut into lines."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("split", "splitlines")):
+            continue
+        inner = node.func.value
+        if (isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute) and inner.func.attr == "read"
+                and not inner.args and not inner.keywords):
+            found.append((node.lineno, f"read().{node.func.attr}"))
+    return found
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("fh.read().split('\\n')", ["read().split"]),
+    ("fh.read().split()", ["read().split"]),
+    ("fh.read().splitlines()", ["read().splitlines"]),
+    ("open(p).read().splitlines(keepends=True)", ["read().splitlines"]),
+    ("fh.readlines()", []),
+    ("fh.readline().split('\\t')", []),
+    ("fh.read(64).split()", []),
+    ("fields.document(fh.read(), path)", []),
+    ("line.split('\\t')", []),
+])
+def test_the_scan_sees_each_whole_file_split(source, expected):
+    assert [call for _, call in whole_file_splits(source)] == expected
+
+
+def test_no_module_splits_a_whole_file_read():
+    offenders = [
+        f"{path.relative_to(SRC)}:{line}: {call}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, call in whole_file_splits(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
