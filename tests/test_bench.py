@@ -494,15 +494,13 @@ class TestIngestPredictions:
         "label\ttrace_id\nevent\ta\nnoise\tb\n",
     ], ids=["no-final-newline", "crlf", "trace-id-last", "trace-id-last-crlf", "label-first"])
     def test_line_endings_blank_lines_and_column_order_read_alike(self, tmp_path, text):
-        path = tmp_path / "preds.tsv"
-        path.write_bytes(text.encode())
+        path = self.write(tmp_path, text)
         assert bench.ingest_predictions(path, ["a", "b"]) == {"a": "event", "b": "noise"}
 
     @pytest.mark.parametrize("text", ["probability\ttrace_id\n0.7\ta\n0.2\ta",
                                       "label\ttrace_id\nevent\ta\r\nnoise\ta\n"], ids=["no-final-newline", "crlf"])
     def test_repeated_id_in_the_last_column_rejected(self, tmp_path, text):
-        path = tmp_path / "preds.tsv"
-        path.write_bytes(text.encode())
+        path = self.write(tmp_path, text)
         with pytest.raises(FormatError) as err:
             bench.ingest_predictions(path, ["a"])
         assert str(err.value) == f"line 3: {path}: trace_id a repeats line 2"

@@ -815,7 +815,7 @@ class TestMatrixFile:
     ], ids=["no-final-newline", "crlf", "blank-and-whitespace-only-lines"])
     def test_line_endings_and_blank_lines_read_alike(self, tmp_path, text):
         path = tmp_path / "m.tsv"
-        path.write_bytes(("# quakebox-features-v1 role=train\n" + text).encode())
+        path.write_text("# quakebox-features-v1 role=train\n" + text)
         back, _ = read_matrix(path)
         assert (back.trace_ids, back.labels, back.codes) == (("e1", "n1"), ("event", "noise"), ("f", "g"))
         assert back.X.tolist() == [[1.0, 2.0], [-0.5, 3.0]]
