@@ -17,9 +17,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -30,12 +29,12 @@ from .errors import (
     InsufficientNoise,
     TooFewEvents,
 )
-from .features.vectors import FeatureMatrix, FeatureVector, number, read_header, read_table, table_error
+from .features.vectors import FeatureMatrix, FeatureVector, read_header, read_table, table_error
 from .fields import refuse_repeats, text_file
 from .metrics import EVENT, ConfusionMatrix, EvalReport, summarize
 from .model import ModelArtifact
 from .seeds import derive_rng
-from .waveform import BLOCK_ROWS, LABELS, WaveformRecord
+from .waveform import BLOCK_ROWS, WaveformRecord
 
 
 # ---------------------------------------------------------------------------
@@ -440,24 +439,6 @@ def generate_planted_features(
 # external prediction ingestion
 
 
-def _prediction_row(header: List[str], numeric: List[str], cells: List[str]) -> None:
-    if "label" in header and cells[header.index("label")] not in LABELS:
-        raise ValueError(f"bad label {cells[header.index('label')]!r}")
-    for column in numeric:
-        try:
-            value = number(cells[header.index(column)])
-        except ValueError as exc:
-            raise ValueError(f"{column}: {exc}") from None
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{column} {value} outside [0, 1]")
-
-
-def _predictions_valid(text: Dict[str, List[str]], values: np.ndarray) -> bool:
-    if "label" in text:
-        return set(text["label"]) <= set(LABELS)
-    return bool(np.all((0.0 <= values) & (values <= 1.0)))  # NaN fails too
-
-
 class Predictions(dict):
     """An external detector's trace_id -> label map, read from ``path``: it
     labels a feature matrix's rows as a :class:`ModelArtifact` does."""
@@ -474,18 +455,15 @@ class Predictions(dict):
         return list(map(self.__getitem__, rows.trace_ids))
 
 
-def ingest_predictions(
-    path: str | Path, expected_trace_ids: Iterable[str]
-) -> Predictions:
-    """Read a predictions file and return a complete trace_id -> label map.
+def ingest_predictions(path: str | Path) -> Predictions:
+    """Read a predictions file: every row's trace_id -> label.
 
     The TSV needs a ``trace_id`` column and either ``label`` or
     ``probability`` (optionally with a per-row ``threshold``, default 0.5), both in [0, 1].
     A bad row, or one whose trace id repeats an earlier row's, names the file
-    and line; missing ids fail listed, naming the file; ids beyond the
-    expected set are dropped.
+    and line.  Which ids must be present is decided where rows are labelled:
+    :meth:`Predictions.predict_labels` refuses the ids the file lacks.
     """
-    expected = set(expected_trace_ids)
     with text_file(path) as fh:
         header = read_header(path, fh, 1)
         if "trace_id" not in header:
@@ -495,20 +473,10 @@ def ingest_predictions(
         # a label column wins: probability and threshold are then never read
         text = ["trace_id", "label"] if "label" in header else ["trace_id"]
         numeric = [] if "label" in header else [c for c in ("probability", "threshold") if c in header]
-        table = read_table(path, fh, header, 1, text, numeric, partial(_prediction_row, header, numeric),
-                           _predictions_valid)
-    ids, values = table.text["trace_id"], table.values
+        table = read_table(path, fh, header, 1, text, numeric, within=(0.0, 1.0))
     if "label" in header:
         labels = table.text["label"]
     else:
-        threshold = values[:, 1] if "threshold" in header else 0.5
-        labels = ["event" if e else "noise" for e in (values[:, 0] >= threshold).tolist()]
-    out = dict(zip(ids, labels))
-    missing = expected.difference(out)
-    if missing:
-        raise IngestError(
-            f"{path}: missing {len(missing)} trace id(s): " + ", ".join(sorted(missing)[:10])
-        )
-    if len(out) > len(expected):
-        out = {tid: label for tid, label in out.items() if tid in expected}
-    return Predictions(out, path)
+        threshold = table.values[:, 1] if "threshold" in header else 0.5
+        labels = ["event" if e else "noise" for e in (table.values[:, 0] >= threshold).tolist()]
+    return Predictions(dict(zip(table.text["trace_id"], labels)), path)

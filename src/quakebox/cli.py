@@ -117,9 +117,9 @@ def _source_paths(cfg: Mapping[str, Any]) -> tuple[dict, dict]:
     return models, predictions
 
 
-def _load_sources(paths: tuple[dict, dict], trace_ids: Sequence[str]) -> dict:
+def _load_sources(paths: tuple[dict, dict]) -> dict:
     return {**{n: replace(load_model(p), source=f"models.{n}: {p}") for n, p in paths[0].items()},
-            **{n: bench.ingest_predictions(p, trace_ids) for n, p in paths[1].items()}}
+            **{n: bench.ingest_predictions(p) for n, p in paths[1].items()}}
 
 
 def _forbid_test_role(field: str, role: str) -> None:
@@ -274,7 +274,7 @@ def cmd_eval(cfg: dict, master: int) -> None:
     matrix, role = read_matrix(source)
     _warn_on_fitting_role("input", source, role)
     labels = matrix.labels
-    sources = _load_sources(paths, matrix.trace_ids)
+    sources = _load_sources(paths)
     per_source_preds = {name: src.predict_labels(matrix) for name, src in sources.items()}
     results = {name: report(labels, preds).to_dict() for name, preds in per_source_preds.items()}
     names = list(per_source_preds)
@@ -314,7 +314,7 @@ def cmd_sweep(cfg: dict, master: int) -> None:
         raise ConfigError("positives_input", f"{positives_source} holds no event rows")
     if not pool:
         raise ConfigError("noise_pool_input", f"{pool_source} holds no noise rows")
-    sources = _load_sources(paths, positives.trace_ids + pool.trace_ids)
+    sources = _load_sources(paths)
     table = bench.sweep(sources, positives, pool, spec)
     bench.save_sweep(out, table)
     if text_out:

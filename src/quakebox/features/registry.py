@@ -129,8 +129,9 @@ class FeatureRegistry:
 
         Returns the (traces x codes) values and, for each row that failed,
         its first failure in code order: zero variance (standardization
-        would be undefined; named by the first code), a non-finite value,
-        or a series shorter than a feature's documented minimum.  A failed
+        would be undefined) or an energy beyond the float range (both named
+        by the first code), a non-finite value, or a series shorter than a
+        feature's documented minimum.  A failed
         row holds NaN from its failing code on.  The block's length,
         variance and finiteness are each checked once, and it is z-scored
         once.  Each kernel before the first code the series is too short
@@ -145,15 +146,22 @@ class FeatureRegistry:
         if cut:
             n = x.shape[1]
             # x.std(ddof=1) and x - x.mean() of each row, in numpy's own
-            # order of operations, sharing the deviations between them
-            dev = x - x.sum(axis=1, keepdims=True) / n
-            sd = np.sqrt((dev * dev).sum(axis=1) / (n - 1))
-            rows = (sd > 0).nonzero()[0]
-            # the kernels write straight into values unless a row is constant
+            # order of operations, sharing the deviations between them; and n
+            # times the row's energy, which bounds the sums of its squares and
+            # of its power spectrum.  Samples near the float maximum leave the
+            # float range here, and the row is refused, not warned about.
+            with np.errstate(over="ignore", invalid="ignore"):
+                dev = x - x.sum(axis=1, keepdims=True) / n
+                sd = np.sqrt((dev * dev).sum(axis=1) / (n - 1))
+                energy = n * (x * x).sum(axis=1)
+            kept = (sd > 0) & (energy < np.inf)
+            rows = kept.nonzero()[0]
+            # the kernels write straight into values unless a row is refused
             out = values[:, :cut] if len(rows) == len(x) else np.empty((len(rows), cut))
             if len(rows) < len(x):
-                message = f"{defs[0].code} is undefined on a constant series"
-                failures = dict.fromkeys(np.flatnonzero(~(sd > 0)).tolist(), message)
+                failures = {k: f"{defs[0].code} is undefined on a constant series" if sd[k] == 0 else
+                            f"{defs[0].code} is undefined: the series' energy leaves the float range"
+                            for k in np.flatnonzero(~kept).tolist()}
                 x, dev, sd = x[rows], dev[rows], sd[rows]
             if len(rows):
                 shared = SeriesBlock(x, dev, dev / sd[:, None])

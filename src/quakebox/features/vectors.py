@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, replace
 from itertools import compress, repeat
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, TextIO, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -335,18 +335,19 @@ class Table:
 
 
 def read_table(path: str | Path, fh: TextIO, header: List[str], lineno: int,
-               text: Sequence[str], numeric: Sequence[str], check: Callable[[List[str]], None],
-               valid: Callable[[Dict[str, List[str]], np.ndarray], bool]) -> Table:
+               text: Sequence[str], numeric: Sequence[str], within: Tuple[float, float] | None = None) -> Table:
     """The rows below the header at line ``lineno`` of ``fh``, read line by line;
     one ``np.loadtxt`` call reads the ``numeric`` columns and rounds as ``float``
     does.  A line keeps its newline except in a cell of the header's last
     column, and blank lines are skipped but counted.
 
-    A row with the wrong column count, a cell that is not a :func:`number`, or
-    columns that ``valid(text, values)`` refuses make the rows be walked in line
-    order: the first with the wrong column count, or whose cells ``check``
-    refuses with a ValueError, is refused naming its line.  Then a ``trace_id``
-    that repeats an earlier row's is refused by :func:`~quakebox.fields.unique_ids`.
+    Every row must hold one cell per header column; a ``label`` column among
+    ``text`` must hold one of LABELS; each ``numeric`` cell must be a
+    :func:`number`, and lie in the closed range ``within`` when one is given.
+    Whole columns are checked at once; a table that fails is walked in line
+    order and its first bad line is refused naming it, whatever its fault (a
+    bad cell names its column).  Then a ``trace_id`` that repeats an earlier
+    row's is refused by :func:`~quakebox.fields.unique_ids`.
     """
     lines = fh.readlines()  # each keeps its newline, but a last one may lack it
     linenos = list(range(lineno + 1, lineno + 1 + len(lines)))
@@ -369,24 +370,24 @@ def read_table(path: str | Path, fh: TextIO, header: List[str], lineno: int,
                                     ndmin=2, comments=None, quotechar=None)
             except ValueError:
                 values = None
-    if values is None or not valid(columns, values):
+    label = header.index("label") if "label" in text else None
+    if (values is None or (label is not None and not set(columns["label"]) <= set(LABELS))
+            or (within is not None and not np.all((within[0] <= values) & (values <= within[1])))):  # NaN fails
         for n, line in zip(linenos, lines):
             cells = line.rstrip("\n").split("\t")
-            try:
-                if len(cells) != len(header):
-                    raise ValueError(f"expected {len(header)} columns, found {len(cells)}")
-                check(cells)
-            except ValueError as exc:
-                raise table_error(path, n, str(exc)) from None
+            if len(cells) != len(header):
+                raise table_error(path, n, f"expected {len(header)} columns, found {len(cells)}")
+            if label is not None and cells[label] not in LABELS:
+                raise table_error(path, n, f"label must be one of {LABELS}, got {cells[label]!r}")
+            for column in numeric:
+                try:
+                    value = number(cells[header.index(column)])
+                except ValueError as exc:
+                    raise table_error(path, n, f"{column}: {exc}") from None
+                if within is not None and not within[0] <= value <= within[1]:
+                    raise table_error(path, n, f"{column} {value} outside [{within[0]:g}, {within[1]:g}]")
     unique_ids(path, columns["trace_id"], linenos)
     return Table(linenos, columns, values)
-
-
-def _matrix_row(cells: List[str]) -> None:
-    if cells[1] not in LABELS:
-        raise ValueError(f"label must be one of {LABELS}, got {cells[1]!r}")
-    for cell in cells[2:]:
-        number(cell)
 
 
 def read_matrix(path: str | Path) -> Tuple[FeatureMatrix, str]:
@@ -397,9 +398,11 @@ def read_matrix(path: str | Path) -> Tuple[FeatureMatrix, str]:
         if tokens[:2] != FORMAT_LINE_PREFIX.split():
             raise FormatError(f"{path}: not a quakebox feature matrix", line=1)
         role = "all"
-        for token in tokens[2:]:
-            if token.startswith("role="):
-                role = token.split("=", 1)[1]
+        for k, token in enumerate(tokens[2:]):
+            if k or not token.startswith("role="):
+                raise FormatError(f"{path}: format line token {token!r}: the line takes one role=<role> "
+                                  "and nothing else", line=1)
+            role = token[len("role="):]
         check_role(path, role)
         header = read_header(path, fh, 2)
         if header[:2] != ["trace_id", "label"]:
@@ -407,8 +410,7 @@ def read_matrix(path: str | Path) -> Tuple[FeatureMatrix, str]:
         codes = tuple(header[2:])
         if not codes:
             raise table_error(path, 2, "header has no feature columns")
-        table = read_table(path, fh, header, 2, ("trace_id", "label"), codes, _matrix_row,
-                           lambda text, values: set(text["label"]) <= set(LABELS))
+        table = read_table(path, fh, header, 2, ("trace_id", "label"), codes)
     trace_ids, X = table.text["trace_id"], table.values
     if not trace_ids:
         raise FormatError(f"{path}: no data rows")

@@ -57,6 +57,8 @@ class EnsembleConfig:
             raise ValueError("tie_tolerance must be nonnegative")
         if not 0 < self.subsample_fraction <= 1:
             raise ValueError("subsample_fraction must lie in (0, 1]")
+        if self.lambda_grid == ():
+            raise ConfigError("lambda_grid", "must list at least one penalty, or be left out for the default grid")
         # every run's own penalty and stopping checks, made before the first run
         PenaltyConfig(alpha=self.alpha)
         for lam in self.lambda_grid or ():

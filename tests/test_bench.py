@@ -383,30 +383,35 @@ class TestIngestPredictions:
         path.write_text(text)
         return path
 
+    def matrix(self, *trace_ids):
+        return FeatureMatrix.from_rows([make_vector(tid, "noise", f=1.0) for tid in trace_ids])
+
     def test_label_file(self, tmp_path):
         path = self.write(tmp_path, "trace_id\tlabel\na\tevent\nb\tnoise\n")
-        out = bench.ingest_predictions(path, ["a", "b"])
+        out = bench.ingest_predictions(path)
         assert out == {"a": "event", "b": "noise"}
 
     def test_probability_thresholded(self, tmp_path):
         path = self.write(tmp_path, "trace_id\tprobability\na\t0.7\nb\t0.4\nc\t0.5\n")
-        out = bench.ingest_predictions(path, ["a", "b", "c"])
+        out = bench.ingest_predictions(path)
         assert out == {"a": "event", "b": "noise", "c": "event"}
 
     def test_per_row_threshold_column(self, tmp_path):
         path = self.write(tmp_path, "trace_id\tprobability\tthreshold\na\t0.7\t0.8\nb\t0.4\t0.3\n")
-        out = bench.ingest_predictions(path, ["a", "b"])
+        out = bench.ingest_predictions(path)
         assert out == {"a": "noise", "b": "event"}
 
     def test_missing_id_named(self, tmp_path):
         path = self.write(tmp_path, "trace_id\tlabel\na\tevent\n")
-        with pytest.raises(IngestError, match="b"):
-            bench.ingest_predictions(path, ["a", "b"])
+        preds = bench.ingest_predictions(path)
+        with pytest.raises(IngestError) as err:
+            preds.predict_labels(self.matrix("a", "b"))
+        assert str(err.value) == f"{path}: missing 1 trace id(s): b"
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = self.write(tmp_path, "trace_id\tlabel\na\tevent\na\tnoise\n")
         with pytest.raises(FormatError) as err:
-            bench.ingest_predictions(path, ["a"])
+            bench.ingest_predictions(path)
         assert str(err.value) == f"line 3: {path}: trace_id a repeats line 2"
 
     @pytest.mark.parametrize("header,named", [
@@ -416,18 +421,18 @@ class TestIngestPredictions:
     def test_repeated_column_rejected(self, tmp_path, header, named):
         path = self.write(tmp_path, f"{header}\na\t0.7\tb\n")
         with pytest.raises(FormatError, match=rf"^line 1: .*preds.tsv: column\(s\) repeated in header: {named}$"):
-            bench.ingest_predictions(path, ["a"])
+            bench.ingest_predictions(path)
 
     @pytest.mark.parametrize("text,named", [
         # the blank line 3 is skipped but counted
-        ("trace_id\tlabel\na\tevent\n\nb\tquake\n", "line 4: {path}: bad label 'quake'"),
+        ("trace_id\tlabel\na\tevent\n\nb\tquake\n", "line 4: {path}: label must be one of ('event', 'noise'), got 'quake'"),
         ("trace_id\tlabel\na\tevent\tx\n", "line 2: {path}: expected 2 columns, found 3"),
         ("trace_id\tprobability\na\thigh\n",
          "line 2: {path}: probability: could not convert string to float: 'high'"),
         ("trace_id\tprobability\tthreshold\na\t0.4\t7\n", "line 2: {path}: threshold 7.0 outside [0, 1]"),
         # the last cell quoted without the newline, whether the line ends in LF, CRLF or nothing
-        ("trace_id\tlabel\na\tevent\nb\tquake", "line 3: {path}: bad label 'quake'"),
-        ("trace_id\tlabel\r\na\tevent\r\n \t\r\nb\tquake\r\n", "line 4: {path}: bad label 'quake'"),
+        ("trace_id\tlabel\na\tevent\nb\tquake", "line 3: {path}: label must be one of ('event', 'noise'), got 'quake'"),
+        ("trace_id\tlabel\r\na\tevent\r\n \t\r\nb\tquake\r\n", "line 4: {path}: label must be one of ('event', 'noise'), got 'quake'"),
         ("trace_id\tprobability\na\t0.5\n\t\nb\thigh\n",
          "line 4: {path}: probability: could not convert string to float: 'high'"),
         ("probability\ttrace_id\n0.5\ta\nhigh\tb\n",
@@ -437,7 +442,7 @@ class TestIngestPredictions:
     def test_bad_row_names_file_and_line(self, tmp_path, text, named):
         path = self.write(tmp_path, text)
         with pytest.raises(FormatError) as err:
-            bench.ingest_predictions(path, ["a", "b"])
+            bench.ingest_predictions(path)
         assert str(err.value) == named.format(path=path)
 
     @pytest.mark.parametrize("header,named", [
@@ -449,7 +454,7 @@ class TestIngestPredictions:
     def test_header_error_before_row_error(self, tmp_path, header, named):
         path = self.write(tmp_path, f"{header}\na\n")  # the row has too few columns
         with pytest.raises(FormatError) as err:
-            bench.ingest_predictions(path, ["a"])
+            bench.ingest_predictions(path)
         assert str(err.value) == f"line 1: {path}: {named}"
 
     @pytest.mark.parametrize("cell", ["1_0", "１", "#3", '"4"'],
@@ -457,34 +462,34 @@ class TestIngestPredictions:
     def test_probability_outside_the_number_grammar_names_its_line(self, tmp_path, cell):
         path = self.write(tmp_path, f"trace_id\tprobability\na\t0.5\nb\t{cell}\n")
         with pytest.raises(FormatError) as err:
-            bench.ingest_predictions(path, ["a", "b"])
+            bench.ingest_predictions(path)
         assert str(err.value) == f"line 3: {path}: probability: could not convert string to float: {cell!r}"
 
     def test_extra_column_after_the_last_read_column_refused(self, tmp_path):
         path = self.write(tmp_path, "trace_id\tprobability\na\t0.5\nb\t0.5\t0.9\n")
         with pytest.raises(FormatError) as err:
-            bench.ingest_predictions(path, ["a", "b"])
+            bench.ingest_predictions(path)
         assert str(err.value) == f"line 3: {path}: expected 2 columns, found 3"
 
     def test_nan_probability_refused(self, tmp_path):
         path = self.write(tmp_path, "trace_id\tprobability\tthreshold\na\t0.5\t0.5\nb\t0.5\tnan\n")
         with pytest.raises(FormatError) as err:
-            bench.ingest_predictions(path, ["a", "b"])
+            bench.ingest_predictions(path)
         assert str(err.value) == f"line 3: {path}: threshold nan outside [0, 1]"
 
     def test_bad_probability_ignored_beside_a_label_column(self, tmp_path):
         path = self.write(tmp_path, "trace_id\tlabel\tprobability\tthreshold\na\tevent\thigh\t7\nb\tnoise\t1_0\t\n")
-        assert bench.ingest_predictions(path, ["a", "b"]) == {"a": "event", "b": "noise"}
+        assert bench.ingest_predictions(path) == {"a": "event", "b": "noise"}
 
     def test_repeated_id_with_a_bad_probability_reports_the_repeat(self, tmp_path):
         path = self.write(tmp_path, "trace_id\tprobability\na\t0.7\nb\t0.2\na\thigh\nb\t7\n")
         with pytest.raises(FormatError) as err:
-            bench.ingest_predictions(path, ["a", "b"])
+            bench.ingest_predictions(path)
         assert str(err.value) == f"line 4: {path}: probability: could not convert string to float: 'high'"
 
     def test_padded_probability_reads_as_float(self, tmp_path):
         path = self.write(tmp_path, "trace_id\tprobability\tthreshold\na\t 0.5\t0.5 \nb\t 0.25\t1\n")
-        assert bench.ingest_predictions(path, ["a", "b"]) == {"a": "event", "b": "noise"}
+        assert bench.ingest_predictions(path) == {"a": "event", "b": "noise"}
 
     @pytest.mark.parametrize("text", [
         "trace_id\tlabel\na\tevent\nb\tnoise",
@@ -495,25 +500,26 @@ class TestIngestPredictions:
     ], ids=["no-final-newline", "crlf", "trace-id-last", "trace-id-last-crlf", "label-first"])
     def test_line_endings_blank_lines_and_column_order_read_alike(self, tmp_path, text):
         path = self.write(tmp_path, text)
-        assert bench.ingest_predictions(path, ["a", "b"]) == {"a": "event", "b": "noise"}
+        assert bench.ingest_predictions(path) == {"a": "event", "b": "noise"}
 
     @pytest.mark.parametrize("text", ["probability\ttrace_id\n0.7\ta\n0.2\ta",
                                       "label\ttrace_id\nevent\ta\r\nnoise\ta\n"], ids=["no-final-newline", "crlf"])
     def test_repeated_id_in_the_last_column_rejected(self, tmp_path, text):
         path = self.write(tmp_path, text)
         with pytest.raises(FormatError) as err:
-            bench.ingest_predictions(path, ["a"])
+            bench.ingest_predictions(path)
         assert str(err.value) == f"line 3: {path}: trace_id a repeats line 2"
 
     def test_extra_ids_tolerated(self, tmp_path):
         path = self.write(tmp_path, "trace_id\tlabel\na\tevent\nzz\tnoise\n")
-        out = bench.ingest_predictions(path, ["a"])
-        assert out == {"a": "event"}
+        out = bench.ingest_predictions(path)
+        assert out == {"a": "event", "zz": "noise"}
+        assert out.predict_labels(self.matrix("a")) == ["event"]
 
     def test_bad_probability_rejected(self, tmp_path):
         path = self.write(tmp_path, "trace_id\tprobability\na\t1.4\n")
         with pytest.raises(Exception, match="outside"):
-            bench.ingest_predictions(path, ["a"])
+            bench.ingest_predictions(path)
 
 
 @pytest.mark.parametrize("build", [

@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 import quakebox
+from quakebox import bench
 from quakebox.cli import main
 from quakebox.features import read_matrix, standardize_apply
 from quakebox.model import load_model, predict_proba
+from quakebox.seeds import derive_seed
 from quakebox.selection import load_selection_report
 
 
@@ -558,6 +560,48 @@ def test_a_predictions_file_of_a_models_labels_scores_as_the_model(workdir):
     assert len(by_source["lr"]) == 3 and by_source["file"] == by_source["lr"]
 
 
+def _labels_file(path, trace_ids):
+    path.write_text("trace_id\tlabel\n" + "".join(f"{t}\tnoise\n" for t in trace_ids))
+    return str(path)
+
+
+def test_eval_refuses_a_predictions_file_lacking_a_row(workdir, capsys):
+    matrix = _random_matrix(workdir / "m.tsv", "test", 3, 5, seed=2)
+    preds = _labels_file(workdir / "p.tsv", matrix.trace_ids[:4] + matrix.trace_ids[5:])
+    cfg = write_config(workdir, "e.json", {"input": str(workdir / "m.tsv"), "predictions": {"x": preds},
+                                           "output": str(workdir / "eval.out")})
+    assert run(["eval", "-c", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {preds}: missing 1 trace id(s): {matrix.trace_ids[4]}\n"
+    assert not (workdir / "eval.out").exists()
+
+
+def test_sweep_needs_predictions_only_for_the_rows_its_ladder_draws(workdir, capsys):
+    # ratio 2.0 on 6 events draws 12 of the pool's 40 noise rows
+    matrix = _random_matrix(workdir / "m.tsv", "test", 6, 40, seed=3)
+    spec = bench.RatioSpec(ratios=(1.0, 2.0), seed=derive_seed(7, "sweep"))
+    positives, pool = matrix.take(matrix.is_event), matrix.take(~matrix.is_event)
+    drawn = bench.build_ratio_dataset(positives, pool, max(spec.ratios), spec.seed).items.trace_ids
+    assert len(drawn) == 6 + 12
+
+    def sweep(name, trace_ids):
+        out = workdir / f"{name}.json"
+        cfg = write_config(workdir, "s.json", {
+            "master_seed": 7, "positives_input": str(workdir / "m.tsv"), "noise_pool_input": str(workdir / "m.tsv"),
+            "predictions": {"x": _labels_file(workdir / f"{name}.tsv", trace_ids)}, "ratios": list(spec.ratios),
+            "output": str(out)})
+        return run(["sweep", "-c", cfg]), out
+
+    code, complete = sweep("complete", matrix.trace_ids)
+    assert code == 0
+    code, drawn_only = sweep("drawn-only", drawn)
+    assert code == 0 and drawn_only.read_bytes() == complete.read_bytes()
+    capsys.readouterr()
+    code, _ = sweep("lacks-a-drawn-row", [t for t in matrix.trace_ids if t != drawn[-1]])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: {workdir / 'lacks-a-drawn-row.tsv'}: "
+                                       f"missing 1 trace id(s): {drawn[-1]}\n")
+
+
 def test_train_writes_its_threshold_and_eval_labels_at_it(workdir):
     matrix = _random_matrix(workdir / "m.tsv", "train", 15, 25, seed=3)
     base = {"input": str(workdir / "m.tsv"), "model": {"alpha": 0.5, "lambda": 0.01}}
@@ -911,6 +955,11 @@ def _malformed_cases():
               lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
                          "ensemble": {"lambda_grid": [None]}}, {m: MATRIX},
               "ensemble.lambda_grid[0]"),
+        # an empty grid would silently run the default one
+        _case("select-empty-lambda-grid", "select",
+              lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json"),
+                         "ensemble": {"lambda_grid": []}}, {m: MATRIX},
+              "error: ensemble.lambda_grid: must list at least one penalty, or be left out for the default grid\n"),
         _case("sweep-null-ratio", "sweep",
               lambda d: {"positives_input": d(m), "noise_pool_input": d(m), "ratios": [None],
                          "predictions": {"x": d("p.tsv")}, "output": d("o.json")},
@@ -1035,10 +1084,27 @@ def _malformed_cases():
         _case("waves-band-above-nyquist", "extract",
               lambda d: {"input": d("w.jsonl"), "output": d("o.tsv")}, {"w.jsonl": _waves(sample_rate=40.0)},
               "error: n1: band_high_hz 25.0 must lie below Nyquist 20.0 (fs=40.0)\n"),
+        # one sample of 1.2e154 among small ones: its spectrum's power sums beyond the float range
+        _case("waves-sample-whose-energy-overflows", "extract",
+              lambda d: {"input": d("w.jsonl"), "output": d("o.tsv"), "features": "selected8"},
+              {"w.jsonl": _waves(samples=[1.2e154 if i == 20 else 0.1 * (-1) ** i for i in range(48)])},
+              "error: 1 trace(s) failed feature extraction: trace n1: W1 is undefined: "
+              "the series' energy leaves the float range\n"),
         _case("waves-unknown-role", "extract",
               lambda d: {"input": d("w.jsonl"), "output": d("o.tsv")},
               {"w.jsonl": _waves().replace('"role": "all"', '"role": "Train"')},
               ("error: line 1: ", "w.jsonl: role must be one of")),
+        # a format line with a second role, or a misspelt one, would read as train or all
+        *(
+            _case(f"matrix-format-line-{id}-{command}", command, config, {m: MATRIX.replace("role=train", tokens)},
+                  ("error: line 1: ", f"{m}: format line token {token!r}: the line takes one role=<role>"))
+            for id, tokens, token in (("two-roles", "role=test role=train", "role=train"),
+                                      ("misspelt-role", "rol=test", "rol=test"))
+            for command, config in (
+                ("train", lambda d: {"input": d(m), "output": d("o.json")}),
+                ("select", lambda d: {"train_input": d(m), "validation_input": d(m), "output": d("o.json")}),
+            )
+        ),
         _case("matrix-TEST-role", "train",
               lambda d: {"input": d(m), "output": d("o.json")},
               {m: MATRIX.replace("role=train", "role=TEST")},

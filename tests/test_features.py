@@ -784,7 +784,7 @@ class TestMatrixFile:
             ("trace_id\tlabel\tf\ne1\tevent\t1.0\n\nn1\tnoise\n", "line 5: {path}: expected 3 columns, found 2"),
             ("trace_id\tlabel\tf\ne1\tquake\t1.0\n",
              "line 3: {path}: label must be one of ('event', 'noise'), got 'quake'"),
-            ("trace_id\tlabel\tf\ne1\tevent\tx\n", "line 3: {path}: could not convert string to float: 'x'"),
+            ("trace_id\tlabel\tf\ne1\tevent\tx\n", "line 3: {path}: f: could not convert string to float: 'x'"),
             ("trace_id\tlabel\tf\ne1\tevent\t1.0\nn1\tnoise\tinf\n",
              "line 4: {path}: trace n1: feature f is not finite (inf)"),
             # a bad header is reported before a bad row
@@ -794,9 +794,9 @@ class TestMatrixFile:
              "line 6: {path}: expected 3 columns, found 2"),
             # the last cell quoted without the newline, whether the line ends in LF, CRLF or nothing
             ("trace_id\tlabel\tf\ne1\tevent\t1.0\nn1\tnoise\t1_0",
-             "line 4: {path}: could not convert string to float: '1_0'"),
+             "line 4: {path}: f: could not convert string to float: '1_0'"),
             ("trace_id\tlabel\tf\r\ne1\tevent\t1.0\r\n\r\nn1\tnoise\tx\r\n",
-             "line 5: {path}: could not convert string to float: 'x'"),
+             "line 5: {path}: f: could not convert string to float: 'x'"),
         ],
         ids=["header-start", "repeated-column", "empty-column-name", "column-count", "label", "non-numeric",
              "non-finite", "header-before-row", "whitespace-only-lines", "no-final-newline", "crlf"],
@@ -837,7 +837,7 @@ class TestMatrixFile:
                         f"e1\tevent\t1.0\t2.0\nn1\tnoise\t3.0\t{cell}\n", encoding="utf-8")
         with pytest.raises(FormatError) as err:
             read_matrix(path)
-        assert str(err.value) == f"line 4: {path}: could not convert string to float: {cell!r}"
+        assert str(err.value) == f"line 4: {path}: g: could not convert string to float: {cell!r}"
 
     def test_first_bad_line_named_whatever_its_fault(self, tmp_path):
         # a bad cell on line 3 comes before a wrong column count on line 4
@@ -846,7 +846,7 @@ class TestMatrixFile:
                         "e1\tevent\t1_0\nn1\tnoise\n")
         with pytest.raises(FormatError) as err:
             read_matrix(path)
-        assert str(err.value) == f"line 3: {path}: could not convert string to float: '1_0'"
+        assert str(err.value) == f"line 3: {path}: f: could not convert string to float: '1_0'"
 
     @pytest.mark.parametrize("cell,value", [
         ("7", 7.0), (" 2.5 ", 2.5), (" -0.25 ", -0.25), ("1e3", 1000.0), ("+.5", 0.5), ("5.", 5.0),
@@ -888,6 +888,29 @@ class TestMatrixFile:
         with pytest.raises(FormatError) as err:
             read_matrix(path)
         assert str(err.value) == f"line 1: {path}: not a quakebox feature matrix"
+
+    @pytest.mark.parametrize("first,token", [
+        ("# quakebox-features-v1 role=test role=train", "role=train"),
+        ("# quakebox-features-v1 role=train role=train", "role=train"),
+        ("# quakebox-features-v1 rol=test", "rol=test"),
+        ("# quakebox-features-v1 role=test x", "x"),
+        ("# quakebox-features-v1 test", "test"),
+    ], ids=["two-roles", "repeated-role", "misspelt-key", "trailing-token", "bare-role"])
+    def test_format_line_takes_one_role_token(self, tmp_path, first, token):
+        path = tmp_path / "m.tsv"
+        path.write_text(first + "\ntrace_id\tlabel\tf\ne1\tevent\t1.0\n")
+        with pytest.raises(FormatError) as err:
+            read_matrix(path)
+        assert str(err.value) == (f"line 1: {path}: format line token {token!r}: "
+                                  "the line takes one role=<role> and nothing else")
+
+    @pytest.mark.parametrize("first,role", [("# quakebox-features-v1", "all"),
+                                            ("# quakebox-features-v1  role=test ", "test")],
+                             ids=["no-role", "padded-role"])
+    def test_format_line_role_read(self, tmp_path, first, role):
+        path = tmp_path / "m.tsv"
+        path.write_text(first + "\ntrace_id\tlabel\tf\ne1\tevent\t1.0\n")
+        assert read_matrix(path)[1] == role
 
     @pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
     def test_trace_id_that_would_break_its_row_refused_before_the_file_opens(self, tmp_path, char):

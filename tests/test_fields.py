@@ -277,8 +277,8 @@ class TestByteOrderMark:
 
         text = "trace_id\tprobability\nt0\t0.9\nt1\t0.2\n"
         plain, marked = self.twins(tmp_path, "p.tsv", text)
-        assert ingest_predictions(marked, ["t0", "t1"]) == ingest_predictions(plain, ["t0", "t1"])
-        assert ingest_predictions(marked, ["t0", "t1"]) == {"t0": "event", "t1": "noise"}
+        assert ingest_predictions(marked) == ingest_predictions(plain)
+        assert ingest_predictions(marked) == {"t0": "event", "t1": "noise"}
 
     def test_config(self, tmp_path):
         from quakebox.cli import _load_config
@@ -324,7 +324,7 @@ def test_every_data_file_reader_refuses_a_repeated_trace_id_naming_both_lines(tm
     from quakebox.waveform_io import read_waveforms
 
     read = {"w.jsonl": read_waveforms, "m.tsv": read_matrix,
-            "p.tsv": lambda path: ingest_predictions(path, ["t0", "t1"])}
+            "p.tsv": ingest_predictions}
     name, head, row = REPEAT_READERS[reader]
     path = tmp_path / name
     path.write_text("\n".join([*head, row("t0"), row("t1"), "", row("t0"), row("t1")]) + "\n")
