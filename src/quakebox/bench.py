@@ -83,7 +83,8 @@ def partition_by_event(records: Sequence, spec: SplitSpec) -> Split:
 
     Events are shuffled with the spec seed, then counted out as
     floor/floor/remainder.  No event id ever appears in two splits, which
-    is the whole point.
+    is the whole point, and fractions that count out no event to a split are
+    refused, naming it.
     """
     event_ids: List[str] = []
     seen = set()
@@ -96,9 +97,11 @@ def partition_by_event(records: Sequence, spec: SplitSpec) -> Split:
         else:
             noise_idx.append(i)
 
-    n_events = len(event_ids)
-    if n_events < 3:
-        raise TooFewEvents(f"{n_events} event(s) cannot populate 3 splits")
+    counts = _three_way_counts(len(event_ids), spec.fractions)
+    if 0 in counts:
+        name = ("train", "validation", "test")[counts.index(0)]
+        raise TooFewEvents(
+            f"fractions {tuple(spec.fractions)} give the {name} split 0 of {len(event_ids)} events")
 
     assignment = _ranked_split(sorted(event_ids), derive_rng(spec.seed, "split-events"), spec.fractions)
     noise_assignment = _ranked_split(noise_idx, derive_rng(spec.seed, "split-noise"), spec.fractions)

@@ -152,7 +152,9 @@ def cmd_split(cfg: dict, master: int) -> None:
     source = fields.get(cfg, "input", str, ConfigError)
     target = Path(fields.get(cfg, "output_dir", str, ConfigError))
     _known(cfg, "fractions", "input", "output_dir")
-    records, _role = read_waveforms(source)
+    records, role = read_waveforms(source)
+    if role != "all":  # a partition split again would be written out under new roles
+        raise ConfigError("input", f"{source} is tagged role={role}; split takes an unsplit file (role=all)")
     split = bench.partition_by_event(records, spec)
     target.mkdir(parents=True, exist_ok=True)
     for role, subset in (

@@ -9,10 +9,10 @@ invariant to affine transforms ``x -> a*x + b`` with ``a > 0``.  Constant
 series are rejected by the registry before dispatch, so kernels here may
 assume nonzero variance.
 
-Intermediates that several features share (the successive differences and
-sort order, the thresholds C14 and C15 keep, the autocorrelation and its
-first zero crossing, the periodogram) are computed once per block by the
-block object, which kernels read them from.
+Intermediates that several features share (the successive differences,
+C14's and C15's values, which :func:`outlier_timings` computes together, the
+autocorrelation and its first zero crossing, the periodogram) are computed
+once per block by the block object, which kernels read them from.
 Every reduction runs along one row, never across rows, so a row's value does
 not depend on the rows beside it; where a statistic sums a per-row selection
 of entries (a compressed array whose length varies by row), the kernel sums
@@ -21,7 +21,7 @@ that row alone.  Formula notes live on each kernel.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -442,8 +442,24 @@ def forecast_mean3_residual_spread(block: SeriesBlock) -> np.ndarray:
 # extreme-event timing
 
 
-def threshold_exceedances(z: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The thresholds that C14 and C15 keep, counted by exceedances.
+def outlier_timing_positive(block: SeriesBlock) -> np.ndarray:
+    """Median timing of positive deviations across thresholds: for each
+    threshold kept on z (see :func:`outlier_timings`), the median position
+    (counted from 1) of the samples that reach it, relative to the series
+    center, median / (n/2) - 1; then the median of that over the kept
+    thresholds.  It reads the block's C14/C15 array, so asking for C14
+    alone runs C15's pass too."""
+    return block.outlier_timings[0]
+
+
+def outlier_timing_negative(block: SeriesBlock) -> np.ndarray:
+    """As :func:`outlier_timing_positive` for negative deviations (on -z),
+    and likewise runs C14's pass when asked for alone."""
+    return block.outlier_timings[1]
+
+
+def outlier_timings(z: np.ndarray) -> np.ndarray:
+    """C14 ([0]) and C15 ([1]) of each row of z.
 
     C14 sweeps a row w = z, and C15 the row w = -z, with the thresholds 0,
     0.01, 0.02, ..., ``int(max(w) / 0.01 + 1)`` of them.  Each keeps the
@@ -451,83 +467,51 @@ def threshold_exceedances(z: np.ndarray, order: np.ndarray) -> tuple[np.ndarray,
     threshold 0 alone if none does; the kept thresholds are a prefix of the
     sweep, and for n >= 10 each has at least two exceedances.
 
-    Returns ``(counts, longest)``: ``longest[s, r]`` samples of row r reach
-    threshold 0, which is always kept and has the most exceedances, for s = 0
-    (C14) and s = 1 (C15), and ``counts[s, r, k - 1]`` kept thresholds are
-    reached by exactly k samples, for k up to the block's largest ``longest``.
-    ``order`` is an ascending argsort of each row of ``z``, ties in any order.
-
+    One ascending argsort of z orders both signs' values, largest first.
     Every row's thresholds are a prefix of one grid, so one searchsorted of
     all values into it counts the thresholds each value reaches; exactly k
     samples reach the thresholds that the k-th largest value reaches and the
-    (k+1)-th does not.
+    (k+1)-th does not.  Those samples are the first k positions by
+    descending value (ties may come in any order: a threshold never splits
+    them).  So one pass of prefix medians serves every threshold, as far as
+    threshold 0's count, with the prefix's lower half in a max-heap and its
+    upper half in a min-heap.  The median over thresholds is the middle
+    one, or the mean of the middle two, as ``np.median`` takes it.
     """
     rows, n = z.shape
-    # each row's values, largest first: z for C14, and -z (by ascending z) for C15
+    order = np.argsort(z, axis=1)
+    # each row's values and positions, largest first: z for C14, and -z (by ascending z) for C15
     descending = np.empty((2, rows, n))
     descending[1] = z[np.arange(rows)[:, None], order]
     descending[0] = descending[1, :, ::-1]
     np.negative(descending[1], out=descending[1])
     descending = descending.reshape(2 * rows, n)
+    positions = np.concatenate([order[:, ::-1], order])
     n_thresh = (descending[:, 0] / 0.01 + 1).astype(int)
     reached = np.searchsorted(np.arange(n_thresh.max()) * 0.01, descending, side="right")
     del descending  # freed before the subtract below copies its overlapping operand
     fewest = n // 50 + 2  # a kept threshold's least count: (count - 1) * 100 / n > 2
     n_kept = np.maximum(np.minimum(n_thresh, reached[:, fewest - 1]), 1)
-    longest = (reached > 0).sum(axis=1)  # the values at or above 0
+    longest = (reached > 0).sum(axis=1)  # the values at or above 0: threshold 0's count
     np.minimum(reached, n_kept[:, None], out=reached)
-    reached[:, :-1] -= reached[:, 1:]
-    return reached[:, : longest.max()].reshape(2, rows, -1).copy(), longest.reshape(2, rows)
-
-
-def outlier_timing_positive(block: SeriesBlock) -> np.ndarray:
-    """Median timing of positive deviations across thresholds: for each
-    threshold kept by :func:`threshold_exceedances` on z, the median
-    position (counted from 1) of the samples that reach it, relative to the
-    series center, median / (n/2) - 1; then the median of that over the
-    kept thresholds."""
-    counts, longest = block.exceedances
-    return _outlier_timing(block.order[:, ::-1], counts[0], longest[0])
-
-
-def outlier_timing_negative(block: SeriesBlock) -> np.ndarray:
-    """As :func:`outlier_timing_positive` for negative deviations (on -z)."""
-    counts, longest = block.exceedances
-    return _outlier_timing(block.order, counts[1], longest[1])
-
-
-def _outlier_timing(descending: np.ndarray, kept: np.ndarray, longest: np.ndarray) -> np.ndarray:
-    """C14 or C15 of each row, from its positions by descending value and
-    its counts and ``longest`` from :func:`threshold_exceedances`.
-
-    The samples that reach a threshold kept with k exceedances are the first
-    k of ``descending`` (ties may come in any order: a threshold never splits
-    them).  So one pass of prefix medians, inserting each position into a
-    sorted list, serves every threshold; it runs as far as the largest
-    count.  The median over thresholds is the middle one, or the mean of the
-    middle two, as ``np.median`` takes it.
-    """
-    n = descending.shape[1]
-    out = np.empty(len(descending))
+    reached[:, :-1] -= reached[:, 1:]  # per k, the kept thresholds exactly k samples reach
+    out = np.empty(2 * rows)
     for k, length in enumerate(longest.tolist()):
-        positions = descending[k, :length].tolist()
-        prefix: list[int] = []
+        lower: list[int] = []  # the prefix's smaller half, negated, with its middle when odd
+        upper: list[int] = []  # the prefix's larger half
         twice: list[int] = []  # per prefix length, twice its median position (0-based)
-        pairs = iter(positions)
-        for h, (p, q) in enumerate(zip(pairs, pairs)):  # prefix lengths 2h + 1 and 2h + 2
-            bisect.insort(prefix, p)
-            twice.append(2 * prefix[h])
-            bisect.insort(prefix, q)
-            twice.append(prefix[h] + prefix[h + 1])
-        if length % 2:
-            bisect.insort(prefix, positions[-1])
-            twice.append(2 * prefix[length // 2])
-        picks = np.fromiter(twice, np.int64, length).repeat(kept[k, :length])  # one per kept threshold
+        pairs = iter(positions[k, :length].tolist() + [n])  # n pads an odd length; its median goes unread
+        for p, q in zip(pairs, pairs):  # an odd prefix length, then an even one
+            heapq.heappush(lower, -heapq.heappushpop(upper, p))
+            twice.append(-2 * lower[0])
+            heapq.heappush(upper, -heapq.heappushpop(lower, -q))
+            twice.append(upper[0] - lower[0])
+        picks = np.fromiter(twice, np.int64, length).repeat(reached[k, :length])  # one per kept threshold
         picks.sort()
         middle = picks[[(len(picks) - 1) // 2, len(picks) // 2]].tolist()
         a, b = (0.5 * (t + 2) / (n / 2) - 1 for t in middle)
         out[k] = (a + b) / 2
-    return out
+    return out.reshape(2, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ class SeriesBlock:
     ``raw`` holds the rows as given, ``dev`` less their means and ``z``
     z-scored (``dev`` over the sample std, ddof=1).  The intermediates that
     several features share are computed on first use, once per block, and
-    only if a requested feature reads them; no kernel computes its own.
+    only if a requested feature reads them; no kernel computes its own.  C14
+    and C15 share one, both codes' values, as they share one algorithm.
     Every array is read-only, so no kernel can change what another reads.
     """
 
@@ -57,16 +58,9 @@ class SeriesBlock:
         return _read_only(np.diff(self.z, axis=1))
 
     @cached_property
-    def order(self) -> np.ndarray:
-        """Ascending argsort of each z-scored row, ties in any order (C14, C15)."""
-        return _read_only(np.argsort(self.z, axis=1))
-
-    @cached_property
-    def exceedances(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per row and count k, how many of the thresholds C14 keeps on z
-        ([0]) and C15 on -z ([1]) exactly k samples reach, and the largest k
-        of each row (C14, C15; see :func:`catalog.threshold_exceedances`)."""
-        return tuple(map(_read_only, catalog.threshold_exceedances(self.z, self.order)))
+    def outlier_timings(self) -> np.ndarray:
+        """C14 ([0]) and C15 ([1]) of each row (see :func:`catalog.outlier_timings`)."""
+        return _read_only(catalog.outlier_timings(self.z))
 
     @cached_property
     def acf(self) -> np.ndarray:

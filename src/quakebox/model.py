@@ -99,9 +99,14 @@ def soft_threshold(z: float, gamma: float) -> float:
 
 
 def penalty(weights: Sequence[float], cfg: PenaltyConfig) -> float:
-    """Elastic net penalty value for a weight vector (bias not included)."""
+    """Elastic net penalty value for a weight vector (bias not included).
+
+    It is +inf where it leaves the float range, as a neighbouring penalty's
+    fit can when it warm-starts a far larger ``lam``: the sums are combined
+    as Python floats, whose arithmetic overflows quietly, not as numpy's.
+    """
     w = np.asarray(weights, dtype=float)
-    return float(cfg.lam * (cfg.alpha * np.add.reduce(np.abs(w)) + (1.0 - cfg.alpha) * np.add.reduce(w * w)))
+    return cfg.lam * (cfg.alpha * float(np.add.reduce(np.abs(w))) + (1.0 - cfg.alpha) * float(np.add.reduce(w * w)))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -87,6 +87,13 @@ class TestPartition:
         with pytest.raises(TooFewEvents):
             bench.partition_by_event(grouped_records(2, 2, 5), bench.SplitSpec())
 
+    @pytest.mark.parametrize("n_events", [3, 4])
+    def test_a_split_without_an_event_is_refused(self, n_events):
+        # floor/floor/remainder at the default fractions counts out no validation event
+        with pytest.raises(TooFewEvents, match=rf"^fractions \(0.6, 0.2, 0.2\) give the validation split "
+                                               rf"0 of {n_events} events$"):
+            bench.partition_by_event(grouped_records(n_events, 2, 5), bench.SplitSpec())
+
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
             bench.SplitSpec(fractions=(0.5, 0.2, 0.2))

@@ -141,7 +141,8 @@ def test_commands_that_do_not_filter_never_import_scipy(workdir):
         "synthetic": {"n_events": 3, "traces_per_event": [2, 2], "n_noise": 6, "window_len": 64},
         "output": str(workdir / "w.jsonl")})
     split = write_config(workdir, "split.json", {"input": str(workdir / "w.jsonl"),
-                                                 "output_dir": str(workdir / "splits")})
+                                                 "output_dir": str(workdir / "splits"),
+                                                 "fractions": [0.34, 0.34, 0.32]})  # one event each
     probe = ("import sys\n"
              "from quakebox.cli import main\n"
              "for command, config in zip(sys.argv[1::2], sys.argv[2::2]):\n"
@@ -735,6 +736,11 @@ def _malformed_cases():
               lambda d: {"input": d("w.jsonl"), "output_dir": d("s"),
                          "fractions": [None, 0.2, 0.2]},
               {"w.jsonl": '{"format": "quakebox-waveforms-v1", "role": "all"}\n'}, "fractions[0]"),
+        # a partition split again would relabel its traces: test traces would reach train
+        _case("split-partition-input", "split",
+              lambda d: {"input": d("w.jsonl"), "output_dir": d("s")},
+              {"w.jsonl": _waves().replace('"role": "all"', '"role": "test"')},
+              "error: input: "),
         _case("train-bool-float", "train",
               lambda d: {"input": d(m), "output": d("o.json"), "model": {"lambda": True}},
               {m: MATRIX}, "model.lambda"),

@@ -2,12 +2,13 @@
 and the block layout is decided in one module.
 
 A kernel in ``catalog.py`` or ``surrogates.py`` reads the successive
-differences, the sort order, C14's and C15's threshold exceedances and the
-autocorrelation from its ``SeriesBlock`` (``block.diff``, ``block.order``,
-``block.exceedances``, ``block.acf``).  One that calls ``np.diff``,
-``np.sort``, ``np.argsort``, ``np.searchsorted`` or ``autocorrelation`` on
-the block's rows (``block.z``, ``block.raw``, a name bound to them or a row
-of them) computes the intermediate again, so here it fails the suite.
+differences, C14's and C15's values (one sort order and one threshold count
+serve both) and the autocorrelation from its ``SeriesBlock``
+(``block.diff``, ``block.outlier_timings``, ``block.acf``).  One that
+calls ``np.diff``, ``np.sort``, ``np.argsort``, ``np.searchsorted`` or
+``autocorrelation`` on the block's rows (``block.z``, ``block.raw``, a
+name bound to them or a row of them) computes the intermediate again, so
+here it fails the suite.
 ``BLOCK_ROWS`` is assigned in ``waveform.py`` alone, whose ``blocks`` both
 preprocessing and extraction use.
 """

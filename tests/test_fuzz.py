@@ -1,16 +1,18 @@
 """Property-based fuzzing of the model, matrix and prediction readers through
-``quakebox eval``, and of waveform files, v1 and v2, through ``quakebox split``
-and ``quakebox extract``.
+``quakebox eval``, of waveform files, v1 and v2, through ``quakebox split``
+and ``quakebox extract``, and of every key of every command's config.
 
 Each input is a valid file broken one way: bytes replaced, deleted or
 inserted; a key deleted; or a value swapped for one of another JSON type.
 Whatever the input, ``cli.main`` returns 0 (the file still reads) or 2 (it
-was refused with an error), and no exception escapes it.  The matrix and
-prediction readers are also fuzzed directly, against a reading of the same
-text cell by cell with ``float``, and ``write_matrix`` either refuses a
-matrix or writes a file that ``read_matrix`` reads back as it was.  The runs are
-derandomized and keep no example database, so the suite stays
-reproducible and writes no ``.hypothesis/`` directory.
+was refused with an error), and no exception escapes it.  A config is a
+valid one with one key or list entry swapped for a value of another type,
+through ``cli.main`` alike.  The matrix and prediction readers are also
+fuzzed directly, against a reading of the same text cell by cell with
+``float``, and ``write_matrix`` either refuses a matrix or writes a file
+that ``read_matrix`` reads back as it was.  The runs are derandomized and
+keep no example database, so the suite stays reproducible and writes no
+``.hypothesis/`` directory.
 """
 
 import base64
@@ -286,7 +288,8 @@ def _split_and_extract(workdir, waves: bytes) -> set:
     """The exit codes of ``quakebox split`` and ``quakebox extract`` on one
     waveform file; no exception escapes ``cli.main`` and no traceback is printed."""
     (workdir / "w.jsonl").write_bytes(waves)
-    configs = {"split": {"input": str(workdir / "w.jsonl"), "output_dir": str(workdir / "split")},
+    configs = {"split": {"input": str(workdir / "w.jsonl"), "output_dir": str(workdir / "split"),
+                         "fractions": [0.34, 0.34, 0.32]},  # one event to each split
                "extract": {"input": str(workdir / "w.jsonl"), "output": str(workdir / "w.tsv"), "features": "selected8"}}
     codes = set()
     for command, config in configs.items():
@@ -325,3 +328,100 @@ def test_waveform_key_deletions(workdir, at):
 def test_waveform_type_swaps(workdir, at, value):
     version, path = at
     assert _split_and_extract(workdir, _jsonl(json.loads(_changed(WAVES[version], path, value)))) <= {0, 2}
+
+
+# values put in place of a config key: each JSON type, the least counts and a
+# negative one, a float where an int goes, one near the float maximum, and a
+# short list and object of either kind
+CONFIG_VALUES = [None, True, 0, -1, 1.5, 1e308, "", "x", [], [1], ["a"], {}, {"k": 1}]
+
+
+def _configs(d) -> dict:
+    """A config of each command that runs, with every key it takes written
+    out; ``d`` names a file in the directory of ``config_inputs``.  The
+    solvers' step caps are small, so that a swapped penalty stays quick."""
+    return {
+        "synth": {"master_seed": 1, "output": d("synth.jsonl"),
+                  "synthetic": {"n_events": 3, "traces_per_event": [1, 2], "n_noise": 2, "fs": 200.0,
+                                "window_len": 64, "snr_range": [1.5, 12.0]}},
+        "split": {"master_seed": 1, "input": d("w.jsonl"), "output_dir": d("resplit"),
+                  "fractions": [0.34, 0.34, 0.32]},
+        "extract": {"master_seed": 1, "input": d("w.jsonl"), "output": d("x.tsv"), "features": ["W1", "C10", "C15"],
+                    "preprocess": {"band_low_hz": 5.0, "band_high_hz": 25.0, "downsample_factor": 2,
+                                   "filter_order": 4, "window_len": 32}},
+        "train": {"master_seed": 1, "input": d("train.tsv"), "output": d("trained.json"), "threshold": 0.5,
+                  "model": {"alpha": 0.5, "lambda": 0.01}, "optimizer": {"max_iters": 50, "tol": 1e-6}},
+        "select": {"master_seed": 1, "train_input": d("train.tsv"), "validation_input": d("validation.tsv"),
+                   "output": d("selection.json"), "distribution_output": d("distribution.tsv"),
+                   "base_features": ["W1"],
+                   "ensemble": {"n_runs": 4, "alpha": 0.9, "lambda_grid": [0.1, 0.01], "tie_tolerance": 0.0,
+                                "subsample_fraction": 0.8, "max_iters": 20, "tol": 1e-6},
+                   "rule": {"min_fraction_nonzero": 0.9, "min_median_abs": 0.05}},
+        "eval": {"master_seed": 1, "input": d("test.tsv"), "models": {"lr": d("model.json")},
+                 "predictions": {"p": d("p.tsv")}, "significance_level": 0.05, "output": d("eval.json")},
+        "sweep": {"master_seed": 1, "positives_input": d("test.tsv"), "noise_pool_input": d("pool.tsv"),
+                  "models": {"lr": d("model.json")}, "predictions": {"p": d("p.tsv")}, "ratios": [1.0, 2.0],
+                  "output": d("sweep.json"), "text_output": d("sweep.txt")},
+    }
+
+
+# (command, path) of every key and list entry of each command's config
+CONFIG_PATHS = [(command, path) for command, config in _configs(str).items() for path in _paths(config)]
+
+
+@pytest.fixture(scope="module")
+def config_inputs(workdir):
+    """The files the configs of ``_configs`` read: a corpus of six events,
+    its three splits' matrices, the whole corpus's as a noise pool, a model
+    trained on the train split and a predictions file labelling every trace."""
+    d = workdir / "configs"
+    d.mkdir()
+
+    def path(name):
+        return str(d / name)
+
+    steps = [("synth", {"output": path("w.jsonl"), "synthetic": {"n_events": 6, "traces_per_event": [2, 2],
+                                                                 "n_noise": 24, "window_len": 64}}),
+             ("split", {"input": path("w.jsonl"), "output_dir": path("splits"), "fractions": [0.34, 0.34, 0.32]})]
+    for name, source in (("train", "splits/train.jsonl"), ("validation", "splits/validation.jsonl"),
+                         ("test", "splits/test.jsonl"), ("pool", "w.jsonl")):
+        steps.append(("extract", {"input": path(source), "output": path(f"{name}.tsv"), "features": "selected8"}))
+    steps.append(("train", {"input": path("train.tsv"), "output": path("model.json")}))
+    for command, config in steps:
+        assert _run_config(d, command, json.dumps(config).encode()) == 0, command
+    pool, _ = read_matrix(d / "pool.tsv")
+    (d / "p.tsv").write_text("trace_id\tlabel\n" + "".join(f"{t}\t{label}\n"
+                                                           for t, label in zip(pool.trace_ids, pool.labels)))
+    return d
+
+
+def _run_config(d, command: str, config: bytes) -> int:
+    """``quakebox <command>`` on one config; no exception escapes ``cli.main``
+    and no traceback is printed."""
+    (d / "cfg.json").write_bytes(config)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "-c", str(d / "cfg.json")])
+    assert "Traceback" not in err.getvalue(), err.getvalue()
+    return code
+
+
+@pytest.mark.parametrize("command", _configs(str))
+def test_unbroken_configs_run(config_inputs, command):
+    config = _configs(lambda name: str(config_inputs / name))[command]
+    assert _run_config(config_inputs, command, json.dumps(config).encode()) == 0
+
+
+def test_a_warm_start_far_below_the_next_penalty_selects(config_inputs):
+    # found by the swaps below: lambda_grid[0]'s fit, penalized at 1e308, overflowed with a warning
+    config = _configs(lambda name: str(config_inputs / name))["select"]
+    assert _run_config(config_inputs, "select", _changed(config, ("ensemble", "lambda_grid", 1), 1e308)) == 0
+
+
+@FUZZ
+@given(at=st.sampled_from(CONFIG_PATHS), value=st.sampled_from(CONFIG_VALUES))
+def test_config_type_swaps(config_inputs, monkeypatch, at, value):
+    monkeypatch.chdir(config_inputs)  # a path swapped for "x" names a file there
+    command, path = at
+    config = _configs(lambda name: str(config_inputs / name))[command]
+    assert _run_config(config_inputs, command, _changed(config, path, value)) in (0, 2)

@@ -67,6 +67,10 @@ class TestPenalty:
     def test_lambda_scales(self):
         assert penalty([1.0], PenaltyConfig(alpha=1.0, lam=3.0)) == pytest.approx(3.0)
 
+    def test_beyond_the_float_range_is_inf(self):
+        # a warm start's weights at a far larger penalty: +inf, not an overflow warning
+        assert penalty([2.0, -1.0], PenaltyConfig(alpha=0.5, lam=1e308)) == math.inf
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PenaltyConfig(alpha=1.5)
