@@ -226,6 +226,9 @@ def cmd_select(cfg: dict, master: int) -> None:
     val_matrix, val_role = read_matrix(val_source)
     _forbid_test_role("train_input", train_role)
     _forbid_test_role("validation_input", val_role)
+    for label in ("event", "noise"):  # on one class every run scores MCC 0
+        if label not in val_matrix.labels:
+            raise ConfigError("validation_input", f"{val_source} holds no {label} rows to rank the runs on")
     for i, code in enumerate(base):
         if code not in train_matrix.codes:
             raise ConfigError(f"base_features[{i}]", f"{code} is not a column of train_input")

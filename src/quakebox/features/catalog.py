@@ -10,9 +10,9 @@ series are rejected by the registry before dispatch, so kernels here may
 assume nonzero variance.
 
 Intermediates that several features share (the successive differences,
-C14's and C15's values, which :func:`outlier_timings` computes together, the
-autocorrelation and its first zero crossing, the periodogram) are computed
-once per block by the block object, which kernels read them from.
+C14's and C15's values, from one integer walk of prefix medians per row and
+sign in :func:`outlier_timings`, the autocorrelation and its first zero
+crossing, the periodogram) are computed once per block by the block object.
 Every reduction runs along one row, never across rows, so a row's value does
 not depend on the rows beside it; where a statistic sums a per-row selection
 of entries (a compressed array whose length varies by row), the kernel sums
@@ -21,7 +21,6 @@ that row alone.  Formula notes live on each kernel.
 
 from __future__ import annotations
 
-import heapq
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -474,9 +473,9 @@ def outlier_timings(z: np.ndarray) -> np.ndarray:
     (k+1)-th does not.  Those samples are the first k positions by
     descending value (ties may come in any order: a threshold never splits
     them).  So one pass of prefix medians serves every threshold, as far as
-    threshold 0's count, with the prefix's lower half in a max-heap and its
-    upper half in a min-heap.  The median over thresholds is the middle
-    one, or the mean of the middle two, as ``np.median`` takes it.
+    threshold 0's count, by a walk in integers (:func:`_twice_prefix_medians`).
+    The median over thresholds is the middle one, or the mean of the middle
+    two, as ``np.median`` takes it.
     """
     rows, n = z.shape
     order = np.argsort(z, axis=1)
@@ -497,21 +496,34 @@ def outlier_timings(z: np.ndarray) -> np.ndarray:
     reached[:, :-1] -= reached[:, 1:]  # per k, the kept thresholds exactly k samples reach
     out = np.empty(2 * rows)
     for k, length in enumerate(longest.tolist()):
-        lower: list[int] = []  # the prefix's smaller half, negated, with its middle when odd
-        upper: list[int] = []  # the prefix's larger half
-        twice: list[int] = []  # per prefix length, twice its median position (0-based)
-        pairs = iter(positions[k, :length].tolist() + [n])  # n pads an odd length; its median goes unread
-        for p, q in zip(pairs, pairs):  # an odd prefix length, then an even one
-            heapq.heappush(lower, -heapq.heappushpop(upper, p))
-            twice.append(-2 * lower[0])
-            heapq.heappush(upper, -heapq.heappushpop(lower, -q))
-            twice.append(upper[0] - lower[0])
+        twice = _twice_prefix_medians(positions[k, :length].tolist(), n)
         picks = np.fromiter(twice, np.int64, length).repeat(reached[k, :length])  # one per kept threshold
         picks.sort()
         middle = picks[[(len(picks) - 1) // 2, len(picks) // 2]].tolist()
         a, b = (0.5 * (t + 2) / (n / 2) - 1 for t in middle)
         out[k] = (a + b) / 2
     return out.reshape(2, rows)
+
+
+def _twice_prefix_medians(positions: list[int], n: int) -> list[int]:
+    """Twice the median of each prefix of ``positions`` (distinct, in [0, n)),
+    and one more for the pad n after an odd number.  A position joining an
+    odd count moves the median (lo, hi) on its side to the next one marked in
+    ``present``; one joining an even count, clamped to [lo, hi], is both."""
+    present, lo, hi = bytearray(n + 1), 0, n
+    twice: list[int] = []
+    pairs = iter(positions + [n])
+    for p, q in zip(pairs, pairs):  # an odd prefix length, then an even one
+        present[p] = 1
+        lo = hi = lo if p < lo else hi if p > hi else p
+        twice.append(2 * lo)
+        present[q] = 1
+        if q > lo:
+            hi = present.find(1, lo + 1)
+        else:
+            lo = present.rfind(1, 0, hi)
+        twice.append(lo + hi)
+    return twice
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ that its eval MCC is below 1, and that its sweep MCC differs across ratios.
 A change that moves artifact bytes on purpose regenerates the fixture in
 the same commit.
 
-Run from the repo root:  PYTHONPATH=src python3 tests/oracles/gen_artifact_digests.py
+Run from the repo root:  PYTHONPATH=src python3 tests/oracles/gen_artifact_digests.py [OUT]
+OUT, when given, is written instead of the fixture, so a regenerated copy
+can be compared with the fixture by ``cmp``.
 """
 
 from __future__ import annotations
@@ -111,12 +113,12 @@ def build(base: Path) -> dict:
     }
 
 
-def main() -> None:
+def main(out: Path = OUT) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         payload = build(Path(tmp))
-    OUT.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(payload['sha256'])} + {len(payload['ranked_sha256'])} digests to {OUT}")
+    out.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(payload['sha256'])} + {len(payload['ranked_sha256'])} digests to {out}")
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else OUT)

@@ -14,13 +14,16 @@ never depends on RNG stream stability across numpy versions.
 The model is trained here on a separate corpus of 60 traces; only its
 parameters are stored.
 
-Run from the repo root:  PYTHONPATH=src python3 tests/oracles/gen_detect_fixture.py
+Run from the repo root:  PYTHONPATH=src python3 tests/oracles/gen_detect_fixture.py [OUT]
+OUT, when given, is written instead of the fixture, so a regenerated copy
+can be compared with the fixture by ``cmp``.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +51,7 @@ def _corpus(n_events: int, n_noise: int, seed: int):
     ))
 
 
-def main() -> None:
+def main(out: Path = OUT) -> None:
     cfg = waveform.PreprocessConfig(window_len=WINDOW_LEN)
     registry, codes = reproduction_registry(), selected_profile()
     training = extract_matrix(waveform.preprocess_records(_corpus(8, 28, 2405), cfg), registry, codes)
@@ -75,9 +78,9 @@ def main() -> None:
                   "means": hexes(params.means), "stds": hexes(params.stds)},
         "traces": traces,
     }
-    OUT.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(traces)} traces to {OUT}")
+    out.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(traces)} traces to {out}")
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else OUT)

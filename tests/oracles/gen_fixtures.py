@@ -5,7 +5,9 @@ periodic, drifting, heavy-tailed, event-like).  Series values are stored in
 the fixture file verbatim so the expected outputs never depend on RNG
 stream stability across numpy versions.
 
-Run from the repo root:  python3 tests/oracles/gen_fixtures.py
+Run from the repo root:  python3 tests/oracles/gen_fixtures.py [OUT]
+OUT, when given, is written instead of the fixture, so a regenerated copy
+can be compared with the fixture by ``cmp``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from oracles.catch22_ref import reference_all  # noqa: E402
+
+
+OUT = Path(__file__).resolve().parents[1] / "fixtures" / "catch22_parity.json"
 
 
 def build_corpus() -> dict[str, list[float]]:
@@ -63,7 +68,7 @@ def build_corpus() -> dict[str, list[float]]:
     return {name: [float(v) for v in arr] for name, arr in series.items()}
 
 
-def main() -> None:
+def main(out: Path = OUT) -> None:
     corpus = build_corpus()
     entries = []
     for name, values in corpus.items():
@@ -71,10 +76,9 @@ def main() -> None:
         entries.append(
             {"name": name, "values": values, "expected": reference_all(values)}
         )
-    out = Path(__file__).resolve().parents[1] / "fixtures" / "catch22_parity.json"
     out.write_text(json.dumps({"series": entries}, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else OUT)

@@ -23,12 +23,15 @@ the fixture pins them bit for bit, which the oracle's 1e-6 tolerance cannot.
 Series values are stored verbatim, so the expectations never depend on RNG
 stream stability across numpy versions.
 
-Run from the repo root:  PYTHONPATH=src python3 tests/oracles/gen_outlier_fixtures.py
+Run from the repo root:  PYTHONPATH=src python3 tests/oracles/gen_outlier_fixtures.py [OUT]
+OUT, when given, is written instead of the fixture, so a regenerated copy
+can be compared with the fixture by ``cmp``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -167,7 +170,7 @@ def build_rows() -> dict[str, np.ndarray]:
     return rows
 
 
-def main() -> None:
+def main(out: Path = OUT) -> None:
     registry = canonical_registry()
     series = []
     for name, x in build_rows().items():
@@ -180,11 +183,11 @@ def main() -> None:
                    "when the fixture was written: tied values, largest z-scores on or beside a "
                    "multiple of 0.01, rows of 10 to 60 samples, rows with 1 to 3 samples of one sign "
                    "and preprocessed 512-sample traces. Written by tests/oracles/gen_outlier_fixtures.py.")
-    OUT.write_text(  # one row a line
+    out.write_text(  # one row a line
         f'{{\n "description": {json.dumps(description)},\n "series": [\n  '
         + ",\n  ".join(json.dumps(e) for e in series) + "\n ]\n}\n")
-    print(f"wrote {len(series)} rows to {OUT}")
+    print(f"wrote {len(series)} rows to {out}")
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else OUT)

@@ -23,13 +23,16 @@ outputs as ``float.hex``, so the expectations never depend on RNG stream
 stability across numpy versions.  ``objectives`` are the values that
 ``sweep_callback`` receives, one per outer step.
 
-Run from the repo root:  PYTHONPATH=src python3 tests/oracles/gen_solver_fixture.py
+Run from the repo root:  PYTHONPATH=src python3 tests/oracles/gen_solver_fixture.py [OUT]
+OUT, when given, is written instead of the fixture, so a regenerated copy
+can be compared with the fixture by ``cmp``.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -135,11 +138,11 @@ def build() -> dict:
     }
 
 
-def main() -> None:
+def main(out: Path = OUT) -> None:
     payload = build()
-    OUT.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(payload['fits'])} fits to {OUT}")
+    out.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(payload['fits'])} fits to {out}")
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else OUT)

@@ -763,6 +763,15 @@ def _malformed_cases():
               {m: MATRIX, "v.tsv": MATRIX.replace("n1\tnoise", "n1\tquake")},
               ("error: line 5: ", "v.tsv: label must be one of")),
         *(
+            # every run scores MCC 0 on one class, so such a split cannot rank the runs
+            _case(f"select-validation-input-without-{label}", "select",
+                  lambda d: {"train_input": d(m), "validation_input": d("v.tsv"), "output": d("o.json")},
+                  {m: MATRIX, "v.tsv": "".join(line for line in MATRIX.splitlines(keepends=True)
+                                               if f"\t{label}\t" not in line)},
+                  ("error: validation_input: ", f"v.tsv holds no {label} rows"))
+            for label in ("event", "noise")
+        ),
+        *(
             # a second matrix must hold every column of the first, and is named with its file
             _case(f"{command}-{field}-lacks-a-column", command,
                   lambda d, c=config: {**c(d), "output": d("o.json")},

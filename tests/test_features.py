@@ -1,6 +1,7 @@
 """Feature catalog: reference parity, registry contracts, standardization."""
 
 import base64
+import bisect
 import json
 import math
 from pathlib import Path
@@ -255,6 +256,23 @@ class TestArrayKernelsAgainstOracle:
             assert failures == {}, n
             for i, (name, _, expected) in zip(at, entries):
                 assert values[i].tobytes() == expected.tobytes(), name
+
+    def test_prefix_median_walk_matches_sorted_prefixes(self):
+        # C14/C15's walk against sorting: seeded permutations of every length
+        # from 1 to 600, each prefix length, odd and even, from 1; and a cut
+        # prefix (as a row's values at or above 0 give), so n pads odd lengths
+        rng = np.random.default_rng(1415)
+        for n in range(1, 601):
+            positions = rng.permutation(n).tolist()
+            twice = catalog._twice_prefix_medians(positions, n)
+            assert len(twice) == n + n % 2, n
+            ordered: list[int] = []
+            for length, p in enumerate(positions, 1):
+                bisect.insort(ordered, p)
+                middle = ordered[(length - 1) // 2] + ordered[length // 2]
+                assert twice[length - 1] == middle, (n, length)
+            cut = int(rng.integers(1, n + 1))
+            assert catalog._twice_prefix_medians(positions[:cut], n)[:cut] == twice[:cut], (n, cut)
 
     def test_ami_and_range_codes_bit_for_bit_on_frozen_rows(self):
         # frozen C12/C20 values (see tests/oracles/gen_ami_range_fixture.py):
