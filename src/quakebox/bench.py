@@ -137,12 +137,16 @@ class RatioDataset:
 
 def _noise_count(ratio: float, n_pos: int, pool: int) -> int:
     """``ratio * n_pos`` rounded half away from zero: the noise items a ratio
-    dataset draws.  More than ``pool`` raises InsufficientNoise, without
-    the count when it runs beyond 2**53 (or the float range)."""
+    dataset draws.  None raises DegenerateInput, as a dataset without noise
+    measures nothing at its ratio.  More than ``pool`` raises
+    InsufficientNoise, without the count when it runs beyond 2**53 (or the
+    float range)."""
     half_up = ratio * n_pos + 0.5
     if half_up >= 2**53:
         raise InsufficientNoise(f"ratio {ratio} needs more than the pool's {pool} noise items")
     need = math.floor(half_up)
+    if not need:
+        raise DegenerateInput(f"ratio {ratio} draws no noise item for {n_pos} positive(s)")
     if need > pool:
         raise InsufficientNoise(
             f"ratio {ratio} needs {need} noise items, pool has {pool} (short {need - pool})"

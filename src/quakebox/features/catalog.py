@@ -244,17 +244,14 @@ def transition_matrix_trace_cov(block: SeriesBlock) -> np.ndarray:
     The series is decimated at the first zero crossing of its
     autocorrelation, symbolized into 3 quantile groups, and the first-order
     transition probability matrix T formed; the statistic is the summed
-    variance (ddof=1) of T's columns.  Degenerate decimations (fewer than
-    two points) score 0.  Rows that share a decimation lag are symbolized
-    together.
+    variance (ddof=1) of T's columns.  Rows that share a decimation lag are
+    symbolized together.
     """
     z, lags = block.z, block.acf_zero
     out = np.zeros(len(z))
     for tau in np.unique(lags).tolist():
         rows = np.flatnonzero(lags == tau)
         ds = z[rows, ::tau]
-        if ds.shape[1] < 2:
-            continue
         s = _coarse_grain_3(ds)
         counts = _row_bincount(s[:, :-1] * 3 + s[:, 1:], 9)
         T = counts.reshape(-1, 3, 3) / (ds.shape[1] - 1)

@@ -121,58 +121,49 @@ class FeatureRegistry:
     def extract_block(self, codes: Sequence[str], block: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
         """Compute several features on every row of a (traces x samples) block.
 
-        Returns the (traces x codes) values and, for each row that failed,
-        its first failure in code order: zero variance (standardization
-        would be undefined) or an energy beyond the float range (both named
-        by the first code), a non-finite value, or a series shorter than a
-        feature's documented minimum.  A failed
-        row holds NaN from its failing code on.  The block's length,
-        variance and finiteness are each checked once, and it is z-scored
-        once.  Each kernel before the first code the series is too short
-        for runs once, on one :class:`SeriesBlock` of the rows of nonzero
+        Returns the (traces x codes) values and the failure of each row that
+        failed, whose values are all NaN.  A block that is not 2-D, or is
+        shorter than some code's documented minimum, fails every row naming
+        the first such code, and no kernel runs.  Otherwise a row fails on
+        zero variance (standardization would be undefined) or an energy
+        beyond the float range, both named by the first code, or on the
+        first code that gives it a non-finite value.  The block's variance
+        and finiteness are each checked once, and it is z-scored once.  Each
+        kernel runs once, on one :class:`SeriesBlock` of the rows of nonzero
         variance, which the kernels of this call share.
         """
         defs = [self.get(code) for code in codes]
         x = np.ascontiguousarray(block, dtype=float)
         values = np.full((len(x), len(defs)), np.nan)
-        failures: dict[int, str] = {}
-        cut = next((j for j, d in enumerate(defs) if x.ndim != 2 or x.shape[1] < d.min_length), len(defs))
-        if cut:
-            n = x.shape[1]
-            # x.std(ddof=1) and x - x.mean() of each row, in numpy's own
-            # order of operations, sharing the deviations between them; and n
-            # times the row's energy, which bounds the sums of its squares and
-            # of its power spectrum.  Samples near the float maximum leave the
-            # float range here, and the row is refused, not warned about.
-            with np.errstate(over="ignore", invalid="ignore"):
-                dev = x - x.sum(axis=1, keepdims=True) / n
-                sd = np.sqrt((dev * dev).sum(axis=1) / (n - 1))
-                energy = n * (x * x).sum(axis=1)
-            kept = (sd > 0) & (energy < np.inf)
-            rows = kept.nonzero()[0]
-            # the kernels write straight into values unless a row is refused
-            out = values[:, :cut] if len(rows) == len(x) else np.empty((len(rows), cut))
-            if len(rows) < len(x):
-                failures = {k: f"{defs[0].code} is undefined on a constant series" if sd[k] == 0 else
-                            f"{defs[0].code} is undefined: the series' energy leaves the float range"
-                            for k in np.flatnonzero(~kept).tolist()}
-                x, dev, sd = x[rows], dev[rows], sd[rows]
-            if len(rows):
-                shared = SeriesBlock(x, dev, dev / sd[:, None])
-                for j, d in enumerate(defs[:cut]):
-                    out[:, j] = d.func(shared)
-                finite = np.isfinite(out)
-                if not finite.all():
-                    for k in np.flatnonzero(~finite.all(axis=1)).tolist():
-                        j = int(np.argmin(finite[k]))
-                        failures[int(rows[k])] = f"{defs[j].code} produced a non-finite value"
-                        out[k, j:] = np.nan
-                if len(rows) < len(values):
-                    values[rows, :cut] = out
-        if cut < len(defs):
-            d = defs[cut]
-            message = f"{d.code} needs a 1-D series of at least {d.min_length} samples, got {x.shape[1:]}"
-            failures = {r: failures.get(r, message) for r in range(len(values))}
+        if not defs:
+            return values, {}
+        short = next((d for d in defs if x.ndim != 2 or x.shape[1] < d.min_length), None)
+        if short is not None:
+            message = f"{short.code} needs a 1-D series of at least {short.min_length} samples, got {x.shape[1:]}"
+            return values, dict.fromkeys(range(len(values)), message)
+        n = x.shape[1]
+        # x.std(ddof=1) and x - x.mean() of each row, in numpy's own order of
+        # operations, sharing the deviations between them; and n times the
+        # row's energy, which bounds the sums of its squares and of its power
+        # spectrum.  Samples near the float maximum leave the float range
+        # here, and the row is refused, not warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev = x - x.sum(axis=1, keepdims=True) / n
+            sd = np.sqrt((dev * dev).sum(axis=1) / (n - 1))
+            energy = n * (x * x).sum(axis=1)
+        kept = (sd > 0) & (energy < np.inf)
+        failures = {k: f"{defs[0].code} is undefined on a constant series" if sd[k] == 0 else
+                    f"{defs[0].code} is undefined: the series' energy leaves the float range"
+                    for k in (~kept).nonzero()[0].tolist()}
+        rows = kept if failures else slice(None)  # a slice copies no row: kernels write straight into values
+        if len(failures) < len(values):
+            shared = SeriesBlock(x[rows], dev[rows], dev[rows] / sd[rows, None])
+            for j, d in enumerate(defs):
+                values[rows, j] = d.func(shared)
+            if not np.isfinite(values[rows]).all():
+                for k in np.flatnonzero(kept & ~np.isfinite(values).all(axis=1)).tolist():
+                    failures[k] = f"{defs[int(np.argmin(np.isfinite(values[k])))].code} produced a non-finite value"
+                    values[k] = np.nan
         return values, failures
 
 

@@ -5,7 +5,9 @@ code -> value map; rows exist only where one trace is extracted or scored.
 Every collection is a :class:`FeatureMatrix`.  Only :func:`standardize_fit`,
 :func:`standardize_apply` and :func:`write_matrix`, which callers hand the
 vector lists of :func:`extract_matrix`, also take a sequence of vectors; they
-convert it once with :meth:`FeatureMatrix.from_rows`.  Standardization
+convert it once with :meth:`FeatureMatrix.from_rows`.  A vector is a plain
+record: every rule of a row, finiteness included, is checked by the matrix
+it becomes, so a vector is checked where it is first used.  Standardization
 parameters are always fitted on training data only (sample standard
 deviation, ddof=1 — the repo-wide estimator convention).
 
@@ -23,7 +25,6 @@ to name its first bad line, and a repeated trace id is refused naming both lines
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, replace
 from itertools import compress, repeat
@@ -48,20 +49,13 @@ from .registry import FeatureRegistry
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Extracted feature values for one trace."""
+    """Feature values for one trace, held as given: neither coerced, copied
+    nor checked.  A non-finite value is refused where the vector is first
+    used, by :meth:`FeatureMatrix.from_rows`, naming the trace and code."""
 
     trace_id: str
     values: Mapping[str, float]
     label: str
-
-    def __post_init__(self) -> None:
-        clean = {}
-        for code, v in self.values.items():
-            v = float(v)
-            if not math.isfinite(v):
-                raise ValueError(f"{self.trace_id}: feature {code} is not finite ({v})")
-            clean[str(code)] = v
-        object.__setattr__(self, "values", clean)
 
 
 def extract_vector(
@@ -152,7 +146,8 @@ class FeatureMatrix:
 
         A row with more or fewer codes than the first raises FormatError (as
         a matrix line with the wrong column count does); a row with as many
-        that lacks one of them raises MissingFeature.  Both name the trace.
+        that lacks one of them raises MissingFeature; a non-finite value
+        raises FormatError.  Each names the trace, and the last the code.
         """
         if not rows:
             raise DegenerateInput("empty feature collection")

@@ -51,7 +51,7 @@ def _corpus(n_events: int, n_noise: int, seed: int):
     ))
 
 
-def main(out: Path = OUT) -> None:
+def build() -> dict:
     cfg = waveform.PreprocessConfig(window_len=WINDOW_LEN)
     registry, codes = reproduction_registry(), selected_profile()
     training = extract_matrix(waveform.preprocess_records(_corpus(8, 28, 2405), cfg), registry, codes)
@@ -69,7 +69,7 @@ def main(out: Path = OUT) -> None:
             "probability": float(proba[0]).hex(),
         })
     hexes = lambda mapping: {c: float(mapping[c]).hex() for c in codes}  # noqa: E731
-    payload = {
+    return {
         "description": "The detect path's output on 24 frozen traces, bit for bit; "
                        "written by tests/oracles/gen_detect_fixture.py.",
         "window_len": WINDOW_LEN,
@@ -78,8 +78,12 @@ def main(out: Path = OUT) -> None:
                   "means": hexes(params.means), "stds": hexes(params.stds)},
         "traces": traces,
     }
+
+
+def main(out: Path = OUT) -> None:
+    payload = build()
     out.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(traces)} traces to {out}")
+    print(f"wrote {len(payload['traces'])} traces to {out}")
 
 
 if __name__ == "__main__":

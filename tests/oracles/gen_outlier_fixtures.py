@@ -170,7 +170,7 @@ def build_rows() -> dict[str, np.ndarray]:
     return rows
 
 
-def main(out: Path = OUT) -> None:
+def build() -> dict:
     registry = canonical_registry()
     series = []
     for name, x in build_rows().items():
@@ -183,10 +183,15 @@ def main(out: Path = OUT) -> None:
                    "when the fixture was written: tied values, largest z-scores on or beside a "
                    "multiple of 0.01, rows of 10 to 60 samples, rows with 1 to 3 samples of one sign "
                    "and preprocessed 512-sample traces. Written by tests/oracles/gen_outlier_fixtures.py.")
+    return {"description": description, "series": series}
+
+
+def main(out: Path = OUT) -> None:
+    payload = build()
     out.write_text(  # one row a line
-        f'{{\n "description": {json.dumps(description)},\n "series": [\n  '
-        + ",\n  ".join(json.dumps(e) for e in series) + "\n ]\n}\n")
-    print(f"wrote {len(series)} rows to {out}")
+        f'{{\n "description": {json.dumps(payload["description"])},\n "series": [\n  '
+        + ",\n  ".join(json.dumps(e) for e in payload["series"]) + "\n ]\n}\n")
+    print(f"wrote {len(payload['series'])} rows to {out}")
 
 
 if __name__ == "__main__":

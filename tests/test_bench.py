@@ -127,6 +127,14 @@ class TestRatioDataset:
             bench.build_ratio_dataset(self.positives(n_pos), self.pool(4), 1e308, seed=1)
         assert str(err.value) == "ratio 1e+308 needs more than the pool's 4 noise items"
 
+    @pytest.mark.parametrize("ratio,n_pos", [(1e-9, 16), (0.49, 1), (0.04, 12)])
+    def test_ratio_that_draws_no_noise_refused(self, ratio, n_pos):
+        # ratio * n_pos rounds to 0: a dataset of positives alone measures nothing at its ratio
+        with pytest.raises(DegenerateInput) as err:
+            bench.build_ratio_dataset(self.positives(n_pos), self.pool(4), ratio, seed=1)
+        assert str(err.value) == f"ratio {ratio} draws no noise item for {n_pos} positive(s)"
+        assert bench.build_ratio_dataset(self.positives(1), self.pool(4), 0.5, seed=1).items.labels.count("noise") == 1
+
     def test_all_positives_retained(self):
         pos = self.positives(7)
         ds = bench.build_ratio_dataset(pos, self.pool(100), 3.0, seed=2)
@@ -251,6 +259,12 @@ class TestSweep:
         with pytest.raises(IngestError, match=r"^partial.tsv: missing 10 trace id\(s\): p0, p1, "):
             self.sweep({"partial": bench.Predictions(preds, "partial.tsv")}, positives, pool,
                        bench.RatioSpec(seed=5))
+
+    def test_ratio_that_draws_no_noise_refused(self):
+        positives, pool = self.setup_case()
+        with pytest.raises(DegenerateInput) as err:
+            self.sweep({"lr": self.artifact()}, positives, pool, bench.RatioSpec(ratios=(1.0, 1e-9), seed=1))
+        assert str(err.value) == "ratio 1e-09 draws no noise item for 10 positive(s)"
 
     def test_label_hygiene(self):
         positives, pool = self.setup_case()

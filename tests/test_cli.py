@@ -1207,6 +1207,11 @@ def _malformed_cases():
                   "error: ratio 1e+308 needs more than the pool's 2 noise items\n")
             for n, text in ((2, MATRIX), (1, MATRIX.replace("e2\tevent\t2.0\t0.1\n", "")))
         ),
+        # a ratio that draws no noise row would score the positives alone
+        _case("sweep-ratio-drawing-no-noise", "sweep",
+              lambda d: {"positives_input": d(m), "noise_pool_input": d(m), "ratios": [1.0, 1e-9],
+                         "predictions": {"x": d("p.tsv")}, "output": d("o.json")},
+              {m: MATRIX, "p.tsv": PREDICTIONS}, "error: ratio 1e-09 draws no noise item for 2 positive(s)\n"),
         # a trace too short to detrend, after a valid one, is named
         _case("extract-one-sample-trace", "extract",
               lambda d: {"input": d("w.jsonl"), "output": d("o.tsv")},

@@ -58,6 +58,12 @@ def _probabilities(rows) -> list[str]:
     return [p.hex() for p in predict_proba(MODEL, standardized).tolist()]
 
 
+def test_fixture_is_what_its_generator_writes():
+    from oracles.gen_detect_fixture import build
+
+    assert build() == FIXTURE
+
+
 def test_fixture_covers_events_and_noise():
     assert len(RECORDS) == 24 and {r.label for r in RECORDS} == {"event", "noise"}
     assert {r.samples.size for r in RECORDS} == {1200}

@@ -24,7 +24,7 @@ from quakebox.features import (
     FeatureDef,
     FeatureMatrix,
     FeatureRegistry,
-    FeatureVector,
+    StandardizationParams,
     canonical_registry,
     extract_matrix,
     extract_vector,
@@ -36,6 +36,7 @@ from quakebox.features import (
     write_matrix,
 )
 from quakebox.features import catalog
+from quakebox.model import LinearModel, ModelArtifact
 from quakebox.waveform import BLOCK_ROWS
 
 from conftest import make_record, make_vector
@@ -257,6 +258,11 @@ class TestArrayKernelsAgainstOracle:
             for i, (name, _, expected) in zip(at, entries):
                 assert values[i].tobytes() == expected.tobytes(), name
 
+    def test_outlier_fixture_is_what_its_generator_writes(self):
+        from oracles.gen_outlier_fixtures import build
+
+        assert build() == json.loads(OUTLIER_EDGES.read_text())
+
     def test_prefix_median_walk_matches_sorted_prefixes(self):
         # C14/C15's walk against sorting: seeded permutations of every length
         # from 1 to 600, each prefix length, odd and even, from 1; and a cut
@@ -359,6 +365,25 @@ class TestArrayKernelsAgainstOracle:
             same = np.correlate(s, s, "same")[n // 2 + 1 : n // 2 + 1 + acmax]
             assert same.tobytes() == np.correlate(s, s, "full")[n : n + acmax].tobytes(), n
 
+    def test_autocorrelation_crosses_zero_before_the_last_lag(self):
+        # the demeaned row sums to 0, so its biased autocorrelations at lags
+        # 1..n-1 sum to -1/2: every non-constant row crosses zero below lag
+        # n, and C9's row decimated at that lag keeps at least 2 points
+        rng = np.random.default_rng(9)
+        lengths = [*range(2, 130), 255, 256, 257, 511, 512, 1000, 1023, 1024, 2047, 2048, 4095, 4096]
+        for n in lengths:
+            t = np.arange(n, dtype=float)
+            spike = np.zeros(n)
+            spike[n // 3] = 1.0
+            rows = np.stack([rng.standard_normal(n), np.cumsum(rng.standard_normal(n)), t, (t >= n // 2) * 1.0,
+                             np.where(t % 2 == 0, 1.0, -1.0), np.round(rng.standard_normal(n)), spike,
+                             np.exp(-t / max(n / 5, 1.0))])
+            rows = rows[rows.min(axis=1) < rows.max(axis=1)]
+            dev = rows - rows.mean(axis=1, keepdims=True)
+            acf = catalog.autocorrelation(dev / dev.std(axis=1, ddof=1, keepdims=True))
+            assert np.abs(acf[:, 1:].sum(axis=1) + 0.5).max() < 1e-9, n
+            assert (catalog.first_zero_crossing(acf) < n).all(), n
+
     def test_embedding_distances_without_spread_score_zero(self):
         # two alternating values: every embedding distance is the same, so
         # C11 scores 0, alone and beside rows whose distances do spread
@@ -407,6 +432,28 @@ class TestRegistry:
         values, failures = canonical_registry().extract_block(("C10",), np.arange(5.0)[None])
         assert failures == {0: "C10 needs a 1-D series of at least 20 samples, got (5,)"} and np.isnan(values).all()
 
+    def test_too_short_block_fails_every_row_before_any_kernel_runs(self):
+        # a block shorter than any requested code's minimum, or not 2-D,
+        # fails every row with the first such code's message, a constant
+        # row too, and no kernel runs; no codes give no values and no failures
+        seen = []
+
+        def spy(block):
+            seen.append(len(block.z))
+            return block.z[:, 0]
+
+        reg = FeatureRegistry([FeatureDef("X1", "spy", spy, 4, False, "0"),
+                               FeatureDef("X2", "spy", spy, 20, False, "0"),
+                               FeatureDef("X3", "spy", spy, 30, False, "0")])
+        values, failures = reg.extract_block(reg.codes(), np.stack([np.arange(12.0), np.full(12, 3.0)]))
+        assert failures == dict.fromkeys((0, 1), "X2 needs a 1-D series of at least 20 samples, got (12,)")
+        assert values.shape == (2, 3) and np.isnan(values).all()
+        values, failures = reg.extract_block(("X1",), np.arange(5.0))
+        assert failures == dict.fromkeys(range(5), "X1 needs a 1-D series of at least 4 samples, got ()")
+        assert seen == []
+        values, failures = reg.extract_block((), np.full((2, 3), 1.0))
+        assert values.shape == (2, 0) and failures == {}
+
     def test_determinism_bit_identical(self, rng):
         reg = reproduction_registry()
         x = rng.standard_normal(300)
@@ -429,7 +476,7 @@ class TestRegistry:
         assert np.isnan(values).all()
         values, failures = reg.extract_block(("W1", "C10"), np.arange(12.0)[None])
         assert failures == {0: "C10 needs a 1-D series of at least 20 samples, got (12,)"}
-        assert values[0, 0] == one_value(reg, "W1", np.arange(12.0)) and np.isnan(values[0, 1])
+        assert np.isnan(values).all()
 
     def test_duplicate_codes_rejected(self):
         reg = canonical_registry()
@@ -562,9 +609,26 @@ class TestExtractVector:
             one, none = reg.extract_block(reg.codes(), block[k : k + 1])
             assert none == {} and values[k].tolist() == one[0].tolist() == [0.0, 0.0]
 
-    def test_vector_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            FeatureVector(trace_id="t", values={"C1": float("nan")}, label="noise")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_every_vector_consumer_refuses_a_non_finite_value(self, tmp_path, value):
+        # a vector holds its values as given; the matrix each consumer makes
+        # of it refuses a non-finite one, naming the trace and the code
+        vecs = [make_vector("a", "noise", f=1.0, g=2.0), make_vector("b", "event", f=value, g=3.0)]
+        assert vecs[1].values["f"] is value
+        params = StandardizationParams(means={"f": 0.0, "g": 0.0}, stds={"f": 1.0, "g": 1.0})
+        artifact = ModelArtifact(LinearModel(bias=0.0, weights={"f": 1.0, "g": 1.0}), params)
+        path = tmp_path / "m.tsv"
+        consumers = {
+            "standardize_fit": lambda: standardize_fit(vecs),
+            "standardize_apply": lambda: standardize_apply(vecs, params),
+            "write_matrix": lambda: write_matrix(path, vecs),
+            "predict_label": lambda: artifact.predict_label(vecs[1]),
+        }
+        for name, use in consumers.items():
+            with pytest.raises(FormatError) as err:
+                use()
+            assert str(err.value) == f"trace b: feature f is not finite ({value})", name
+        assert not path.exists()
 
 
 class TestBlockBoundaries:

@@ -32,6 +32,12 @@ def _matrix(entry: dict) -> FeatureMatrix:
 MATRICES = {name: _matrix(entry) for name, entry in FROZEN["matrices"].items()}
 
 
+def test_fixture_is_what_its_generator_writes():
+    from oracles.gen_solver_fixture import build
+
+    assert build() == FROZEN
+
+
 @pytest.mark.parametrize("case", FROZEN["fits"], ids=lambda case: case["name"])
 def test_fit_is_bit_for_bit_frozen(case):
     history = []
